@@ -13,18 +13,17 @@ closed forms at small n.
 1.5
 """
 
+# ``divball.cli.main`` is reachable right after ``import divball``.
+from . import cli  # noqa: F401
 from .chi2 import (
     CriticalDeltas,
     chi2_active_index,
     chi2_divergence,
     chi2_lower_expectation,
     chi2_minimizer,
-    chi2_three_point,
-    chi2_two_point,
     chi2_upper_expectation,
     critical_deltas,
 )
-from .cli import RadiusQuery, robustness_radius
 from .core import (
     BallFamily,
     BallSpec,
@@ -34,7 +33,6 @@ from .core import (
     SortedProblem,
     expectation,
     sort_and_prefix,
-    suffix_masses,
     validate,
 )
 from .errors import (
@@ -52,15 +50,8 @@ from .errors import (
     WrongArityError,
     ZeroMassForbiddenError,
 )
-from .oracle import (
-    OracleReport,
-    enumerate_compositions,
-    naive_chi2_divergence,
-    naive_expectation,
-    naive_tv_distance,
-    oracle_check_verdict,
-    oracle_lower_expectation,
-)
+from .oracle import OracleReport, oracle_lower_expectation
+from .problem import Problem, robustness_radius
 from .tv import (
     tv_distance,
     tv_lower_expectation,
@@ -85,7 +76,7 @@ __all__ = [
     "Objective",
     "OracleReport",
     "Pmf",
-    "RadiusQuery",
+    "Problem",
     "SortedProblem",
     "SumNotOneError",
     "TiedBottomError",
@@ -97,20 +88,12 @@ __all__ = [
     "chi2_divergence",
     "chi2_lower_expectation",
     "chi2_minimizer",
-    "chi2_three_point",
-    "chi2_two_point",
     "chi2_upper_expectation",
     "critical_deltas",
-    "enumerate_compositions",
     "expectation",
-    "naive_chi2_divergence",
-    "naive_expectation",
-    "naive_tv_distance",
-    "oracle_check_verdict",
     "oracle_lower_expectation",
     "robustness_radius",
     "sort_and_prefix",
-    "suffix_masses",
     "tv_distance",
     "tv_lower_expectation",
     "tv_threshold_index",

@@ -29,13 +29,12 @@ from .core import (
     Objective,
     Pmf,
     SortedProblem,
+    check_delta,
     sort_and_prefix,
-    suffix_masses,
 )
 from .errors import (
     DivballError,
     LengthMismatchError,
-    NegativeDeltaError,
     TiedBottomError,
     WrongArityError,
     ZeroMassForbiddenError,
@@ -100,24 +99,17 @@ def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
     """Critical radii for every support size above the bottom tie plateau."""
     _require_positive(sp)
     ell = sp.plateau
-    n = sp.n
-    tails = suffix_masses(sp.p_sorted)
-    finite = np.empty(n - ell)
-    for k in range(ell + 1, n + 1):
-        i = k - 1
-        gap = sp.f_sorted[i] - sp.prefix_mean[i]
-        assert gap > 0.0 and sp.prefix_var[i] > 0.0, "non-plateau prefix is constant"
-        finite[k - ell - 1] = (
-            sp.prefix_var[i] / (gap * gap) + tails[i]
-        ) / sp.prefix_mass[i]
+    gap = sp.f_sorted[ell:] - sp.prefix_mean[ell:]
+    var = sp.prefix_var[ell:]
+    assert ((gap > 0.0) & (var > 0.0)).all(), "non-plateau prefix is constant"
+    finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]
     if finite.size:
         assert finite[-1] > 0.0, "critical radii must be positive"
-        for j in range(finite.size - 1):
-            # Non-increasing up to roundoff; a real inversion is a bug here,
-            # not bad user input.
-            assert finite[j + 1] <= finite[j] + 1e-12 * (1.0 + abs(finite[j]))
+        # Non-increasing up to roundoff; a real inversion is a bug here,
+        # not bad user input.
+        assert (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all()
     finite.flags.writeable = False
-    return CriticalDeltas(plateau=ell, n=n, finite=finite)
+    return CriticalDeltas(plateau=ell, n=sp.n, finite=finite)
 
 
 def chi2_active_index(cd: CriticalDeltas, delta: float) -> int:
@@ -126,12 +118,9 @@ def chi2_active_index(cd: CriticalDeltas, delta: float) -> int:
     Falls back to the plateau size when every finite critical radius is
     covered; returns ``n`` for radii below the smallest one.
     """
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
-    for k in range(cd.n, cd.plateau, -1):
-        if cd.finite[k - cd.plateau - 1] > delta:
-            return k
-    return cd.plateau
+    check_delta(delta)
+    above = (cd.finite > delta).nonzero()[0]
+    return cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
 
 
 def _radicand(mass: float, tail: float, delta: float) -> float:
@@ -159,8 +148,7 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     probe at ``delta == delta_r``); other pairs are rejected.
     """
     _require_positive(sp)
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
+    check_delta(delta)
     ell = sp.plateau
     if not ell <= r <= sp.n:
         raise DivballError(f"support size {r} outside [{ell}, {sp.n}]")
@@ -172,7 +160,7 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
 
     i = r - 1
     mass = sp.prefix_mass[i]
-    tail = suffix_masses(sp.p_sorted)[i]
+    tail = sp.tails[i]
     sigma2 = sp.prefix_var[i]
     assert sigma2 > 0.0, "interior support has positive prefix variance"
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
@@ -189,15 +177,19 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     return Pmf(q)
 
 
-def _solve(sp: SortedProblem, cd: CriticalDeltas, delta: float):
+def chi2_solve(sp: SortedProblem, cd: CriticalDeltas, delta: float, labels) -> BoundResult:
+    """:func:`chi2_lower_expectation` of ``sp`` with critical radii ``cd``."""
     r = chi2_active_index(cd, delta)
     if r == cd.plateau:
-        return float(sp.f_sorted[0]), r, BRANCH_PLATEAU
-    i = r - 1
-    tail = suffix_masses(sp.p_sorted)[i]
-    rad = _radicand(sp.prefix_mass[i], tail, delta)
-    value = sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad)
-    return float(value), r, BRANCH_INTERIOR
+        value, branch = float(sp.f_sorted[0]), BRANCH_PLATEAU
+    else:
+        i = r - 1
+        rad = _radicand(sp.prefix_mass[i], sp.tails[i], delta)
+        value = float(sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
+        branch = BRANCH_INTERIOR
+    q_sorted = chi2_minimizer(sp, r, delta)
+    minimizer = Pmf(sp.to_original_order(q_sorted.weights), labels=labels)
+    return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
 
 
 def chi2_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
@@ -208,25 +200,14 @@ def chi2_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
     covers every finite critical radius.  The attaining minimizer is
     returned in original outcome order.
     """
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
+    check_delta(delta)
     sp = sort_and_prefix(p, f)
-    cd = critical_deltas(sp)
-    value, r, branch = _solve(sp, cd, delta)
-    q_sorted = chi2_minimizer(sp, r, delta)
-    minimizer = Pmf(sp.to_original_order(q_sorted.weights), labels=p.labels)
-    return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
+    return chi2_solve(sp, critical_deltas(sp), delta, p.labels)
 
 
 def chi2_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
     """Exact maximum over the chi^2 ball, by conjugacy with the negated payoff."""
-    res = chi2_lower_expectation(p, f.negated(), delta)
-    return BoundResult(
-        value=-res.value,
-        minimizer=res.minimizer,
-        active_index=res.active_index,
-        branch=res.branch,
-    )
+    return chi2_lower_expectation(p, f.negated(), delta).conjugate()
 
 
 def _sorted_pairs(p: Pmf, f: Objective):
@@ -245,8 +226,7 @@ def chi2_two_point(p: Pmf, f: Objective, delta: float) -> float:
         raise WrongArityError(f"two-point form needs n = 2, got n = {p.n}")
     if np.any(p.weights == 0.0):
         raise ZeroMassForbiddenError("chi-squared balls need a strictly positive center pmf")
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
+    check_delta(delta)
     (p1, p2), (f1, f2) = _sorted_pairs(p, f)
     if delta < p2 / p1:
         return float(p1 * f1 + p2 * f2 - math.sqrt(delta * p1 * p2) * abs(f2 - f1))
@@ -265,8 +245,7 @@ def chi2_three_point(p: Pmf, f: Objective, delta: float) -> float:
         raise WrongArityError(f"three-point form needs n = 3, got n = {p.n}")
     if np.any(p.weights == 0.0):
         raise ZeroMassForbiddenError("chi-squared balls need a strictly positive center pmf")
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
+    check_delta(delta)
     (p1, p2, p3), (f1, f2, f3) = _sorted_pairs(p, f)
     if f1 == f2:
         raise TiedBottomError(

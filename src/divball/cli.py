@@ -1,5 +1,5 @@
-"""Batch front end: read problem files, compute bounds, sweep radii, solve
-robustness-radius queries, and optionally certify against the grid oracle.
+"""Batch front end: read problem files, then render bounds, radius sweeps,
+robustness radii or a grid-oracle certificate computed by the library.
 
 Problem files are JSON objects:
 
@@ -21,16 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .chi2 import chi2_lower_expectation, chi2_upper_expectation
-from .core import BallFamily, BallSpec, BoundResult, Objective, Pmf, expectation, validate
-from .errors import DivballError, NonFiniteError, UnreachableError
-from .oracle import (
-    naive_chi2_divergence,
-    naive_tv_distance,
-    oracle_check_verdict,
-    oracle_lower_expectation,
-)
-from .tv import tv_lower_expectation, tv_upper_expectation
+from .core import BallFamily, BallSpec, Objective, Pmf, validate
+from .errors import DivballError, UnreachableError
+from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
+from .problem import Problem, lower_expectation, robustness_radius
 
 _UNSET = object()
 
@@ -44,74 +38,6 @@ class ProblemFile:
     family: BallFamily
     delta: float | None
     sweep: tuple[float, float, int] | None
-
-
-@dataclass(frozen=True)
-class RadiusQuery:
-    """Threshold query: smallest radius whose lower expectation reaches theta."""
-
-    theta: float
-    direction: str = "lower_below"
-
-    def __post_init__(self):
-        if not np.isfinite(self.theta):
-            raise NonFiniteError("radius threshold must be finite")
-        if self.direction != "lower_below":
-            raise DivballError(f"unsupported radius direction {self.direction!r}")
-
-
-def lower_expectation(pmf: Pmf, objective: Objective, family: BallFamily, delta: float) -> BoundResult:
-    if BallFamily(family) is BallFamily.TV:
-        return tv_lower_expectation(pmf, objective, delta)
-    return chi2_lower_expectation(pmf, objective, delta)
-
-
-def upper_expectation(pmf: Pmf, objective: Objective, family: BallFamily, delta: float) -> BoundResult:
-    if BallFamily(family) is BallFamily.TV:
-        return tv_upper_expectation(pmf, objective, delta)
-    return chi2_upper_expectation(pmf, objective, delta)
-
-
-def robustness_radius(
-    pmf: Pmf, objective: Objective, family: BallFamily, theta: float
-) -> float:
-    """Smallest radius at which the lower expectation drops to ``theta``.
-
-    The lower expectation is continuous and non-increasing in the radius, so
-    bisection applies; the answer carries an absolute radius tolerance of
-    1e-10.  Thresholds at or above the center expectation need no budget at
-    all; thresholds below the objective's minimum are unreachable.
-    """
-    family = BallFamily(family)
-    query = RadiusQuery(theta)
-    theta = float(query.theta)
-    if theta >= expectation(pmf, objective):
-        return 0.0
-    f_min = float(objective.values.min())
-    if theta < f_min:
-        raise UnreachableError(
-            f"threshold {theta} lies below the objective minimum {f_min}"
-        )
-
-    def lower(delta: float) -> float:
-        return lower_expectation(pmf, objective, family, delta).value
-
-    if family is BallFamily.TV:
-        hi = 1.0
-    else:
-        hi = 1.0
-        while lower(hi) > theta:
-            hi *= 2.0
-            if hi > 2.0**512:
-                raise RuntimeError("radius bracket failed to close")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if lower(mid) <= theta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def load_problem_dict(obj) -> dict:
@@ -209,9 +135,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _bound_row(problem: ProblemFile, delta: float) -> dict:
-    lo = lower_expectation(problem.pmf, problem.objective, problem.family, delta)
-    up = upper_expectation(problem.pmf, problem.objective, problem.family, delta)
+def _bound_row(prepared: Problem, delta: float) -> dict:
+    lo = prepared.lower(delta)
+    up = prepared.upper(delta)
     return {
         "delta": float(delta),
         "lower": lo.value,
@@ -231,8 +157,9 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
     """
     if (problem.delta is None) == (problem.sweep is None):
         raise DivballError("give exactly one of 'delta' and 'sweep'")
+    prepared = Problem(problem.pmf, problem.objective, problem.family)
     if problem.delta is not None:
-        row = _bound_row(problem, problem.delta)
+        row = _bound_row(prepared, problem.delta)
         if output == "csv":
             return _render_csv([row])
         payload = {
@@ -248,7 +175,7 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
             payload["labels"] = list(problem.pmf.labels)
         return json.dumps(payload)
     start, stop, steps = problem.sweep
-    rows = [_bound_row(problem, d) for d in np.linspace(start, stop, steps)]
+    rows = [_bound_row(prepared, d) for d in np.linspace(start, stop, steps)]
     if output == "json":
         return json.dumps(
             [{k: row[k] for k in ("delta", "lower", "upper", "r", "branch")} for row in rows]
@@ -281,10 +208,7 @@ def run_oracle_check(problem: ProblemFile, resolution: int | None) -> tuple[str,
     closed = lower_expectation(problem.pmf, problem.objective, problem.family, delta)
     ball = BallSpec(problem.family, delta)
     report = oracle_lower_expectation(problem.pmf, problem.objective, ball, resolution)
-    if problem.family is BallFamily.TV:
-        dist = naive_tv_distance(closed.minimizer, problem.pmf)
-    else:
-        dist = naive_chi2_divergence(closed.minimizer, problem.pmf)
+    dist = naive_divergence(closed.minimizer, problem.pmf, problem.family)
     ok = oracle_check_verdict(closed.value, report, dist, delta)
     payload = {
         "closed_form": closed.value,

@@ -150,8 +150,9 @@ class SortedProblem:
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  Prefix arrays cover the first
     ``i + 1`` sorted outcomes at entry ``i``; ``prefix_mean``/``prefix_var``
-    hold 0.0 wherever the prefix mass is zero.  ``plateau`` is the number of
-    leading outcomes tied at the minimal objective value (at least 1).
+    hold 0.0 wherever the prefix mass is zero; ``tails[i]`` is the mass after
+    entry ``i``.  ``plateau`` is the number of leading outcomes tied at the
+    minimal objective value (at least 1).
     """
 
     perm: np.ndarray
@@ -160,6 +161,7 @@ class SortedProblem:
     prefix_mass: np.ndarray
     prefix_mean: np.ndarray
     prefix_var: np.ndarray
+    tails: np.ndarray
     plateau: int
 
     @property
@@ -190,6 +192,16 @@ class BoundResult:
     def __post_init__(self):
         if self.branch not in BRANCHES:
             raise DivballError(f"unknown branch tag {self.branch!r}")
+
+    def conjugate(self) -> "BoundResult":
+        """The upper bound this lower bound of the negated payoff gives."""
+        return BoundResult(-self.value, self.minimizer, self.active_index, self.branch)
+
+
+def check_delta(delta) -> None:
+    """Reject a negative or NaN ball radius; an infinite one is valid."""
+    if not delta >= 0.0:
+        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
 
 
 def validate(p, f, family: BallFamily | str = BallFamily.TV) -> tuple[Pmf, Objective]:
@@ -248,7 +260,7 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
     variance use a weighted incremental update (single pass, no
     ``E[f^2] - mu^2`` cancellation), so prefix variances are exact zeros on
     the leading tie plateau and can never go negative.  The prefix mass is
-    a compensated running sum.
+    a compensated running sum; the tails are :func:`suffix_masses`.
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
@@ -291,5 +303,6 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
         prefix_mass=mass,
         prefix_mean=mean,
         prefix_var=var,
+        tails=suffix_masses(p_sorted),
         plateau=plateau,
     )

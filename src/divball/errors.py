@@ -34,7 +34,7 @@ class ZeroMassForbiddenError(DivballError):
 
 
 class NegativeDeltaError(DivballError):
-    """A ball radius is negative."""
+    """A ball radius is negative or NaN."""
 
 
 class WrongArityError(DivballError):

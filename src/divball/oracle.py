@@ -55,6 +55,13 @@ def naive_chi2_divergence(q, p) -> float:
     return float(s)
 
 
+def naive_divergence(q, p, family: BallFamily) -> float:
+    """The definitional loop of the ``family`` ball's divergence."""
+    if BallFamily(family) is BallFamily.TV:
+        return naive_tv_distance(q, p)
+    return naive_chi2_divergence(q, p)
+
+
 def naive_expectation(q, f) -> float:
     """Definitional expectation loop, independent of the core module."""
     qa, fa = _weights(q), _weights(f)
@@ -219,11 +226,7 @@ def oracle_lower_expectation(
     argmin_weights = W[idx]
 
     grid_minimum = float(naive_expectation(argmin_weights, f.values))
-    if ball.family is BallFamily.TV:
-        dist = naive_tv_distance(argmin_weights, p.weights)
-    else:
-        dist = naive_chi2_divergence(argmin_weights, p.weights)
-    if dist > ball.delta:
+    if naive_divergence(argmin_weights, p.weights, ball.family) > ball.delta:
         raise RuntimeError("oracle internal inconsistency: argmin left the ball")
 
     span = float(f.values.max() - f.values.min())

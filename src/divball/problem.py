@@ -1,0 +1,98 @@
+"""One problem, many radii: the closed forms depend on the radius only in
+their last lookup, so a ``Problem`` sorts the payoff (lower bounds) and its
+negation (upper bounds) once each and answers every radius from them.  The
+negation is sorted in its own right: on ties its stable order is not the
+reverse of the payoff's.
+"""
+
+import math
+
+from .chi2 import chi2_solve, critical_deltas
+from .core import BallFamily, BoundResult, Objective, Pmf, check_delta, expectation, sort_and_prefix
+from .errors import NonFiniteError, UnreachableError
+from .tv import tv_solve
+
+
+class Problem:
+    """A validated (pmf, objective) pair under one ball family.
+
+    Each side is sorted on its first bound and kept for every later one.
+    """
+
+    def __init__(self, pmf: Pmf, objective: Objective, family: BallFamily | str):
+        self.pmf = pmf
+        self.objective = objective
+        self.family = BallFamily(family)
+        self._sides = {}
+
+    def lower(self, delta: float) -> BoundResult:
+        """Exact minimum of the expectation over the radius-``delta`` ball."""
+        return self._solve(False, delta)
+
+    def upper(self, delta: float) -> BoundResult:
+        """Exact maximum over the ball, by conjugacy with the negated payoff."""
+        return self._solve(True, delta).conjugate()
+
+    def _solve(self, negated: bool, delta: float) -> BoundResult:
+        check_delta(delta)
+        side = self._sides.get(negated)
+        if side is None:
+            objective = self.objective.negated() if negated else self.objective
+            sp = sort_and_prefix(self.pmf, objective)
+            cd = critical_deltas(sp) if self.family is BallFamily.CHI2 else None
+            side = self._sides[negated] = (sp, cd)
+        sp, cd = side
+        if self.family is BallFamily.TV:
+            return tv_solve(sp, delta, self.pmf.labels)
+        return chi2_solve(sp, cd, delta, self.pmf.labels)
+
+
+def lower_expectation(
+    pmf: Pmf, objective: Objective, family: BallFamily, delta: float
+) -> BoundResult:
+    """Exact minimum of the expectation over the ``family`` ball of radius ``delta``."""
+    return Problem(pmf, objective, family).lower(delta)
+
+
+def robustness_radius(
+    pmf: Pmf, objective: Objective, family: BallFamily, theta: float
+) -> float:
+    """Smallest radius at which the lower expectation drops to ``theta``.
+
+    The lower expectation is continuous and non-increasing in the radius, so
+    bisection applies; the answer carries an absolute radius tolerance of
+    1e-10, or one ulp where the radius is too large for that.  Thresholds at
+    or above the center expectation need no budget at all; thresholds below
+    the objective's minimum are unreachable.
+    """
+    problem = Problem(pmf, objective, family)
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise NonFiniteError("radius threshold must be finite")
+    if theta >= expectation(pmf, objective):
+        return 0.0
+    f_min = float(objective.values.min())
+    if theta < f_min:
+        raise UnreachableError(
+            f"threshold {theta} lies below the objective minimum {f_min}"
+        )
+
+    def lower(delta: float) -> float:
+        return problem.lower(delta).value
+
+    hi = 1.0
+    if problem.family is BallFamily.CHI2:
+        while lower(hi) > theta:
+            hi *= 2.0
+            if hi > 2.0**512:
+                raise RuntimeError("radius bracket failed to close")
+    lo = 0.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent doubles
+        if lower(mid) <= theta:
+            hi = mid
+        else:
+            lo = mid
+    return hi

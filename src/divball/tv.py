@@ -16,10 +16,10 @@ from .core import (
     Objective,
     Pmf,
     SortedProblem,
+    check_delta,
     sort_and_prefix,
-    suffix_masses,
 )
-from .errors import LengthMismatchError, NegativeDeltaError
+from .errors import LengthMismatchError
 
 
 def tv_distance(q: Pmf, p: Pmf) -> float:
@@ -29,36 +29,17 @@ def tv_distance(q: Pmf, p: Pmf) -> float:
     return 0.5 * float(np.abs(q.weights - p.weights).sum())
 
 
-def _threshold(tails: np.ndarray, delta: float) -> int:
-    # Smallest 1-based r with delta >= mass after position r; always exists
-    # because the empty tail is exactly 0.
-    for j in range(len(tails)):
-        if delta >= tails[j]:
-            return j + 1
-    raise AssertionError("unreachable: the empty tail sums to 0")
-
-
 def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
     """Smallest support size r whose tail mass (after r) is at most delta."""
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
-    return _threshold(suffix_masses(sp.p_sorted), delta)
+    check_delta(delta)
+    # The empty tail is exactly 0, so some tail is always covered.
+    return int((delta >= sp.tails).argmax()) + 1
 
 
-def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
-    """Exact minimum of the expectation over the radius-``delta`` TV ball.
-
-    Radii above 1 are clamped to 1: the ball is already the whole simplex.
-    The attaining minimizer is returned in original outcome order; it raises
-    only the lowest-objective coordinate, keeps interior coordinates, drains
-    the coordinate at the threshold index and zeroes everything above it.
-    """
-    if delta < 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
+def tv_solve(sp: SortedProblem, delta: float, labels) -> BoundResult:
+    """:func:`tv_lower_expectation` of ``sp``; ``labels`` name the minimizer's outcomes."""
     d = min(float(delta), 1.0)
-    sp = sort_and_prefix(p, f)
-    tails = suffix_masses(sp.p_sorted)
-    r = _threshold(tails, d)
+    r = tv_threshold_index(sp, d)
 
     if r == 1:
         q_sorted = np.zeros(sp.n)
@@ -70,13 +51,25 @@ def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
         q_sorted[0] = sp.p_sorted[0] + d
         # tails[r-2] is the mass from position r onward (1-based); the
         # threshold guarantees d < tails[r-2], so this stays positive.
-        q_sorted[r - 1] = tails[r - 2] - d
+        q_sorted[r - 1] = sp.tails[r - 2] - d
         q_sorted[r:] = 0.0
         value = float(np.dot(q_sorted, sp.f_sorted))
         branch = BRANCH_INTERIOR
 
-    minimizer = Pmf(sp.to_original_order(q_sorted), labels=p.labels)
+    minimizer = Pmf(sp.to_original_order(q_sorted), labels=labels)
     return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
+
+
+def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
+    """Exact minimum of the expectation over the radius-``delta`` TV ball.
+
+    Radii above 1 are clamped to 1: the ball is already the whole simplex.
+    The attaining minimizer is returned in original outcome order; it raises
+    only the lowest-objective coordinate, keeps interior coordinates, drains
+    the coordinate at the threshold index and zeroes everything above it.
+    """
+    check_delta(delta)
+    return tv_solve(sort_and_prefix(p, f), delta, p.labels)
 
 
 def tv_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
@@ -85,10 +78,4 @@ def tv_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
     The returned distribution is the attaining maximizer; ``active_index``
     and ``branch`` describe the conjugate minimization.
     """
-    res = tv_lower_expectation(p, f.negated(), delta)
-    return BoundResult(
-        value=-res.value,
-        minimizer=res.minimizer,
-        active_index=res.active_index,
-        branch=res.branch,
-    )
+    return tv_lower_expectation(p, f.negated(), delta).conjugate()

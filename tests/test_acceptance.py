@@ -13,6 +13,9 @@ import pytest
 
 import divball as db
 from divball import cli
+from divball.chi2 import chi2_three_point, chi2_two_point
+from divball.core import suffix_masses
+from divball.oracle import naive_chi2_divergence, naive_tv_distance
 from conftest import assert_tv_pattern, criterion, grid_round, random_objective, random_pmf, sorted_minimizer
 
 SEED = 20260810
@@ -44,7 +47,7 @@ def chi2_consistency_check(pmf, obj, delta):
     """Branch continuity, boundary attainment, and vanishing top coordinate."""
     sp = db.sort_and_prefix(pmf, obj)
     cd = db.critical_deltas(sp)
-    tails = db.suffix_masses(sp.p_sorted)
+    tails = suffix_masses(sp.p_sorted)
 
     def branch_value(k, d):
         if k == cd.plateau:
@@ -118,7 +121,7 @@ def test_criterion_1_tv_oracle_sandwich():
             gap = report.grid_minimum - res.value
             assert gap >= -1e-12 * (1.0 + span)
             assert gap <= span * n / resolution
-            assert db.naive_tv_distance(res.minimizer, p) <= delta + 1e-9
+            assert naive_tv_distance(res.minimizer, p) <= delta + 1e-9
         assert time.monotonic() - start < 60.0
 
 
@@ -148,7 +151,7 @@ def test_criterion_2_chi2_oracle_sandwich():
             gap = report.grid_minimum - res.value
             assert gap >= -1e-12 * (1.0 + span)
             assert gap <= tolerance
-            assert db.naive_chi2_divergence(res.minimizer, p) <= delta + 1e-9
+            assert naive_chi2_divergence(res.minimizer, p) <= delta + 1e-9
         assert time.monotonic() - start < 60.0
 
 
@@ -199,23 +202,23 @@ def test_criterion_6_special_case_equivalence():
             pmf = random_pmf(rng, 2, floor=0.02)
             obj = random_objective(rng, 2)
             delta = float(rng.uniform(0, 3))
-            a = db.chi2_two_point(pmf, obj, delta)
+            a = chi2_two_point(pmf, obj, delta)
             b = db.chi2_lower_expectation(pmf, obj, delta).value
             assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
         for _ in range(1000):
             pmf = random_pmf(rng, 3, floor=0.02)
             obj = random_objective(rng, 3)
             delta = float(rng.uniform(0, 3))
-            a = db.chi2_three_point(pmf, obj, delta)
+            a = chi2_three_point(pmf, obj, delta)
             b = db.chi2_lower_expectation(pmf, obj, delta).value
             assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
         # Worked values.
         pmf, obj = db.validate([0.5, 0.5], [0, 1], "chi2")
-        assert abs(db.chi2_two_point(pmf, obj, 0.25) - 0.25) <= 1e-12
+        assert abs(chi2_two_point(pmf, obj, 0.25) - 0.25) <= 1e-12
         assert abs(db.chi2_lower_expectation(pmf, obj, 0.25).value - 0.25) <= 1e-12
         pmf, obj = db.validate([1 / 3, 1 / 3, 1 / 3], [0, 1, 2], "chi2")
         expected = 0.5 - 0.5 * math.sqrt(1.0 / 3.0)
-        assert abs(db.chi2_three_point(pmf, obj, 1.0) - expected) <= 1e-12
+        assert abs(chi2_three_point(pmf, obj, 1.0) - expected) <= 1e-12
         assert abs(db.chi2_lower_expectation(pmf, obj, 1.0).value - expected) <= 1e-12
         assert round(expected, 5) == 0.21132
 

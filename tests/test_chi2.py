@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divball as db
+from divball.chi2 import chi2_three_point, chi2_two_point
+from divball.core import suffix_masses
+from divball.oracle import naive_chi2_divergence
 from conftest import random_objective, random_pmf
 
 
@@ -30,14 +33,14 @@ class TestChi2Divergence:
         p = db.Pmf(np.array([0.5, 0.5]))
         got = db.chi2_divergence(q, p)
         assert abs(got - 1.0) <= 1e-15
-        assert abs(got - db.naive_chi2_divergence(q, p)) <= 1e-15
+        assert abs(got - naive_chi2_divergence(q, p)) <= 1e-15
 
     def test_hand_sum(self):
         q = db.Pmf(np.array([0.6, 0.4]))
         p = db.Pmf(np.array([0.5, 0.5]))
         got = db.chi2_divergence(q, p)
         assert abs(got - 0.04) <= 1e-15
-        assert abs(got - db.naive_chi2_divergence(q, p)) <= 1e-15
+        assert abs(got - naive_chi2_divergence(q, p)) <= 1e-15
 
     def test_zero_mass_forbidden(self):
         q = db.Pmf(np.array([0.5, 0.5]))
@@ -91,6 +94,22 @@ class TestCriticalDeltas:
                 assert finite[-1] > 0.0
                 for a, b in zip(finite, finite[1:]):
                     assert b <= a + 1e-12 * (1.0 + abs(a))
+
+    def test_matches_per_element_formula(self):
+        # Reference: the closed form evaluated one support size at a time.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 17))
+            pmf = random_pmf(rng, n, floor=0.01)
+            obj = db.Objective(np.round(rng.uniform(-1.0, 1.0, n) * 3) / 3)
+            sp = db.sort_and_prefix(pmf, obj)
+            tails = suffix_masses(sp.p_sorted)
+            expected = []
+            for i in range(sp.plateau, n):
+                gap = sp.f_sorted[i] - sp.prefix_mean[i]
+                expected.append((sp.prefix_var[i] / (gap * gap) + tails[i]) / sp.prefix_mass[i])
+            got = db.critical_deltas(sp).finite
+            assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 class TestActiveIndex:
@@ -282,46 +301,46 @@ class TestChi2UpperExpectation:
 class TestSpecialCases:
     def test_two_point_threshold_branch(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
-        assert db.chi2_two_point(pmf, obj, 1.0) == 0.0
+        assert chi2_two_point(pmf, obj, 1.0) == 0.0
 
     def test_two_point_constant(self):
         pmf, obj = chi2_problem([0.4, 0.6], [2, 2])
         for delta in (0.0, 0.5, 3.0):
-            assert db.chi2_two_point(pmf, obj, delta) == 2.0
+            assert chi2_two_point(pmf, obj, delta) == 2.0
 
     def test_two_point_worked_value(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
-        assert abs(db.chi2_two_point(pmf, obj, 0.25) - 0.25) <= 1e-15
+        assert abs(chi2_two_point(pmf, obj, 0.25) - 0.25) <= 1e-15
 
     def test_two_point_wrong_arity(self):
         pmf, obj = chi2_problem([0.2, 0.3, 0.5], [0, 1, 2])
         with pytest.raises(db.WrongArityError):
-            db.chi2_two_point(pmf, obj, 0.1)
+            chi2_two_point(pmf, obj, 0.1)
 
     def test_three_point_branches(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
-        first = db.chi2_three_point(pmf, obj, 0.1)
+        first = chi2_three_point(pmf, obj, 0.1)
         assert abs(first - (1.0 - math.sqrt(2.0 / 3.0) * math.sqrt(0.1))) <= 1e-12
-        middle = db.chi2_three_point(pmf, obj, 1.0)
+        middle = chi2_three_point(pmf, obj, 1.0)
         assert abs(middle - (0.5 - 0.5 * math.sqrt(1.0 / 3.0))) <= 1e-12
-        assert db.chi2_three_point(pmf, obj, 3.0) == 0.0
+        assert chi2_three_point(pmf, obj, 3.0) == 0.0
 
     def test_three_point_tied_bottom_delegates(self):
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
         with pytest.raises(db.TiedBottomError):
-            db.chi2_three_point(pmf, obj, 0.1)
+            chi2_three_point(pmf, obj, 0.1)
 
     def test_three_point_wrong_arity(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
         with pytest.raises(db.WrongArityError):
-            db.chi2_three_point(pmf, obj, 0.1)
+            chi2_three_point(pmf, obj, 0.1)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_two_point_matches_general(self, seed, delta):
         rng = np.random.default_rng(seed)
         pmf, obj = positive_instance(rng, 2)
-        got = db.chi2_two_point(pmf, obj, delta)
+        got = chi2_two_point(pmf, obj, delta)
         ref = db.chi2_lower_expectation(pmf, obj, delta).value
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
@@ -330,7 +349,7 @@ class TestSpecialCases:
     def test_three_point_matches_general(self, seed, delta):
         rng = np.random.default_rng(seed)
         pmf, obj = positive_instance(rng, 3)
-        got = db.chi2_three_point(pmf, obj, delta)
+        got = chi2_three_point(pmf, obj, delta)
         ref = db.chi2_lower_expectation(pmf, obj, delta).value
         assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
@@ -343,7 +362,7 @@ class TestChi2Invariants:
             pmf, obj = positive_instance(rng, n, f_lo=-3, f_hi=3)
             sp = db.sort_and_prefix(pmf, obj)
             cd = db.critical_deltas(sp)
-            tails = db.suffix_masses(sp.p_sorted)
+            tails = suffix_masses(sp.p_sorted)
 
             def branch_value(k, delta):
                 if k == cd.plateau:
@@ -435,4 +454,4 @@ class TestChi2Invariants:
             gap = report.grid_minimum - res.value
             assert gap >= -1e-12 * (1 + abs(res.value))
             assert gap <= report.tolerance
-            assert db.naive_chi2_divergence(res.minimizer, pmf) <= delta + 1e-9
+            assert naive_chi2_divergence(res.minimizer, pmf) <= delta + 1e-9

@@ -216,10 +216,9 @@ class TestRadiusMode:
             assert at_before >= theta - 1e-6 * span - 1e-9
 
     def test_radius_query_validation(self):
+        p, f = db.validate([0.3, 0.7], [0, 1])
         with pytest.raises(db.NonFiniteError):
-            db.RadiusQuery(float("nan"))
-        with pytest.raises(db.DivballError):
-            db.RadiusQuery(0.5, direction="upper_above")
+            db.robustness_radius(p, f, db.BallFamily.TV, float("nan"))
 
 
 class TestOracleCheckMode:

@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 import divball as db
-from divball.oracle import _composition_matrix
+from divball.oracle import (
+    _composition_matrix,
+    enumerate_compositions,
+    naive_chi2_divergence,
+    naive_expectation,
+    naive_tv_distance,
+    oracle_check_verdict,
+)
 from conftest import random_objective, random_pmf
 
 
 class TestEnumerateCompositions:
     def test_two_parts_resolution_two(self):
-        points = [tuple(q.weights) for q in db.enumerate_compositions(2, 2)]
+        points = [tuple(q.weights) for q in enumerate_compositions(2, 2)]
         assert points == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
 
     def test_three_parts_resolution_two(self):
-        points = list(db.enumerate_compositions(3, 2))
+        points = list(enumerate_compositions(3, 2))
         assert len(points) == math.comb(4, 2) == 6
 
     def test_large_count_matches_binomial(self):
@@ -25,7 +32,7 @@ class TestEnumerateCompositions:
         assert math.comb(203, 3) == 1_373_701
 
     def test_lexicographic_and_unique(self):
-        rows = [tuple(q.weights) for q in db.enumerate_compositions(3, 7)]
+        rows = [tuple(q.weights) for q in enumerate_compositions(3, 7)]
         assert rows == sorted(rows)
         assert len(set(rows)) == len(rows) == math.comb(9, 2)
 
@@ -36,17 +43,17 @@ class TestEnumerateCompositions:
 
     def test_too_large(self):
         with pytest.raises(db.TooLargeError):
-            list(db.enumerate_compositions(5, 10))
+            list(enumerate_compositions(5, 10))
         with pytest.raises(db.TooLargeError):
-            list(db.enumerate_compositions(4, 1000))
+            list(enumerate_compositions(4, 1000))
 
     def test_single_part(self):
-        points = list(db.enumerate_compositions(1, 5))
+        points = list(enumerate_compositions(1, 5))
         assert len(points) == 1 and points[0].weights[0] == 1.0
 
     def test_bad_resolution(self):
         with pytest.raises(db.DivballError):
-            list(db.enumerate_compositions(2, 0))
+            list(enumerate_compositions(2, 0))
 
 
 class TestOracleLowerExpectation:
@@ -58,7 +65,7 @@ class TestOracleLowerExpectation:
         # argmin is on the grid and feasible per the independent distance
         assert np.allclose(report.grid_argmin.weights * 200,
                            np.round(report.grid_argmin.weights * 200), atol=1e-9)
-        assert db.naive_tv_distance(report.grid_argmin, p) <= 0.4
+        assert naive_tv_distance(report.grid_argmin, p) <= 0.4
 
     def test_zero_delta_on_grid_center(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
@@ -71,7 +78,7 @@ class TestOracleLowerExpectation:
         p, f = db.validate([0.5, 0.5], [0, 1], "chi2")
         report = db.oracle_lower_expectation(p, f, db.BallSpec("chi2", 0.25), 200)
         assert 0.25 <= report.grid_minimum <= 0.25 + 1 * 2 / 200
-        assert db.naive_chi2_divergence(report.grid_argmin, p) <= 0.25
+        assert naive_chi2_divergence(report.grid_argmin, p) <= 0.25
 
     def test_empty_feasible(self):
         p, f = db.validate([1 / 3, 2 / 3], [0, 1], "chi2")
@@ -115,11 +122,11 @@ class TestOracleLowerExpectation:
             f = random_objective(rng, n, -2, 2)
             delta = float(rng.uniform(0, 2))
             tv_res = db.tv_lower_expectation(p, f, min(delta, 1.2))
-            assert db.naive_tv_distance(tv_res.minimizer, p) <= min(delta, 1.2) + 1e-9
-            assert abs(db.naive_expectation(tv_res.minimizer, f) - tv_res.value) <= 1e-9
+            assert naive_tv_distance(tv_res.minimizer, p) <= min(delta, 1.2) + 1e-9
+            assert abs(naive_expectation(tv_res.minimizer, f) - tv_res.value) <= 1e-9
             chi_res = db.chi2_lower_expectation(p, f, delta)
-            assert db.naive_chi2_divergence(chi_res.minimizer, p) <= delta + 1e-9
-            assert abs(db.naive_expectation(chi_res.minimizer, f) - chi_res.value) <= 1e-9
+            assert naive_chi2_divergence(chi_res.minimizer, p) <= delta + 1e-9
+            assert abs(naive_expectation(chi_res.minimizer, f) - chi_res.value) <= 1e-9
 
     def test_grid_minimum_is_upper_bound_on_closed_form(self):
         rng = np.random.default_rng(30)
@@ -153,14 +160,14 @@ class TestOracleCheckVerdict:
         )
 
     def test_passes_inside_sandwich(self):
-        assert db.oracle_check_verdict(1.0, self._report(1.005, 0.01), 0.1, 0.2)
+        assert oracle_check_verdict(1.0, self._report(1.005, 0.01), 0.1, 0.2)
 
     def test_corrupted_closed_form_fails(self):
         # closed form bumped +0.1: the grid minimum now sits below it.
-        assert not db.oracle_check_verdict(1.1, self._report(1.005, 0.01), 0.1, 0.2)
+        assert not oracle_check_verdict(1.1, self._report(1.005, 0.01), 0.1, 0.2)
 
     def test_gap_above_tolerance_fails(self):
-        assert not db.oracle_check_verdict(1.0, self._report(1.02, 0.01), 0.1, 0.2)
+        assert not oracle_check_verdict(1.0, self._report(1.02, 0.01), 0.1, 0.2)
 
     def test_infeasible_minimizer_fails(self):
-        assert not db.oracle_check_verdict(1.0, self._report(1.005, 0.01), 0.3, 0.2)
+        assert not oracle_check_verdict(1.0, self._report(1.005, 0.01), 0.3, 0.2)

@@ -1,0 +1,160 @@
+"""The prepared problem: sorting once per side changes no output bit."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import divball as db
+from divball import cli, core, problem, tv
+
+# Each case covers a branch the prepared path must reproduce exactly: a TV
+# radius that moves all mass (degenerate), a chi^2 radius past every critical
+# radius (plateau), and tied payoffs, where the stable order of -f is not
+# the reverse of the stable order of f.
+TIED = {"p": [0.2, 0.1, 0.3, 0.15, 0.25], "f": [1.0, 0.0, 1.0, 2.0, 0.0]}
+SWEEP_CASES = {
+    "tv_degenerate": ({"p": [0.15, 0.35, 0.3, 0.2], "f": [0.3, -1.0, 2.5, 0.7], "ball": "tv"}, "0:1:11"),
+    "chi2_plateau": ({"p": [0.25, 0.1, 0.4, 0.25], "f": [1.0, 0.0, 2.0, 0.5], "ball": "chi2"}, "0:40:9"),
+    "tv_ties": (dict(TIED, ball="tv"), "0:0.9:10"),
+    "chi2_ties": (dict(TIED, ball="chi2"), "0:30:13"),
+}
+
+
+def bits(x):
+    return float(x).hex()
+
+
+def one_shot(obj, delta):
+    p, f = db.validate(obj["p"], obj["f"], obj["ball"])
+    family = obj["ball"]
+    lower = getattr(db, f"{family}_lower_expectation")(p, f, delta)
+    upper = getattr(db, f"{family}_upper_expectation")(p, f, delta)
+    return lower, upper
+
+
+def run_cli(tmp_path, capsys, obj, *args):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main(["--input", str(path), *args]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_match_one_shot_bounds(tmp_path, capsys, case):
+    obj, sweep = SWEEP_CASES[case]
+    csv_lines = run_cli(tmp_path, capsys, obj, "--sweep", sweep).strip().split("\n")[1:]
+    json_rows = json.loads(run_cli(tmp_path, capsys, obj, "--sweep", sweep, "--output", "json"))
+    assert len(csv_lines) == len(json_rows)
+    branches = set()
+    for line, row in zip(csv_lines, json_rows):
+        delta, lower, upper, r, branch = line.split(",")
+        assert float(delta) == row["delta"]
+        lo, up = one_shot(obj, row["delta"])
+        assert (bits(lower), bits(upper), int(r), branch) == (
+            bits(lo.value), bits(up.value), lo.active_index, lo.branch
+        )
+        assert (bits(row["lower"]), bits(row["upper"]), row["r"], row["branch"]) == (
+            bits(lo.value), bits(up.value), lo.active_index, lo.branch
+        )
+        branches.add(branch)
+    expected = {"tv_degenerate": "degenerate", "chi2_plateau": "plateau"}.get(case)
+    assert expected is None or expected in branches
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_problem_bounds_match_one_shot_bit_for_bit(case):
+    obj, sweep = SWEEP_CASES[case]
+    p, f = db.validate(obj["p"], obj["f"], obj["ball"])
+    prepared = db.Problem(p, f, obj["ball"])
+    start, stop, steps = sweep.split(":")
+    for delta in np.linspace(float(start), float(stop), int(steps)):
+        for got, want in zip((prepared.lower(delta), prepared.upper(delta)), one_shot(obj, delta)):
+            assert bits(got.value) == bits(want.value)
+            assert (got.active_index, got.branch) == (want.active_index, want.branch)
+            assert got.minimizer.weights.tobytes() == want.minimizer.weights.tobytes()
+
+
+def test_tie_case_orders_differ():
+    f = np.array(TIED["f"])
+    up = np.argsort(-f, kind="stable")
+    assert not np.array_equal(up, np.argsort(f, kind="stable")[::-1])
+
+
+def test_single_radius_json_matches_one_shot(tmp_path, capsys):
+    obj = dict(SWEEP_CASES["chi2_ties"][0], labels=["a", "b", "c", "d", "e"], delta=0.7)
+    payload = json.loads(run_cli(tmp_path, capsys, obj))
+    lo, up = one_shot(obj, 0.7)
+    assert bits(payload["value"]) == bits(lo.value)
+    assert bits(payload["upper_value"]) == bits(up.value)
+    assert np.array(payload["minimizer"]).tobytes() == lo.minimizer.weights.tobytes()
+
+
+def counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "args, sorts",
+    [(["--sweep", "0:5:50"], 2), (["--delta", "0.3"], 2), (["--radius", "0.5"], 1)],
+)
+def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sorts):
+    counts = {}
+    counting(monkeypatch, problem, "sort_and_prefix", counts)
+    counting(monkeypatch, core, "suffix_masses", counts)
+    obj, _ = SWEEP_CASES["chi2_ties"]
+    run_cli(tmp_path, capsys, obj, *args)
+    assert counts == {"sort_and_prefix": sorts, "suffix_masses": sorts}
+
+
+def test_one_shot_sorts_once(monkeypatch):
+    counts = {}
+    counting(monkeypatch, tv, "sort_and_prefix", counts)
+    counting(monkeypatch, core, "suffix_masses", counts)
+    p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
+    db.tv_upper_expectation(p, f, 0.25)
+    assert counts == {"sort_and_prefix": 1, "suffix_masses": 1}
+
+
+@pytest.mark.parametrize(
+    "obj, theta, delta_star",
+    [
+        ({"p": [0.1, 0.2, 0.3, 0.25, 0.15], "f": [0.5, -1, 2, 0.5, 1.5], "ball": "tv"},
+         "0.3", 0.16666666668606922),
+        ({"p": [0.4, 0.35, 0.25], "f": [1, 3, 2], "ball": "chi2"}, "1.6", 0.16387959866551682),
+    ],
+)
+def test_radius_answers_are_unchanged(tmp_path, capsys, obj, theta, delta_star):
+    # Pinned from the bisection before it ran on a prepared problem.
+    payload = json.loads(run_cli(tmp_path, capsys, obj, "--radius", theta))
+    assert payload["delta_star"] == delta_star
+
+
+def test_radius_terminates_when_the_answer_is_large():
+    # delta* is about 1e7, where adjacent doubles lie further apart than the
+    # 1e-10 stopping width; the search must still end.
+    obj = {"p": [1e-7, 0.9999999], "f": [0, 1], "ball": "chi2"}
+    src = str(Path(db.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "divball", "--radius", "0.0001"],
+        input=json.dumps(obj),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    star = json.loads(proc.stdout)["delta_star"]
+    p, f = db.validate(obj["p"], obj["f"], "chi2")
+    assert db.chi2_lower_expectation(p, f, star).value <= 1e-4
+    assert db.chi2_lower_expectation(p, f, np.nextafter(star, 0.0)).value > 1e-4
