@@ -149,6 +149,12 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     """
     _require_positive(sp)
     check_delta(delta)
+    return Pmf(_minimizer_weights(sp, r, delta))
+
+
+def _minimizer_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
+    """:func:`chi2_minimizer`'s weights, not yet validated as a pmf; the
+    center must be positive and the radius valid."""
     ell = sp.plateau
     if not ell <= r <= sp.n:
         raise DivballError(f"support size {r} outside [{ell}, {sp.n}]")
@@ -156,7 +162,7 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     q = np.zeros(sp.n)
     if r == ell:
         q[:ell] = sp.p_sorted[:ell] / sp.prefix_mass[ell - 1]
-        return Pmf(q)
+        return q
 
     i = r - 1
     mass = sp.prefix_mass[i]
@@ -174,21 +180,24 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
         )
     head[negative] = 0.0
     q[: i + 1] = head
-    return Pmf(q)
+    return q
+
+
+def chi2_value(sp: SortedProblem, cd: CriticalDeltas, delta: float) -> tuple[float, int, str]:
+    """The lower bound of ``sp`` at ``delta`` with its support size and branch."""
+    r = chi2_active_index(cd, delta)
+    if r == cd.plateau:
+        return float(sp.f_sorted[0]), r, BRANCH_PLATEAU
+    i = r - 1
+    rad = _radicand(sp.prefix_mass[i], sp.tails[i], delta)
+    value = float(sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
+    return value, r, BRANCH_INTERIOR
 
 
 def chi2_solve(sp: SortedProblem, cd: CriticalDeltas, delta: float, labels) -> BoundResult:
     """:func:`chi2_lower_expectation` of ``sp`` with critical radii ``cd``."""
-    r = chi2_active_index(cd, delta)
-    if r == cd.plateau:
-        value, branch = float(sp.f_sorted[0]), BRANCH_PLATEAU
-    else:
-        i = r - 1
-        rad = _radicand(sp.prefix_mass[i], sp.tails[i], delta)
-        value = float(sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
-        branch = BRANCH_INTERIOR
-    q_sorted = chi2_minimizer(sp, r, delta)
-    minimizer = Pmf(sp.to_original_order(q_sorted.weights), labels=labels)
+    value, r, branch = chi2_value(sp, cd, delta)
+    minimizer = Pmf(sp.to_original_order(_minimizer_weights(sp, r, delta)), labels=labels)
     return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
 
 

@@ -82,6 +82,8 @@ def _parse_sweep_dict(sweep) -> tuple[float, float, int]:
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
         raise DivballError("'sweep.steps' must be an integer >= 2")
     start, stop = float(start), float(stop)
+    if not np.isfinite([start, stop]).all():
+        raise DivballError("'sweep.start' and 'sweep.stop' must be finite")
     if start < 0.0:
         raise DivballError("'sweep.start' must be >= 0")
     if stop < start:
@@ -144,7 +146,7 @@ def _bound_row(prepared: Problem, delta: float) -> dict:
         "upper": up.value,
         "r": lo.active_index,
         "branch": lo.branch,
-        "minimizer": [float(w) for w in lo.minimizer.weights],
+        "minimizer": lo.minimizer,
     }
 
 
@@ -167,7 +169,7 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
             "upper_value": row["upper"],
             "r": row["r"],
             "branch": row["branch"],
-            "minimizer": row["minimizer"],
+            "minimizer": row["minimizer"].weights.tolist(),
             "delta": row["delta"],
             "ball": problem.family.value,
         }

@@ -1,8 +1,8 @@
 """Core simplex types and the objective-ascending preprocessing.
 
 Both ball solvers start the same way: reorder the outcomes so the objective
-is non-decreasing and accumulate prefix statistics (mass, mean, variance) in
-a single pass.  This module owns those shared types, input validation, and
+is non-decreasing and accumulate prefix statistics (mass, mean, variance) as
+running sums.  This module owns those shared types, input validation, and
 the expectation operation.
 
 All values are immutable after construction and every function is pure, so
@@ -10,6 +10,7 @@ instances are safe to share across threads.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,23 +233,13 @@ def expectation(p: Pmf, f: Objective) -> float:
 
 
 def suffix_masses(weights: np.ndarray) -> np.ndarray:
-    """Compensated tail sums: ``out[i]`` is the mass strictly after index i.
+    """Tail sums: ``out[i]`` is the mass strictly after index i.
 
-    The final entry is exactly 0.  Kahan compensation keeps threshold
-    comparisons and the coordinates derived from them consistent to the
-    last ulp.
+    The final entry is exactly 0.  Each tail is summed from the top down, so
+    small tails keep their relative accuracy instead of being the difference
+    of two masses near 1.
     """
-    n = len(weights)
-    out = np.empty(n)
-    out[n - 1] = 0.0
-    total = 0.0
-    comp = 0.0
-    for i in range(n - 2, -1, -1):
-        y = weights[i + 1] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i] = total
+    out = np.concatenate((np.add.accumulate(weights[:0:-1])[::-1], [0.0]))
     out.flags.writeable = False
     return out
 
@@ -256,41 +247,35 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
 def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
     """Sort outcomes by ascending objective and accumulate prefix statistics.
 
-    The sort is stable (ties keep original order).  Running mean and
-    variance use a weighted incremental update (single pass, no
-    ``E[f^2] - mu^2`` cancellation), so prefix variances are exact zeros on
-    the leading tie plateau and can never go negative.  The prefix mass is
-    a compensated running sum; the tails are :func:`suffix_masses`.
+    The sort is stable (ties keep original order).  With ``m`` the prefix
+    mass and ``df[k] = f[k] - f[k-1] >= 0``, each statistic is a running sum
+    of non-negative terms, so none cancels: the mean's gap below ``f[k]``
+    is ``G[k]/m[k]`` with ``G`` the running sum of ``m[k-1] df[k]``, and
+    ``m[k] var[k]`` is the running sum of the weighted update
+    ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.  Prefix variances are
+    exact zeros on the leading tie plateau; mean and variance are 0.0 on a
+    prefix of zero mass.  The tails are :func:`suffix_masses`.
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
     perm = np.argsort(f.values, kind="stable")
     p_sorted = p.weights[perm]
     f_sorted = f.values[perm]
-    n = p_sorted.size
 
-    mass = np.empty(n)
-    mean = np.empty(n)
-    var = np.empty(n)
-    total = 0.0
-    comp = 0.0
-    mu = 0.0
-    m2 = 0.0
-    for i in range(n):
-        w = p_sorted[i]
-        if w > 0.0:
-            y = w - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            d = f_sorted[i] - mu
-            mu += (w / total) * d
-            m2 += w * d * (f_sorted[i] - mu)
-        mass[i] = total
-        mean[i] = mu if total > 0.0 else 0.0
-        # m2 can land ~1 ulp below zero when the running mean overshoots the
-        # new point by rounding; the reported variance must not.
-        var[i] = max(m2, 0.0) / total if total > 0.0 else 0.0
+    mass = np.add.accumulate(p_sorted)
+    before = np.concatenate(([0.0], mass[:-1]))
+    step = np.concatenate(([0.0], f_sorted[1:] - f_sorted[:-1]))
+    # Zero-mass prefixes lead and their sums are exact zeros, kept by the floor.
+    divisor = np.maximum(mass, np.finfo(float).smallest_subnormal)
+    gap = np.add.accumulate(before * step) / divisor
+    mean = f_sorted - gap
+    mean[mass == 0.0] = 0.0
+    # f[k] - mean[k-1] in units of a power of two near the payoff span (an
+    # exact rescaling), so that its square times a tiny mass stays normal.
+    unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
+    lead = np.concatenate(([0.0], (step[1:] + gap[:-1]) / unit))
+    spread = np.add.accumulate(p_sorted * (before / divisor) * lead * lead)
+    var = spread / divisor * unit * unit
 
     plateau = int(np.searchsorted(f_sorted, f_sorted[0], side="right"))
 

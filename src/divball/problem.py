@@ -7,10 +7,10 @@ reverse of the payoff's.
 
 import math
 
-from .chi2 import chi2_solve, critical_deltas
+from .chi2 import chi2_solve, chi2_value, critical_deltas
 from .core import BallFamily, BoundResult, Objective, Pmf, check_delta, expectation, sort_and_prefix
 from .errors import NonFiniteError, UnreachableError
-from .tv import tv_solve
+from .tv import tv_solve, tv_value
 
 
 class Problem:
@@ -35,16 +35,26 @@ class Problem:
 
     def _solve(self, negated: bool, delta: float) -> BoundResult:
         check_delta(delta)
+        sp, cd = self._side(negated)
+        if self.family is BallFamily.TV:
+            return tv_solve(sp, delta, self.pmf.labels)
+        return chi2_solve(sp, cd, delta, self.pmf.labels)
+
+    def _lower_value(self, delta: float) -> float:
+        """``self.lower(delta).value``, without building the minimizer."""
+        sp, cd = self._side(False)
+        if self.family is BallFamily.TV:
+            return tv_value(sp, delta)[0]
+        return chi2_value(sp, cd, delta)[0]
+
+    def _side(self, negated: bool):
         side = self._sides.get(negated)
         if side is None:
             objective = self.objective.negated() if negated else self.objective
             sp = sort_and_prefix(self.pmf, objective)
             cd = critical_deltas(sp) if self.family is BallFamily.CHI2 else None
             side = self._sides[negated] = (sp, cd)
-        sp, cd = side
-        if self.family is BallFamily.TV:
-            return tv_solve(sp, delta, self.pmf.labels)
-        return chi2_solve(sp, cd, delta, self.pmf.labels)
+        return side
 
 
 def lower_expectation(
@@ -77,12 +87,9 @@ def robustness_radius(
             f"threshold {theta} lies below the objective minimum {f_min}"
         )
 
-    def lower(delta: float) -> float:
-        return problem.lower(delta).value
-
     hi = 1.0
     if problem.family is BallFamily.CHI2:
-        while lower(hi) > theta:
+        while problem._lower_value(hi) > theta:
             hi *= 2.0
             if hi > 2.0**512:
                 raise RuntimeError("radius bracket failed to close")
@@ -91,7 +98,7 @@ def robustness_radius(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # lo and hi are adjacent doubles
-        if lower(mid) <= theta:
+        if problem._lower_value(mid) <= theta:
             hi = mid
         else:
             lo = mid

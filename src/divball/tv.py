@@ -36,26 +36,26 @@ def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
     return int((delta >= sp.tails).argmax()) + 1
 
 
-def tv_solve(sp: SortedProblem, delta: float, labels) -> BoundResult:
-    """:func:`tv_lower_expectation` of ``sp``; ``labels`` name the minimizer's outcomes."""
+def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str, np.ndarray]:
+    """The lower bound at ``delta``, its support size, branch and sorted minimizer."""
     d = min(float(delta), 1.0)
     r = tv_threshold_index(sp, d)
-
     if r == 1:
         q_sorted = np.zeros(sp.n)
         q_sorted[0] = 1.0
-        value = float(sp.f_sorted[0])
-        branch = BRANCH_DEGENERATE
-    else:
-        q_sorted = sp.p_sorted.copy()
-        q_sorted[0] = sp.p_sorted[0] + d
-        # tails[r-2] is the mass from position r onward (1-based); the
-        # threshold guarantees d < tails[r-2], so this stays positive.
-        q_sorted[r - 1] = sp.tails[r - 2] - d
-        q_sorted[r:] = 0.0
-        value = float(np.dot(q_sorted, sp.f_sorted))
-        branch = BRANCH_INTERIOR
+        return float(sp.f_sorted[0]), r, BRANCH_DEGENERATE, q_sorted
+    q_sorted = sp.p_sorted.copy()
+    q_sorted[0] = sp.p_sorted[0] + d
+    # tails[r-2] is the mass from position r onward (1-based); the
+    # threshold guarantees d < tails[r-2], so this stays positive.
+    q_sorted[r - 1] = sp.tails[r - 2] - d
+    q_sorted[r:] = 0.0
+    return float(np.dot(q_sorted, sp.f_sorted)), r, BRANCH_INTERIOR, q_sorted
 
+
+def tv_solve(sp: SortedProblem, delta: float, labels) -> BoundResult:
+    """:func:`tv_lower_expectation` of ``sp``; ``labels`` name the minimizer's outcomes."""
+    value, r, branch, q_sorted = tv_value(sp, delta)
     minimizer = Pmf(sp.to_original_order(q_sorted), labels=labels)
     return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
 

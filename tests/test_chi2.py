@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divball as db
+from divball import chi2
 from divball.chi2 import chi2_three_point, chi2_two_point
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence
@@ -268,6 +269,18 @@ class TestChi2LowerExpectation:
             delta = float(rng.uniform(0, 4))
             res = db.chi2_lower_expectation(pmf, obj, delta)
             assert abs(db.expectation(res.minimizer, obj) - res.value) <= 1e-9
+
+    def test_validates_one_pmf(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return db.Pmf(*args, **kwargs)
+
+        monkeypatch.setattr(chi2, "Pmf", counted)
+        p, f = chi2_problem([0.2, 0.5, 0.3], [1.0, 0.0, 2.0])
+        db.chi2_lower_expectation(p, f, 0.3)
+        assert len(built) == 1
 
 
 class TestChi2UpperExpectation:

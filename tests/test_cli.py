@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,24 @@ class TestValidationFailures:
         path = write_problem(tmp_path, TV_FIXTURE)
         assert cli.main(["--input", path, "--sweep", "0:1"]) == 2
         assert cli.main(["--input", path, "--sweep", "1:0:5"]) == 2
+
+    @pytest.mark.parametrize(
+        "start, stop", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)]
+    )
+    def test_non_finite_sweep_bounds(self, tmp_path, capsys, start, stop):
+        flag = write_problem(tmp_path, TV_FIXTURE, "flag.json")
+        in_file = write_problem(
+            tmp_path,
+            {"p": [0.5, 0.5], "f": [0, 1], "ball": "chi2",
+             "sweep": {"start": start, "stop": stop, "steps": 3}},
+            "sweep.json",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--input", flag, f"--sweep={start}:{stop}:3"]) == 2
+            assert cli.main(["--input", in_file]) == 2
+        message = "error: 'sweep.start' and 'sweep.stop' must be finite\n"
+        assert capsys.readouterr().err == 2 * message
 
 
 class TestRadiusMode:

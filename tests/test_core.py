@@ -1,6 +1,7 @@
 """Unit tests for the core types, validation, and prefix preprocessing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,3 +276,97 @@ class TestSuffixMasses:
             assert tails[-1] == 0.0
             for i in range(n):
                 assert abs(tails[i] - math.fsum(w[i + 1 :])) <= 1e-15 * n
+
+
+def prefix_tolerance(n):
+    """Relative error allowed against exact prefix statistics of n outcomes.
+
+    They are plain running sums of non-negative terms, whose rounding errors
+    grow like sqrt(n) ulps in practice (n ulps at worst).  Mean errors are
+    measured against the payoff's largest magnitude, since the mean is an
+    offset below the current payoff; below the normal range no relative
+    accuracy exists, so values under the smallest normal double are compared
+    absolutely.
+    """
+    return 16.0 * math.sqrt(n) * np.finfo(float).eps
+
+
+def exact_prefix_stats(p_sorted, f_sorted):
+    """Prefix mass, mean, variance and tail mass of these doubles, computed
+    in rational arithmetic and rounded once."""
+    ps = [Fraction(x) for x in p_sorted.tolist()]
+    fs = [Fraction(x) for x in f_sorted.tolist()]
+    total = sum(ps, Fraction(0))
+    mass = first = second = Fraction(0)
+    rows = []
+    for w, x in zip(ps, fs):
+        mass += w
+        first += w * x
+        second += w * x * x
+        mean = first / mass if mass else Fraction(0)
+        var = second / mass - mean * mean if mass else Fraction(0)
+        rows.append((mass, mean, var, total - mass))
+    return [np.array([float(v) for v in column]) for column in zip(*rows)]
+
+
+def assert_matches_exact(sp):
+    mass, mean, var, tails = exact_prefix_stats(sp.p_sorted, sp.f_sorted)
+    tol = prefix_tolerance(sp.n)
+    tiny = np.finfo(float).tiny
+    for got, want in ((sp.prefix_mass, mass), (sp.prefix_var, var), (sp.tails, tails)):
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tiny)
+        assert np.all(got[want == 0.0] == 0.0)
+    np.testing.assert_allclose(
+        sp.prefix_mean, mean, rtol=0, atol=tol * float(np.max(np.abs(sp.f_sorted)))
+    )
+    assert np.all(sp.prefix_mean[mass == 0.0] == 0.0)
+
+
+def exact_case(rng, kind):
+    """A center and payoff at n <= 8 of the given kind and a random payoff scale."""
+    n = int(rng.integers(1, 9))
+    if kind == "skewed":
+        w = np.maximum(rng.dirichlet(np.full(n, 0.05)), 1e-300)
+    else:
+        w = rng.dirichlet(np.ones(n))
+    if kind == "zero_weights":
+        w[rng.random(n) < 0.4] = 0.0
+        w[int(rng.integers(0, n))] += 0.5
+    scale = float(rng.choice([1e-8, 1.0, 1e8]))
+    f = rng.uniform(-1, 1, n)
+    if kind == "ties":
+        f = np.round(f, 1)
+    return db.Pmf(w / w.sum()), db.Objective(scale * f)
+
+
+EXACT_KINDS = ("random", "skewed", "ties", "zero_weights")
+
+
+class TestExactPrefixReference:
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_small_prefixes_match_rationals(self, kind):
+        rng = np.random.default_rng(EXACT_KINDS.index(kind))
+        for _ in range(150):
+            assert_matches_exact(db.sort_and_prefix(*exact_case(rng, kind)))
+
+    def test_skewed_reproducer_matches_rationals(self):
+        p, f = db.validate([1e-12, 1e-20, 1 - 1e-12 - 1e-20], [0, 0.5, 1], "chi2")
+        assert_matches_exact(db.sort_and_prefix(p, f))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.05])
+    def test_large_prefixes_match_fsum(self, alpha):
+        rng = np.random.default_rng(12)
+        n = 100_000
+        p = db.Pmf(np.maximum(rng.dirichlet(np.full(n, alpha)), 1e-300))
+        sp = db.sort_and_prefix(p, random_objective(rng, n))
+        tol = prefix_tolerance(n)
+        for k in [*rng.integers(0, n, 12), n - 1]:
+            ps, fs = sp.p_sorted[: k + 1], sp.f_sorted[: k + 1]
+            mass = math.fsum(ps)
+            mean = math.fsum(ps * fs) / mass
+            var = math.fsum(ps * (fs - mean) ** 2) / mass
+            tail = math.fsum(sp.p_sorted[k + 1 :])
+            assert abs(sp.prefix_mass[k] - mass) <= tol * mass
+            assert abs(sp.prefix_mean[k] - mean) <= tol * float(np.max(np.abs(sp.f_sorted)))
+            assert abs(sp.prefix_var[k] - var) <= tol * var
+            assert abs(sp.tails[k] - tail) <= tol * tail

@@ -158,3 +158,21 @@ def test_radius_terminates_when_the_answer_is_large():
     p, f = db.validate(obj["p"], obj["f"], "chi2")
     assert db.chi2_lower_expectation(p, f, star).value <= 1e-4
     assert db.chi2_lower_expectation(p, f, np.nextafter(star, 0.0)).value > 1e-4
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_radius_search_reads_values_only(monkeypatch, case):
+    # Each bisection step needs the bound's value, never its minimizer.
+    def solve(*args):
+        raise AssertionError("the radius search built a minimizer")
+
+    obj, _ = SWEEP_CASES[case]
+    p, f = db.validate(obj["p"], obj["f"], obj["ball"])
+    theta = 0.5 * (db.expectation(p, f) + float(f.values.min()))
+    monkeypatch.setattr(problem, "tv_solve", solve)
+    monkeypatch.setattr(problem, "chi2_solve", solve)
+    star = problem.robustness_radius(p, f, obj["ball"], theta)
+    monkeypatch.undo()
+    prepared = db.Problem(p, f, obj["ball"])
+    assert bits(prepared._lower_value(star)) == bits(prepared.lower(star).value)
+    assert prepared.lower(star).value <= theta
