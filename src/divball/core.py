@@ -98,8 +98,14 @@ class Pmf:
         """Internal: wrap weights valid by construction, skipping the
         renormalizing division so exact grid multiples stay bit-exact."""
         w = np.asarray(weights, dtype=float).copy()
-        assert w.ndim == 1 and w.size > 0 and np.all(w >= 0.0)
-        assert abs(float(w.sum()) - 1.0) <= SUM_TOLERANCE
+        # A check that raises, not an assert, so ``python -O`` keeps it.
+        if not (
+            w.ndim == 1
+            and w.size > 0
+            and np.all(w >= 0.0)
+            and abs(float(w.sum()) - 1.0) <= SUM_TOLERANCE
+        ):
+            raise DivballError("internal weights must be a nonnegative vector summing to 1")
         w.flags.writeable = False
         self = object.__new__(cls)
         object.__setattr__(self, "weights", w)

@@ -4,6 +4,9 @@ Enumerates every pmf whose weights are multiples of 1/resolution, keeps the
 ones inside the requested ball, and reports the minimal expectation plus its
 argmin.  Every grid point is feasible by construction, so the grid minimum is
 an upper bound on the true one; the mesh density bounds the gap from above.
+The grid is streamed in lexicographic blocks, one per leading coordinate:
+memory holds one block of at most C(resolution + n - 2, n - 2) points and
+the list of tails it is cut from, never the whole grid.
 
 The distances and the expectation are deliberately reimplemented here as
 plain definitional loops (with vectorized equivalents applying the identical
@@ -13,7 +16,6 @@ behind shared code.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,52 +114,27 @@ def _check_grid_size(n: int, resolution: int) -> int:
     return count
 
 
-@lru_cache(maxsize=4)
-def _composition_matrix(n: int, resolution: int) -> np.ndarray:
-    """All length-n nonnegative integer vectors summing to ``resolution``.
+def _composition_blocks(parts: int, total: int):
+    """Yield the length-``parts`` nonnegative integer vectors summing to
+    ``total`` in lexicographic order, one block per leading coordinate.
 
-    Rows are in lexicographic order.  Cached read-only since sweeps and test
-    batteries reuse the same mesh repeatedly.
+    The rows of the (parts-1)-part list of ``total`` whose first coordinate
+    is at least ``a``, with ``a`` subtracted from it, are the (parts-1)-part
+    list of ``total - a`` in lexicographic order: a contiguous suffix.  So
+    one list of tails, built once, serves every block.
     """
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def build(parts: int, total: int) -> np.ndarray:
-        if parts == 1:
-            return np.array([[total]], dtype=np.int64)
-        key = (parts, total)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        blocks = []
-        for first in range(total + 1):
-            rest = build(parts - 1, total - first)
-            block = np.empty((rest.shape[0], parts), dtype=np.int64)
-            block[:, 0] = first
-            block[:, 1:] = rest
-            blocks.append(block)
-        out = np.vstack(blocks)
-        memo[key] = out
-        return out
-
-    matrix = build(n, resolution)
-    matrix.flags.writeable = False
-    return matrix
-
-
-def enumerate_compositions(n: int, resolution: int):
-    """Yield every pmf on the 1/resolution grid, exactly once, in lex order.
-
-    The number of points is ``C(resolution + n - 1, n - 1)``; enumeration is
-    capped at desk scale (n <= 4, at most 10^7 points).  Size violations
-    raise immediately, not at first iteration.
-    """
-    _check_grid_size(n, resolution)
-
-    def points():
-        for counts in _composition_matrix(n, resolution):
-            yield Pmf._exact(counts / resolution)
-
-    return points()
+    if parts == 1:
+        yield np.array([[total]], dtype=np.int64)
+        return
+    tails = np.vstack(list(_composition_blocks(parts - 1, total)))
+    for first in range(total + 1):
+        rest = tails[np.searchsorted(tails[:, 0], first):]
+        # Column-major: the oracle's passes run column by column.
+        block = np.empty((rest.shape[0], parts), dtype=np.int64, order="F")
+        block[:, 0] = first
+        block[:, 1:] = rest
+        block[:, 1] -= first
+        yield block
 
 
 def _column_tv(W: np.ndarray, pw: np.ndarray) -> np.ndarray:
@@ -208,22 +185,25 @@ def oracle_lower_expectation(
         resolution = default_resolution(n)
     _check_grid_size(n, resolution)
 
-    W = _composition_matrix(n, resolution) / float(resolution)
-    if ball.family is BallFamily.TV:
-        dists = _column_tv(W, p.weights)
-    else:
-        dists = _column_chi2(W, p.weights)
-    mask = dists <= ball.delta
-    feasible_count = int(np.count_nonzero(mask))
+    column_distance = _column_tv if ball.family is BallFamily.TV else _column_chi2
+    feasible_count = 0
+    best_value, argmin_weights = None, None
+    for counts in _composition_blocks(n, resolution):
+        W = counts / float(resolution)
+        mask = column_distance(W, p.weights) <= ball.delta
+        feasible_count += int(np.count_nonzero(mask))
+        masked = np.where(mask, _column_expectation(W, f.values), np.inf)
+        idx = int(np.argmin(masked))
+        # Only a strict decrease moves the argmin, so the first minimum in
+        # lexicographic order wins, as np.argmin over the whole grid would;
+        # block 0 sets it first, as np.argmin picks row 0 if all are inf.
+        if argmin_weights is None or masked[idx] < best_value:
+            best_value, argmin_weights = masked[idx], W[idx]
     if feasible_count == 0:
         raise EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "
             f"{ball.family.value} ball of radius {ball.delta}"
         )
-
-    masked = np.where(mask, _column_expectation(W, f.values), np.inf)
-    idx = int(np.argmin(masked))
-    argmin_weights = W[idx]
 
     grid_minimum = float(naive_expectation(argmin_weights, f.values))
     if naive_divergence(argmin_weights, p.weights, ball.family) > ball.delta:

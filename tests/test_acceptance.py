@@ -13,9 +13,9 @@ import pytest
 
 import divball as db
 from divball import cli
-from divball.chi2 import chi2_three_point, chi2_two_point
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence, naive_tv_distance
+from crosscheck import chi2_three_point, chi2_two_point
 from conftest import assert_tv_pattern, criterion, grid_round, random_objective, random_pmf, sorted_minimizer
 
 SEED = 20260810

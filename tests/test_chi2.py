@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import divball as db
 from divball import chi2
-from divball.chi2 import chi2_three_point, chi2_two_point
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence
+from crosscheck import chi2_three_point, chi2_two_point
 from conftest import random_objective, random_pmf
 
 

@@ -3,7 +3,11 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,25 @@ class TestOracleCheckMode:
     def test_modes_are_exclusive(self, tmp_path, capsys):
         path = write_problem(tmp_path, TV_FIXTURE)
         assert cli.main(["--input", path, "--radius", "0.5", "--oracle-check"]) == 2
+
+    def test_optimized_interpreter_prints_the_same(self, tmp_path):
+        # ``python -O`` strips asserts; the oracle path must not rest on one.
+        path = write_problem(
+            tmp_path,
+            {"p": [0.1, 0.2, 0.3, 0.4], "f": [3, 1, 4, 1.5], "ball": "chi2", "delta": 0.3},
+        )
+        src = str(Path(db.__file__).resolve().parents[1])
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "divball", "--input", path, "--oracle-check", "250"],
+                capture_output=True,
+                timeout=120,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert runs[0].returncode == 0 and json.loads(runs[0].stdout)["pass"] is True
+        assert (runs[1].stdout, runs[1].returncode) == (runs[0].stdout, runs[0].returncode)
 
 
 class TestSweepInvariants:

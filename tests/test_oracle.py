@@ -1,20 +1,28 @@
 """Unit tests for the brute-force grid oracle."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import divball as db
+from divball import oracle
 from divball.oracle import (
-    _composition_matrix,
-    enumerate_compositions,
+    _composition_blocks,
     naive_chi2_divergence,
     naive_expectation,
     naive_tv_distance,
     oracle_check_verdict,
 )
+from crosscheck import enumerate_compositions
 from conftest import random_objective, random_pmf
+
+
+def grid_counts(n, resolution):
+    """The streamed grid's blocks, concatenated."""
+    return np.vstack(list(_composition_blocks(n, resolution)))
 
 
 class TestEnumerateCompositions:
@@ -27,7 +35,7 @@ class TestEnumerateCompositions:
         assert len(points) == math.comb(4, 2) == 6
 
     def test_large_count_matches_binomial(self):
-        matrix = _composition_matrix(4, 200)
+        matrix = grid_counts(4, 200)
         assert matrix.shape == (math.comb(203, 3), 4)
         assert math.comb(203, 3) == 1_373_701
 
@@ -37,7 +45,7 @@ class TestEnumerateCompositions:
         assert len(set(rows)) == len(rows) == math.comb(9, 2)
 
     def test_rows_sum_to_resolution(self):
-        matrix = _composition_matrix(4, 9)
+        matrix = grid_counts(4, 9)
         assert np.all(matrix.sum(axis=1) == 9)
         assert np.all(matrix >= 0)
 
@@ -147,6 +155,122 @@ class TestOracleLowerExpectation:
                 except db.EmptyFeasibleError:
                     continue
                 assert report.grid_minimum >= closed - 1e-12 * (1 + abs(closed))
+
+
+def lex_reference(n, resolution):
+    """Every composition, in lexicographic order, built by itertools."""
+    return [
+        (*head, resolution - sum(head))
+        for head in itertools.product(range(resolution + 1), repeat=n - 1)
+        if sum(head) <= resolution
+    ]
+
+
+def full_matrix_reference(p, f, ball, resolution):
+    """The whole-grid oracle that the streamed one replaced: one composition
+    matrix in lexicographic order, one mask, one argmin."""
+
+    def build(parts, total):
+        if parts == 1:
+            return np.array([[total]], dtype=np.int64)
+        blocks = []
+        for first in range(total + 1):
+            rest = build(parts - 1, total - first)
+            block = np.empty((rest.shape[0], parts), dtype=np.int64)
+            block[:, 0] = first
+            block[:, 1:] = rest
+            blocks.append(block)
+        return np.vstack(blocks)
+
+    W = build(p.n, resolution) / float(resolution)
+    if ball.family is db.BallFamily.TV:
+        dists = oracle._column_tv(W, p.weights)
+    else:
+        dists = oracle._column_chi2(W, p.weights)
+    mask = dists <= ball.delta
+    feasible_count = int(np.count_nonzero(mask))
+    if feasible_count == 0:
+        raise db.EmptyFeasibleError(
+            f"no grid point at resolution {resolution} lies in the "
+            f"{ball.family.value} ball of radius {ball.delta}"
+        )
+    masked = np.where(mask, oracle._column_expectation(W, f.values), np.inf)
+    argmin_weights = W[int(np.argmin(masked))]
+    span = float(f.values.max() - f.values.min())
+    return (
+        np.float64(naive_expectation(argmin_weights, f.values)).tobytes(),
+        argmin_weights.tobytes(),
+        feasible_count,
+        np.float64(span * p.n / resolution).tobytes(),
+    )
+
+
+class TestStreamedGrid:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [1, 2, 7, 60])
+    def test_blocks_concatenate_to_the_lex_list(self, n, resolution):
+        blocks = list(_composition_blocks(n, resolution))
+        assert len(blocks) == (1 if n == 1 else resolution + 1)
+        assert [tuple(row) for row in np.vstack(blocks)] == lex_reference(n, resolution)
+
+    def test_reports_match_the_full_matrix(self):
+        rng = np.random.default_rng(66)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            resolution = int(rng.integers(1, 40))
+            p = random_pmf(rng, n, floor=0.01)
+            kind = int(rng.integers(3))
+            if kind == 0:
+                f = random_objective(rng, n)
+            elif kind == 1:  # tied payoffs
+                f = db.Objective(rng.integers(0, 2, n).astype(float))
+            else:  # constant payoff: every feasible point ties
+                f = db.Objective(np.full(n, float(rng.uniform(-2, 2))))
+            family = ("tv", "chi2")[int(rng.integers(2))]
+            ball = db.BallSpec(family, float(rng.choice([0.0, 0.01, 0.2, 1.5])))
+            try:
+                expected = full_matrix_reference(p, f, ball, resolution)
+            except db.EmptyFeasibleError as err:
+                raised += 1
+                with pytest.raises(db.EmptyFeasibleError) as got:
+                    db.oracle_lower_expectation(p, f, ball, resolution)
+                assert str(got.value) == str(err)
+                continue
+            report = db.oracle_lower_expectation(p, f, ball, resolution)
+            assert (
+                np.float64(report.grid_minimum).tobytes(),
+                report.grid_argmin.weights.tobytes(),
+                report.feasible_count,
+                np.float64(report.tolerance).tobytes(),
+            ) == expected
+        assert 0 < raised < 300
+
+    @pytest.mark.parametrize("family, delta", [("tv", 0.125), ("chi2", 0.05)])
+    def test_constant_payoff_takes_the_lex_first_feasible_point(self, family, delta):
+        # The ball lies far from the first coordinate's zero, so block 0 has
+        # no feasible point; a power-of-two resolution makes every feasible
+        # expectation the same float, so only the order decides the argmin.
+        p, f = db.validate([0.75, 0.125, 0.125], [2.0, 2.0, 2.0], family)
+        report = db.oracle_lower_expectation(p, f, db.BallSpec(family, delta), 16)
+        first = next(
+            q for q in enumerate_compositions(3, 16)
+            if oracle.naive_divergence(q, p, family) <= delta
+        )
+        assert first.weights[0] > 0.0
+        assert report.grid_argmin.weights.tobytes() == first.weights.tobytes()
+
+    def test_peak_memory_stays_at_one_block(self):
+        # The whole n = 4, resolution 250 grid is 2.7M points; as one float
+        # matrix it alone would take 85 MB.
+        p, f = db.validate([0.1, 0.2, 0.3, 0.4], [3.0, 1.0, 4.0, 1.5], "chi2")
+        tracemalloc.start()
+        try:
+            db.oracle_lower_expectation(p, f, db.BallSpec("chi2", 0.3), 250)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestOracleCheckVerdict:
