@@ -250,10 +250,37 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of ``values`` and ``values`` gathered by it.
+
+    numpy's default argsort is a vectorized introsort that leaves tied
+    values in arbitrary order.  Where the sorted values have a tied run
+    (compared with ``!=``, so ``0.0`` ties ``-0.0``), one sort of the integer
+    key ``run * n + index``, with ``run`` the count of value changes so far,
+    puts every run back in ascending original index.  The values are then
+    gathered again through the repaired order: a run may mix ``0.0`` and
+    ``-0.0``, whose bits differ.
+    """
+    n = values.size
+    perm = np.argsort(values)
+    ordered = values[perm]
+    changes = ordered[1:] != ordered[:-1]
+    if not changes.all():
+        key = np.concatenate(([0], np.cumsum(changes)))
+        key *= n
+        key += perm
+        key.sort()
+        perm = key % n
+        ordered = values[perm]
+    return perm, ordered
+
+
 def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
     """Sort outcomes by ascending objective and accumulate prefix statistics.
 
-    The sort is stable (ties keep original order).  With ``m`` the prefix
+    The sort is stable (ties keep original order), built by
+    :func:`_stable_order` from numpy's fast unstable argsort and an exact
+    repair of tied runs.  With ``m`` the prefix
     mass and ``df[k] = f[k] - f[k-1] >= 0``, each statistic is a running sum
     of non-negative terms, so none cancels: the mean's gap below ``f[k]``
     is ``G[k]/m[k]`` with ``G`` the running sum of ``m[k-1] df[k]``, and
@@ -264,9 +291,8 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    perm = np.argsort(f.values, kind="stable")
+    perm, f_sorted = _stable_order(f.values)
     p_sorted = p.weights[perm]
-    f_sorted = f.values[perm]
 
     mass = np.add.accumulate(p_sorted)
     before = np.concatenate(([0.0], mass[:-1]))

@@ -241,6 +241,52 @@ class TestSortAndPrefix:
         assert np.all(sp.prefix_var >= 0.0)
 
 
+def payoff_case(rng, n, kind, scale):
+    if kind == "continuous":
+        f = rng.uniform(-1.0, 1.0, n)
+    elif kind == "few-level":
+        f = rng.integers(-2, 3, n) / 2.0
+    elif kind == "constant":
+        f = np.full(n, rng.uniform(-1.0, 1.0))
+    elif kind == "presorted":
+        f = np.sort(np.round(rng.uniform(-1.0, 1.0, n), 2))
+    elif kind == "reversed":
+        f = np.sort(np.round(rng.uniform(-1.0, 1.0, n), 2))[::-1]
+    else:  # signed zeros: runs of 0.0 and -0.0 among a few other values
+        f = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], n)
+    return f * scale
+
+
+class TestStableOrder:
+    """The sort must be exactly numpy's stable argsort: every tie order and
+    every signed zero feeds the minimizer's bytes."""
+
+    KINDS = ("continuous", "few-level", "constant", "presorted", "reversed", "signed-zero")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_stable_argsort(self, kind):
+        rng = np.random.default_rng(90 + self.KINDS.index(kind))
+        sizes = [1, 2, 3, 4, 5, 8, 16, 17, 100, 1000, 5000]
+        sizes += [int(x) for x in rng.integers(1, 5001, 8)]
+        for n in sizes:
+            for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+                values = payoff_case(rng, n, kind, scale)
+                # At 1e300 the prefix variance overflows (the payoff-scale
+                # step of ROADMAP item 1); this test reads only the order.
+                with np.errstate(over="ignore"):
+                    sp = db.sort_and_prefix(db.Pmf(np.full(n, 1.0 / n)), db.Objective(values))
+                expected = np.argsort(values, kind="stable")
+                assert sp.perm.dtype == expected.dtype
+                assert sp.perm.tobytes() == expected.tobytes()
+                assert sp.f_sorted.tobytes() == values[expected].tobytes()
+
+    def test_signed_zero_run_keeps_each_sign(self):
+        values = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0])
+        sp = db.sort_and_prefix(db.Pmf(np.full(7, 1.0 / 7)), db.Objective(values))
+        assert list(sp.perm) == [5, 0, 1, 3, 4, 6, 2]
+        assert list(np.signbit(sp.f_sorted)) == [True, False, True, True, False, True, False]
+
+
 class TestTieIndependence:
     def test_permuting_tied_outcomes_keeps_downstream_values(self):
         rng = np.random.default_rng(55)
