@@ -97,7 +97,7 @@ def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
     """Critical radii for every support size above the bottom tie plateau."""
     _require_positive(sp)
     ell = sp.plateau
-    gap = sp.f_sorted[ell:] - sp.prefix_mean[ell:]
+    gap = sp.gap[ell:]
     var = sp.prefix_var[ell:]
     assert ((gap > 0.0) & (var > 0.0)).all(), "non-plateau prefix is constant"
     finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]

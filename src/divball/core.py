@@ -157,9 +157,13 @@ class SortedProblem:
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  Prefix arrays cover the first
     ``i + 1`` sorted outcomes at entry ``i``; ``prefix_mean``/``prefix_var``
-    hold 0.0 wherever the prefix mass is zero; ``tails[i]`` is the mass after
-    entry ``i``.  ``plateau`` is the number of leading outcomes tied at the
-    minimal objective value (at least 1).
+    hold 0.0 wherever the prefix mass is zero.  ``gap[i]`` is
+    ``f_sorted[i] - prefix_mean[i]``, formed as a quotient of non-negative
+    running sums rather than by that subtraction, so it keeps its relative
+    accuracy when it is far below an ulp of the payoff (0.0 on a prefix of
+    zero mass).  ``tails[i]`` is the mass after entry ``i``.  ``plateau`` is
+    the number of leading outcomes tied at the minimal objective value (at
+    least 1).
     """
 
     perm: np.ndarray
@@ -168,6 +172,7 @@ class SortedProblem:
     prefix_mass: np.ndarray
     prefix_mean: np.ndarray
     prefix_var: np.ndarray
+    gap: np.ndarray
     tails: np.ndarray
     plateau: int
 
@@ -280,9 +285,9 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
 
     The sort is stable (ties keep original order), built by
     :func:`_stable_order` from numpy's fast unstable argsort and an exact
-    repair of tied runs.  With ``m`` the prefix
-    mass and ``df[k] = f[k] - f[k-1] >= 0``, each statistic is a running sum
-    of non-negative terms, so none cancels: the mean's gap below ``f[k]``
+    repair of tied runs.  With ``m`` the prefix mass and
+    ``df[k] = f[k] - f[k-1] >= 0``, each statistic is a running sum of
+    non-negative terms, so none cancels: the mean's ``gap`` below ``f[k]``
     is ``G[k]/m[k]`` with ``G`` the running sum of ``m[k-1] df[k]``, and
     ``m[k] var[k]`` is the running sum of the weighted update
     ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.  Prefix variances are
@@ -311,7 +316,7 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
 
     plateau = int(np.searchsorted(f_sorted, f_sorted[0], side="right"))
 
-    for arr in (perm, p_sorted, f_sorted, mass, mean, var):
+    for arr in (perm, p_sorted, f_sorted, mass, mean, var, gap):
         arr.flags.writeable = False
     return SortedProblem(
         perm=perm,
@@ -320,6 +325,7 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
         prefix_mass=mass,
         prefix_mean=mean,
         prefix_var=var,
+        gap=gap,
         tails=suffix_masses(p_sorted),
         plateau=plateau,
     )

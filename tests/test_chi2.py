@@ -1,6 +1,7 @@
 """Unit tests for the chi-squared ball solver and its special cases."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,44 @@ def chi2_problem(p, f):
 
 def positive_instance(rng, n, floor=0.02, f_lo=-1.0, f_hi=1.0):
     return random_pmf(rng, n, floor=floor), random_objective(rng, n, f_lo, f_hi)
+
+
+EXACT_KINDS = ("random", "skewed", "ties")
+
+
+def exact_radius_case(rng, kind):
+    """A positive center and payoff at n <= 8: Dirichlet(1) or Dirichlet(0.05)
+    floored at 1e-300 centers, continuous or tied payoffs, scales 1e-8..1e8."""
+    n = int(rng.integers(2, 9))
+    alpha = 0.05 if kind == "skewed" else 1.0
+    w = np.maximum(rng.dirichlet(np.full(n, alpha)), 1e-300)
+    f = rng.uniform(-1.0, 1.0, n)
+    if kind == "ties":
+        f = np.round(f * 3) / 3
+    return db.Pmf(w / w.sum()), db.Objective(float(rng.choice([1e-8, 1.0, 1e8])) * f)
+
+
+def exact_critical_radii(p_sorted, f_sorted, plateau):
+    """(var_k / (f_k - mu_k)^2 + t_k) / m_k for every support size above the
+    plateau, in rational arithmetic on these doubles."""
+    ps = [Fraction(x) for x in p_sorted.tolist()]
+    fs = [Fraction(x) for x in f_sorted.tolist()]
+    total = sum(ps, Fraction(0))
+    radii = []
+    for k in range(plateau, len(ps)):
+        mass = sum(ps[: k + 1], Fraction(0))
+        mean = sum((w * x for w, x in zip(ps[: k + 1], fs)), Fraction(0)) / mass
+        var = sum((w * (x - mean) ** 2 for w, x in zip(ps[: k + 1], fs)), Fraction(0)) / mass
+        gap = fs[k] - mean
+        radii.append((var / (gap * gap) + total - mass) / mass)
+    return radii
+
+
+def relative_error(got, want):
+    """|got - want| / want for a positive rational ``want``; inf unless finite."""
+    if not math.isfinite(got):
+        return math.inf
+    return float(abs(Fraction(float(got)) - want) / want)
 
 
 class TestChi2Divergence:
@@ -107,10 +146,65 @@ class TestCriticalDeltas:
             tails = suffix_masses(sp.p_sorted)
             expected = []
             for i in range(sp.plateau, n):
-                gap = sp.f_sorted[i] - sp.prefix_mean[i]
+                gap = sp.gap[i]
                 expected.append((sp.prefix_var[i] / (gap * gap) + tails[i]) / sp.prefix_mass[i])
             got = db.critical_deltas(sp).finite
             assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_match_rationals_at_least_as_closely_as_the_subtracted_gap(self, kind):
+        # The radii from the subtracted gap f - mean lose every digit when the
+        # gap is below an ulp of the payoff; those from sp.gap must not.
+        rng = np.random.default_rng(40 + EXACT_KINDS.index(kind))
+        tol = 16 * np.finfo(float).eps
+        rescued = 0
+        for _ in range(200):
+            sp = db.sort_and_prefix(*exact_radius_case(rng, kind))
+            ell = sp.plateau
+            if np.any(sp.gap[ell:] ** 2 < np.finfo(float).tiny):
+                continue  # the squared gap underflows: a payoff-scale defect
+            exact = exact_critical_radii(sp.p_sorted, sp.f_sorted, ell)
+            new = db.critical_deltas(sp).finite
+            cancelled = sp.f_sorted[ell:] - sp.prefix_mean[ell:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                old = (sp.prefix_var[ell:] / (cancelled * cancelled) + sp.tails[ell:]) / sp.prefix_mass[ell:]
+            for got, was, want in zip(new, old, exact):
+                err_new, err_old = relative_error(got, want), relative_error(was, want)
+                assert err_new <= tol
+                assert err_new <= max(err_old, tol)
+                rescued += err_old > 1e-6
+        if kind == "skewed":
+            assert rescued > 0
+
+    def test_seed_11_item_373_radii_stay_monotone(self):
+        # A Dirichlet(1) center and payoffs in thirds: the seven radii of the
+        # tie group at f = 2/3 on the upper side (about 1.035e4) wobbled by
+        # 1.8e-12 relative with the subtracted gap, above the assert's slack.
+        p = [0.01228511520154883, 0.13596715113316812, 0.024724906875710582,
+             0.09900836251245594, 0.018157825967619202, 0.10547605377370337,
+             0.03304945968137316, 0.07476289889001071, 0.10037135458072449,
+             0.07835984091065086, 0.01109715953352639, 9.66071391791976e-05,
+             0.011266872430827905, 0.11727789942570614, 0.178098491943795]
+        third, two = 1 / 3, 2 / 3
+        f = [0.0, third, -1.0, two, -third, third, two, two, two, -two, two, 1.0, two, two, -1.0]
+        delta = 723969.668734905
+        pmf, obj = chi2_problem(p, f)
+        for side in (obj, obj.negated()):
+            finite = db.critical_deltas(db.sort_and_prefix(pmf, side)).finite
+            assert np.all(finite[1:] <= finite[:-1] * (1.0 + 4 * np.finfo(float).eps))
+        lower = db.chi2_lower_expectation(pmf, obj, delta)
+        upper = db.chi2_upper_expectation(pmf, obj, delta)
+        assert (lower.value, lower.branch) == (-1.0, "plateau")
+        assert (upper.value, upper.branch) == (1.0, "plateau")
+        for res in (lower, upper):
+            assert db.chi2_divergence(res.minimizer, pmf) <= delta
+
+    def test_skewed_reproducer_solves(self):
+        pmf, obj = chi2_problem([1e-12, 1e-20, 1 - 1e-12 - 1e-20], [0, 0.5, 1])
+        res = db.chi2_lower_expectation(pmf, obj, 0.1)
+        assert res.value == 0.9999996837712336
+        assert (res.active_index, res.branch) == (3, "interior")
+        assert abs(db.chi2_divergence(res.minimizer, pmf) - 0.1) <= 1e-10
 
 
 class TestActiveIndex:
