@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 invalid input, 3 oracle check failed,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BallFamily, BallSpec, Objective, Pmf, validate
-from .errors import DivballError, UnreachableError
+from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
 from .problem import Problem, lower_expectation, robustness_radius
 
@@ -210,6 +211,10 @@ def run_oracle_check(problem: ProblemFile, resolution: int | None) -> tuple[str,
     closed = lower_expectation(problem.pmf, problem.objective, problem.family, delta)
     ball = BallSpec(problem.family, delta)
     report = oracle_lower_expectation(problem.pmf, problem.objective, ball, resolution)
+    if not (math.isfinite(closed.value) and math.isfinite(report.grid_minimum)):
+        raise NonFiniteError(
+            "the expectation overflows the float range; a certificate needs finite values"
+        )
     dist = naive_divergence(closed.minimizer, problem.pmf, problem.family)
     ok = oracle_check_verdict(closed.value, report, dist, delta)
     payload = {

@@ -296,6 +296,19 @@ class TestOracleCheckMode:
         assert cli.main(["--input", path, "--oracle-check", "200", "--quiet"]) == 3
         assert capsys.readouterr().err == ""
 
+    def test_overflowing_expectation_is_rejected_not_a_crash(self, tmp_path, capsys):
+        # Every feasible grid expectation overflows to +inf: no certificate
+        # can be judged, which must end in a diagnostic, not a traceback.
+        big = np.finfo(float).max
+        path = write_problem(
+            tmp_path, {"p": [0.2, 0.4, 0.4], "f": [big, big, big], "ball": "tv", "delta": 0}
+        )
+        with np.errstate(over="ignore"):
+            assert cli.main(["--input", path, "--oracle-check", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows the float range" in captured.err
+
     def test_requires_single_delta(self, tmp_path, capsys):
         path = write_problem(tmp_path, TV_FIXTURE)
         assert cli.main(["--input", path, "--sweep", "0:1:3", "--oracle-check"]) == 2

@@ -260,6 +260,39 @@ class TestStreamedGrid:
         assert first.weights[0] > 0.0
         assert report.grid_argmin.weights.tobytes() == first.weights.tobytes()
 
+    def test_overflowing_expectations_give_way_to_a_feasible_point(self):
+        # The only feasible point's expectation overflows to +inf, the value
+        # that fills the infeasible rows, so the argmin must not stay on
+        # block 0's first row, which lies outside the ball.
+        big = np.finfo(float).max
+        p, f = db.validate([0.2, 0.4, 0.4], [big, big, big], "tv")
+        with np.errstate(over="ignore"):
+            report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.0), 5)
+        assert report.grid_minimum == math.inf
+        assert report.feasible_count == 1
+        assert report.grid_argmin.weights.tobytes() == (np.array([1, 2, 2]) / 5.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "center, resolution, family, delta",
+        [([0.6, 0.2, 0.2], 10, "tv", 0.2), ([0.4, 0.3, 0.3], 10, "chi2", 0.1)],
+    )
+    def test_partly_overflowing_expectations_match_the_full_matrix(
+        self, center, resolution, family, delta
+    ):
+        big = np.finfo(float).max
+        p, f = db.validate(center, [big, big, big], family)
+        ball = db.BallSpec(family, delta)
+        with np.errstate(over="ignore"):
+            expected = full_matrix_reference(p, f, ball, resolution)
+            report = db.oracle_lower_expectation(p, f, ball, resolution)
+        assert math.isfinite(report.grid_minimum)
+        assert (
+            np.float64(report.grid_minimum).tobytes(),
+            report.grid_argmin.weights.tobytes(),
+            report.feasible_count,
+            np.float64(report.tolerance).tobytes(),
+        ) == expected
+
     def test_peak_memory_stays_at_one_block(self):
         # The whole n = 4, resolution 250 grid is 2.7M points; as one float
         # matrix it alone would take 85 MB.
