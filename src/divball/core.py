@@ -270,10 +270,11 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     perm = np.argsort(values)
     ordered = values[perm]
     changes = ordered[1:] != ordered[:-1]
-    if not changes.all():
-        key = np.concatenate(([0], np.cumsum(changes)))
-        key *= n
-        key += perm
+    if np.count_nonzero(changes) < n - 1:
+        run = np.zeros(n, dtype=np.intp)
+        run[1:] = changes
+        np.add.accumulate(run, out=run)
+        key = run * n + perm
         key.sort()
         perm = key % n
         ordered = values[perm]
