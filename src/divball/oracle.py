@@ -187,24 +187,24 @@ def oracle_lower_expectation(
 
     column_distance = _column_tv if ball.family is BallFamily.TV else _column_chi2
     feasible_count = 0
-    best_value, argmin_weights, best_feasible = None, None, False
+    best_value, argmin_weights = None, None
     for counts in _composition_blocks(n, resolution):
         W = counts / float(resolution)
         mask = column_distance(W, p.weights) <= ball.delta
-        feasible_count += int(np.count_nonzero(mask))
+        count = int(np.count_nonzero(mask))
+        if count == 0:
+            continue
+        feasible_count += count
         masked = np.where(mask, _column_expectation(W, f.values), np.inf)
         idx = int(np.argmin(masked))
-        if not mask[idx] and mask.any():
-            # Every feasible expectation here overflowed to +inf, like the
-            # infeasible fill: the block's first feasible point is its minimum.
+        if not mask[idx]:
+            # Every feasible expectation here overflowed to +inf, the fill of
+            # the infeasible rows: the first feasible point is the minimum.
             idx = int(np.argmax(mask))
-        # Only a strict decrease moves a feasible argmin, so the first
-        # minimum in lexicographic order wins; block 0 sets a placeholder
-        # that the first feasible point replaces.
-        if argmin_weights is None or (
-            mask[idx] and (not best_feasible or masked[idx] < best_value)
-        ):
-            best_value, argmin_weights, best_feasible = masked[idx], W[idx], bool(mask[idx])
+        # Only a strict decrease moves the argmin, so the first minimum in
+        # lexicographic order wins, as np.argmin over the whole grid would.
+        if argmin_weights is None or masked[idx] < best_value:
+            best_value, argmin_weights = masked[idx], W[idx]
     if feasible_count == 0:
         raise EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "
