@@ -271,8 +271,8 @@ class TestStableOrder:
         for n in sizes:
             for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
                 values = payoff_case(rng, n, kind, scale)
-                # At 1e300 the prefix variance overflows (the payoff-scale
-                # step of ROADMAP item 1); this test reads only the order.
+                # At 1e300 the prefix variance overflows, a known payoff-scale
+                # defect; this test reads only the order.
                 with np.errstate(over="ignore"):
                     sp = db.sort_and_prefix(db.Pmf(np.full(n, 1.0 / n)), db.Objective(values))
                 expected = np.argsort(values, kind="stable")
