@@ -16,8 +16,6 @@ closed forms at small n.
 # ``divball.cli.main`` is reachable right after ``import divball``.
 from . import cli  # noqa: F401
 from .chi2 import (
-    CriticalDeltas,
-    chi2_active_index,
     chi2_divergence,
     chi2_lower_expectation,
     chi2_minimizer,
@@ -30,7 +28,6 @@ from .core import (
     BoundResult,
     Objective,
     Pmf,
-    SortedProblem,
     expectation,
     sort_and_prefix,
     validate,
@@ -55,7 +52,6 @@ from .problem import Problem, robustness_radius
 from .tv import (
     tv_distance,
     tv_lower_expectation,
-    tv_threshold_index,
     tv_upper_expectation,
 )
 
@@ -65,7 +61,6 @@ __all__ = [
     "BallFamily",
     "BallSpec",
     "BoundResult",
-    "CriticalDeltas",
     "DivballError",
     "EmptyFeasibleError",
     "EmptySupportError",
@@ -77,14 +72,12 @@ __all__ = [
     "OracleReport",
     "Pmf",
     "Problem",
-    "SortedProblem",
     "SumNotOneError",
     "TiedBottomError",
     "TooLargeError",
     "UnreachableError",
     "WrongArityError",
     "ZeroMassForbiddenError",
-    "chi2_active_index",
     "chi2_divergence",
     "chi2_lower_expectation",
     "chi2_minimizer",
@@ -96,7 +89,6 @@ __all__ = [
     "sort_and_prefix",
     "tv_distance",
     "tv_lower_expectation",
-    "tv_threshold_index",
     "tv_upper_expectation",
     "validate",
 ]

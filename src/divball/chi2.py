@@ -94,18 +94,32 @@ def _require_positive(sp: SortedProblem) -> None:
 
 
 def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
-    """Critical radii for every support size above the bottom tie plateau."""
+    """Critical radii for every support size above the bottom tie plateau.
+
+    The first read of a side's prefix statistics, which computes them.  Each
+    check that raises is a numeric breakdown of the closed form.
+    """
     _require_positive(sp)
     ell = sp.plateau
     gap = sp.gap[ell:]
     var = sp.prefix_var[ell:]
-    assert ((gap > 0.0) & (var > 0.0)).all(), "non-plateau prefix is constant"
-    finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]
-    if finite.size:
-        assert finite[-1] > 0.0, "critical radii must be positive"
-        # Non-increasing up to roundoff; a real inversion is a bug here,
-        # not bad user input.
-        assert (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all()
+    # min() propagates NaN, so NaN fails this as it fails ``> 0.0``.
+    if gap.size and not (gap.min() > 0.0 and var.min() > 0.0):
+        raise DivballError("non-plateau prefix is constant")
+    finite = np.multiply(gap, gap)
+    np.divide(var, finite, out=finite)
+    finite += sp.tails[ell:]
+    finite /= sp.prefix_mass[ell:]
+    if finite.size and not finite[-1] > 0.0:
+        raise DivballError("critical radii must be positive")
+    # Non-increasing up to roundoff, the allowance formed only when needed.
+    if not (finite[1:] <= finite[:-1]).all():
+        bound = np.abs(finite[:-1])
+        bound += 1.0
+        bound *= 1e-12
+        bound += finite[:-1]
+        if not (finite[1:] <= bound).all():
+            raise DivballError("critical radii must be non-increasing")
     finite.flags.writeable = False
     return CriticalDeltas(plateau=ell, n=sp.n, finite=finite)
 
@@ -166,18 +180,24 @@ def _minimizer_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
     mass = sp.prefix_mass[i]
     tail = sp.tails[i]
     sigma2 = sp.prefix_var[i]
-    assert sigma2 > 0.0, "interior support has positive prefix variance"
+    if not sigma2 > 0.0:
+        raise DivballError("interior support has zero prefix variance")
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
-    head = (sp.p_sorted[: i + 1] / mass) * (
-        1.0 - (sp.f_sorted[: i + 1] - sp.prefix_mean[i]) * scale
-    )
-    negative = head < 0.0
-    if np.any(head[negative] < -_COORDINATE_SLACK):
-        raise DivballError(
-            f"radius {delta} exceeds the critical radius for support size {r}"
-        )
-    head[negative] = 0.0
-    q[: i + 1] = head
+    # The support's prefix mean, f - gap; its mass is positive on a chi^2 side.
+    tilt = sp.f_sorted[:r] - (sp.f_sorted[i] - sp.gap[i])
+    tilt *= scale
+    np.subtract(1.0, tilt, out=tilt)
+    head = q[:r]
+    np.divide(sp.p_sorted[:r], mass, out=head)
+    head *= tilt
+    # fmin skips NaN, as the comparisons below do element by element.
+    lowest = np.fmin.reduce(head)
+    if lowest < 0.0:
+        if lowest < -_COORDINATE_SLACK:
+            raise DivballError(
+                f"radius {delta} exceeds the critical radius for support size {r}"
+            )
+        head[head < 0.0] = 0.0
     return q
 
 
@@ -188,7 +208,8 @@ def chi2_value(sp: SortedProblem, cd: CriticalDeltas, delta: float) -> tuple[flo
         return float(sp.f_sorted[0]), r, BRANCH_PLATEAU
     i = r - 1
     rad = _radicand(sp.prefix_mass[i], sp.tails[i], delta)
-    value = float(sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
+    mean = sp.f_sorted[i] - sp.gap[i]
+    value = float(mean - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
     return value, r, BRANCH_INTERIOR
 
 

@@ -1,17 +1,20 @@
 """Core simplex types and the objective-ascending preprocessing.
 
 Both ball solvers start the same way: reorder the outcomes so the objective
-is non-decreasing and accumulate prefix statistics (mass, mean, variance) as
-running sums.  This module owns those shared types, input validation, and
-the expectation operation.
+is non-decreasing and take the tail masses; chi-squared also reads prefix
+statistics (mass, mean, variance), running sums formed on first read.  This
+module owns those shared types, input validation, and the expectation
+operation.
 
 All values are immutable after construction and every function is pure, so
-instances are safe to share across threads.
+instances are safe to share across threads (racing first reads of the prefix
+statistics only compute them twice).
 """
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +123,8 @@ class Objective:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _clean_vector(self.values, "objective values")
+        # One copy: freezing the caller's own array would make it read-only.
+        v = _clean_vector(np.array(self.values, dtype=float), "objective values")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -130,7 +134,11 @@ class Objective:
 
     def negated(self) -> "Objective":
         """The pointwise negation; used for upper bounds via conjugacy."""
-        return Objective(-self.values)
+        values = -self.values
+        values.flags.writeable = False
+        negated = object.__new__(Objective)
+        object.__setattr__(negated, "values", values)
+        return negated
 
 
 @dataclass(frozen=True)
@@ -155,30 +163,42 @@ class SortedProblem:
     """A (pmf, objective) pair in objective-ascending order plus prefix stats.
 
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
-    stable, ties keep original order).  Prefix arrays cover the first
-    ``i + 1`` sorted outcomes at entry ``i``; ``prefix_mean``/``prefix_var``
-    hold 0.0 wherever the prefix mass is zero.  ``gap[i]`` is
+    stable, ties keep original order).  ``tails[i]`` is the mass after entry
+    ``i``.  ``plateau`` is the number of leading outcomes tied at the minimal
+    objective value (at least 1).  These are all a TV bound reads.  The
+    prefix arrays, over the first ``i + 1`` sorted outcomes at entry ``i``,
+    come from one pass of :func:`_prefix_moments` on first access, then
+    cached; ``prefix_mean`` is derived on each access.  ``gap[i]`` is
     ``f_sorted[i] - prefix_mean[i]``, formed as a quotient of non-negative
     running sums rather than by that subtraction, so it keeps its relative
     accuracy when it is far below an ulp of the payoff (0.0 on a prefix of
-    zero mass).  ``tails[i]`` is the mass after entry ``i``.  ``plateau`` is
-    the number of leading outcomes tied at the minimal objective value (at
-    least 1).
+    zero mass).  ``prefix_mean``/``prefix_var`` hold 0.0 there too.
     """
 
     perm: np.ndarray
     p_sorted: np.ndarray
     f_sorted: np.ndarray
-    prefix_mass: np.ndarray
-    prefix_mean: np.ndarray
-    prefix_var: np.ndarray
-    gap: np.ndarray
     tails: np.ndarray
     plateau: int
 
     @property
     def n(self) -> int:
         return self.p_sorted.size
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _prefix_moments(self.p_sorted, self.f_sorted)
+
+    prefix_mass = property(lambda self: self._moments[0])
+    gap = property(lambda self: self._moments[1])
+    prefix_var = property(lambda self: self._moments[2])
+
+    @property
+    def prefix_mean(self) -> np.ndarray:
+        mean = self.f_sorted - self.gap
+        mean[self.prefix_mass == 0.0] = 0.0
+        mean.flags.writeable = False
+        return mean
 
     def to_original_order(self, sorted_values: np.ndarray) -> np.ndarray:
         """Undo the objective-ascending permutation on a per-outcome vector."""
@@ -250,7 +270,8 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
     small tails keep their relative accuracy instead of being the difference
     of two masses near 1.
     """
-    out = np.concatenate((np.add.accumulate(weights[:0:-1])[::-1], [0.0]))
+    out = np.zeros(weights.size)
+    np.add.accumulate(weights[:0:-1], out=out[-2::-1])
     out.flags.writeable = False
     return out
 
@@ -282,51 +303,66 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
-    """Sort outcomes by ascending objective and accumulate prefix statistics.
+    """Sort outcomes by ascending objective; the prefix statistics follow lazily.
 
     The sort is stable (ties keep original order), built by
     :func:`_stable_order` from numpy's fast unstable argsort and an exact
-    repair of tied runs.  With ``m`` the prefix mass and
-    ``df[k] = f[k] - f[k-1] >= 0``, each statistic is a running sum of
-    non-negative terms, so none cancels: the mean's ``gap`` below ``f[k]``
-    is ``G[k]/m[k]`` with ``G`` the running sum of ``m[k-1] df[k]``, and
-    ``m[k] var[k]`` is the running sum of the weighted update
-    ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.  Prefix variances are
-    exact zeros on the leading tie plateau; mean and variance are 0.0 on a
-    prefix of zero mass.  The tails are :func:`suffix_masses`.
+    repair of tied runs.  The tails are :func:`suffix_masses`.  The prefix
+    mass, gap and variance are left to :func:`_prefix_moments`, which runs
+    only when a chi-squared side first reads them.
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
     perm, f_sorted = _stable_order(f.values)
     p_sorted = p.weights[perm]
-
-    mass = np.add.accumulate(p_sorted)
-    before = np.concatenate(([0.0], mass[:-1]))
-    step = np.concatenate(([0.0], f_sorted[1:] - f_sorted[:-1]))
-    # Zero-mass prefixes lead and their sums are exact zeros, kept by the floor.
-    divisor = np.maximum(mass, np.finfo(float).smallest_subnormal)
-    gap = np.add.accumulate(before * step) / divisor
-    mean = f_sorted - gap
-    mean[mass == 0.0] = 0.0
-    # f[k] - mean[k-1] in units of a power of two near the payoff span (an
-    # exact rescaling), so that its square times a tiny mass stays normal.
-    unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
-    lead = np.concatenate(([0.0], (step[1:] + gap[:-1]) / unit))
-    spread = np.add.accumulate(p_sorted * (before / divisor) * lead * lead)
-    var = spread / divisor * unit * unit
-
     plateau = int(np.searchsorted(f_sorted, f_sorted[0], side="right"))
-
-    for arr in (perm, p_sorted, f_sorted, mass, mean, var, gap):
+    for arr in (perm, p_sorted, f_sorted):
         arr.flags.writeable = False
     return SortedProblem(
         perm=perm,
         p_sorted=p_sorted,
         f_sorted=f_sorted,
-        prefix_mass=mass,
-        prefix_mean=mean,
-        prefix_var=var,
-        gap=gap,
         tails=suffix_masses(p_sorted),
         plateau=plateau,
     )
+
+
+def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
+    """Prefix mass, gap below the payoff, and variance, as running sums.
+
+    With ``m`` the prefix mass and ``df[k] = f[k] - f[k-1] >= 0``, each
+    statistic is a running sum of non-negative terms, so none cancels: the
+    mean's ``gap`` below ``f[k]`` is ``G[k]/m[k]`` with ``G`` the running sum
+    of ``m[k-1] df[k]``, and ``m[k] var[k]`` is the running sum of the
+    weighted update ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.
+    Prefix variances are exact zeros on the leading tie plateau; gap and
+    variance are 0.0 on a prefix of zero mass.  Each step writes in place.
+    """
+    masses = np.zeros(p_sorted.size + 1)
+    before, mass = masses[:-1], masses[1:]
+    np.add.accumulate(p_sorted, out=mass)
+    step = np.zeros(p_sorted.size)
+    np.subtract(f_sorted[1:], f_sorted[:-1], out=step[1:])
+    # Zero-mass prefixes lead and their sums are exact zeros: left undivided.
+    z = int(np.searchsorted(mass, 0.0, side="right"))
+    gap = np.multiply(before, step)
+    np.add.accumulate(gap, out=gap)
+    gap[z:] /= mass[z:]
+    # f[k] - mean[k-1] in units of a power of two near the payoff span (an
+    # exact rescaling), so that its square times a tiny mass stays normal.
+    unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
+    lead = step
+    lead[1:] += gap[:-1]
+    lead /= unit
+    var = before.copy()
+    var[z:] /= mass[z:]
+    var *= p_sorted
+    var *= lead
+    var *= lead
+    np.add.accumulate(var, out=var)
+    var[z:] /= mass[z:]
+    var *= unit
+    var *= unit
+    for arr in (mass, gap, var):
+        arr.flags.writeable = False
+    return mass, gap, var

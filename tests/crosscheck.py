@@ -3,14 +3,20 @@
 The two- and three-outcome chi-squared closed forms are written out case by
 case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
-point at a time.
+point at a time.  ``expression_sorted``, ``expression_critical_radii`` and
+``expression_minimizer_weights`` keep the whole-array expression form of the
+prefix pass, the critical radii and the minimizer that the in-place library
+code must reproduce byte for byte.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from divball.core import Objective, Pmf, check_delta
+from divball.chi2 import _COORDINATE_SLACK, _radicand
+from divball.core import Objective, Pmf, _stable_order, check_delta
+from divball.errors import DivballError
 from divball.errors import TiedBottomError, WrongArityError, ZeroMassForbiddenError
 from divball.oracle import _check_grid_size, _composition_blocks
 
@@ -86,3 +92,84 @@ def chi2_three_point(p: Pmf, f: Objective, delta: float) -> float:
     if delta < d2:
         return float(mu2 - math.sqrt(var2) * math.sqrt(m2 * delta - (1.0 - m2)))
     return float(f1)
+
+
+def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
+    """The sorted side with every prefix statistic formed as whole-array
+    expressions, each a new array, in the library's order of operations."""
+    perm, f_sorted = _stable_order(f.values)
+    p_sorted = p.weights[perm]
+
+    mass = np.add.accumulate(p_sorted)
+    before = np.concatenate(([0.0], mass[:-1]))
+    step = np.concatenate(([0.0], f_sorted[1:] - f_sorted[:-1]))
+    # Zero-mass prefixes lead and their sums are exact zeros, kept by the floor.
+    divisor = np.maximum(mass, np.finfo(float).smallest_subnormal)
+    gap = np.add.accumulate(before * step) / divisor
+    mean = f_sorted - gap
+    mean[mass == 0.0] = 0.0
+    # f[k] - mean[k-1] in units of a power of two near the payoff span (an
+    # exact rescaling), so that its square times a tiny mass stays normal.
+    unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
+    lead = np.concatenate(([0.0], (step[1:] + gap[:-1]) / unit))
+    spread = np.add.accumulate(p_sorted * (before / divisor) * lead * lead)
+    var = spread / divisor * unit * unit
+
+    plateau = int(np.searchsorted(f_sorted, f_sorted[0], side="right"))
+    return SimpleNamespace(
+        n=p.n,
+        perm=perm,
+        p_sorted=p_sorted,
+        f_sorted=f_sorted,
+        prefix_mass=mass,
+        prefix_mean=mean,
+        prefix_var=var,
+        gap=gap,
+        tails=np.concatenate((np.add.accumulate(p_sorted[:0:-1])[::-1], [0.0])),
+        plateau=plateau,
+    )
+
+
+def expression_critical_radii(sp) -> np.ndarray:
+    """Critical radii above the plateau of an :func:`expression_sorted` side,
+    with the library's checks written as asserts."""
+    ell = sp.plateau
+    gap = sp.gap[ell:]
+    var = sp.prefix_var[ell:]
+    assert ((gap > 0.0) & (var > 0.0)).all(), "non-plateau prefix is constant"
+    finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]
+    if finite.size:
+        assert finite[-1] > 0.0, "critical radii must be positive"
+        assert (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all()
+    return finite
+
+
+def expression_minimizer_weights(sp, r: int, delta: float) -> np.ndarray:
+    """Sorted minimizer weights for support size ``r`` of an
+    :func:`expression_sorted` side."""
+    ell = sp.plateau
+    if not ell <= r <= sp.n:
+        raise DivballError(f"support size {r} outside [{ell}, {sp.n}]")
+
+    q = np.zeros(sp.n)
+    if r == ell:
+        q[:ell] = sp.p_sorted[:ell] / sp.prefix_mass[ell - 1]
+        return q
+
+    i = r - 1
+    mass = sp.prefix_mass[i]
+    tail = sp.tails[i]
+    sigma2 = sp.prefix_var[i]
+    assert sigma2 > 0.0, "interior support has positive prefix variance"
+    scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
+    head = (sp.p_sorted[: i + 1] / mass) * (
+        1.0 - (sp.f_sorted[: i + 1] - sp.prefix_mean[i]) * scale
+    )
+    negative = head < 0.0
+    if np.any(head[negative] < -_COORDINATE_SLACK):
+        raise DivballError(
+            f"radius {delta} exceeds the critical radius for support size {r}"
+        )
+    head[negative] = 0.0
+    q[: i + 1] = head
+    return q

@@ -1,7 +1,11 @@
 """Unit tests for the chi-squared ball solver and its special cases."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,36 @@ class TestCriticalDeltas:
         with pytest.raises(db.ZeroMassForbiddenError):
             db.critical_deltas(db.sort_and_prefix(pmf, obj))
 
+    @pytest.mark.parametrize(
+        "payoff, message",
+        [
+            ("[0, 1e-300, 2e-300]", "non-plateau prefix is constant"),
+            ("[0, 1e200, 2e200]", "critical radii must be positive"),
+        ],
+    )
+    def test_numeric_breakdown_raises_under_optimized_interpreter(self, payoff, message):
+        # A plain or ``-O`` interpreter must raise, not return the plateau
+        # value 0.0 with the check stripped.  The payoff scale itself is
+        # still out of range for the closed form.
+        script = (
+            "import divball as db\n"
+            f"p, f = db.validate([1/3, 1/3, 1/3], {payoff}, 'chi2')\n"
+            "try:\n"
+            "    db.chi2_lower_expectation(p, f, 0.5)\n"
+            "except db.DivballError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(db.__file__).resolve().parents[1])
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-W", "ignore", "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+            assert (proc.returncode, proc.stdout) == (0, f"DivballError {message}\n"), proc.stderr
+
     def test_ordering_on_random_instances(self):
         rng = np.random.default_rng(10)
         for _ in range(300):
@@ -211,9 +245,9 @@ class TestActiveIndex:
     def test_uniform_three_point_branches(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
         cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
-        assert db.chi2_active_index(cd, 0.1) == 3
-        assert db.chi2_active_index(cd, 1.0) == 2
-        assert db.chi2_active_index(cd, 5.0) == 1
+        assert chi2.chi2_active_index(cd, 0.1) == 3
+        assert chi2.chi2_active_index(cd, 1.0) == 2
+        assert chi2.chi2_active_index(cd, 5.0) == 1
 
     def test_scan_agreement(self):
         rng = np.random.default_rng(11)
@@ -222,7 +256,7 @@ class TestActiveIndex:
             pmf, obj = positive_instance(rng, n)
             cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
             delta = float(rng.uniform(0, 4))
-            r = db.chi2_active_index(cd, delta)
+            r = chi2.chi2_active_index(cd, delta)
             above = [
                 k
                 for k in range(cd.plateau + 1, cd.n + 1)
@@ -234,7 +268,7 @@ class TestActiveIndex:
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
         cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
         with pytest.raises(db.NegativeDeltaError):
-            db.chi2_active_index(cd, -0.5)
+            chi2.chi2_active_index(cd, -0.5)
 
 
 class TestChi2Minimizer:
@@ -254,7 +288,7 @@ class TestChi2Minimizer:
             pmf, obj = positive_instance(rng, n)
             sp = db.sort_and_prefix(pmf, obj)
             cd = db.critical_deltas(sp)
-            r = db.chi2_active_index(cd, 0.0)
+            r = chi2.chi2_active_index(cd, 0.0)
             q = db.chi2_minimizer(sp, r, 0.0)
             np.testing.assert_allclose(q.weights, sp.p_sorted, atol=1e-12)
 
@@ -263,7 +297,7 @@ class TestChi2Minimizer:
         sp = db.sort_and_prefix(pmf, obj)
         cd = db.critical_deltas(sp)
         assert abs(cd.delta(3) - 1.0 / 3.0) <= 1e-12
-        r = db.chi2_active_index(cd, 0.5)
+        r = chi2.chi2_active_index(cd, 0.5)
         assert r == 2
         q = db.chi2_minimizer(sp, r, 0.5)
         np.testing.assert_allclose(q.weights, [2 / 3, 1 / 3, 0.0], atol=1e-12)
@@ -277,6 +311,13 @@ class TestChi2Minimizer:
         with pytest.raises(db.DivballError):
             db.chi2_minimizer(sp, 4, 0.1)
 
+    def test_zero_interior_variance_raises(self):
+        # The payoff's spread underflows the prefix variance to 0.
+        pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1e-300, 2e-300])
+        sp = db.sort_and_prefix(pmf, obj)
+        with pytest.raises(db.DivballError, match="zero prefix variance"):
+            db.chi2_minimizer(sp, 3, 0.5)
+
     def test_boundary_attainment_and_positivity(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -285,7 +326,7 @@ class TestChi2Minimizer:
             sp = db.sort_and_prefix(pmf, obj)
             cd = db.critical_deltas(sp)
             delta = float(rng.uniform(0, 3))
-            r = db.chi2_active_index(cd, delta)
+            r = chi2.chi2_active_index(cd, delta)
             q = db.chi2_minimizer(sp, r, delta)
             q_orig = db.Pmf(sp.to_original_order(q.weights))
             if r > cd.plateau:

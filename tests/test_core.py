@@ -56,6 +56,25 @@ class TestValidate:
         with pytest.raises(ValueError):
             p.weights[0] = 0.9
 
+    def test_objective_owns_its_values(self):
+        # The caller's float64 array is neither frozen nor aliased.
+        f = np.array([0.0, 1.0, 2.0])
+        _, obj = db.validate([0.2, 0.3, 0.5], f)
+        direct = db.Objective(f)
+        assert obj.values is not f and direct.values is not f
+        assert f.flags.writeable
+        f[0] = 5.0
+        assert obj.values[0] == direct.values[0] == 0.0
+        for values in (obj.values, direct.values, obj.negated().values):
+            with pytest.raises(ValueError):
+                values[0] = 9.0
+
+    def test_negated_flips_every_sign(self):
+        obj = db.Objective([1.0, -0.0, 3.0])
+        neg = obj.negated()
+        assert neg.values.base is None
+        assert neg.values.tobytes() == np.array([-1.0, 0.0, -3.0]).tobytes()
+
 
 class TestPmf:
     def test_labels_ok(self):

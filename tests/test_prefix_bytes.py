@@ -1,0 +1,112 @@
+"""The in-place prefix pass, critical radii and minimizer reproduce the
+whole-array expression form in ``crosscheck`` byte for byte."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import divball as db
+from divball import chi2
+from crosscheck import expression_critical_radii, expression_minimizer_weights, expression_sorted
+
+KINDS = ("random", "skewed", "ties", "signed_zero", "constant", "zero_weight")
+FIELDS = ("perm", "p_sorted", "f_sorted", "prefix_mass", "prefix_mean", "prefix_var", "gap", "tails")
+
+
+def draw(rng, kind, n):
+    if kind == "skewed":
+        p = np.maximum(np.nan_to_num(rng.dirichlet(np.full(n, 0.05))), 1e-300)
+    else:
+        p = rng.dirichlet(np.ones(n))
+    if kind == "zero_weight":
+        p[rng.random(n) < 0.3] = 0.0
+        p[int(rng.integers(n))] += 0.5
+    f = rng.uniform(-1.0, 1.0, n) * 10.0 ** float(rng.choice([-8, 0, 8]))
+    if kind == "ties":
+        f = np.round(f * 3.0)
+    elif kind == "signed_zero":
+        f = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        f[rng.random(n) < 0.2] = 1.0
+    elif kind == "constant":
+        f = np.full(n, f[0])
+    return db.Pmf(p / p.sum()), db.Objective(f)
+
+
+def outcome(fn, *args):
+    """Bytes of the result, or the exception with an assert counted as the
+    library's ``DivballError`` carrying the same condition."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except AssertionError as exc:
+        return ("DivballError", str(exc))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def same_failure(got, want):
+    # The expression form's unlabelled monotonicity assert has no message.
+    return got == want or (isinstance(want, tuple) and want[1] == "" and got[0] == want[0])
+
+
+def assert_side_matches(pmf, obj, radii):
+    sp = db.sort_and_prefix(pmf, obj)
+    ref = expression_sorted(pmf, obj)
+    for name in FIELDS:
+        assert getattr(sp, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert sp.plateau == ref.plateau
+    if not radii:
+        return
+    got = outcome(lambda: chi2.critical_deltas(sp).finite)
+    want = outcome(expression_critical_radii, ref)
+    assert same_failure(got, want)
+    if isinstance(want, tuple):
+        return
+    cd = chi2.critical_deltas(sp)
+    deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *cd.finite[:: max(1, cd.finite.size // 4)]]
+    for delta in deltas:
+        r = chi2.chi2_active_index(cd, float(delta))
+        got = outcome(chi2._minimizer_weights, sp, r, float(delta))
+        want = outcome(expression_minimizer_weights, ref, r, float(delta))
+        assert same_failure(got, want), (r, delta)
+
+
+def check_draw(rng, kind, n):
+    pmf, obj = draw(rng, kind, n)
+    radii = kind != "zero_weight"
+    assert_side_matches(pmf, obj, radii)
+    assert_side_matches(pmf, obj.negated(), radii)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sizes_up_to_2000(kind):
+    # Every kind at each n up to 64, then the kinds take turns, so that every
+    # n up to 2000 is drawn once.
+    k = KINDS.index(kind)
+    rng = np.random.default_rng([17, k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n in range(1, 2001):
+            if n <= 64 or n % len(KINDS) == k:
+                check_draw(rng, kind, n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_large_side(kind):
+    rng = np.random.default_rng([18, KINDS.index(kind)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check_draw(rng, kind, 100_000)
+
+
+def test_inverted_radii_fail_alike():
+    # The skewed panel's item 313 of the many_small benchmark deck: on the
+    # negated side the last gap squared underflows, so the radii increase.
+    p = [float.fromhex(x) for x in ("0x1p+0", "0x1.56e1fc2f8f359p-997", "0x1.56e1fc2f8f359p-997")]
+    f = [float.fromhex(x) for x in ("-0x1.5798ee2308c3ap-27", "0x1.5798ee2308c3ap-27", "0x1.5798ee2308c3ap-28")]
+    pmf, obj = db.validate(p, f, "chi2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(db.DivballError, match="non-increasing"):
+            chi2.critical_deltas(db.sort_and_prefix(pmf, obj.negated()))
+        assert_side_matches(pmf, obj.negated(), True)

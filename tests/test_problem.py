@@ -127,6 +127,35 @@ def test_one_shot_sorts_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "ball, args, passes",
+    [
+        ("tv", ["--sweep", "0:0.9:10"], 0),
+        ("tv", ["--delta", "0.3"], 0),
+        ("tv", ["--radius", "0.5"], 0),
+        ("chi2", ["--sweep", "0:30:13"], 2),
+        ("chi2", ["--delta", "0.3"], 2),
+        ("chi2", ["--radius", "0.5"], 1),
+    ],
+)
+def test_cli_moment_passes_per_side(tmp_path, capsys, monkeypatch, ball, args, passes):
+    # TV reads only tails; a chi^2 side computes its prefix moments once.
+    counts = {}
+    counting(monkeypatch, core, "_prefix_moments", counts)
+    run_cli(tmp_path, capsys, dict(TIED, ball=ball), *args)
+    assert counts.get("_prefix_moments", 0) == passes
+
+
+@pytest.mark.parametrize("family, passes", [("tv", 0), ("chi2", 1)])
+def test_one_shot_moment_passes(monkeypatch, family, passes):
+    counts = {}
+    counting(monkeypatch, core, "_prefix_moments", counts)
+    p, f = db.validate(TIED["p"], TIED["f"], family)
+    for side in ("lower", "upper"):
+        getattr(db, f"{family}_{side}_expectation")(p, f, 0.25)
+        assert counts.pop("_prefix_moments", 0) == passes
+
+
+@pytest.mark.parametrize(
     "obj, theta, delta_star",
     [
         ({"p": [0.1, 0.2, 0.3, 0.25, 0.15], "f": [0.5, -1, 2, 0.5, 1.5], "ball": "tv"},

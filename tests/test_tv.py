@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import divball as db
 from divball.core import suffix_masses
 from divball.oracle import naive_tv_distance
+from divball.tv import tv_threshold_index
 from conftest import assert_tv_pattern, random_objective, random_pmf, sorted_minimizer
 
 
@@ -38,27 +39,27 @@ class TestThresholdIndex:
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
         sp = db.sort_and_prefix(p, f)
         # suffix masses after r = 1, 2, 3 are 0.8, 0.5, 0.
-        assert db.tv_threshold_index(sp, 0.4) == 3
-        assert db.tv_threshold_index(sp, 0.5) == 2
-        assert db.tv_threshold_index(sp, 0.79) == 2
+        assert tv_threshold_index(sp, 0.4) == 3
+        assert tv_threshold_index(sp, 0.5) == 2
+        assert tv_threshold_index(sp, 0.79) == 2
 
     def test_full_budget(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 9))
             sp = db.sort_and_prefix(random_pmf(rng, n), random_objective(rng, n))
-            assert db.tv_threshold_index(sp, 1.0) == 1
-            assert db.tv_threshold_index(sp, 2.5) == 1
+            assert tv_threshold_index(sp, 1.0) == 1
+            assert tv_threshold_index(sp, 2.5) == 1
 
     def test_zero_budget(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
         sp = db.sort_and_prefix(p, f)
-        assert db.tv_threshold_index(sp, 0.0) == 2
+        assert tv_threshold_index(sp, 0.0) == 2
 
     def test_negative_delta(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
         with pytest.raises(db.NegativeDeltaError):
-            db.tv_threshold_index(db.sort_and_prefix(p, f), -0.1)
+            tv_threshold_index(db.sort_and_prefix(p, f), -0.1)
 
     def test_exhaustive_scan_agreement(self):
         rng = np.random.default_rng(1)
@@ -67,7 +68,7 @@ class TestThresholdIndex:
             p = random_pmf(rng, n)
             sp = db.sort_and_prefix(p, random_objective(rng, n))
             delta = float(rng.uniform(0, 1))
-            r = db.tv_threshold_index(sp, delta)
+            r = tv_threshold_index(sp, delta)
             candidates = [
                 k
                 for k in range(1, n + 1)
