@@ -187,8 +187,7 @@ def _minimizer_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
     tilt = sp.f_sorted[:r] - (sp.f_sorted[i] - sp.gap[i])
     tilt *= scale
     np.subtract(1.0, tilt, out=tilt)
-    head = q[:r]
-    np.divide(sp.p_sorted[:r], mass, out=head)
+    head = np.divide(sp.p_sorted[:r], mass, out=q[:r])
     head *= tilt
     # fmin skips NaN, as the comparisons below do element by element.
     lowest = np.fmin.reduce(head)

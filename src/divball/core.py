@@ -134,10 +134,9 @@ class Objective:
 
     def negated(self) -> "Objective":
         """The pointwise negation; used for upper bounds via conjugacy."""
-        values = -self.values
-        values.flags.writeable = False
         negated = object.__new__(Objective)
-        object.__setattr__(negated, "values", values)
+        object.__setattr__(negated, "values", -self.values)
+        negated.values.flags.writeable = False
         return negated
 
 
@@ -283,9 +282,9 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values in arbitrary order.  Where the sorted values have a tied run
     (compared with ``!=``, so ``0.0`` ties ``-0.0``), one sort of the integer
     key ``run * n + index``, with ``run`` the count of value changes so far,
-    puts every run back in ascending original index.  The values are then
-    gathered again through the repaired order: a run may mix ``0.0`` and
-    ``-0.0``, whose bits differ.
+    puts every run back in ascending original index; the key is formed in
+    place.  The values are then gathered again through the repaired order: a
+    run may mix ``0.0`` and ``-0.0``, whose bits differ.
     """
     n = values.size
     perm = np.argsort(values)
@@ -295,10 +294,12 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         run = np.zeros(n, dtype=np.intp)
         run[1:] = changes
         np.add.accumulate(run, out=run)
-        key = run * n + perm
-        key.sort()
-        perm = key % n
-        ordered = values[perm]
+        run *= n
+        run += perm
+        run.sort()
+        perm = np.remainder(run, n, out=run)
+        # The indices are in range; "clip" skips take's buffered copy.
+        np.take(values, perm, out=ordered, mode="clip")
     return perm, ordered
 
 
