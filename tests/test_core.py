@@ -69,12 +69,6 @@ class TestValidate:
             with pytest.raises(ValueError):
                 values[0] = 9.0
 
-    def test_negated_flips_every_sign(self):
-        obj = db.Objective([1.0, -0.0, 3.0])
-        neg = obj.negated()
-        assert neg.values.base is None
-        assert neg.values.tobytes() == np.array([-1.0, 0.0, -3.0]).tobytes()
-
 
 class TestPmf:
     def test_labels_ok(self):
