@@ -41,10 +41,8 @@ from .errors import (
     NegativeWeightError,
     NonFiniteError,
     SumNotOneError,
-    TiedBottomError,
     TooLargeError,
     UnreachableError,
-    WrongArityError,
     ZeroMassForbiddenError,
 )
 from .oracle import OracleReport, oracle_lower_expectation
@@ -73,10 +71,8 @@ __all__ = [
     "Pmf",
     "Problem",
     "SumNotOneError",
-    "TiedBottomError",
     "TooLargeError",
     "UnreachableError",
-    "WrongArityError",
     "ZeroMassForbiddenError",
     "chi2_divergence",
     "chi2_lower_expectation",

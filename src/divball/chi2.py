@@ -73,18 +73,6 @@ class CriticalDeltas:
     n: int
     finite: np.ndarray
 
-    def delta(self, k: int) -> float:
-        """Critical radius for support size k; ``math.inf`` for the plateau.
-
-        Display/test convenience only; solver code never mixes the
-        unbounded marker into arithmetic.
-        """
-        if not self.plateau <= k <= self.n:
-            raise DivballError(f"support size {k} outside [{self.plateau}, {self.n}]")
-        if k == self.plateau:
-            return math.inf
-        return float(self.finite[k - self.plateau - 1])
-
 
 def _require_positive(sp: SortedProblem) -> None:
     if np.any(sp.p_sorted == 0.0):

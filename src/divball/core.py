@@ -6,9 +6,14 @@ statistics (mass, mean, variance), running sums formed on first read.  This
 module owns those shared types, input validation, and the expectation
 operation.
 
+An ``Objective`` keeps its stable ascending order once computed.  One sort
+serves both bounds: the negation that an upper bound solves derives its
+order from its source's in O(n), reversing it and putting each run of tied
+values back in ascending original index.
+
 All values are immutable after construction and every function is pure, so
-instances are safe to share across threads (racing first reads of the prefix
-statistics only compute them twice).
+instances are safe to share across threads (racing first reads of an order
+or of the prefix statistics only compute them twice).
 """
 
 import enum
@@ -118,7 +123,11 @@ class Pmf:
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """Real-valued payoff on the same outcome set as the ball center."""
+    """Real-valued payoff on the same outcome set as the ball center.
+
+    Its stable ascending order is computed on first use and kept (the
+    values are read-only); a negation derives its order from its source's.
+    """
 
     values: np.ndarray
 
@@ -133,11 +142,41 @@ class Objective:
         return self.values.size
 
     def negated(self) -> "Objective":
-        """The pointwise negation; used for upper bounds via conjugacy."""
+        """The pointwise negation; used for upper bounds via conjugacy.
+
+        It records its source, and its order is derived from the source's.
+        """
         negated = object.__new__(Objective)
         object.__setattr__(negated, "values", -self.values)
-        negated.values.flags.writeable = False
+        negated.values.setflags(write=False)
+        negated.__dict__["_source"] = self
         return negated
+
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable ascending order of the values and the values gathered by it.
+
+        The order is computed on first use and kept, with where its values
+        change; the gathered values are not kept.  A negation's order is
+        derived from its source's by :func:`_negated_order`, the source's
+        being computed first if needed, so each payoff is sorted once.
+        """
+        order = self.__dict__.get("_perm_changes")
+        if order is None:
+            source = self.__dict__.get("_source")
+            if source is None:
+                perm, ordered, changes = _stable_order(self.values)
+                perm.setflags(write=False)
+                self.__dict__["_perm_changes"] = perm, changes
+                return perm, ordered
+            # Read-only already: a view of the source's order, or a new array.
+            order = self.__dict__["_perm_changes"] = _negated_order(*source._order())
+        return order[0], self.values[order[0]]
+
+    def _order(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The kept order and value changes of :meth:`_sorted`."""
+        if "_perm_changes" not in self.__dict__:
+            self._sorted()
+        return self.__dict__["_perm_changes"]
 
 
 @dataclass(frozen=True)
@@ -259,7 +298,28 @@ def expectation(p: Pmf, f: Objective) -> float:
     """Expected value of ``f`` under ``p``: sum of ``p(x) * f(x)``."""
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    return float(np.dot(p.weights, f.values))
+    return weighted_mean(p.weights, f.values, f.values.min(), f.values.max())
+
+
+# Below this payoff magnitude a dot with weights summing to 1 cannot overflow.
+_HALF_MAX = 2.0**1023
+
+
+def weighted_mean(weights: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
+    """``weights · values`` for weights summing to 1 and values in ``[lo, hi]``.
+
+    The exact mean lies in ``[lo, hi]``.  Where the dot overflows (payoffs
+    near the float maximum), it is redone in units of the exact power of two
+    ``2**1023`` and clamped to ``[lo, hi]``; every finite dot keeps its bits.
+    """
+    if -_HALF_MAX < lo and hi < _HALF_MAX:
+        return float(np.dot(weights, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(weights, values))
+    if math.isfinite(value):
+        return value
+    value = float(np.dot(weights, values / _HALF_MAX)) * _HALF_MAX
+    return float(min(max(value, lo), hi))
 
 
 def suffix_masses(weights: np.ndarray) -> np.ndarray:
@@ -275,50 +335,82 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable ascending order of ``values`` and ``values`` gathered by it.
+def _stable_order(values: np.ndarray):
+    """The stable ascending order of ``values``, ``values`` gathered by it,
+    and where the gathered values change.
 
-    numpy's default argsort is a vectorized introsort that leaves tied
-    values in arbitrary order.  Where the sorted values have a tied run
-    (compared with ``!=``, so ``0.0`` ties ``-0.0``), one sort of the integer
-    key ``run * n + index``, with ``run`` the count of value changes so far,
-    puts every run back in ascending original index; the key is formed in
-    place.  The values are then gathered again through the repaired order: a
-    run may mix ``0.0`` and ``-0.0``, whose bits differ.
+    This is the one full sort.  numpy's default argsort is a vectorized
+    introsort that leaves tied values in arbitrary order.  Where the sorted
+    values have a tied run (compared with ``!=``, so ``0.0`` ties ``-0.0``),
+    one sort of the integer key ``run * n + index``, with ``run`` the count
+    of value changes so far, puts every run back in ascending original
+    index; the key is formed in place.  The values are then gathered again
+    through the repaired order: a run may mix ``0.0`` and ``-0.0``, whose
+    bits differ.  ``changes[i]`` is whether sorted values ``i`` and ``i + 1``
+    differ, or ``changes`` is ``None`` when no two values tie.
     """
     n = values.size
     perm = np.argsort(values)
     ordered = values[perm]
     changes = ordered[1:] != ordered[:-1]
-    if np.count_nonzero(changes) < n - 1:
-        run = np.zeros(n, dtype=np.intp)
-        run[1:] = changes
-        np.add.accumulate(run, out=run)
-        run *= n
-        run += perm
-        run.sort()
-        perm = np.remainder(run, n, out=run)
-        # The indices are in range; "clip" skips take's buffered copy.
-        np.take(values, perm, out=ordered, mode="clip")
-    return perm, ordered
+    if np.count_nonzero(changes) == n - 1:
+        return perm, ordered, None
+    run = np.zeros(n, dtype=np.intp)
+    run[1:] = changes
+    np.add.accumulate(run, out=run)
+    run *= n
+    run += perm
+    run.sort()
+    perm = np.remainder(run, n, out=run)
+    # The indices are in range; "clip" skips take's buffered copy.
+    np.take(values, perm, out=ordered, mode="clip")
+    return perm, ordered, changes
+
+
+def _negated_order(perm: np.ndarray, changes: np.ndarray | None):
+    """The stable ascending order of ``-values`` and where its values change,
+    from the order ``perm`` of ``values`` and its ``changes``, in O(n).
+
+    Read backwards, ``perm`` orders ``-values`` with each tied run in
+    descending index, and ``changes`` read backwards marks the same runs.
+    Untied, those reversed views are the answer.  Tied, each run is put
+    back in ascending index: run ``[a, c)`` of the negated order holds
+    source run ``[n - c, n - a)``, so position ``i`` reads
+    ``perm[i + n - c - a]``, one shift per run.
+    """
+    if changes is None:
+        return perm[::-1], None
+    n = perm.size
+    changes = changes[::-1]
+    # The negated order's run edges: where each run starts, and n.
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    starts[1:-1] = changes
+    edges = starts.nonzero()[0]
+    index = np.arange(n, 2 * n)
+    index -= (edges[:-1] + edges[1:]).repeat(edges[1:] - edges[:-1])
+    perm = perm[index]
+    perm.setflags(write=False)
+    return perm, changes
 
 
 def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
     """Sort outcomes by ascending objective; the prefix statistics follow lazily.
 
-    The sort is stable (ties keep original order), built by
-    :func:`_stable_order` from numpy's fast unstable argsort and an exact
-    repair of tied runs.  The tails are :func:`suffix_masses`.  The prefix
-    mass, gap and variance are left to :func:`_prefix_moments`, which runs
-    only when a chi-squared side first reads them.
+    The order is ``f``'s own, stable (ties keep original order) and kept on
+    ``f``: :func:`_stable_order` sorts a payoff once, and a negated payoff
+    derives its order from its source's in O(n).  The tails are
+    :func:`suffix_masses`.  The prefix mass, gap and variance are left to
+    :func:`_prefix_moments`, which runs only when a chi-squared side first
+    reads them.
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    perm, f_sorted = _stable_order(f.values)
+    perm, f_sorted = f._sorted()
     p_sorted = p.weights[perm]
     plateau = int(np.searchsorted(f_sorted, f_sorted[0], side="right"))
-    for arr in (perm, p_sorted, f_sorted):
-        arr.flags.writeable = False
+    p_sorted.setflags(write=False)
+    f_sorted.setflags(write=False)
     return SortedProblem(
         perm=perm,
         p_sorted=p_sorted,

@@ -37,14 +37,6 @@ class NegativeDeltaError(DivballError):
     """A ball radius is negative or NaN."""
 
 
-class WrongArityError(DivballError):
-    """A fixed-size special case was called with the wrong number of outcomes."""
-
-
-class TiedBottomError(DivballError):
-    """The three-point special case needs a unique minimal objective value."""
-
-
 class TooLargeError(DivballError):
     """The brute-force grid would exceed the desk-scale enumeration cap."""
 

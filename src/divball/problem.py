@@ -1,8 +1,9 @@
 """One problem, many radii: the closed forms depend on the radius only in
-their last lookup, so a ``Problem`` sorts the payoff (lower bounds) and its
-negation (upper bounds) once each and answers every radius from them.  The
-negation is sorted in its own right: on ties its stable order is not the
-reverse of the payoff's.
+their last lookup, so a ``Problem`` prepares the payoff (lower bounds) and
+its negation (upper bounds) once each and answers every radius from them.
+One sort serves both sides: the negation's stable order is the payoff's read
+backwards with each tied run put back in ascending original order, an O(n)
+step (``core._negated_order``).
 """
 
 import math
@@ -16,7 +17,7 @@ from .tv import tv_solve, tv_value
 class Problem:
     """A validated (pmf, objective) pair under one ball family.
 
-    Each side is sorted on its first bound and kept for every later one.
+    Each side is prepared on its first bound and kept for every later one.
     """
 
     def __init__(self, pmf: Pmf, objective: Objective, family: BallFamily | str):

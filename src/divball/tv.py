@@ -18,6 +18,7 @@ from .core import (
     SortedProblem,
     check_delta,
     sort_and_prefix,
+    weighted_mean,
 )
 from .errors import LengthMismatchError
 
@@ -50,7 +51,8 @@ def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str, np.ndarr
     # threshold guarantees d < tails[r-2], so this stays positive.
     q_sorted[r - 1] = sp.tails[r - 2] - d
     q_sorted[r:] = 0.0
-    return float(np.dot(q_sorted, sp.f_sorted)), r, BRANCH_INTERIOR, q_sorted
+    value = weighted_mean(q_sorted, sp.f_sorted, sp.f_sorted[0], sp.f_sorted[-1])
+    return value, r, BRANCH_INTERIOR, q_sorted
 
 
 def tv_solve(sp: SortedProblem, delta: float, labels) -> BoundResult:

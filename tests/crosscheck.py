@@ -3,7 +3,9 @@
 The two- and three-outcome chi-squared closed forms are written out case by
 case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
-point at a time.  ``expression_sorted``, ``expression_critical_radii`` and
+point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
+they raise, and ``critical_delta`` reads one critical radius by support
+size.  ``expression_sorted``, ``expression_critical_radii`` and
 ``expression_minimizer_weights`` keep the whole-array expression form of the
 prefix pass, the critical radii and the minimizer that the in-place library
 code must reproduce byte for byte.
@@ -16,9 +18,26 @@ import numpy as np
 
 from divball.chi2 import _COORDINATE_SLACK, _radicand
 from divball.core import Objective, Pmf, _stable_order, check_delta
-from divball.errors import DivballError
-from divball.errors import TiedBottomError, WrongArityError, ZeroMassForbiddenError
+from divball.errors import DivballError, ZeroMassForbiddenError
 from divball.oracle import _check_grid_size, _composition_blocks
+
+
+class WrongArityError(DivballError):
+    """A fixed-size special case was called with the wrong number of outcomes."""
+
+
+class TiedBottomError(DivballError):
+    """The three-point special case needs a unique minimal objective value."""
+
+
+def critical_delta(cd, k: int) -> float:
+    """Critical radius for support size k of critical radii ``cd``;
+    ``math.inf`` for the plateau."""
+    if not cd.plateau <= k <= cd.n:
+        raise DivballError(f"support size {k} outside [{cd.plateau}, {cd.n}]")
+    if k == cd.plateau:
+        return math.inf
+    return float(cd.finite[k - cd.plateau - 1])
 
 
 def enumerate_compositions(n: int, resolution: int):
@@ -97,7 +116,7 @@ def chi2_three_point(p: Pmf, f: Objective, delta: float) -> float:
 def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
     """The sorted side with every prefix statistic formed as whole-array
     expressions, each a new array, in the library's order of operations."""
-    perm, f_sorted = _stable_order(f.values)
+    perm, f_sorted, _ = _stable_order(f.values)
     p_sorted = p.weights[perm]
 
     mass = np.add.accumulate(p_sorted)

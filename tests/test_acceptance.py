@@ -15,7 +15,7 @@ import divball as db
 from divball import cli
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence, naive_tv_distance
-from crosscheck import chi2_three_point, chi2_two_point
+from crosscheck import chi2_three_point, chi2_two_point, critical_delta
 from conftest import assert_tv_pattern, criterion, grid_round, random_objective, random_pmf, sorted_minimizer
 
 SEED = 20260810
@@ -57,7 +57,7 @@ def chi2_consistency_check(pmf, obj, delta):
         return float(sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
 
     for k in range(cd.plateau + 1, cd.n + 1):
-        dk = cd.delta(k)
+        dk = critical_delta(cd, k)
         a, b = branch_value(k, dk), branch_value(k - 1, dk)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
         q_at_break = db.chi2_minimizer(sp, k, dk)

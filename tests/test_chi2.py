@@ -16,7 +16,7 @@ import divball as db
 from divball import chi2
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import chi2_three_point, chi2_two_point
+from crosscheck import TiedBottomError, WrongArityError, chi2_three_point, chi2_two_point, critical_delta
 from conftest import random_objective, random_pmf
 
 
@@ -102,25 +102,25 @@ class TestCriticalDeltas:
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
         cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
         assert cd.plateau == 1
-        assert cd.delta(1) == math.inf
-        assert abs(cd.delta(2) - 2.0) <= 1e-12
-        assert abs(cd.delta(3) - 2.0 / 3.0) <= 1e-12
+        assert critical_delta(cd, 1) == math.inf
+        assert abs(critical_delta(cd, 2) - 2.0) <= 1e-12
+        assert abs(critical_delta(cd, 3) - 2.0 / 3.0) <= 1e-12
 
     def test_constant_objective_has_no_finite_deltas(self):
         pmf, obj = chi2_problem([0.25, 0.75], [3, 3])
         cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
         assert cd.plateau == 2
         assert cd.finite.size == 0
-        assert cd.delta(2) == math.inf
+        assert critical_delta(cd, 2) == math.inf
 
     def test_two_point_ratio(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
         cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
-        assert abs(cd.delta(2) - 1.0) <= 1e-12
+        assert abs(critical_delta(cd, 2) - 1.0) <= 1e-12
         pmf, obj = chi2_problem([0.2, 0.8], [1, 0])
         cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
         # ratio p(x_2)/p(x_1) in objective-ascending order: 0.2 / 0.8
-        assert abs(cd.delta(2) - 0.25) <= 1e-12
+        assert abs(critical_delta(cd, 2) - 0.25) <= 1e-12
 
     def test_zero_mass_forbidden(self):
         pmf, obj = db.validate([0.0, 1.0], [0, 1], "tv")
@@ -260,7 +260,7 @@ class TestActiveIndex:
             above = [
                 k
                 for k in range(cd.plateau + 1, cd.n + 1)
-                if cd.delta(k) > delta
+                if critical_delta(cd, k) > delta
             ]
             assert r == (max(above) if above else cd.plateau)
 
@@ -296,7 +296,7 @@ class TestChi2Minimizer:
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
         sp = db.sort_and_prefix(pmf, obj)
         cd = db.critical_deltas(sp)
-        assert abs(cd.delta(3) - 1.0 / 3.0) <= 1e-12
+        assert abs(critical_delta(cd, 3) - 1.0 / 3.0) <= 1e-12
         r = chi2.chi2_active_index(cd, 0.5)
         assert r == 2
         q = db.chi2_minimizer(sp, r, 0.5)
@@ -344,7 +344,7 @@ class TestChi2Minimizer:
             sp = db.sort_and_prefix(pmf, obj)
             cd = db.critical_deltas(sp)
             for k in range(cd.plateau + 1, cd.n + 1):
-                q = db.chi2_minimizer(sp, k, cd.delta(k))
+                q = db.chi2_minimizer(sp, k, critical_delta(cd, k))
                 assert abs(q.weights[k - 1]) <= 1e-9
 
 
@@ -462,7 +462,7 @@ class TestSpecialCases:
 
     def test_two_point_wrong_arity(self):
         pmf, obj = chi2_problem([0.2, 0.3, 0.5], [0, 1, 2])
-        with pytest.raises(db.WrongArityError):
+        with pytest.raises(WrongArityError):
             chi2_two_point(pmf, obj, 0.1)
 
     def test_three_point_branches(self):
@@ -475,12 +475,12 @@ class TestSpecialCases:
 
     def test_three_point_tied_bottom_delegates(self):
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
-        with pytest.raises(db.TiedBottomError):
+        with pytest.raises(TiedBottomError):
             chi2_three_point(pmf, obj, 0.1)
 
     def test_three_point_wrong_arity(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
-        with pytest.raises(db.WrongArityError):
+        with pytest.raises(WrongArityError):
             chi2_three_point(pmf, obj, 0.1)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0, 3))
@@ -523,7 +523,7 @@ class TestChi2Invariants:
                 )
 
             for k in range(cd.plateau + 1, cd.n + 1):
-                dk = cd.delta(k)
+                dk = critical_delta(cd, k)
                 a = branch_value(k, dk)
                 b = branch_value(k - 1, dk)
                 assert abs(a - b) <= 1e-9 * (1.0 + abs(a))

@@ -1,6 +1,7 @@
 """Unit tests for the core types, validation, and prefix preprocessing."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divball as db
+from divball import core
 from divball.core import suffix_masses
 from divball.oracle import naive_expectation
 from conftest import random_objective, random_pmf
@@ -122,6 +124,14 @@ class TestExpectation:
         _, f = db.validate([1.0], [3.0])
         with pytest.raises(db.LengthMismatchError):
             db.expectation(p, f)
+
+    def test_near_float_max_payoff_does_not_overflow(self):
+        big = 1.7976931348623157e308
+        p, f = db.validate([0.2, 0.4, 0.4], [big] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert db.expectation(p, f) == big
+            assert db.expectation(p, f.negated()) == -big
 
 
 def direct_prefix_stats(p_sorted, f_sorted):
@@ -298,6 +308,71 @@ class TestStableOrder:
         sp = db.sort_and_prefix(db.Pmf(np.full(7, 1.0 / 7)), db.Objective(values))
         assert list(sp.perm) == [5, 0, 1, 3, 4, 6, 2]
         assert list(np.signbit(sp.f_sorted)) == [True, False, True, True, False, True, False]
+
+
+class TestNegatedOrder:
+    """A negation derives its order from its source's in O(n); it must be
+    exactly the stable argsort of the negated values, tie order and signed
+    zeros included."""
+
+    KINDS = TestStableOrder.KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_stable_argsort_of_negation(self, kind):
+        rng = np.random.default_rng(190 + self.KINDS.index(kind))
+        sizes = [1, 2, 3, 4, 5, 8, 16, 17, 100, 1000, 5000]
+        sizes += [int(x) for x in rng.integers(1, 5001, 8)]
+        for k, n in enumerate(sizes):
+            for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+                values = payoff_case(rng, n, kind, scale)
+                p, f = db.Pmf(rng.dirichlet(np.ones(n))), db.Objective(values)
+                # At 1e300 the prefix variance overflows, a known payoff-scale
+                # defect; this test reads only the order.
+                with np.errstate(over="ignore"):
+                    if k % 2:  # the source's order first, or derived on demand
+                        db.sort_and_prefix(p, f)
+                    sp = db.sort_and_prefix(p, f.negated())
+                expected = np.argsort(-values, kind="stable")
+                assert sp.perm.dtype == expected.dtype
+                assert sp.perm.tobytes() == expected.tobytes()
+                assert sp.f_sorted.tobytes() == (-values)[expected].tobytes()
+                assert sp.p_sorted.tobytes() == p.weights[expected].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_double_negation_gives_the_source_order(self, kind):
+        rng = np.random.default_rng(290 + self.KINDS.index(kind))
+        for n in (1, 2, 7, 64, 999):
+            values = payoff_case(rng, n, kind, 1.0)
+            p, f = db.Pmf(np.full(n, 1.0 / n)), db.Objective(values)
+            twice = f.negated().negated()
+            assert twice.values.tobytes() == f.values.tobytes()
+            got, want = db.sort_and_prefix(p, twice), db.sort_and_prefix(p, f)
+            assert got.perm.tobytes() == want.perm.tobytes()
+            assert got.f_sorted.tobytes() == want.f_sorted.tobytes()
+
+    def test_signed_zero_run_keeps_each_sign(self):
+        values = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0])
+        f = db.Objective(values)
+        sp = db.sort_and_prefix(db.Pmf(np.full(7, 1.0 / 7)), f.negated())
+        assert list(sp.perm) == [2, 0, 1, 3, 4, 6, 5]
+        assert list(np.signbit(sp.f_sorted)) == [True, True, False, False, True, False, False]
+
+    def test_untied_negation_reuses_the_source_order(self):
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, 50)
+        p, f = db.Pmf(np.full(50, 0.02)), db.Objective(values)
+        lower, upper = db.sort_and_prefix(p, f), db.sort_and_prefix(p, f.negated())
+        assert np.shares_memory(lower.perm, upper.perm)
+        assert not lower.perm.flags.writeable and not upper.perm.flags.writeable
+
+    def test_order_is_computed_once(self, monkeypatch):
+        calls = []
+        original = core._stable_order
+        monkeypatch.setattr(core, "_stable_order", lambda v: calls.append(1) or original(v))
+        p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
+        negated = f.negated()
+        for objective in (negated, f, negated, f, f.negated()):
+            db.sort_and_prefix(p, objective)
+        assert len(calls) == 1
 
 
 class TestTieIndependence:

@@ -126,6 +126,55 @@ def test_one_shot_sorts_once(monkeypatch):
     assert counts == {"sort_and_prefix": 1, "suffix_masses": 1}
 
 
+@pytest.mark.parametrize("args", [["--sweep", "0:5:50"], ["--delta", "0.3"]])
+def test_cli_sorts_each_payoff_once(tmp_path, capsys, monkeypatch, args):
+    # The upper side derives its order from the lower side's.
+    counts = {}
+    counting(monkeypatch, core, "_stable_order", counts)
+    obj, _ = SWEEP_CASES["chi2_ties"]
+    run_cli(tmp_path, capsys, obj, *args)
+    assert counts == {"_stable_order": 1}
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+def test_library_sorts_each_payoff_once(monkeypatch, family):
+    counts = {}
+    counting(monkeypatch, core, "_stable_order", counts)
+    p, f = db.validate(TIED["p"], TIED["f"], family)
+    getattr(db, f"{family}_lower_expectation")(p, f, 0.25)
+    getattr(db, f"{family}_upper_expectation")(p, f, 0.25)
+    assert counts.pop("_stable_order") == 1
+    p, f = db.validate(TIED["p"], TIED["f"], family)
+    prepared = db.Problem(p, f, family)
+    for delta in (0.25, 0.5):
+        prepared.upper(delta)
+        prepared.lower(delta)
+    assert counts.pop("_stable_order") == 1
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("levels", [0, 1, 3, 50])
+def test_upper_alone_matches_the_negation_sorted_in_its_own_right(family, levels):
+    # An upper bound with no lower bound before it derives its order from a
+    # source order computed on demand; a fresh Objective holding the negated
+    # values sorts them itself.  Both must give the same bits.
+    rng = np.random.default_rng(70 + levels)
+    for n in (1, 2, 5, 40, 700):
+        for _ in range(4):
+            p = rng.dirichlet(np.ones(n))
+            f = rng.uniform(-1.0, 1.0, n)
+            if levels:
+                f = np.round(f * levels) / levels
+            delta = float(rng.uniform(0.0, 1.2 if family == "tv" else 5.0))
+            pmf, objective = db.validate(p, f, family)
+            got = getattr(db, f"{family}_upper_expectation")(pmf, objective, delta)
+            lower = getattr(db, f"{family}_lower_expectation")
+            want = lower(pmf, db.Objective(-objective.values), delta).conjugate()
+            assert bits(got.value) == bits(want.value)
+            assert (got.active_index, got.branch) == (want.active_index, want.branch)
+            assert got.minimizer.weights.tobytes() == want.minimizer.weights.tobytes()
+
+
 @pytest.mark.parametrize(
     "ball, args, passes",
     [

@@ -1,5 +1,8 @@
 """Unit tests for the total-variation ball solver."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,42 @@ class TestTvInvariants:
             assert gap >= -1e-12 * (1 + abs(res.value))
             assert gap <= report.tolerance
             assert naive_tv_distance(res.minimizer, p) <= delta + 1e-9
+
+
+BIG = 1.7976931348623157e308  # the largest double
+
+
+class TestNearFloatMaxPayoff:
+    """A dot with weights summing to 1 overflows for payoffs near the float
+    maximum; the bound is redone in units of a power of two, with no warning."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.999, 1.0])
+    def test_reproducer_returns_the_payoff(self, delta):
+        p, f = db.validate([0.2, 0.4, 0.4], [BIG] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower = db.tv_lower_expectation(p, f, delta)
+            upper = db.tv_upper_expectation(p, f, delta)
+        assert lower.value == BIG
+        assert upper.value == BIG
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_are_finite_and_match_the_minimizer(self, sign):
+        rng = np.random.default_rng(31 if sign > 0 else 32)
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            # Most entries exactly at the maximum: the plain dot often overflows.
+            near = BIG * (1.0 - rng.uniform(0.0, 1e-3, n))
+            values = sign * np.where(rng.random(n) < 0.8, BIG, near)
+            p, f = db.validate(rng.dirichlet(np.ones(n)), values)
+            delta = float(rng.uniform(0.0, 1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results = (db.tv_lower_expectation(p, f, delta), db.tv_upper_expectation(p, f, delta))
+            for res in results:
+                # Finite, and the mean of the returned minimizer to rounding:
+                # a dot that did not overflow keeps its bits, which may lie
+                # an ulp outside the payoff's range.
+                assert np.isfinite(res.value)
+                exact = sum(Fraction(w) * Fraction(v) for w, v in zip(res.minimizer.weights, values))
+                assert abs(Fraction(res.value) - exact) <= Fraction(BIG) * Fraction(n, 2**51)
