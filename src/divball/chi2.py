@@ -108,7 +108,7 @@ def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
         bound += finite[:-1]
         if not (finite[1:] <= bound).all():
             raise DivballError("critical radii must be non-increasing")
-    finite.flags.writeable = False
+    finite.setflags(write=False)
     return CriticalDeltas(plateau=ell, n=sp.n, finite=finite)
 
 
@@ -149,20 +149,17 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     """
     _require_positive(sp)
     check_delta(delta)
-    return Pmf(_minimizer_weights(sp, r, delta))
+    return Pmf._solved(np.pad(_minimizer_head(sp, r, delta), (0, sp.n - r)), None)
 
 
-def _minimizer_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
-    """:func:`chi2_minimizer`'s weights, not yet validated as a pmf; the
-    center must be positive and the radius valid."""
+def _minimizer_head(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
+    """The first ``r`` sorted weights of :func:`chi2_minimizer` before
+    normalization (the rest are 0), for a positive center and a valid radius."""
     ell = sp.plateau
     if not ell <= r <= sp.n:
         raise DivballError(f"support size {r} outside [{ell}, {sp.n}]")
-
-    q = np.zeros(sp.n)
     if r == ell:
-        q[:ell] = sp.p_sorted[:ell] / sp.prefix_mass[ell - 1]
-        return q
+        return sp.p_sorted[:ell] / sp.prefix_mass[ell - 1]
 
     i = r - 1
     mass = sp.prefix_mass[i]
@@ -175,7 +172,7 @@ def _minimizer_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
     tilt = sp.f_sorted[:r] - (sp.f_sorted[i] - sp.gap[i])
     tilt *= scale
     np.subtract(1.0, tilt, out=tilt)
-    head = np.divide(sp.p_sorted[:r], mass, out=q[:r])
+    head = np.divide(sp.p_sorted[:r], mass)
     head *= tilt
     # fmin skips NaN, as the comparisons below do element by element.
     lowest = np.fmin.reduce(head)
@@ -185,7 +182,7 @@ def _minimizer_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
                 f"radius {delta} exceeds the critical radius for support size {r}"
             )
         head[head < 0.0] = 0.0
-    return q
+    return head
 
 
 def chi2_value(sp: SortedProblem, cd: CriticalDeltas, delta: float) -> tuple[float, int, str]:
@@ -203,8 +200,11 @@ def chi2_value(sp: SortedProblem, cd: CriticalDeltas, delta: float) -> tuple[flo
 def chi2_solve(sp: SortedProblem, cd: CriticalDeltas, delta: float, labels) -> BoundResult:
     """:func:`chi2_lower_expectation` of ``sp`` with critical radii ``cd``."""
     value, r, branch = chi2_value(sp, cd, delta)
-    minimizer = Pmf(sp.to_original_order(_minimizer_weights(sp, r, delta)), labels=labels)
-    return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
+    head = _minimizer_head(sp, r, delta)
+    # One original-order array, allocated once the head's temporaries are freed.
+    q = np.zeros(sp.n)
+    q[sp.perm[:r]] = head
+    return BoundResult(value, Pmf._solved(q, labels), r, branch)
 
 
 def chi2_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:

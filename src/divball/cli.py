@@ -25,7 +25,7 @@ import numpy as np
 from .core import BallFamily, BallSpec, Objective, Pmf, validate
 from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
-from .problem import Problem, lower_expectation, robustness_radius
+from .problem import Problem, robustness_radius
 
 _UNSET = object()
 
@@ -128,27 +128,15 @@ def resolve_problem(obj: dict, args=None) -> ProblemFile:
     )
 
 
-def _require_single_delta(problem: ProblemFile) -> float:
-    if problem.delta is None:
-        raise DivballError("this mode needs a single 'delta' (no sweep)")
-    return problem.delta
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def _bound_row(prepared: Problem, delta: float) -> dict:
-    lo = prepared.lower(delta)
-    up = prepared.upper(delta)
-    return {
-        "delta": float(delta),
-        "lower": lo.value,
-        "upper": up.value,
-        "r": lo.active_index,
-        "branch": lo.branch,
-        "minimizer": lo.minimizer,
-    }
+    """One CSV or sweep row: both bounds' values, with no minimizer."""
+    lower, r, branch = prepared._value(False, delta)
+    upper = -prepared._value(True, delta)[0]
+    return {"delta": float(delta), "lower": lower, "upper": upper, "r": r, "branch": branch}
 
 
 def run_bound(problem: ProblemFile, output: str | None = None) -> str:
@@ -156,34 +144,29 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
 
     ``output`` forces a format; sweeps default to CSV and single radii to
     JSON.  CSV columns are ``delta,lower,upper,r,branch`` with 17
-    significant digits, '.' decimals and LF line endings.
+    significant digits, '.' decimals and LF line endings.  Only single-radius
+    JSON prints a minimizer, so only it builds one.
     """
     if (problem.delta is None) == (problem.sweep is None):
         raise DivballError("give exactly one of 'delta' and 'sweep'")
     prepared = Problem(problem.pmf, problem.objective, problem.family)
-    if problem.delta is not None:
-        row = _bound_row(prepared, problem.delta)
-        if output == "csv":
-            return _render_csv([row])
+    if problem.delta is not None and output != "csv":
+        lower, upper = prepared.lower(problem.delta), prepared.upper(problem.delta)
         payload = {
-            "value": row["lower"],
-            "upper_value": row["upper"],
-            "r": row["r"],
-            "branch": row["branch"],
-            "minimizer": row["minimizer"].weights.tolist(),
-            "delta": row["delta"],
+            "value": lower.value,
+            "upper_value": upper.value,
+            "r": lower.active_index,
+            "branch": lower.branch,
+            "minimizer": lower.minimizer.weights.tolist(),
+            "delta": float(problem.delta),
             "ball": problem.family.value,
         }
         if problem.pmf.labels is not None:
             payload["labels"] = list(problem.pmf.labels)
         return json.dumps(payload)
-    start, stop, steps = problem.sweep
-    rows = [_bound_row(prepared, d) for d in np.linspace(start, stop, steps)]
-    if output == "json":
-        return json.dumps(
-            [{k: row[k] for k in ("delta", "lower", "upper", "r", "branch")} for row in rows]
-        )
-    return _render_csv(rows)
+    deltas = np.linspace(*problem.sweep) if problem.delta is None else [problem.delta]
+    rows = [_bound_row(prepared, d) for d in deltas]
+    return json.dumps(rows) if output == "json" else _render_csv(rows)
 
 
 def _render_csv(rows) -> str:
@@ -207,8 +190,10 @@ def run_radius(problem: ProblemFile, theta: float) -> str:
 
 def run_oracle_check(problem: ProblemFile, resolution: int | None) -> tuple[str, bool]:
     """Certify the closed form against the grid oracle at one radius."""
-    delta = _require_single_delta(problem)
-    closed = lower_expectation(problem.pmf, problem.objective, problem.family, delta)
+    if problem.delta is None:
+        raise DivballError("this mode needs a single 'delta' (no sweep)")
+    delta = problem.delta
+    closed = Problem(problem.pmf, problem.objective, problem.family).lower(delta)
     ball = BallSpec(problem.family, delta)
     report = oracle_lower_expectation(problem.pmf, problem.objective, ball, resolution)
     if not (math.isfinite(closed.value) and math.isfinite(report.grid_minimum)):

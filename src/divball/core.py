@@ -60,6 +60,14 @@ def _clean_vector(values, what: str) -> np.ndarray:
     return arr
 
 
+def _unit_sum(weights: np.ndarray) -> float:
+    """The float sum of ``weights``, checked to be 1 within ``SUM_TOLERANCE``."""
+    total = float(weights.sum())
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
+        raise SumNotOneError(f"weights sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over a finite outcome set.
@@ -67,7 +75,7 @@ class Pmf:
     Weights must be nonnegative and sum to 1 within ``SUM_TOLERANCE``; they
     are then renormalized exactly (divided by their float sum) so downstream
     identities hold to machine precision.  Optional labels name the outcomes
-    and must be distinct.
+    and must be distinct.  :meth:`_solved` wraps solver output, checking only its mass.
     """
 
     weights: np.ndarray
@@ -77,13 +85,8 @@ class Pmf:
         w = _clean_vector(self.weights, "weights")
         if np.any(w < 0.0):
             raise NegativeWeightError("weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise SumNotOneError(
-                f"weights sum to {total!r}, expected 1 within {SUM_TOLERANCE}"
-            )
-        w = w / total
-        w.flags.writeable = False
+        w = w / _unit_sum(w)
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -114,10 +117,25 @@ class Pmf:
             and abs(float(w.sum()) - 1.0) <= SUM_TOLERANCE
         ):
             raise DivballError("internal weights must be a nonnegative vector summing to 1")
-        w.flags.writeable = False
+        w.setflags(write=False)
         self = object.__new__(cls)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "labels", None)
+        return self
+
+    @classmethod
+    def _solved(cls, weights: np.ndarray, labels: tuple[str, ...] | None) -> "Pmf":
+        """Internal: wrap a solver's minimizer, taking ownership of ``weights``.
+
+        Only the mass of a solver's nonnegative vector can be off: its float
+        sum is checked (NaN fails) and divided out in place, giving ``Pmf``'s
+        bits.  ``labels`` come from the validated center and are not checked.
+        """
+        weights /= _unit_sum(weights)
+        weights.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "labels", labels)
         return self
 
 
@@ -134,7 +152,7 @@ class Objective:
     def __post_init__(self):
         # One copy: freezing the caller's own array would make it read-only.
         v = _clean_vector(np.array(self.values, dtype=float), "objective values")
-        v.flags.writeable = False
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -211,6 +229,7 @@ class SortedProblem:
     running sums rather than by that subtraction, so it keeps its relative
     accuracy when it is far below an ulp of the payoff (0.0 on a prefix of
     zero mass).  ``prefix_mean``/``prefix_var`` hold 0.0 there too.
+    Minimizers are written straight into original order through ``perm``.
     """
 
     perm: np.ndarray
@@ -235,14 +254,8 @@ class SortedProblem:
     def prefix_mean(self) -> np.ndarray:
         mean = self.f_sorted - self.gap
         mean[self.prefix_mass == 0.0] = 0.0
-        mean.flags.writeable = False
+        mean.setflags(write=False)
         return mean
-
-    def to_original_order(self, sorted_values: np.ndarray) -> np.ndarray:
-        """Undo the objective-ascending permutation on a per-outcome vector."""
-        out = np.empty(self.n)
-        out[self.perm] = sorted_values
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +344,7 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(weights.size)
     np.add.accumulate(weights[:0:-1], out=out[-2::-1])
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -457,5 +470,5 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     var *= unit
     var *= unit
     for arr in (mass, gap, var):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return mass, gap, var

@@ -38,15 +38,16 @@ class Problem:
         check_delta(delta)
         sp, cd = self._side(negated)
         if self.family is BallFamily.TV:
-            return tv_solve(sp, delta, self.pmf.labels)
+            return tv_solve(sp, delta, self.pmf)
         return chi2_solve(sp, cd, delta, self.pmf.labels)
 
-    def _lower_value(self, delta: float) -> float:
-        """``self.lower(delta).value``, without building the minimizer."""
-        sp, cd = self._side(False)
+    def _value(self, negated: bool, delta: float) -> tuple[float, int, str]:
+        """:meth:`_solve`'s value, support size and branch, with no minimizer."""
+        check_delta(delta)
+        sp, cd = self._side(negated)
         if self.family is BallFamily.TV:
-            return tv_value(sp, delta)[0]
-        return chi2_value(sp, cd, delta)[0]
+            return tv_value(sp, delta)
+        return chi2_value(sp, cd, delta)
 
     def _side(self, negated: bool):
         side = self._sides.get(negated)
@@ -56,13 +57,6 @@ class Problem:
             cd = critical_deltas(sp) if self.family is BallFamily.CHI2 else None
             side = self._sides[negated] = (sp, cd)
         return side
-
-
-def lower_expectation(
-    pmf: Pmf, objective: Objective, family: BallFamily, delta: float
-) -> BoundResult:
-    """Exact minimum of the expectation over the ``family`` ball of radius ``delta``."""
-    return Problem(pmf, objective, family).lower(delta)
 
 
 def robustness_radius(
@@ -90,7 +84,7 @@ def robustness_radius(
 
     hi = 1.0
     if problem.family is BallFamily.CHI2:
-        while problem._lower_value(hi) > theta:
+        while problem._value(False, hi)[0] > theta:
             hi *= 2.0
             if hi > 2.0**512:
                 raise RuntimeError("radius bracket failed to close")
@@ -99,7 +93,7 @@ def robustness_radius(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # lo and hi are adjacent doubles
-        if problem._lower_value(mid) <= theta:
+        if problem._value(False, mid)[0] <= theta:
             hi = mid
         else:
             lo = mid

@@ -37,14 +37,13 @@ def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
     return int((delta >= sp.tails).argmax()) + 1
 
 
-def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str, np.ndarray]:
-    """The lower bound at ``delta``, its support size, branch and sorted minimizer."""
+def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str]:
+    """The lower bound at ``delta`` with its support size and branch."""
     d = min(float(delta), 1.0)
     r = tv_threshold_index(sp, d)
     if r == 1:
-        q_sorted = np.zeros(sp.n)
-        q_sorted[0] = 1.0
-        return float(sp.f_sorted[0]), r, BRANCH_DEGENERATE, q_sorted
+        return float(sp.f_sorted[0]), r, BRANCH_DEGENERATE
+    # The value is one full-length dot in sorted order, which fixes its bits.
     q_sorted = sp.p_sorted.copy()
     q_sorted[0] = sp.p_sorted[0] + d
     # tails[r-2] is the mass from position r onward (1-based); the
@@ -52,14 +51,23 @@ def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str, np.ndarr
     q_sorted[r - 1] = sp.tails[r - 2] - d
     q_sorted[r:] = 0.0
     value = weighted_mean(q_sorted, sp.f_sorted, sp.f_sorted[0], sp.f_sorted[-1])
-    return value, r, BRANCH_INTERIOR, q_sorted
+    return value, r, BRANCH_INTERIOR
 
 
-def tv_solve(sp: SortedProblem, delta: float, labels) -> BoundResult:
-    """:func:`tv_lower_expectation` of ``sp``; ``labels`` name the minimizer's outcomes."""
-    value, r, branch, q_sorted = tv_value(sp, delta)
-    minimizer = Pmf(sp.to_original_order(q_sorted), labels=labels)
-    return BoundResult(value=value, minimizer=minimizer, active_index=r, branch=branch)
+def tv_solve(sp: SortedProblem, delta: float, center: Pmf) -> BoundResult:
+    """:func:`tv_lower_expectation` of ``sp``, the sorted ``center``; the
+    minimizer is built once, in original order, from the center's weights."""
+    value, r, branch = tv_value(sp, delta)
+    if r == 1:
+        q = np.zeros(sp.n)
+        q[sp.perm[0]] = 1.0
+    else:
+        d = min(float(delta), 1.0)
+        q = center.weights.copy()
+        q[sp.perm[r:]] = 0.0
+        q[sp.perm[0]] = sp.p_sorted[0] + d
+        q[sp.perm[r - 1]] = sp.tails[r - 2] - d
+    return BoundResult(value, Pmf._solved(q, center.labels), r, branch)
 
 
 def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
@@ -71,7 +79,7 @@ def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
     the coordinate at the threshold index and zeroes everything above it.
     """
     check_delta(delta)
-    return tv_solve(sort_and_prefix(p, f), delta, p.labels)
+    return tv_solve(sort_and_prefix(p, f), delta, p)
 
 
 def tv_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:

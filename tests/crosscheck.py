@@ -5,10 +5,10 @@ case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
 point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
-size.  ``expression_sorted``, ``expression_critical_radii`` and
-``expression_minimizer_weights`` keep the whole-array expression form of the
-prefix pass, the critical radii and the minimizer that the in-place library
-code must reproduce byte for byte.
+size.  ``expression_sorted``, ``expression_critical_radii``,
+``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
+whole-array expression form of the prefix pass, the critical radii and the
+two minimizers that the in-place library code must reproduce byte for byte.
 """
 
 import math
@@ -192,3 +192,18 @@ def expression_minimizer_weights(sp, r: int, delta: float) -> np.ndarray:
     head[negative] = 0.0
     q[: i + 1] = head
     return q
+
+
+def expression_tv_weights(sp, delta: float) -> tuple[int, np.ndarray]:
+    """Support size and sorted minimizer weights of the TV bound at ``delta``
+    of an :func:`expression_sorted` side, before normalization."""
+    d = min(delta, 1.0)
+    r = int((d >= sp.tails).argmax()) + 1
+    q = np.zeros(sp.n)
+    if r == 1:
+        q[0] = 1.0
+        return r, q
+    q[:r] = sp.p_sorted[:r]
+    q[0] += d
+    q[r - 1] = sp.tails[r - 2] - d
+    return r, q

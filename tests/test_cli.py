@@ -268,10 +268,10 @@ class TestOracleCheckMode:
 
     def test_corrupted_closed_form_fails(self, tmp_path, capsys, monkeypatch):
         path = write_problem(tmp_path, CHI2_FIXTURE)
-        true_lower = cli.lower_expectation
+        true_lower = db.Problem.lower
 
-        def corrupted(pmf, objective, family, delta):
-            res = true_lower(pmf, objective, family, delta)
+        def corrupted(prepared, delta):
+            res = true_lower(prepared, delta)
             return db.BoundResult(
                 value=res.value + 0.1,
                 minimizer=res.minimizer,
@@ -279,7 +279,7 @@ class TestOracleCheckMode:
                 branch=res.branch,
             )
 
-        monkeypatch.setattr(cli, "lower_expectation", corrupted)
+        monkeypatch.setattr(db.Problem, "lower", corrupted)
         assert cli.main(["--input", path, "--oracle-check", "200"]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out)["pass"] is False
@@ -287,10 +287,10 @@ class TestOracleCheckMode:
 
     def test_quiet_suppresses_stderr(self, tmp_path, capsys, monkeypatch):
         path = write_problem(tmp_path, CHI2_FIXTURE)
-        true_lower = cli.lower_expectation
+        true_lower = db.Problem.lower
         monkeypatch.setattr(
-            cli,
-            "lower_expectation",
+            db.Problem,
+            "lower",
             lambda *a: (lambda r: db.BoundResult(r.value + 0.1, r.minimizer, r.active_index, r.branch))(true_lower(*a)),
         )
         assert cli.main(["--input", path, "--oracle-check", "200", "--quiet"]) == 3

@@ -1,5 +1,6 @@
 """The in-place prefix pass, critical radii and minimizer reproduce the
-whole-array expression form in ``crosscheck`` byte for byte."""
+whole-array expression form in ``crosscheck`` byte for byte, and so do the
+minimizers that ``Problem`` returns, built in original order."""
 
 import warnings
 
@@ -8,7 +9,13 @@ import pytest
 
 import divball as db
 from divball import chi2
-from crosscheck import expression_critical_radii, expression_minimizer_weights, expression_sorted
+from divball.errors import DivballError
+from crosscheck import (
+    expression_critical_radii,
+    expression_minimizer_weights,
+    expression_sorted,
+    expression_tv_weights,
+)
 
 KINDS = ("random", "skewed", "ties", "signed_zero", "constant", "zero_weight")
 FIELDS = ("perm", "p_sorted", "f_sorted", "prefix_mass", "prefix_mean", "prefix_var", "gap", "tails")
@@ -44,6 +51,13 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def padded_head(sp, r, delta):
+    """The library's sorted minimizer weights before normalization."""
+    q = np.zeros(sp.n)
+    q[:r] = chi2._minimizer_head(sp, r, delta)
+    return q
+
+
 def same_failure(got, want):
     # The expression form's unlabelled monotonicity assert has no message.
     return got == want or (isinstance(want, tuple) and want[1] == "" and got[0] == want[0])
@@ -66,7 +80,7 @@ def assert_side_matches(pmf, obj, radii):
     deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *cd.finite[:: max(1, cd.finite.size // 4)]]
     for delta in deltas:
         r = chi2.chi2_active_index(cd, float(delta))
-        got = outcome(chi2._minimizer_weights, sp, r, float(delta))
+        got = outcome(padded_head, sp, r, float(delta))
         want = outcome(expression_minimizer_weights, ref, r, float(delta))
         assert same_failure(got, want), (r, delta)
 
@@ -76,6 +90,57 @@ def check_draw(rng, kind, n):
     radii = kind != "zero_weight"
     assert_side_matches(pmf, obj, radii)
     assert_side_matches(pmf, obj.negated(), radii)
+
+
+def expression_result(ref, family, finite, delta):
+    """A result by the sorted-then-scattered path: the expression weights
+    scattered through the order into a new array, then validated as a Pmf."""
+    if family == "tv":
+        r, q = expression_tv_weights(ref, delta)
+    else:
+        above = (finite > delta).nonzero()[0]
+        r = ref.plateau + 1 + int(above[-1]) if above.size else ref.plateau
+        q = expression_minimizer_weights(ref, r, delta)
+    out = np.empty(ref.n)
+    out[ref.perm] = q
+    return r, db.Pmf(out)
+
+
+def result_outcome(fn):
+    """Support size and minimizer bytes, or the exception as in :func:`outcome`."""
+    try:
+        r, minimizer = fn()
+    except AssertionError as exc:
+        return ("DivballError", str(exc))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+    return r, minimizer.weights.tobytes()
+
+
+def assert_results_match(pmf, obj, family):
+    prepared = db.Problem(pmf, obj, family)
+    for solve, side in ((prepared.lower, obj), (prepared.upper, obj.negated())):
+        ref = expression_sorted(pmf, side)
+        finite = None
+        if family == "tv":
+            deltas = [0.0, 1e-3, 0.3, 1.0, 5.0, *ref.tails[:: max(1, ref.n // 4)]]
+        else:
+            try:
+                finite = expression_critical_radii(ref)
+            except (AssertionError, DivballError):
+                continue  # the radii fail alike: test_sizes_up_to_2000
+            deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *finite[:: max(1, finite.size // 4)]]
+        for delta in map(float, deltas):
+            got = result_outcome(lambda: (lambda res: (res.active_index, res.minimizer))(solve(delta)))
+            want = result_outcome(lambda: expression_result(ref, family, finite, delta))
+            assert same_failure(got, want), (family, delta)
+
+
+def check_results(rng, kind, n):
+    pmf, obj = draw(rng, kind, n)
+    assert_results_match(pmf, obj, "tv")
+    if kind != "zero_weight":
+        assert_results_match(pmf, obj, "chi2")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -110,3 +175,23 @@ def test_inverted_radii_fail_alike():
         with pytest.raises(db.DivballError, match="non-increasing"):
             chi2.critical_deltas(db.sort_and_prefix(pmf, obj.negated()))
         assert_side_matches(pmf, obj.negated(), True)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_result_minimizers_up_to_2000(kind):
+    # The draws of test_sizes_up_to_2000, one Problem per draw.
+    k = KINDS.index(kind)
+    rng = np.random.default_rng([17, k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n in range(1, 2001):
+            if n <= 64 or n % len(KINDS) == k:
+                check_results(rng, kind, n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_result_minimizers_large(kind):
+    rng = np.random.default_rng([18, KINDS.index(kind)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check_results(rng, kind, 100_000)
