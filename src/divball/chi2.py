@@ -75,7 +75,8 @@ class CriticalDeltas:
 
 
 def _require_positive(sp: SortedProblem) -> None:
-    if np.any(sp.p_sorted == 0.0):
+    # Weights are nonnegative: the least is zero exactly when one is.
+    if sp.p_sorted[sp.p_sorted.argmin()] == 0.0:
         raise ZeroMassForbiddenError(
             "chi-squared balls need a strictly positive center pmf"
         )
@@ -89,24 +90,26 @@ def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
     """
     _require_positive(sp)
     ell = sp.plateau
-    gap = sp.gap[ell:]
-    var = sp.prefix_var[ell:]
-    # min() propagates NaN, so NaN fails this as it fails ``> 0.0``.
-    if gap.size and not (gap.min() > 0.0 and var.min() > 0.0):
+    mass, gap, var = sp._moments
+    gap = gap[ell:]
+    var = var[ell:]
+    # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
+    if gap.size and not (gap[gap.argmin()] > 0.0 and var[var.argmin()] > 0.0):
         raise DivballError("non-plateau prefix is constant")
     finite = np.multiply(gap, gap)
     np.divide(var, finite, out=finite)
     finite += sp.tails[ell:]
-    finite /= sp.prefix_mass[ell:]
+    finite /= mass[ell:]
     if finite.size and not finite[-1] > 0.0:
         raise DivballError("critical radii must be positive")
-    # Non-increasing up to roundoff, the allowance formed only when needed.
-    if not (finite[1:] <= finite[:-1]).all():
+    # Non-increasing up to roundoff (NaN fails), the allowance formed only when needed.
+    falling = finite[1:] <= finite[:-1]
+    if np.count_nonzero(falling) != falling.size:
         bound = np.abs(finite[:-1])
         bound += 1.0
         bound *= 1e-12
         bound += finite[:-1]
-        if not (finite[1:] <= bound).all():
+        if np.count_nonzero(finite[1:] <= bound) != falling.size:
             raise DivballError("critical radii must be non-increasing")
     finite.setflags(write=False)
     return CriticalDeltas(plateau=ell, n=sp.n, finite=finite)
@@ -149,7 +152,9 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     """
     _require_positive(sp)
     check_delta(delta)
-    return Pmf._solved(np.pad(_minimizer_head(sp, r, delta), (0, sp.n - r)), None)
+    q = np.zeros(sp.n)
+    q[:r] = _minimizer_head(sp, r, delta)
+    return Pmf._solved(q, None)
 
 
 def _minimizer_head(sp: SortedProblem, r: int, delta: float) -> np.ndarray:

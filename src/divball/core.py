@@ -50,19 +50,21 @@ class BallFamily(str, enum.Enum):
 
 
 def _clean_vector(values, what: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.ndim != 1:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    elif arr.ndim != 1:
         raise DivballError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptySupportError(f"{what} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(f"{what} contains NaN or infinity")
     return arr
 
 
 def _unit_sum(weights: np.ndarray) -> float:
     """The float sum of ``weights``, checked to be 1 within ``SUM_TOLERANCE``."""
-    total = float(weights.sum())
+    total = float(np.add.reduce(weights))
     if not abs(total - 1.0) <= SUM_TOLERANCE:
         raise SumNotOneError(f"weights sum to {total!r}, expected 1 within {SUM_TOLERANCE}")
     return total
@@ -83,7 +85,8 @@ class Pmf:
 
     def __post_init__(self):
         w = _clean_vector(self.weights, "weights")
-        if np.any(w < 0.0):
+        # Finite weights: the least is negative exactly when one is.
+        if w[w.argmin()] < 0.0:
             raise NegativeWeightError("weights must be nonnegative")
         w = w / _unit_sum(w)
         w.setflags(write=False)
@@ -170,13 +173,14 @@ class Objective:
         negated.__dict__["_source"] = self
         return negated
 
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stable ascending order of the values and the values gathered by it.
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The stable ascending order of the values, the values gathered by
+        it, and where they change (``None`` when no two values tie).
 
-        The order is computed on first use and kept, with where its values
-        change; the gathered values are not kept.  A negation's order is
-        derived from its source's by :func:`_negated_order`, the source's
-        being computed first if needed, so each payoff is sorted once.
+        The order and its changes are computed on first use and kept; the
+        gathered values are not kept.  A negation's order is derived from
+        its source's by :func:`_negated_order`, the source's being computed
+        first if needed, so each payoff is sorted once.
         """
         order = self.__dict__.get("_perm_changes")
         if order is None:
@@ -185,10 +189,10 @@ class Objective:
                 perm, ordered, changes = _stable_order(self.values)
                 perm.setflags(write=False)
                 self.__dict__["_perm_changes"] = perm, changes
-                return perm, ordered
+                return perm, ordered, changes
             # Read-only already: a view of the source's order, or a new array.
             order = self.__dict__["_perm_changes"] = _negated_order(*source._order())
-        return order[0], self.values[order[0]]
+        return order[0], self.values[order[0]], order[1]
 
     def _order(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The kept order and value changes of :meth:`_sorted`."""
@@ -294,13 +298,14 @@ def validate(p, f, family: BallFamily | str = BallFamily.TV) -> tuple[Pmf, Objec
     the divergence is undefined once the reference mass vanishes somewhere.
     """
     family = BallFamily(family)
-    pw = np.atleast_1d(np.asarray(p, dtype=float))
-    fv = np.atleast_1d(np.asarray(f, dtype=float))
+    # Only the sizes are read here: a 0-d input counts 1, as Pmf will make it.
+    pw = np.asarray(p, dtype=float)
+    fv = np.asarray(f, dtype=float)
     if pw.size != fv.size:
         raise LengthMismatchError(f"{pw.size} weights vs {fv.size} objective values")
     pmf = Pmf(pw)
     obj = Objective(fv)
-    if family is BallFamily.CHI2 and np.any(pmf.weights == 0.0):
+    if family is BallFamily.CHI2 and pmf.weights[pmf.weights.argmin()] == 0.0:
         raise ZeroMassForbiddenError(
             "chi-squared balls need a strictly positive center pmf"
         )
@@ -311,7 +316,8 @@ def expectation(p: Pmf, f: Objective) -> float:
     """Expected value of ``f`` under ``p``: sum of ``p(x) * f(x)``."""
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    return weighted_mean(p.weights, f.values, f.values.min(), f.values.max())
+    v = f.values
+    return weighted_mean(p.weights, v, np.minimum.reduce(v), np.maximum.reduce(v))
 
 
 # Below this payoff magnitude a dot with weights summing to 1 cannot overflow.
@@ -357,24 +363,23 @@ def _stable_order(values: np.ndarray):
     values have a tied run (compared with ``!=``, so ``0.0`` ties ``-0.0``),
     one sort of the integer key ``run * n + index``, with ``run`` the count
     of value changes so far, puts every run back in ascending original
-    index; the key is formed in place.  The values are then gathered again
-    through the repaired order: a run may mix ``0.0`` and ``-0.0``, whose
-    bits differ.  ``changes[i]`` is whether sorted values ``i`` and ``i + 1``
-    differ, or ``changes`` is ``None`` when no two values tie.
+    index; the key is formed in ``perm`` itself.  The values are then
+    gathered again through the repaired order: a run may mix ``0.0`` and
+    ``-0.0``, whose bits differ.  ``changes[i]`` is whether sorted values
+    ``i`` and ``i + 1`` differ, or ``changes`` is ``None`` when no two
+    values tie.
     """
     n = values.size
-    perm = np.argsort(values)
+    perm = values.argsort()
     ordered = values[perm]
     changes = ordered[1:] != ordered[:-1]
     if np.count_nonzero(changes) == n - 1:
         return perm, ordered, None
-    run = np.zeros(n, dtype=np.intp)
-    run[1:] = changes
-    np.add.accumulate(run, out=run)
+    run = np.add.accumulate(changes, dtype=np.intp)
     run *= n
-    run += perm
-    run.sort()
-    perm = np.remainder(run, n, out=run)
+    perm[1:] += run
+    perm.sort()
+    perm %= n
     # The indices are in range; "clip" skips take's buffered copy.
     np.take(values, perm, out=ordered, mode="clip")
     return perm, ordered, changes
@@ -400,8 +405,9 @@ def _negated_order(perm: np.ndarray, changes: np.ndarray | None):
     starts[0] = starts[-1] = True
     starts[1:-1] = changes
     edges = starts.nonzero()[0]
+    a, c = edges[:-1], edges[1:]
     index = np.arange(n, 2 * n)
-    index -= (edges[:-1] + edges[1:]).repeat(edges[1:] - edges[:-1])
+    index -= (a + c).repeat(c - a)
     perm = perm[index]
     perm.setflags(write=False)
     return perm, changes
@@ -419,9 +425,11 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    perm, f_sorted = f._sorted()
+    perm, f_sorted, changes = f._sorted()
     p_sorted = p.weights[perm]
-    plateau = int(np.searchsorted(f_sorted, f_sorted[0], side="right"))
+    # The bottom run ends at the first change (untied: at 1; constant: at n).
+    k = 0 if changes is None else int(changes.argmax())
+    plateau = k + 1 if changes is None or changes[k] else p.n
     p_sorted.setflags(write=False)
     f_sorted.setflags(write=False)
     return SortedProblem(
@@ -448,25 +456,26 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     before, mass = masses[:-1], masses[1:]
     np.add.accumulate(p_sorted, out=mass)
     step = np.zeros(p_sorted.size)
-    np.subtract(f_sorted[1:], f_sorted[:-1], out=step[1:])
-    # Zero-mass prefixes lead and their sums are exact zeros: left undivided.
-    z = int(np.searchsorted(mass, 0.0, side="right"))
+    rise = step[1:]
+    np.subtract(f_sorted[1:], f_sorted[:-1], out=rise)
+    # Zero-mass prefixes lead and their sums are exact zeros, which dividing by
+    # 1.0 leaves as they are; a chi^2 side has none (its first weight is > 0).
+    divisor = mass if p_sorted[0] > 0.0 else np.where(mass == 0.0, 1.0, mass)
     gap = np.multiply(before, step)
     np.add.accumulate(gap, out=gap)
-    gap[z:] /= mass[z:]
+    gap /= divisor
     # f[k] - mean[k-1] in units of a power of two near the payoff span (an
     # exact rescaling), so that its square times a tiny mass stays normal.
     unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
     lead = step
-    lead[1:] += gap[:-1]
+    rise += gap[:-1]  # lead[1:]
     lead /= unit
-    var = before.copy()
-    var[z:] /= mass[z:]
+    var = np.divide(before, divisor)
     var *= p_sorted
     var *= lead
     var *= lead
     np.add.accumulate(var, out=var)
-    var[z:] /= mass[z:]
+    var /= divisor
     var *= unit
     var *= unit
     for arr in (mass, gap, var):

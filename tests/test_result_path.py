@@ -117,3 +117,20 @@ def test_chi2_minimizer_pads_the_solve_head():
         res = db.chi2_lower_expectation(pmf, obj, delta)
         sorted_weights = chi2.chi2_minimizer(sp, chi2.chi2_active_index(cd, delta), delta).weights
         assert res.minimizer.weights[sp.perm].tobytes() == sorted_weights.tobytes()
+
+
+def test_chi2_minimizer_bytes_match_the_padded_head():
+    # The sorted minimizer is the head in a zeroed array: np.pad's bytes.
+    rng = np.random.default_rng(21)
+    for n in range(1, 17):
+        p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+        for f in (rng.uniform(-1.0, 1.0, n), np.round(rng.uniform(-1.0, 1.0, n) * 2) / 3):
+            sp = db.sort_and_prefix(*db.validate(p, f, "chi2"))
+            cd = db.critical_deltas(sp)
+            probes = [(chi2.chi2_active_index(cd, d), d) for d in (0.0, 0.05, 0.7, 50.0)]
+            probes += [(sp.plateau + 1 + j, float(r)) for j, r in enumerate(cd.finite)]
+            for r, delta in probes:
+                padded = np.pad(chi2._minimizer_head(sp, r, delta), (0, sp.n - r))
+                want = db.Pmf._solved(padded, None).weights
+                got = chi2.chi2_minimizer(sp, r, delta).weights
+                assert got.tobytes() == want.tobytes()

@@ -1,0 +1,164 @@
+"""The per-query path at small n: numpy's Python-level wrappers stay off it,
+the plateau comes from the kept tie mask, and every check on it keeps its
+exception class and message, also under ``python -O``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import divball as db
+
+WRAPPERS = ("any", "all", "searchsorted", "pad")
+
+
+def small_payoffs(rng, n):
+    """Untied, tied, signed-zero and constant payoffs of length ``n``."""
+    signed = np.round(rng.uniform(-1.0, 1.0, n))
+    signed[signed == 0.0] = rng.choice([0.0, -0.0], size=int((signed == 0.0).sum()))
+    return [
+        rng.uniform(-1.0, 1.0, n),
+        np.round(rng.uniform(-1.0, 1.0, n) * 2) / 3,
+        signed,
+        np.full(n, 0.25),
+    ]
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+def test_no_numpy_wrapper_on_the_solve_path(family, monkeypatch):
+    rng = np.random.default_rng(13)
+    cases = []
+    for n in range(1, 17):
+        p = rng.dirichlet(np.ones(n))
+        cases += [(p, f) for f in small_payoffs(rng, n)]
+    calls = []
+    for name in WRAPPERS:
+        wrapped = getattr(np, name)
+
+        def counting(*args, _name=name, _wrapped=wrapped, **kwargs):
+            calls.append(_name)
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    lower = getattr(db, f"{family}_lower_expectation")
+    upper = getattr(db, f"{family}_upper_expectation")
+    for p, f in cases:
+        for delta in (0.0, 0.05, 0.4, 3.0):
+            pmf, obj = db.validate(p, f, family)
+            lower(pmf, obj, delta)
+            upper(pmf, obj, delta)
+            prepared = db.Problem(pmf, obj, family)
+            prepared.lower(delta)
+            prepared.upper(delta)
+    assert calls == []
+    np.any([True])  # the counters are live
+    assert calls == ["any"]
+
+
+TIE_LEVELS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2e300])
+
+
+@given(
+    st.one_of(
+        st.lists(TIE_LEVELS, min_size=1, max_size=24),
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=24),
+    )
+)
+@example([3.0])
+@example([0.5, 0.5, 0.5])
+@example([0.25, -1.0, 0.75])
+@example([0.0, 1.0, -0.0, 0.0])
+@example([-1.0, -0.0, 0.0, 2.0, -0.0])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_plateau_is_the_bottom_run(values):
+    n = len(values)
+    pmf = db.Pmf(np.full(n, 1.0 / n))
+    source = db.Objective(values)
+    for obj in (source, source.negated()):
+        sp = db.sort_and_prefix(pmf, obj)
+        want = int(np.searchsorted(sp.f_sorted, sp.f_sorted[0], side="right"))
+        assert sp.plateau == want
+
+
+# Each check that reads a rewritten predicate, with NaN wherever the
+# predicate's form changed; the last two radii sit just inside and just
+# outside the 1e-12 allowance.
+CHECKS = r"""
+import numpy as np
+import divball as db
+
+nan, inf = float("nan"), float("inf")
+
+
+def show(solve):
+    try:
+        solve()
+        print("returned")
+    except db.DivballError as exc:
+        print(f"{type(exc).__name__}: {exc}")
+
+
+def radii(gap=None, var=None):
+    # Critical radii of a prepared three-point side whose moments are replaced.
+    p, f = db.validate([0.25, 0.25, 0.5], [0.0, 1.0, 2.0], "chi2")
+    sp = db.sort_and_prefix(p, f)
+    mass, g, v = sp._moments
+    g = g if gap is None else np.array(gap)
+    v = v if var is None else np.array(var)
+    sp.__dict__["_moments"] = (mass, g, v)
+    return db.critical_deltas(sp)
+
+
+for family in ("tv", "chi2"):
+    show(lambda: db.validate([0.5, nan], [0.0, 1.0], family))
+    show(lambda: db.validate([0.5, inf], [0.0, 1.0], family))
+    show(lambda: db.validate([0.5, 0.5], [nan, 1.0], family))
+    show(lambda: db.validate([0.5, 0.5], [0.0, -inf], family))
+    show(lambda: db.validate([nan, -1.0, 2.0], [0.0, 1.0, 2.0], family))
+    show(lambda: db.validate([1.5, -0.5], [0.0, 1.0], family))
+show(lambda: db.validate([0.0, 1.0], [0.0, 1.0], "chi2"))
+show(lambda: db.validate([0.5, -0.0, 0.5], [0.0, 1.0, 2.0], "chi2"))
+show(lambda: db.chi2_lower_expectation(db.Pmf([0.0, 1.0]), db.Objective([0.0, 1.0]), 0.1))
+show(lambda: db.chi2_upper_expectation(db.Pmf([0.5, 0.0, 0.5]), db.Objective([0.0, 1.0, 2.0]), 0.1))
+show(lambda: db.chi2_lower_expectation(*db.validate([1.0, 1e-300], [5e-324, 0.0], "chi2"), 0.1))
+show(lambda: radii(gap=[0.0, 0.0, 1.0]))
+show(lambda: radii(gap=[0.0, nan, 1.0]))
+show(lambda: radii(var=[0.0, 1.0, 0.0]))
+show(lambda: radii(var=[0.0, nan, 1.0]))
+show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 1e-300, 2.0]))
+show(lambda: radii(gap=[0.0, inf, 1.0], var=[0.0, inf, 1.0]))
+show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 0.5, 2.0 * (1.0 + 1e-13)]))
+show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 0.5, 2.0 * (1.0 + 1e-11)]))
+"""
+
+NONFINITE_W = "NonFiniteError: weights contains NaN or infinity"
+NONFINITE_F = "NonFiniteError: objective values contains NaN or infinity"
+NEGATIVE = "NegativeWeightError: weights must be nonnegative"
+ZERO_MASS = "ZeroMassForbiddenError: chi-squared balls need a strictly positive center pmf"
+CONSTANT = "DivballError: non-plateau prefix is constant"
+RISING = "DivballError: critical radii must be non-increasing"
+EXPECTED = (
+    [NONFINITE_W, NONFINITE_W, NONFINITE_F, NONFINITE_F, NONFINITE_W, NEGATIVE] * 2
+    + [ZERO_MASS] * 4
+    + [CONSTANT] * 5
+    + [RISING, RISING, "returned", RISING]
+)
+
+
+def test_checks_keep_class_and_message_under_optimized_interpreter():
+    src = str(Path(db.__file__).resolve().parents[1])
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-W", "ignore", "-c", CHECKS],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == EXPECTED, flags
