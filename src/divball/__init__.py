@@ -15,13 +15,7 @@ closed forms at small n.
 
 # ``divball.cli.main`` is reachable right after ``import divball``.
 from . import cli  # noqa: F401
-from .chi2 import (
-    chi2_divergence,
-    chi2_lower_expectation,
-    chi2_minimizer,
-    chi2_upper_expectation,
-    critical_deltas,
-)
+from .chi2 import chi2_divergence, critical_deltas
 from .core import (
     BallFamily,
     BallSpec,
@@ -46,12 +40,15 @@ from .errors import (
     ZeroMassForbiddenError,
 )
 from .oracle import OracleReport, oracle_lower_expectation
-from .problem import Problem, robustness_radius
-from .tv import (
-    tv_distance,
+from .problem import (
+    Problem,
+    chi2_lower_expectation,
+    chi2_upper_expectation,
+    robustness_radius,
     tv_lower_expectation,
     tv_upper_expectation,
 )
+from .tv import tv_distance
 
 __version__ = "0.1.0"
 
@@ -76,7 +73,6 @@ __all__ = [
     "ZeroMassForbiddenError",
     "chi2_divergence",
     "chi2_lower_expectation",
-    "chi2_minimizer",
     "chi2_upper_expectation",
     "critical_deltas",
     "expectation",

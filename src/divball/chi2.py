@@ -25,12 +25,10 @@ import numpy as np
 from .core import (
     BRANCH_INTERIOR,
     BRANCH_PLATEAU,
-    BoundResult,
-    Objective,
     Pmf,
     SortedProblem,
     check_delta,
-    sort_and_prefix,
+    require_positive,
 )
 from .errors import (
     DivballError,
@@ -74,21 +72,13 @@ class CriticalDeltas:
     finite: np.ndarray
 
 
-def _require_positive(sp: SortedProblem) -> None:
-    # Weights are nonnegative: the least is zero exactly when one is.
-    if sp.p_sorted[sp.p_sorted.argmin()] == 0.0:
-        raise ZeroMassForbiddenError(
-            "chi-squared balls need a strictly positive center pmf"
-        )
-
-
 def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
     """Critical radii for every support size above the bottom tie plateau.
 
     The first read of a side's prefix statistics, which computes them.  Each
     check that raises is a numeric breakdown of the closed form.
     """
-    _require_positive(sp)
+    require_positive(sp.p_sorted)
     ell = sp.plateau
     mass, gap, var = sp._moments
     gap = gap[ell:]
@@ -137,29 +127,10 @@ def _radicand(mass: float, tail: float, delta: float) -> float:
     return rad
 
 
-def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
-    """Attaining distribution for support size ``r``, in sorted order.
-
-    For ``r`` above the plateau this is the tilted renormalized center with
-    boundary divergence exactly ``delta``; every coordinate on the support is
-    positive while ``delta`` stays below the support's critical radius, and
-    the top coordinate vanishes exactly at it.  For ``r`` equal to the
-    plateau size the canonical choice is the minimum-divergence distribution:
-    the center renormalized on the plateau.
-
-    ``r`` must come from :func:`chi2_active_index` (or be a critical-radius
-    probe at ``delta == delta_r``); other pairs are rejected.
-    """
-    _require_positive(sp)
-    check_delta(delta)
-    q = np.zeros(sp.n)
-    q[:r] = _minimizer_head(sp, r, delta)
-    return Pmf._solved(q, None)
-
-
 def _minimizer_head(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
-    """The first ``r`` sorted weights of :func:`chi2_minimizer` before
-    normalization (the rest are 0), for a positive center and a valid radius."""
+    """The first ``r`` sorted weights of the attaining distribution for support
+    size ``r`` before normalization (the rest are 0): the tilted center above
+    the plateau, the center renormalized on it.  Invalid ``(r, delta)`` pairs raise."""
     ell = sp.plateau
     if not ell <= r <= sp.n:
         raise DivballError(f"support size {r} outside [{ell}, {sp.n}]")
@@ -202,29 +173,10 @@ def chi2_value(sp: SortedProblem, cd: CriticalDeltas, delta: float) -> tuple[flo
     return value, r, BRANCH_INTERIOR
 
 
-def chi2_solve(sp: SortedProblem, cd: CriticalDeltas, delta: float, labels) -> BoundResult:
-    """:func:`chi2_lower_expectation` of ``sp`` with critical radii ``cd``."""
-    value, r, branch = chi2_value(sp, cd, delta)
+def chi2_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
+    """The minimizer of :func:`chi2_value`'s support size ``r``, in original order."""
     head = _minimizer_head(sp, r, delta)
     # One original-order array, allocated once the head's temporaries are freed.
     q = np.zeros(sp.n)
     q[sp.perm[:r]] = head
-    return BoundResult(value, Pmf._solved(q, labels), r, branch)
-
-
-def chi2_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
-    """Exact minimum of the expectation over the radius-``delta`` chi^2 ball.
-
-    The value is ``mu_r - sigma_r * sqrt(m_r*delta - t_r)`` on the active
-    support, saturating at the minimal objective value once the radius
-    covers every finite critical radius.  The attaining minimizer is
-    returned in original outcome order.
-    """
-    check_delta(delta)
-    sp = sort_and_prefix(p, f)
-    return chi2_solve(sp, critical_deltas(sp), delta, p.labels)
-
-
-def chi2_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
-    """Exact maximum over the chi^2 ball, by conjugacy with the negated payoff."""
-    return chi2_lower_expectation(p, f.negated(), delta).conjugate()
+    return q

@@ -41,6 +41,10 @@ class ProblemFile:
     sweep: tuple[float, float, int] | None
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_problem_dict(obj) -> dict:
     """Schema-check a raw problem object; returns the cleaned field dict."""
     if not isinstance(obj, dict):
@@ -52,9 +56,7 @@ def load_problem_dict(obj) -> dict:
     for key in ("p", "f"):
         if key not in obj:
             raise DivballError(f"problem is missing required key '{key}'")
-        if not isinstance(obj[key], list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj[key]
-        ):
+        if not isinstance(obj[key], list) or not all(_number(v) for v in obj[key]):
             raise DivballError(f"'{key}' must be a list of numbers")
     if "ball" not in obj:
         raise DivballError("problem is missing required key 'ball'")
@@ -67,7 +69,7 @@ def load_problem_dict(obj) -> dict:
         raise DivballError("'labels' must be a list of strings")
     if "delta" in obj and "sweep" in obj:
         raise DivballError("give exactly one of 'delta' and 'sweep', not both")
-    if "delta" in obj and not isinstance(obj["delta"], (int, float)):
+    if "delta" in obj and not _number(obj["delta"]):
         raise DivballError("'delta' must be a number")
     if "sweep" in obj:
         obj = {**obj, "sweep": _parse_sweep_dict(obj["sweep"])}
@@ -78,7 +80,7 @@ def _parse_sweep_dict(sweep) -> tuple[float, float, int]:
     if not isinstance(sweep, dict) or set(sweep) != {"start", "stop", "steps"}:
         raise DivballError("'sweep' must be an object with start, stop and steps")
     start, stop, steps = sweep["start"], sweep["stop"], sweep["steps"]
-    if not isinstance(start, (int, float)) or not isinstance(stop, (int, float)):
+    if not (_number(start) and _number(stop)):
         raise DivballError("'sweep.start' and 'sweep.stop' must be numbers")
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
         raise DivballError("'sweep.steps' must be an integer >= 2")
@@ -119,7 +121,8 @@ def resolve_problem(obj: dict, args=None) -> ProblemFile:
     family = BallFamily(family)
     pmf, objective = validate(fields["p"], fields["f"], family)
     if fields.get("labels") is not None:
-        pmf = Pmf(pmf.weights, labels=tuple(fields["labels"]))
+        # From the raw weights, so they are normalized once, as without labels.
+        pmf = Pmf(fields["p"], labels=tuple(fields["labels"]))
     if delta is not None:
         # Radius validity (>= 0, finite) is BallSpec's concern.
         delta = BallSpec(family, float(delta)).delta

@@ -305,11 +305,16 @@ def validate(p, f, family: BallFamily | str = BallFamily.TV) -> tuple[Pmf, Objec
         raise LengthMismatchError(f"{pw.size} weights vs {fv.size} objective values")
     pmf = Pmf(pw)
     obj = Objective(fv)
-    if family is BallFamily.CHI2 and pmf.weights[pmf.weights.argmin()] == 0.0:
-        raise ZeroMassForbiddenError(
-            "chi-squared balls need a strictly positive center pmf"
-        )
+    if family is BallFamily.CHI2:
+        require_positive(pmf.weights)
     return pmf, obj
+
+
+def require_positive(weights: np.ndarray) -> None:
+    """Reject a chi-squared center with a zero weight; the least of the
+    nonnegative weights is zero exactly when one is."""
+    if weights[weights.argmin()] == 0.0:
+        raise ZeroMassForbiddenError("chi-squared balls need a strictly positive center pmf")
 
 
 def expectation(p: Pmf, f: Objective) -> float:

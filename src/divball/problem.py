@@ -3,15 +3,16 @@ their last lookup, so a ``Problem`` prepares the payoff (lower bounds) and
 its negation (upper bounds) once each and answers every radius from them.
 One sort serves both sides: the negation's stable order is the payoff's read
 backwards with each tied run put back in ascending original order, an O(n)
-step (``core._negated_order``).
+step (``core._negated_order``).  The one-shot bounds each solve a ``Problem``.
 """
 
 import math
 
-from .chi2 import chi2_solve, chi2_value, critical_deltas
-from .core import BallFamily, BoundResult, Objective, Pmf, check_delta, expectation, sort_and_prefix
+from .chi2 import chi2_value, chi2_weights, critical_deltas
+from .core import (BallFamily, BoundResult, Objective, Pmf, check_delta, expectation,
+                   require_positive, sort_and_prefix)
 from .errors import NonFiniteError, UnreachableError
-from .tv import tv_solve, tv_value
+from .tv import tv_value, tv_weights
 
 
 class Problem:
@@ -35,11 +36,14 @@ class Problem:
         return self._solve(True, delta).conjugate()
 
     def _solve(self, negated: bool, delta: float) -> BoundResult:
-        check_delta(delta)
-        sp, cd = self._side(negated)
+        """One side's bound; its minimizer is wrapped with no second validation."""
+        value, r, branch = self._value(negated, delta)
+        sp = self._side(negated)[0]
         if self.family is BallFamily.TV:
-            return tv_solve(sp, delta, self.pmf)
-        return chi2_solve(sp, cd, delta, self.pmf.labels)
+            q = tv_weights(sp, r, delta, self.pmf.weights)
+        else:
+            q = chi2_weights(sp, r, delta)
+        return BoundResult(value, Pmf._solved(q, self.pmf.labels), r, branch)
 
     def _value(self, negated: bool, delta: float) -> tuple[float, int, str]:
         """:meth:`_solve`'s value, support size and branch, with no minimizer."""
@@ -59,6 +63,42 @@ class Problem:
         return side
 
 
+def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
+    """Exact minimum of the expectation over the radius-``delta`` TV ball.
+
+    Radii above 1 are clamped to 1: the ball is already the whole simplex.
+    The attaining minimizer is returned in original outcome order; it raises
+    only the lowest-objective coordinate, keeps interior coordinates, drains
+    the coordinate at the threshold index and zeroes everything above it.
+    """
+    return Problem(p, f, BallFamily.TV).lower(delta)
+
+
+def tv_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
+    """Exact maximum over the TV ball, by conjugacy with the negated payoff.
+
+    The returned distribution is the attaining maximizer; ``active_index``
+    and ``branch`` describe the conjugate minimization.
+    """
+    return Problem(p, f, BallFamily.TV).upper(delta)
+
+
+def chi2_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
+    """Exact minimum of the expectation over the radius-``delta`` chi^2 ball.
+
+    The value is ``mu_r - sigma_r * sqrt(m_r*delta - t_r)`` on the active
+    support, saturating at the minimal objective value once the radius
+    covers every finite critical radius.  The attaining minimizer is
+    returned in original outcome order.
+    """
+    return Problem(p, f, BallFamily.CHI2).lower(delta)
+
+
+def chi2_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
+    """Exact maximum over the chi^2 ball, by conjugacy with the negated payoff."""
+    return Problem(p, f, BallFamily.CHI2).upper(delta)
+
+
 def robustness_radius(
     pmf: Pmf, objective: Objective, family: BallFamily, theta: float
 ) -> float:
@@ -74,7 +114,10 @@ def robustness_radius(
     theta = float(theta)
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
-    if theta >= expectation(pmf, objective):
+    center = expectation(pmf, objective)
+    if problem.family is BallFamily.CHI2:
+        require_positive(pmf.weights)  # as for a bound, whatever the threshold
+    if theta >= center:
         return 0.0
     f_min = float(objective.values.min())
     if theta < f_min:

@@ -12,12 +12,9 @@ import numpy as np
 from .core import (
     BRANCH_DEGENERATE,
     BRANCH_INTERIOR,
-    BoundResult,
-    Objective,
     Pmf,
     SortedProblem,
     check_delta,
-    sort_and_prefix,
     weighted_mean,
 )
 from .errors import LengthMismatchError
@@ -54,38 +51,15 @@ def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str]:
     return value, r, BRANCH_INTERIOR
 
 
-def tv_solve(sp: SortedProblem, delta: float, center: Pmf) -> BoundResult:
-    """:func:`tv_lower_expectation` of ``sp``, the sorted ``center``; the
-    minimizer is built once, in original order, from the center's weights."""
-    value, r, branch = tv_value(sp, delta)
+def tv_weights(sp: SortedProblem, r: int, delta: float, weights: np.ndarray) -> np.ndarray:
+    """:func:`tv_value`'s minimizer in original order, from the center's ``weights``."""
     if r == 1:
         q = np.zeros(sp.n)
         q[sp.perm[0]] = 1.0
-    else:
-        d = min(float(delta), 1.0)
-        q = center.weights.copy()
-        q[sp.perm[r:]] = 0.0
-        q[sp.perm[0]] = sp.p_sorted[0] + d
-        q[sp.perm[r - 1]] = sp.tails[r - 2] - d
-    return BoundResult(value, Pmf._solved(q, center.labels), r, branch)
-
-
-def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
-    """Exact minimum of the expectation over the radius-``delta`` TV ball.
-
-    Radii above 1 are clamped to 1: the ball is already the whole simplex.
-    The attaining minimizer is returned in original outcome order; it raises
-    only the lowest-objective coordinate, keeps interior coordinates, drains
-    the coordinate at the threshold index and zeroes everything above it.
-    """
-    check_delta(delta)
-    return tv_solve(sort_and_prefix(p, f), delta, p)
-
-
-def tv_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
-    """Exact maximum over the TV ball, by conjugacy with the negated payoff.
-
-    The returned distribution is the attaining maximizer; ``active_index``
-    and ``branch`` describe the conjugate minimization.
-    """
-    return tv_lower_expectation(p, f.negated(), delta).conjugate()
+        return q
+    d = min(float(delta), 1.0)
+    q = weights.copy()
+    q[sp.perm[r:]] = 0.0
+    q[sp.perm[0]] = sp.p_sorted[0] + d
+    q[sp.perm[r - 1]] = sp.tails[r - 2] - d
+    return q

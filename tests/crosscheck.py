@@ -5,7 +5,8 @@ case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
 point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
-size.  ``expression_sorted``, ``expression_critical_radii``,
+size.  ``chi2_minimizer`` is the attaining distribution in sorted order for
+any valid support size.  ``expression_sorted``, ``expression_critical_radii``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
 whole-array expression form of the prefix pass, the critical radii and the
 two minimizers that the in-place library code must reproduce byte for byte.
@@ -16,8 +17,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from divball.chi2 import _COORDINATE_SLACK, _radicand
-from divball.core import Objective, Pmf, _stable_order, check_delta
+from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _radicand
+from divball.core import Objective, Pmf, SortedProblem, _stable_order, check_delta, require_positive
 from divball.errors import DivballError, ZeroMassForbiddenError
 from divball.oracle import _check_grid_size, _composition_blocks
 
@@ -38,6 +39,26 @@ def critical_delta(cd, k: int) -> float:
     if k == cd.plateau:
         return math.inf
     return float(cd.finite[k - cd.plateau - 1])
+
+
+def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
+    """Attaining distribution for support size ``r``, in sorted order.
+
+    For ``r`` above the plateau this is the tilted renormalized center with
+    boundary divergence exactly ``delta``; every coordinate on the support is
+    positive while ``delta`` stays below the support's critical radius, and
+    the top coordinate vanishes exactly at it.  For ``r`` equal to the
+    plateau size the canonical choice is the minimum-divergence distribution:
+    the center renormalized on the plateau.
+
+    ``r`` must come from :func:`chi2_active_index` (or be a critical-radius
+    probe at ``delta == delta_r``); other pairs are rejected.
+    """
+    require_positive(sp.p_sorted)
+    check_delta(delta)
+    q = np.zeros(sp.n)
+    q[:r] = _minimizer_head(sp, r, delta)
+    return Pmf._solved(q, None)
 
 
 def enumerate_compositions(n: int, resolution: int):

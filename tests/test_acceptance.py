@@ -15,7 +15,7 @@ import divball as db
 from divball import cli
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence, naive_tv_distance
-from crosscheck import chi2_three_point, chi2_two_point, critical_delta
+from crosscheck import chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta
 from conftest import assert_tv_pattern, criterion, grid_round, random_objective, random_pmf, sorted_minimizer
 
 SEED = 20260810
@@ -60,7 +60,7 @@ def chi2_consistency_check(pmf, obj, delta):
         dk = critical_delta(cd, k)
         a, b = branch_value(k, dk), branch_value(k - 1, dk)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
-        q_at_break = db.chi2_minimizer(sp, k, dk)
+        q_at_break = chi2_minimizer(sp, k, dk)
         assert abs(q_at_break.weights[k - 1]) <= 1e-9
 
     res = db.chi2_lower_expectation(pmf, obj, delta)

@@ -16,7 +16,7 @@ import divball as db
 from divball import chi2
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import TiedBottomError, WrongArityError, chi2_three_point, chi2_two_point, critical_delta
+from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta
 from conftest import random_objective, random_pmf
 
 
@@ -275,7 +275,7 @@ class TestChi2Minimizer:
     def test_uniform_three_point_formula(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
         sp = db.sort_and_prefix(pmf, obj)
-        q = db.chi2_minimizer(sp, 3, 0.1)
+        q = chi2_minimizer(sp, 3, 0.1)
         scale = math.sqrt(0.1) / math.sqrt(2.0 / 3.0)
         expected = [(1 / 3) * (1 - (v - 1.0) * scale) for v in (0.0, 1.0, 2.0)]
         np.testing.assert_allclose(q.weights, expected, atol=1e-12)
@@ -289,7 +289,7 @@ class TestChi2Minimizer:
             sp = db.sort_and_prefix(pmf, obj)
             cd = db.critical_deltas(sp)
             r = chi2.chi2_active_index(cd, 0.0)
-            q = db.chi2_minimizer(sp, r, 0.0)
+            q = chi2_minimizer(sp, r, 0.0)
             np.testing.assert_allclose(q.weights, sp.p_sorted, atol=1e-12)
 
     def test_plateau_renormalization(self):
@@ -299,7 +299,7 @@ class TestChi2Minimizer:
         assert abs(critical_delta(cd, 3) - 1.0 / 3.0) <= 1e-12
         r = chi2.chi2_active_index(cd, 0.5)
         assert r == 2
-        q = db.chi2_minimizer(sp, r, 0.5)
+        q = chi2_minimizer(sp, r, 0.5)
         np.testing.assert_allclose(q.weights, [2 / 3, 1 / 3, 0.0], atol=1e-12)
         assert db.chi2_divergence(q, pmf) <= 0.5 + 1e-12
 
@@ -307,16 +307,16 @@ class TestChi2Minimizer:
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
         sp = db.sort_and_prefix(pmf, obj)
         with pytest.raises(db.DivballError):
-            db.chi2_minimizer(sp, 1, 0.1)  # below the plateau size 2
+            chi2_minimizer(sp, 1, 0.1)  # below the plateau size 2
         with pytest.raises(db.DivballError):
-            db.chi2_minimizer(sp, 4, 0.1)
+            chi2_minimizer(sp, 4, 0.1)
 
     def test_zero_interior_variance_raises(self):
         # The payoff's spread underflows the prefix variance to 0.
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1e-300, 2e-300])
         sp = db.sort_and_prefix(pmf, obj)
         with pytest.raises(db.DivballError, match="zero prefix variance"):
-            db.chi2_minimizer(sp, 3, 0.5)
+            chi2_minimizer(sp, 3, 0.5)
 
     def test_boundary_attainment_and_positivity(self):
         rng = np.random.default_rng(13)
@@ -327,7 +327,7 @@ class TestChi2Minimizer:
             cd = db.critical_deltas(sp)
             delta = float(rng.uniform(0, 3))
             r = chi2.chi2_active_index(cd, delta)
-            q = db.chi2_minimizer(sp, r, delta)
+            q = chi2_minimizer(sp, r, delta)
             q_orig = np.empty(n)
             q_orig[sp.perm] = q.weights
             q_orig = db.Pmf(q_orig)
@@ -346,7 +346,7 @@ class TestChi2Minimizer:
             sp = db.sort_and_prefix(pmf, obj)
             cd = db.critical_deltas(sp)
             for k in range(cd.plateau + 1, cd.n + 1):
-                q = db.chi2_minimizer(sp, k, critical_delta(cd, k))
+                q = chi2_minimizer(sp, k, critical_delta(cd, k))
                 assert abs(q.weights[k - 1]) <= 1e-9
 
 

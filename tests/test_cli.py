@@ -93,6 +93,20 @@ class TestRunBound:
         payload = json.loads(capsys.readouterr().out)
         assert payload["labels"] == ["lo", "hi"]
 
+    @pytest.mark.parametrize("ball", ["tv", "chi2"])
+    def test_labels_change_no_number(self, tmp_path, capsys, ball):
+        # The labelled center is normalized once, as the unlabelled one is.
+        obj = {"p": [0.096, 0.033, 0.41, 0.174, 0.287], "f": [0.42, -0.57, 0.09, 0.41, -0.9],
+               "ball": ball, "delta": 0.3}
+        plain = write_problem(tmp_path, obj, "plain.json")
+        labelled = write_problem(tmp_path, dict(obj, labels=list("abcde")), "labelled.json")
+        assert cli.main(["--input", plain]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert cli.main(["--input", labelled]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got.pop("labels") == list("abcde")
+        assert got == want
+
     def test_overrides(self, tmp_path, capsys):
         path = write_problem(tmp_path, CHI2_FIXTURE)
         assert cli.main(["--input", path, "--ball", "tv", "--delta", "0.2"]) == 0
@@ -155,6 +169,21 @@ class TestValidationFailures:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "radii, message",
+        [
+            ({"delta": True}, "'delta' must be a number"),
+            ({"sweep": {"start": False, "stop": True, "steps": 3}},
+             "'sweep.start' and 'sweep.stop' must be numbers"),
+        ],
+    )
+    def test_boolean_radii_are_rejected(self, tmp_path, capsys, radii, message):
+        path = write_problem(tmp_path, {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", **radii})
+        assert cli.main(["--input", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(db.DivballError, match=message):
+            cli.load_problem_dict({"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", **radii})
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

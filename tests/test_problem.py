@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import divball as db
-from divball import cli, core, problem, tv
+from divball import cli, core, problem
 
 # Each case covers a branch the prepared path must reproduce exactly: a TV
 # radius that moves all mass (degenerate), a chi^2 radius past every critical
@@ -119,7 +119,7 @@ def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sorts):
 
 def test_one_shot_sorts_once(monkeypatch):
     counts = {}
-    counting(monkeypatch, tv, "sort_and_prefix", counts)
+    counting(monkeypatch, problem, "sort_and_prefix", counts)
     counting(monkeypatch, core, "suffix_masses", counts)
     p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
     db.tv_upper_expectation(p, f, 0.25)
@@ -238,6 +238,16 @@ def test_radius_terminates_when_the_answer_is_large():
     assert db.chi2_lower_expectation(p, f, np.nextafter(star, 0.0)).value > 1e-4
 
 
+@pytest.mark.parametrize("theta", [5.0, 0.5])
+def test_radius_rejects_a_chi2_center_with_a_zero_weight(theta):
+    # Above the center expectation (5.0) as below it (0.5), as a bound does.
+    p, f = db.Pmf([0.0, 1.0]), db.Objective([0.0, 1.0])
+    with pytest.raises(db.ZeroMassForbiddenError):
+        db.Problem(p, f, "chi2").lower(0.1)
+    with pytest.raises(db.ZeroMassForbiddenError):
+        problem.robustness_radius(p, f, "chi2", theta)
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_radius_search_reads_values_only(monkeypatch, case):
     # Each bisection step needs the bound's value, never its minimizer.
@@ -247,8 +257,8 @@ def test_radius_search_reads_values_only(monkeypatch, case):
     obj, _ = SWEEP_CASES[case]
     p, f = db.validate(obj["p"], obj["f"], obj["ball"])
     theta = 0.5 * (db.expectation(p, f) + float(f.values.min()))
-    monkeypatch.setattr(problem, "tv_solve", solve)
-    monkeypatch.setattr(problem, "chi2_solve", solve)
+    monkeypatch.setattr(problem, "tv_weights", solve)
+    monkeypatch.setattr(problem, "chi2_weights", solve)
     star = problem.robustness_radius(p, f, obj["ball"], theta)
     monkeypatch.undo()
     prepared = db.Problem(p, f, obj["ball"])
