@@ -57,30 +57,79 @@ def chi2_divergence(q: Pmf, p: Pmf) -> float:
     return float(np.sum(diff * diff / p.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class CriticalDeltas:
-    """Breakpoint radii at which the optimal support loses its top outcome.
+def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
+    """Prefix mass, gap below the payoff, and variance, as running sums.
 
-    ``finite[j]`` is the critical radius for support size ``plateau + 1 + j``
-    (so the array is empty when the objective is constant).  The plateau
-    support itself never shrinks; its radius is unbounded and is represented
-    structurally rather than by a float sentinel.
+    With ``m`` the prefix mass and ``df[k] = f[k] - f[k-1] >= 0``, each
+    statistic is a running sum of non-negative terms, so none cancels: the
+    mean's ``gap`` below ``f[k]`` is ``G[k]/m[k]`` with ``G`` the running sum
+    of ``m[k-1] df[k]``, and ``m[k] var[k]`` is the running sum of the
+    weighted update ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.
+    Prefix variances are exact zeros on the leading tie plateau; gap and
+    variance are 0.0 on a prefix of zero mass.  Each step writes in place.
+    """
+    masses = np.zeros(p_sorted.size + 1)
+    before, mass = masses[:-1], masses[1:]
+    np.add.accumulate(p_sorted, out=mass)
+    step = np.zeros(p_sorted.size)
+    rise = step[1:]
+    np.subtract(f_sorted[1:], f_sorted[:-1], out=rise)
+    # Zero-mass prefixes lead and their sums are exact zeros, which dividing by
+    # 1.0 leaves as they are; a chi^2 side has none (its first weight is > 0).
+    divisor = mass if p_sorted[0] > 0.0 else np.where(mass == 0.0, 1.0, mass)
+    gap = np.multiply(before, step)
+    np.add.accumulate(gap, out=gap)
+    gap /= divisor
+    # f[k] - mean[k-1] in units of a power of two near the payoff span (an
+    # exact rescaling), so that its square times a tiny mass stays normal.
+    unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
+    lead = step
+    rise += gap[:-1]  # lead[1:]
+    lead /= unit
+    var = np.divide(before, divisor)
+    var *= p_sorted
+    var *= lead
+    var *= lead
+    np.add.accumulate(var, out=var)
+    var /= divisor
+    var *= unit
+    var *= unit
+    for arr in (mass, gap, var):
+        arr.setflags(write=False)
+    return mass, gap, var
+
+
+@dataclass(frozen=True, eq=False)
+class CriticalDeltas(SortedProblem):
+    """A chi-squared side: a sorted side plus its prefix statistics and the
+    breakpoint radii at which the optimal support loses its top outcome.
+
+    It shares the sorted side's arrays.  The prefix arrays, over the first
+    ``i + 1`` sorted outcomes at entry ``i``, come from one pass of
+    :func:`_prefix_moments`.  ``gap[i]`` is ``f_sorted[i]`` less the prefix
+    mean, formed as a quotient of non-negative running sums rather than by
+    that subtraction, so it keeps its relative accuracy when it is far below
+    an ulp of the payoff.  ``finite[j]`` is the critical radius for support
+    size ``plateau + 1 + j`` (so the array is empty when the objective is
+    constant).  The plateau support itself never shrinks; its radius is
+    unbounded and is represented structurally rather than by a float sentinel.
     """
 
-    plateau: int
-    n: int
+    prefix_mass: np.ndarray
+    gap: np.ndarray
+    prefix_var: np.ndarray
     finite: np.ndarray
 
 
 def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
-    """Critical radii for every support size above the bottom tie plateau.
+    """The chi-squared side of ``sp``, with critical radii for every support
+    size above the bottom tie plateau.
 
-    The first read of a side's prefix statistics, which computes them.  Each
-    check that raises is a numeric breakdown of the closed form.
+    Each check that raises is a numeric breakdown of the closed form.
     """
     require_positive(sp.p_sorted)
     ell = sp.plateau
-    mass, gap, var = sp._moments
+    mass, gap, var = moments = _prefix_moments(sp.p_sorted, sp.f_sorted)
     gap = gap[ell:]
     var = var[ell:]
     # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
@@ -102,7 +151,7 @@ def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
         if np.count_nonzero(finite[1:] <= bound) != falling.size:
             raise DivballError("critical radii must be non-increasing")
     finite.setflags(write=False)
-    return CriticalDeltas(plateau=ell, n=sp.n, finite=finite)
+    return CriticalDeltas(sp.perm, sp.p_sorted, sp.f_sorted, sp.tails, ell, *moments, finite)
 
 
 def chi2_active_index(cd: CriticalDeltas, delta: float) -> int:
@@ -127,28 +176,28 @@ def _radicand(mass: float, tail: float, delta: float) -> float:
     return rad
 
 
-def _minimizer_head(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
+def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     """The first ``r`` sorted weights of the attaining distribution for support
     size ``r`` before normalization (the rest are 0): the tilted center above
     the plateau, the center renormalized on it.  Invalid ``(r, delta)`` pairs raise."""
-    ell = sp.plateau
-    if not ell <= r <= sp.n:
-        raise DivballError(f"support size {r} outside [{ell}, {sp.n}]")
+    ell = cd.plateau
+    if not ell <= r <= cd.n:
+        raise DivballError(f"support size {r} outside [{ell}, {cd.n}]")
     if r == ell:
-        return sp.p_sorted[:ell] / sp.prefix_mass[ell - 1]
+        return cd.p_sorted[:ell] / cd.prefix_mass[ell - 1]
 
     i = r - 1
-    mass = sp.prefix_mass[i]
-    tail = sp.tails[i]
-    sigma2 = sp.prefix_var[i]
+    mass = cd.prefix_mass[i]
+    tail = cd.tails[i]
+    sigma2 = cd.prefix_var[i]
     if not sigma2 > 0.0:
         raise DivballError("interior support has zero prefix variance")
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
     # The support's prefix mean, f - gap; its mass is positive on a chi^2 side.
-    tilt = sp.f_sorted[:r] - (sp.f_sorted[i] - sp.gap[i])
+    tilt = cd.f_sorted[:r] - (cd.f_sorted[i] - cd.gap[i])
     tilt *= scale
     np.subtract(1.0, tilt, out=tilt)
-    head = np.divide(sp.p_sorted[:r], mass)
+    head = np.divide(cd.p_sorted[:r], mass)
     head *= tilt
     # fmin skips NaN, as the comparisons below do element by element.
     lowest = np.fmin.reduce(head)
@@ -161,22 +210,22 @@ def _minimizer_head(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
     return head
 
 
-def chi2_value(sp: SortedProblem, cd: CriticalDeltas, delta: float) -> tuple[float, int, str]:
-    """The lower bound of ``sp`` at ``delta`` with its support size and branch."""
+def chi2_value(cd: CriticalDeltas, delta: float) -> tuple[float, int, str]:
+    """The lower bound of the side ``cd`` at ``delta`` with its support size and branch."""
     r = chi2_active_index(cd, delta)
     if r == cd.plateau:
-        return float(sp.f_sorted[0]), r, BRANCH_PLATEAU
+        return float(cd.f_sorted[0]), r, BRANCH_PLATEAU
     i = r - 1
-    rad = _radicand(sp.prefix_mass[i], sp.tails[i], delta)
-    mean = sp.f_sorted[i] - sp.gap[i]
-    value = float(mean - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
+    rad = _radicand(cd.prefix_mass[i], cd.tails[i], delta)
+    mean = cd.f_sorted[i] - cd.gap[i]
+    value = float(mean - math.sqrt(cd.prefix_var[i]) * math.sqrt(rad))
     return value, r, BRANCH_INTERIOR
 
 
-def chi2_weights(sp: SortedProblem, r: int, delta: float) -> np.ndarray:
+def chi2_weights(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     """The minimizer of :func:`chi2_value`'s support size ``r``, in original order."""
-    head = _minimizer_head(sp, r, delta)
+    head = _minimizer_head(cd, r, delta)
     # One original-order array, allocated once the head's temporaries are freed.
-    q = np.zeros(sp.n)
-    q[sp.perm[:r]] = head
+    q = np.zeros(cd.n)
+    q[cd.perm[:r]] = head
     return q

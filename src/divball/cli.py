@@ -148,16 +148,16 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
     ``output`` forces a format; sweeps default to CSV and single radii to
     JSON.  CSV columns are ``delta,lower,upper,r,branch`` with 17
     significant digits, '.' decimals and LF line endings.  Only single-radius
-    JSON prints a minimizer, so only it builds one.
+    JSON prints a minimizer, the lower bound's, so only it builds one.
     """
     if (problem.delta is None) == (problem.sweep is None):
         raise DivballError("give exactly one of 'delta' and 'sweep'")
     prepared = Problem(problem.pmf, problem.objective, problem.family)
     if problem.delta is not None and output != "csv":
-        lower, upper = prepared.lower(problem.delta), prepared.upper(problem.delta)
+        lower = prepared.lower(problem.delta)
         payload = {
             "value": lower.value,
-            "upper_value": upper.value,
+            "upper_value": -prepared._value(True, problem.delta)[0],
             "r": lower.active_index,
             "branch": lower.branch,
             "minimizer": lower.minimizer.weights.tolist(),

@@ -1,10 +1,8 @@
 """Core simplex types and the objective-ascending preprocessing.
 
 Both ball solvers start the same way: reorder the outcomes so the objective
-is non-decreasing and take the tail masses; chi-squared also reads prefix
-statistics (mass, mean, variance), running sums formed on first read.  This
-module owns those shared types, input validation, and the expectation
-operation.
+is non-decreasing and take the tail masses.  This module owns those shared
+types, input validation, and the expectation operation.
 
 An ``Objective`` keeps its stable ascending order once computed.  One sort
 serves both bounds: the negation that an upper bound solves derives its
@@ -13,13 +11,12 @@ values back in ascending original index.
 
 All values are immutable after construction and every function is pure, so
 instances are safe to share across threads (racing first reads of an order
-or of the prefix statistics only compute them twice).
+only compute it twice).
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +44,10 @@ class BallFamily(str, enum.Enum):
 
     TV = "tv"
     CHI2 = "chi2"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DivballError(f"unknown ball family {value!r}: expected 'tv' or 'chi2'")
 
 
 def _clean_vector(values, what: str) -> np.ndarray:
@@ -220,19 +221,13 @@ class BallSpec:
 
 @dataclass(frozen=True, eq=False)
 class SortedProblem:
-    """A (pmf, objective) pair in objective-ascending order plus prefix stats.
+    """A (pmf, objective) pair in objective-ascending order plus tail masses.
 
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  ``tails[i]`` is the mass after entry
     ``i``.  ``plateau`` is the number of leading outcomes tied at the minimal
-    objective value (at least 1).  These are all a TV bound reads.  The
-    prefix arrays, over the first ``i + 1`` sorted outcomes at entry ``i``,
-    come from one pass of :func:`_prefix_moments` on first access, then
-    cached; ``prefix_mean`` is derived on each access.  ``gap[i]`` is
-    ``f_sorted[i] - prefix_mean[i]``, formed as a quotient of non-negative
-    running sums rather than by that subtraction, so it keeps its relative
-    accuracy when it is far below an ulp of the payoff (0.0 on a prefix of
-    zero mass).  ``prefix_mean``/``prefix_var`` hold 0.0 there too.
+    objective value (at least 1).  These are all a TV bound reads; a
+    chi-squared side adds its prefix statistics (``chi2.CriticalDeltas``).
     Minimizers are written straight into original order through ``perm``.
     """
 
@@ -245,21 +240,6 @@ class SortedProblem:
     @property
     def n(self) -> int:
         return self.p_sorted.size
-
-    @cached_property
-    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _prefix_moments(self.p_sorted, self.f_sorted)
-
-    prefix_mass = property(lambda self: self._moments[0])
-    gap = property(lambda self: self._moments[1])
-    prefix_var = property(lambda self: self._moments[2])
-
-    @property
-    def prefix_mean(self) -> np.ndarray:
-        mean = self.f_sorted - self.gap
-        mean[self.prefix_mass == 0.0] = 0.0
-        mean.setflags(write=False)
-        return mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,14 +399,12 @@ def _negated_order(perm: np.ndarray, changes: np.ndarray | None):
 
 
 def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
-    """Sort outcomes by ascending objective; the prefix statistics follow lazily.
+    """Sort outcomes by ascending objective and take the tail masses.
 
     The order is ``f``'s own, stable (ties keep original order) and kept on
     ``f``: :func:`_stable_order` sorts a payoff once, and a negated payoff
     derives its order from its source's in O(n).  The tails are
-    :func:`suffix_masses`.  The prefix mass, gap and variance are left to
-    :func:`_prefix_moments`, which runs only when a chi-squared side first
-    reads them.
+    :func:`suffix_masses`.
     """
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
@@ -445,44 +423,3 @@ def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
         plateau=plateau,
     )
 
-
-def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
-    """Prefix mass, gap below the payoff, and variance, as running sums.
-
-    With ``m`` the prefix mass and ``df[k] = f[k] - f[k-1] >= 0``, each
-    statistic is a running sum of non-negative terms, so none cancels: the
-    mean's ``gap`` below ``f[k]`` is ``G[k]/m[k]`` with ``G`` the running sum
-    of ``m[k-1] df[k]``, and ``m[k] var[k]`` is the running sum of the
-    weighted update ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.
-    Prefix variances are exact zeros on the leading tie plateau; gap and
-    variance are 0.0 on a prefix of zero mass.  Each step writes in place.
-    """
-    masses = np.zeros(p_sorted.size + 1)
-    before, mass = masses[:-1], masses[1:]
-    np.add.accumulate(p_sorted, out=mass)
-    step = np.zeros(p_sorted.size)
-    rise = step[1:]
-    np.subtract(f_sorted[1:], f_sorted[:-1], out=rise)
-    # Zero-mass prefixes lead and their sums are exact zeros, which dividing by
-    # 1.0 leaves as they are; a chi^2 side has none (its first weight is > 0).
-    divisor = mass if p_sorted[0] > 0.0 else np.where(mass == 0.0, 1.0, mass)
-    gap = np.multiply(before, step)
-    np.add.accumulate(gap, out=gap)
-    gap /= divisor
-    # f[k] - mean[k-1] in units of a power of two near the payoff span (an
-    # exact rescaling), so that its square times a tiny mass stays normal.
-    unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
-    lead = step
-    rise += gap[:-1]  # lead[1:]
-    lead /= unit
-    var = np.divide(before, divisor)
-    var *= p_sorted
-    var *= lead
-    var *= lead
-    np.add.accumulate(var, out=var)
-    var /= divisor
-    var *= unit
-    var *= unit
-    for arr in (mass, gap, var):
-        arr.setflags(write=False)
-    return mass, gap, var

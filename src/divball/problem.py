@@ -38,28 +38,30 @@ class Problem:
     def _solve(self, negated: bool, delta: float) -> BoundResult:
         """One side's bound; its minimizer is wrapped with no second validation."""
         value, r, branch = self._value(negated, delta)
-        sp = self._side(negated)[0]
+        side = self._sides[negated]
         if self.family is BallFamily.TV:
-            q = tv_weights(sp, r, delta, self.pmf.weights)
+            q = tv_weights(side, r, delta, self.pmf.weights)
         else:
-            q = chi2_weights(sp, r, delta)
+            q = chi2_weights(side, r, delta)
         return BoundResult(value, Pmf._solved(q, self.pmf.labels), r, branch)
 
     def _value(self, negated: bool, delta: float) -> tuple[float, int, str]:
         """:meth:`_solve`'s value, support size and branch, with no minimizer."""
         check_delta(delta)
-        sp, cd = self._side(negated)
+        side = self._side(negated)
         if self.family is BallFamily.TV:
-            return tv_value(sp, delta)
-        return chi2_value(sp, cd, delta)
+            return tv_value(side, delta)
+        return chi2_value(side, delta)
 
     def _side(self, negated: bool):
+        """The prepared side: a ``SortedProblem`` for TV, a ``CriticalDeltas`` for chi^2."""
         side = self._sides.get(negated)
         if side is None:
             objective = self.objective.negated() if negated else self.objective
-            sp = sort_and_prefix(self.pmf, objective)
-            cd = critical_deltas(sp) if self.family is BallFamily.CHI2 else None
-            side = self._sides[negated] = (sp, cd)
+            side = sort_and_prefix(self.pmf, objective)
+            if self.family is BallFamily.CHI2:
+                side = critical_deltas(side)
+            self._sides[negated] = side
         return side
 
 

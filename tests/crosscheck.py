@@ -5,8 +5,9 @@ case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
 point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
-size.  ``chi2_minimizer`` is the attaining distribution in sorted order for
-any valid support size.  ``expression_sorted``, ``expression_critical_radii``,
+size.  ``with_prefix_stats`` reads a sorted side's prefix statistics, and
+``chi2_minimizer`` is the attaining distribution in sorted order for any
+valid support size.  ``expression_sorted``, ``expression_critical_radii``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
 whole-array expression form of the prefix pass, the critical radii and the
 two minimizers that the in-place library code must reproduce byte for byte.
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _radicand
+from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _prefix_moments, _radicand
 from divball.core import Objective, Pmf, SortedProblem, _stable_order, check_delta, require_positive
 from divball.errors import DivballError, ZeroMassForbiddenError
 from divball.oracle import _check_grid_size, _composition_blocks
@@ -41,6 +42,28 @@ def critical_delta(cd, k: int) -> float:
     return float(cd.finite[k - cd.plateau - 1])
 
 
+def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
+    """``sp`` with the prefix mass, gap and variance of the library's one
+    prefix pass, and the prefix mean ``f_sorted - gap``, 0.0 on a prefix of
+    zero mass; any sorted side can be read, TV or with zero weights too."""
+    mass, gap, var = _prefix_moments(sp.p_sorted, sp.f_sorted)
+    mean = sp.f_sorted - gap
+    mean[mass == 0.0] = 0.0
+    mean.setflags(write=False)
+    return SimpleNamespace(
+        n=sp.n,
+        perm=sp.perm,
+        p_sorted=sp.p_sorted,
+        f_sorted=sp.f_sorted,
+        tails=sp.tails,
+        plateau=sp.plateau,
+        prefix_mass=mass,
+        prefix_mean=mean,
+        prefix_var=var,
+        gap=gap,
+    )
+
+
 def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     """Attaining distribution for support size ``r``, in sorted order.
 
@@ -52,12 +75,14 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     the center renormalized on the plateau.
 
     ``r`` must come from :func:`chi2_active_index` (or be a critical-radius
-    probe at ``delta == delta_r``); other pairs are rejected.
+    probe at ``delta == delta_r``); other pairs are rejected.  The prefix
+    statistics come from :func:`with_prefix_stats`, so a side whose critical
+    radii fail can still be probed.
     """
     require_positive(sp.p_sorted)
     check_delta(delta)
     q = np.zeros(sp.n)
-    q[:r] = _minimizer_head(sp, r, delta)
+    q[:r] = _minimizer_head(with_prefix_stats(sp), r, delta)
     return Pmf._solved(q, None)
 
 

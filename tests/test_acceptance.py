@@ -53,8 +53,8 @@ def chi2_consistency_check(pmf, obj, delta):
         if k == cd.plateau:
             return float(sp.f_sorted[0])
         i = k - 1
-        rad = max(sp.prefix_mass[i] * d - tails[i], 0.0)
-        return float(sp.prefix_mean[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad))
+        rad = max(cd.prefix_mass[i] * d - tails[i], 0.0)
+        return float((cd.f_sorted[i] - cd.gap[i]) - math.sqrt(cd.prefix_var[i]) * math.sqrt(rad))
 
     for k in range(cd.plateau + 1, cd.n + 1):
         dk = critical_delta(cd, k)

@@ -16,7 +16,7 @@ import divball as db
 from divball import chi2
 from divball.core import suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta
+from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, with_prefix_stats
 from conftest import random_objective, random_pmf
 
 
@@ -177,12 +177,13 @@ class TestCriticalDeltas:
             pmf = random_pmf(rng, n, floor=0.01)
             obj = db.Objective(np.round(rng.uniform(-1.0, 1.0, n) * 3) / 3)
             sp = db.sort_and_prefix(pmf, obj)
+            cd = db.critical_deltas(sp)
             tails = suffix_masses(sp.p_sorted)
             expected = []
             for i in range(sp.plateau, n):
-                gap = sp.gap[i]
-                expected.append((sp.prefix_var[i] / (gap * gap) + tails[i]) / sp.prefix_mass[i])
-            got = db.critical_deltas(sp).finite
+                gap = cd.gap[i]
+                expected.append((cd.prefix_var[i] / (gap * gap) + tails[i]) / cd.prefix_mass[i])
+            got = cd.finite
             assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
@@ -193,12 +194,13 @@ class TestCriticalDeltas:
         tol = 16 * np.finfo(float).eps
         rescued = 0
         for _ in range(200):
-            sp = db.sort_and_prefix(*exact_radius_case(rng, kind))
+            side = db.sort_and_prefix(*exact_radius_case(rng, kind))
+            sp = with_prefix_stats(side)
             ell = sp.plateau
             if np.any(sp.gap[ell:] ** 2 < np.finfo(float).tiny):
                 continue  # the squared gap underflows: a payoff-scale defect
             exact = exact_critical_radii(sp.p_sorted, sp.f_sorted, ell)
-            new = db.critical_deltas(sp).finite
+            new = db.critical_deltas(side).finite
             cancelled = sp.f_sorted[ell:] - sp.prefix_mean[ell:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 old = (sp.prefix_var[ell:] / (cancelled * cancelled) + sp.tails[ell:]) / sp.prefix_mass[ell:]
@@ -506,10 +508,10 @@ class TestChi2Invariants:
                 if k == cd.plateau:
                     return float(sp.f_sorted[0])
                 i = k - 1
-                rad = max(sp.prefix_mass[i] * delta - tails[i], 0.0)
+                rad = max(cd.prefix_mass[i] * delta - tails[i], 0.0)
                 return float(
-                    sp.prefix_mean[i]
-                    - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad)
+                    (cd.f_sorted[i] - cd.gap[i])
+                    - math.sqrt(cd.prefix_var[i]) * math.sqrt(rad)
                 )
 
             for k in range(cd.plateau + 1, cd.n + 1):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import divball as db
 from divball import core
 from divball.core import suffix_masses
-from divball.oracle import naive_expectation
+from divball.oracle import naive_divergence, naive_expectation
+from crosscheck import with_prefix_stats
 from conftest import random_objective, random_pmf
 
 
@@ -102,6 +103,22 @@ class TestBallSpec:
         with pytest.raises(db.NonFiniteError):
             db.BallSpec("tv", float("nan"))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: db.validate([0.5, 0.5], [0, 1], "kl"),
+            lambda: db.BallSpec("kl", 0.1),
+            lambda: db.Problem(*db.validate([0.5, 0.5], [0, 1]), "kl"),
+            lambda: naive_divergence(db.Pmf([0.5, 0.5]), db.Pmf([0.5, 0.5]), "kl"),
+        ],
+        ids=["validate", "BallSpec", "Problem", "naive_divergence"],
+    )
+    def test_unknown_family_is_a_divball_error(self, make):
+        with pytest.raises(db.DivballError) as info:
+            make()
+        assert type(info.value) is db.DivballError
+        assert str(info.value) == "unknown ball family 'kl': expected 'tv' or 'chi2'"
+
 
 class TestExpectation:
     def test_symmetric_average(self):
@@ -157,7 +174,7 @@ def direct_prefix_stats(p_sorted, f_sorted):
 class TestSortAndPrefix:
     def test_two_point_example(self):
         p, f = db.validate([0.5, 0.5], [1, 0])
-        sp = db.sort_and_prefix(p, f)
+        sp = with_prefix_stats(db.sort_and_prefix(p, f))
         assert list(sp.perm) == [1, 0]
         assert list(sp.f_sorted) == [0, 1]
         np.testing.assert_allclose(sp.prefix_mass, [0.5, 1.0], atol=1e-15)
@@ -167,13 +184,13 @@ class TestSortAndPrefix:
 
     def test_constant_objective(self):
         p, f = db.validate([1 / 3, 1 / 3, 1 / 3], [5, 5, 5])
-        sp = db.sort_and_prefix(p, f)
+        sp = with_prefix_stats(db.sort_and_prefix(p, f))
         assert sp.plateau == 3
         assert sp.prefix_var[2] == 0.0
 
     def test_three_point_example(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
-        sp = db.sort_and_prefix(p, f)
+        sp = with_prefix_stats(db.sort_and_prefix(p, f))
         np.testing.assert_allclose(sp.prefix_mass, [0.2, 0.5, 1.0], atol=1e-12)
         np.testing.assert_allclose(sp.prefix_mean, [1.0, 1.6, 2.3], atol=1e-12)
         np.testing.assert_allclose(sp.prefix_var, [0.0, 0.24, 0.61], atol=1e-12)
@@ -185,7 +202,7 @@ class TestSortAndPrefix:
             n = int(rng.integers(1, 33))
             p = random_pmf(rng, n)
             f = random_objective(rng, n)
-            sp = db.sort_and_prefix(p, f)
+            sp = with_prefix_stats(db.sort_and_prefix(p, f))
             assert np.all(np.diff(sp.f_sorted) >= 0)
             assert abs(sp.prefix_mass[-1] - 1.0) <= 1e-12
             if sp.plateau < n:
@@ -203,7 +220,7 @@ class TestSortAndPrefix:
             n = int(rng.integers(1, 65))
             p = random_pmf(rng, n)
             f = random_objective(rng, n, -10, 10)
-            sp = db.sort_and_prefix(p, f)
+            sp = with_prefix_stats(db.sort_and_prefix(p, f))
             mass, mean, var = direct_prefix_stats(sp.p_sorted, sp.f_sorted)
             tol = 1e-12 * (1.0 + float(np.max(f.values**2)))
             np.testing.assert_allclose(sp.prefix_mass, mass, atol=tol)
@@ -218,7 +235,7 @@ class TestSortAndPrefix:
             f_vals = np.concatenate([np.full(ties, -2.0), rng.uniform(-1, 5, n - ties)])
             rng.shuffle(f_vals)
             p = random_pmf(rng, n)
-            sp = db.sort_and_prefix(p, db.Objective(f_vals))
+            sp = with_prefix_stats(db.sort_and_prefix(p, db.Objective(f_vals)))
             assert sp.prefix_var[sp.plateau - 1] == 0.0
             assert np.all(sp.prefix_var >= 0.0)
 
@@ -228,11 +245,11 @@ class TestSortAndPrefix:
             n = int(rng.integers(2, 17))
             p = random_pmf(rng, n)
             f = db.Objective(rng.permutation(np.arange(n, dtype=float)))
-            sp = db.sort_and_prefix(p, f)
+            sp = with_prefix_stats(db.sort_and_prefix(p, f))
             pi = rng.permutation(n)
-            sp2 = db.sort_and_prefix(
+            sp2 = with_prefix_stats(db.sort_and_prefix(
                 db.Pmf(p.weights[pi]), db.Objective(f.values[pi])
-            )
+            ))
             # Re-normalization inside Pmf sums in permuted order, so agreement
             # is to the ulp rather than bitwise.
             np.testing.assert_allclose(sp.prefix_mass, sp2.prefix_mass, rtol=0, atol=1e-14)
@@ -257,7 +274,7 @@ class TestSortAndPrefix:
             raw_w = raw_w + 1.0
         p = db.Pmf(raw_w / raw_w.sum())
         f = db.Objective(np.array([x for _, x in pairs]))
-        sp = db.sort_and_prefix(p, f)
+        sp = with_prefix_stats(db.sort_and_prefix(p, f))
         mass, mean, var = direct_prefix_stats(sp.p_sorted, sp.f_sorted)
         tol = 1e-12 * (1.0 + float(np.max(f.values**2)))
         np.testing.assert_allclose(sp.prefix_var, var, atol=tol)
@@ -444,6 +461,7 @@ def exact_prefix_stats(p_sorted, f_sorted):
 
 
 def assert_matches_exact(sp):
+    sp = with_prefix_stats(sp)
     mass, mean, var, tails = exact_prefix_stats(sp.p_sorted, sp.f_sorted)
     tol = prefix_tolerance(sp.n)
     tiny = np.finfo(float).tiny
@@ -492,7 +510,7 @@ class TestExactPrefixReference:
         rng = np.random.default_rng(12)
         n = 100_000
         p = db.Pmf(np.maximum(rng.dirichlet(np.full(n, alpha)), 1e-300))
-        sp = db.sort_and_prefix(p, random_objective(rng, n))
+        sp = with_prefix_stats(db.sort_and_prefix(p, random_objective(rng, n)))
         tol = prefix_tolerance(n)
         for k in [*rng.integers(0, n, 12), n - 1]:
             ps, fs = sp.p_sorted[: k + 1], sp.f_sorted[: k + 1]

@@ -15,6 +15,7 @@ from crosscheck import (
     expression_minimizer_weights,
     expression_sorted,
     expression_tv_weights,
+    with_prefix_stats,
 )
 
 KINDS = ("random", "skewed", "ties", "signed_zero", "constant", "zero_weight")
@@ -51,10 +52,10 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
-def padded_head(sp, r, delta):
+def padded_head(cd, r, delta):
     """The library's sorted minimizer weights before normalization."""
-    q = np.zeros(sp.n)
-    q[:r] = chi2._minimizer_head(sp, r, delta)
+    q = np.zeros(cd.n)
+    q[:r] = chi2._minimizer_head(cd, r, delta)
     return q
 
 
@@ -66,8 +67,9 @@ def same_failure(got, want):
 def assert_side_matches(pmf, obj, radii):
     sp = db.sort_and_prefix(pmf, obj)
     ref = expression_sorted(pmf, obj)
+    stats = with_prefix_stats(sp)
     for name in FIELDS:
-        assert getattr(sp, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes(), name
     assert sp.plateau == ref.plateau
     if not radii:
         return
@@ -80,7 +82,7 @@ def assert_side_matches(pmf, obj, radii):
     deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *cd.finite[:: max(1, cd.finite.size // 4)]]
     for delta in deltas:
         r = chi2.chi2_active_index(cd, float(delta))
-        got = outcome(padded_head, sp, r, float(delta))
+        got = outcome(padded_head, cd, r, float(delta))
         want = outcome(expression_minimizer_weights, ref, r, float(delta))
         assert same_failure(got, want), (r, delta)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import divball as db
-from divball import cli, core, problem
+from divball import chi2, cli, core, problem
 
 # Each case covers a branch the prepared path must reproduce exactly: a TV
 # radius that moves all mass (degenerate), a chi^2 radius past every critical
@@ -92,6 +92,59 @@ def test_single_radius_json_matches_one_shot(tmp_path, capsys):
     assert bits(payload["value"]) == bits(lo.value)
     assert bits(payload["upper_value"]) == bits(up.value)
     assert np.array(payload["minimizer"]).tobytes() == lo.minimizer.weights.tobytes()
+
+
+# A many_small deck item whose maximizer's mass is off by 2e-8: the
+# single-radius JSON prints only the upper value, so it must not build one.
+REPRODUCER = {
+    "p": [0.00014816136143057897, 1.7895240451388634e-17, 0.33182106923889904,
+          0.6679387899264273, 1.871921821986272e-27, 8.201725383926384e-05,
+          8.835318121531315e-16, 9.962219402920228e-06, 9.999999999999999e-301],
+    "f": [0.5, 1.0, 0.5, -0.5, -0.5, -1.0, -1.0, -1.0, 0.0],
+    "delta": 22.388501058708552,
+}
+
+
+@pytest.mark.parametrize("ball", ["tv", "chi2"])
+@pytest.mark.parametrize(
+    "obj",
+    [
+        REPRODUCER,
+        *(dict(TIED, delta=d) for d in (0.0, 0.3, 0.9, 40.0)),
+        dict(SWEEP_CASES["tv_degenerate"][0], delta=0.5),
+    ],
+    ids=["reproducer", "tied0", "tied0.3", "tied0.9", "tied40", "untied"],
+)
+def test_single_radius_json_matches_the_csv_row(tmp_path, capsys, ball, obj):
+    obj = dict(obj, ball=ball)
+    payload = json.loads(run_cli(tmp_path, capsys, obj))
+    header, row = run_cli(tmp_path, capsys, obj, "--output", "csv").strip().split("\n")
+    delta, lower, upper, r, branch = row.split(",")
+    assert (bits(payload["value"]), bits(payload["upper_value"]), payload["r"], payload["branch"]) == (
+        bits(lower), bits(upper), int(r), branch
+    )
+
+
+def test_sides_are_single_objects():
+    p, f = db.validate(TIED["p"], TIED["f"], "chi2")
+    for family in ("tv", "chi2"):
+        prepared = db.Problem(p, f, family)
+        prepared.lower(0.3)
+        prepared.upper(0.3)
+        for negated, side in prepared._sides.items():
+            if family == "tv":
+                assert type(side) is core.SortedProblem
+                continue
+            assert type(side) is chi2.CriticalDeltas
+            sp = db.sort_and_prefix(p, f.negated() if negated else f)
+            cd = db.critical_deltas(sp)
+            for name in ("perm", "p_sorted", "f_sorted", "tails"):
+                assert getattr(cd, name) is getattr(sp, name)
+            assert (cd.plateau, cd.n) == (sp.plateau, sp.n)
+            moments = chi2._prefix_moments(sp.p_sorted, sp.f_sorted)
+            for got, want in zip((cd.prefix_mass, cd.gap, cd.prefix_var), moments):
+                assert got.tobytes() == want.tobytes()
+            assert cd.finite.tobytes() == side.finite.tobytes()
 
 
 def counting(monkeypatch, module, name, counts):
@@ -189,7 +242,7 @@ def test_upper_alone_matches_the_negation_sorted_in_its_own_right(family, levels
 def test_cli_moment_passes_per_side(tmp_path, capsys, monkeypatch, ball, args, passes):
     # TV reads only tails; a chi^2 side computes its prefix moments once.
     counts = {}
-    counting(monkeypatch, core, "_prefix_moments", counts)
+    counting(monkeypatch, chi2, "_prefix_moments", counts)
     run_cli(tmp_path, capsys, dict(TIED, ball=ball), *args)
     assert counts.get("_prefix_moments", 0) == passes
 
@@ -197,7 +250,7 @@ def test_cli_moment_passes_per_side(tmp_path, capsys, monkeypatch, ball, args, p
 @pytest.mark.parametrize("family, passes", [("tv", 0), ("chi2", 1)])
 def test_one_shot_moment_passes(monkeypatch, family, passes):
     counts = {}
-    counting(monkeypatch, core, "_prefix_moments", counts)
+    counting(monkeypatch, chi2, "_prefix_moments", counts)
     p, f = db.validate(TIED["p"], TIED["f"], family)
     for side in ("lower", "upper"):
         getattr(db, f"{family}_{side}_expectation")(p, f, 0.25)

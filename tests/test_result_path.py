@@ -131,7 +131,7 @@ def test_chi2_minimizer_bytes_match_the_padded_head():
             probes = [(chi2.chi2_active_index(cd, d), d) for d in (0.0, 0.05, 0.7, 50.0)]
             probes += [(sp.plateau + 1 + j, float(r)) for j, r in enumerate(cd.finite)]
             for r, delta in probes:
-                padded = np.pad(chi2._minimizer_head(sp, r, delta), (0, sp.n - r))
+                padded = np.pad(chi2._minimizer_head(cd, r, delta), (0, sp.n - r))
                 want = db.Pmf._solved(padded, None).weights
                 got = chi2_minimizer(sp, r, delta).weights
                 assert got.tobytes() == want.tobytes()
