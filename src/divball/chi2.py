@@ -120,6 +120,25 @@ class CriticalDeltas(SortedProblem):
     prefix_var: np.ndarray
     finite: np.ndarray
 
+    def value(self, delta: float) -> tuple[float, int, str]:
+        """The lower bound at ``delta`` with its support size and branch."""
+        r = chi2_active_index(self, delta)
+        if r == self.plateau:
+            return float(self.f_sorted[0]), r, BRANCH_PLATEAU
+        i = r - 1
+        rad = _radicand(self.prefix_mass[i], self.tails[i], delta)
+        mean = self.f_sorted[i] - self.gap[i]
+        value = float(mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad))
+        return value, r, BRANCH_INTERIOR
+
+    def weights(self, r: int, delta: float) -> np.ndarray:
+        """:meth:`value`'s minimizer for support size ``r``, in original order."""
+        head = _minimizer_head(self, r, delta)
+        # One original-order array, allocated once the head's temporaries are freed.
+        q = np.zeros(self.n)
+        q[self.perm[:r]] = head
+        return q
+
 
 def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
     """The chi-squared side of ``sp``, with critical radii for every support
@@ -208,24 +227,3 @@ def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
             )
         head[head < 0.0] = 0.0
     return head
-
-
-def chi2_value(cd: CriticalDeltas, delta: float) -> tuple[float, int, str]:
-    """The lower bound of the side ``cd`` at ``delta`` with its support size and branch."""
-    r = chi2_active_index(cd, delta)
-    if r == cd.plateau:
-        return float(cd.f_sorted[0]), r, BRANCH_PLATEAU
-    i = r - 1
-    rad = _radicand(cd.prefix_mass[i], cd.tails[i], delta)
-    mean = cd.f_sorted[i] - cd.gap[i]
-    value = float(mean - math.sqrt(cd.prefix_var[i]) * math.sqrt(rad))
-    return value, r, BRANCH_INTERIOR
-
-
-def chi2_weights(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
-    """The minimizer of :func:`chi2_value`'s support size ``r``, in original order."""
-    head = _minimizer_head(cd, r, delta)
-    # One original-order array, allocated once the head's temporaries are freed.
-    q = np.zeros(cd.n)
-    q[cd.perm[:r]] = head
-    return q

@@ -226,9 +226,9 @@ class SortedProblem:
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  ``tails[i]`` is the mass after entry
     ``i``.  ``plateau`` is the number of leading outcomes tied at the minimal
-    objective value (at least 1).  These are all a TV bound reads; a
-    chi-squared side adds its prefix statistics (``chi2.CriticalDeltas``).
-    Minimizers are written straight into original order through ``perm``.
+    objective value (at least 1).  A family's side subclasses it and answers
+    ``value(delta)`` and ``weights(r, delta)``, writing minimizers straight
+    into original order through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).
     """
 
     perm: np.ndarray

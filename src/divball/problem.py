@@ -8,11 +8,16 @@ step (``core._negated_order``).  The one-shot bounds each solve a ``Problem``.
 
 import math
 
-from .chi2 import chi2_value, chi2_weights, critical_deltas
+from .chi2 import critical_deltas
 from .core import (BallFamily, BoundResult, Objective, Pmf, check_delta, expectation,
                    require_positive, sort_and_prefix)
 from .errors import NonFiniteError, UnreachableError
-from .tv import tv_value, tv_weights
+from .tv import TVSide
+
+_BUILDERS = {
+    BallFamily.TV: lambda pmf, f: TVSide(sort_and_prefix(pmf, f), pmf.weights),
+    BallFamily.CHI2: lambda pmf, f: critical_deltas(sort_and_prefix(pmf, f)),
+}
 
 
 class Problem:
@@ -24,7 +29,7 @@ class Problem:
     def __init__(self, pmf: Pmf, objective: Objective, family: BallFamily | str):
         self.pmf = pmf
         self.objective = objective
-        self.family = BallFamily(family)
+        self._build = _BUILDERS[family if isinstance(family, BallFamily) else BallFamily(family)]
         self._sides = {}
 
     def lower(self, delta: float) -> BoundResult:
@@ -37,38 +42,29 @@ class Problem:
 
     def _solve(self, negated: bool, delta: float) -> BoundResult:
         """One side's bound; its minimizer is wrapped with no second validation."""
-        value, r, branch = self._value(negated, delta)
-        side = self._sides[negated]
-        if self.family is BallFamily.TV:
-            q = tv_weights(side, r, delta, self.pmf.weights)
-        else:
-            q = chi2_weights(side, r, delta)
-        return BoundResult(value, Pmf._solved(q, self.pmf.labels), r, branch)
+        check_delta(delta)
+        side = self._side(negated)
+        value, r, branch = side.value(delta)
+        return BoundResult(value, Pmf._solved(side.weights(r, delta), self.pmf.labels), r, branch)
 
     def _value(self, negated: bool, delta: float) -> tuple[float, int, str]:
         """:meth:`_solve`'s value, support size and branch, with no minimizer."""
         check_delta(delta)
-        side = self._side(negated)
-        if self.family is BallFamily.TV:
-            return tv_value(side, delta)
-        return chi2_value(side, delta)
+        return self._side(negated).value(delta)
 
     def _side(self, negated: bool):
-        """The prepared side: a ``SortedProblem`` for TV, a ``CriticalDeltas`` for chi^2."""
+        """The prepared side: a ``TVSide`` or a ``CriticalDeltas``."""
         side = self._sides.get(negated)
         if side is None:
             objective = self.objective.negated() if negated else self.objective
-            side = sort_and_prefix(self.pmf, objective)
-            if self.family is BallFamily.CHI2:
-                side = critical_deltas(side)
-            self._sides[negated] = side
+            side = self._sides[negated] = self._build(self.pmf, objective)
         return side
 
 
 def tv_lower_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
     """Exact minimum of the expectation over the radius-``delta`` TV ball.
 
-    Radii above 1 are clamped to 1: the ball is already the whole simplex.
+    Radii of 1 or more give the whole simplex, and the minimal payoff.
     The attaining minimizer is returned in original outcome order; it raises
     only the lowest-objective coordinate, keeps interior coordinates, drains
     the coordinate at the threshold index and zeroes everything above it.
@@ -117,7 +113,7 @@ def robustness_radius(
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
     center = expectation(pmf, objective)
-    if problem.family is BallFamily.CHI2:
+    if family == BallFamily.CHI2:
         require_positive(pmf.weights)  # as for a bound, whatever the threshold
     if theta >= center:
         return 0.0
@@ -128,11 +124,10 @@ def robustness_radius(
         )
 
     hi = 1.0
-    if problem.family is BallFamily.CHI2:
-        while problem._value(False, hi)[0] > theta:
-            hi *= 2.0
-            if hi > 2.0**512:
-                raise RuntimeError("radius bracket failed to close")
+    while problem._value(False, hi)[0] > theta:
+        hi *= 2.0
+        if hi > 2.0**512:
+            raise RuntimeError("radius bracket failed to close")
     lo = 0.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)

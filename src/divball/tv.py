@@ -4,7 +4,8 @@ With outcomes in ascending objective order the optimal move is greedy: drain
 mass from the highest-objective outcomes (top down, up to a total of delta)
 and pile all of it onto the single lowest-objective outcome.  The draining
 stops at the smallest support size r whose tail mass is already covered by
-delta; r = 1 means the whole unit mass ends up on the bottom outcome.
+delta; r = 1 means the whole unit mass ends up on the bottom outcome.  Any
+delta >= 1 gives r = 1 with no tail compared, as a tail can round above 1.
 """
 
 import numpy as np
@@ -34,32 +35,37 @@ def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
     return int((delta >= sp.tails).argmax()) + 1
 
 
-def tv_value(sp: SortedProblem, delta: float) -> tuple[float, int, str]:
-    """The lower bound at ``delta`` with its support size and branch."""
-    d = min(float(delta), 1.0)
-    r = tv_threshold_index(sp, d)
-    if r == 1:
-        return float(sp.f_sorted[0]), r, BRANCH_DEGENERATE
-    # The value is one full-length dot in sorted order, which fixes its bits.
-    q_sorted = sp.p_sorted.copy()
-    q_sorted[0] = sp.p_sorted[0] + d
-    # tails[r-2] is the mass from position r onward (1-based); the
-    # threshold guarantees d < tails[r-2], so this stays positive.
-    q_sorted[r - 1] = sp.tails[r - 2] - d
-    q_sorted[r:] = 0.0
-    value = weighted_mean(q_sorted, sp.f_sorted, sp.f_sorted[0], sp.f_sorted[-1])
-    return value, r, BRANCH_INTERIOR
+class TVSide(SortedProblem):
+    """A sorted side ``sp`` that also holds ``center``, the center's original-order weights."""
 
+    def __init__(self, sp: SortedProblem, center: np.ndarray):
+        self.__dict__.update(vars(sp), center=center)  # shared; a frozen dataclass init costs ~1 us
 
-def tv_weights(sp: SortedProblem, r: int, delta: float, weights: np.ndarray) -> np.ndarray:
-    """:func:`tv_value`'s minimizer in original order, from the center's ``weights``."""
-    if r == 1:
-        q = np.zeros(sp.n)
-        q[sp.perm[0]] = 1.0
+    def value(self, delta: float) -> tuple[float, int, str]:
+        """The lower bound at ``delta`` with its support size and branch."""
+        d = float(delta)
+        r = 1 if d >= 1.0 else tv_threshold_index(self, d)
+        if r == 1:
+            return float(self.f_sorted[0]), r, BRANCH_DEGENERATE
+        # The value is one full-length dot in sorted order, which fixes its bits.
+        q_sorted = self.p_sorted.copy()
+        q_sorted[0] = self.p_sorted[0] + d
+        # tails[r-2] is the mass from position r onward (1-based); the
+        # threshold guarantees d < tails[r-2], so this stays positive.
+        q_sorted[r - 1] = self.tails[r - 2] - d
+        q_sorted[r:] = 0.0
+        value = weighted_mean(q_sorted, self.f_sorted, self.f_sorted[0], self.f_sorted[-1])
+        return value, r, BRANCH_INTERIOR
+
+    def weights(self, r: int, delta: float) -> np.ndarray:
+        """:meth:`value`'s minimizer for support size ``r``, in original order."""
+        if r == 1:
+            q = np.zeros(self.n)
+            q[self.perm[0]] = 1.0
+            return q
+        d = float(delta)
+        q = self.center.copy()
+        q[self.perm[r:]] = 0.0
+        q[self.perm[0]] = self.p_sorted[0] + d
+        q[self.perm[r - 1]] = self.tails[r - 2] - d
         return q
-    d = min(float(delta), 1.0)
-    q = weights.copy()
-    q[sp.perm[r:]] = 0.0
-    q[sp.perm[0]] = sp.p_sorted[0] + d
-    q[sp.perm[r - 1]] = sp.tails[r - 2] - d
-    return q

@@ -242,14 +242,14 @@ def expression_minimizer_weights(sp, r: int, delta: float) -> np.ndarray:
 
 def expression_tv_weights(sp, delta: float) -> tuple[int, np.ndarray]:
     """Support size and sorted minimizer weights of the TV bound at ``delta``
-    of an :func:`expression_sorted` side, before normalization."""
-    d = min(delta, 1.0)
-    r = int((d >= sp.tails).argmax()) + 1
+    of an :func:`expression_sorted` side, before normalization.  Any radius
+    of 1 or more is the whole simplex, r = 1, with no tail compared."""
+    r = 1 if delta >= 1.0 else int((delta >= sp.tails).argmax()) + 1
     q = np.zeros(sp.n)
     if r == 1:
         q[0] = 1.0
         return r, q
     q[:r] = sp.p_sorted[:r]
-    q[0] += d
-    q[r - 1] = sp.tails[r - 2] - d
+    q[0] += delta
+    q[r - 1] = sp.tails[r - 2] - delta
     return r, q

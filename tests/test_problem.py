@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import divball as db
-from divball import chi2, cli, core, problem
+from divball import chi2, cli, core, problem, tv
 
 # Each case covers a branch the prepared path must reproduce exactly: a TV
 # radius that moves all mass (degenerate), a chi^2 radius past every critical
@@ -133,7 +133,8 @@ def test_sides_are_single_objects():
         prepared.upper(0.3)
         for negated, side in prepared._sides.items():
             if family == "tv":
-                assert type(side) is core.SortedProblem
+                assert type(side) is tv.TVSide
+                assert side.center is p.weights
                 continue
             assert type(side) is chi2.CriticalDeltas
             sp = db.sort_and_prefix(p, f.negated() if negated else f)
@@ -310,8 +311,8 @@ def test_radius_search_reads_values_only(monkeypatch, case):
     obj, _ = SWEEP_CASES[case]
     p, f = db.validate(obj["p"], obj["f"], obj["ball"])
     theta = 0.5 * (db.expectation(p, f) + float(f.values.min()))
-    monkeypatch.setattr(problem, "tv_weights", solve)
-    monkeypatch.setattr(problem, "chi2_weights", solve)
+    monkeypatch.setattr(tv.TVSide, "weights", solve)
+    monkeypatch.setattr(chi2.CriticalDeltas, "weights", solve)
     star = problem.robustness_radius(p, f, obj["ball"], theta)
     monkeypatch.undo()
     prepared = db.Problem(p, f, obj["ball"])

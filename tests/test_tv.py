@@ -1,5 +1,7 @@
 """Unit tests for the total-variation ball solver."""
 
+import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divball as db
+from divball import cli
 from divball.core import suffix_masses
 from divball.oracle import naive_tv_distance
 from divball.tv import tv_threshold_index
@@ -301,3 +304,45 @@ class TestNearFloatMaxPayoff:
                 assert np.isfinite(res.value)
                 exact = sum(Fraction(w) * Fraction(v) for w, v in zip(res.minimizer.weights, values))
                 assert abs(Fraction(res.value) - exact) <= Fraction(BIG) * Fraction(n, 2**51)
+
+
+# A zero bottom weight: the tail after the bottom outcome, summed from the
+# top down, rounds to 1.0000000000000002, above the radius 1.
+ROUNDED_TAIL_P = [0.0, 0.29, 0.11, 0.6000000000000001]
+ROUNDED_TAIL_F = {
+    "below": [-1.0, -0.4, -0.7, -0.5],  # an interior r = 2 value fell below min f
+    "above": [-1.0, 0.6, 0.5, 0.9],  # and here it stayed above it
+}
+
+
+class TestWholeSimplex:
+    """Any radius of 1 or more is the whole simplex: the lower bound is the
+    minimal payoff, on a point mass, whatever the tails round to."""
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, math.inf])
+    @pytest.mark.parametrize("case", sorted(ROUNDED_TAIL_F))
+    def test_rounded_tail_gives_the_point_mass(self, case, delta):
+        f_values = ROUNDED_TAIL_F[case]
+        p, f = db.validate(ROUNDED_TAIL_P, f_values)
+        lower = db.tv_lower_expectation(p, f, delta)
+        assert lower.value == -1.0
+        assert (lower.active_index, lower.branch) == (1, "degenerate")
+        assert lower.minimizer.weights.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert db.tv_upper_expectation(p, f, delta).value == max(f_values)
+
+    @pytest.mark.parametrize("delta", ["1", "1.5"])
+    @pytest.mark.parametrize("case", sorted(ROUNDED_TAIL_F))
+    def test_cli_row_says_the_same(self, tmp_path, capsys, case, delta):
+        # The CLI takes finite radii only, so infinity is left to the library.
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"p": ROUNDED_TAIL_P, "f": ROUNDED_TAIL_F[case], "ball": "tv"}))
+        assert cli.main(["--input", str(path), "--delta", delta, "--output", "csv"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        upper = format(max(ROUNDED_TAIL_F[case]), ".17g")
+        assert row == f"{float(delta):.17g},-1,{upper},1,degenerate"
+
+    def test_radius_search_closes_at_one(self):
+        # The radius bracket runs for TV too: the bound at radius 1 must
+        # already reach the minimal payoff, or the bracket never closes.
+        p, f = db.validate(ROUNDED_TAIL_P, ROUNDED_TAIL_F["above"])
+        assert db.robustness_radius(p, f, "tv", -1.0) == 1.0
