@@ -185,6 +185,25 @@ class TestValidationFailures:
         with pytest.raises(db.DivballError, match=message):
             cli.load_problem_dict({"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", **radii})
 
+    @pytest.mark.parametrize(
+        "delta, flags, message",
+        [
+            (0.1, ["--delta", "inf"], "delta must be finite"),
+            (0.1, ["--delta", "nan"], "delta must be finite"),
+            (0.1, ["--delta", "inf", "--oracle-check"], "delta must be finite"),
+            (math.inf, [], "delta must be finite"),
+            (math.nan, [], "delta must be finite"),
+            (0.1, ["--delta", "-0.1"], "delta must be >= 0, got -0.1"),
+        ],
+        ids=["flag-inf", "flag-nan", "oracle-inf", "file-inf", "file-nan", "flag-negative"],
+    )
+    def test_radius_rule(self, tmp_path, capsys, delta, flags, message):
+        # JSON output cannot carry an infinite radius, so the CLI asks for a
+        # finite one before the library's own rule (>= 0) applies.
+        path = write_problem(tmp_path, {**TV_FIXTURE, "delta": delta})
+        assert cli.main(["--input", path, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
