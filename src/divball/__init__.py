@@ -18,7 +18,6 @@ from . import cli  # noqa: F401
 from .chi2 import chi2_divergence, critical_deltas
 from .core import (
     BallFamily,
-    BallSpec,
     BoundResult,
     Objective,
     Pmf,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallFamily",
-    "BallSpec",
     "BoundResult",
     "DivballError",
     "EmptyFeasibleError",

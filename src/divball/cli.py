@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BallFamily, BallSpec, Objective, Pmf, validate
+from .core import BallFamily, Objective, Pmf, check_delta, validate
 from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
 from .problem import Problem, robustness_radius
@@ -124,8 +124,11 @@ def resolve_problem(obj: dict, args=None) -> ProblemFile:
         # From the raw weights, so they are normalized once, as without labels.
         pmf = Pmf(fields["p"], labels=tuple(fields["labels"]))
     if delta is not None:
-        # Radius validity (>= 0, finite) is BallSpec's concern.
-        delta = BallSpec(family, float(delta)).delta
+        delta = float(delta)
+        # The library accepts an infinite radius; JSON output cannot carry one.
+        if not math.isfinite(delta):
+            raise NonFiniteError("delta must be finite")
+        check_delta(delta)
     return ProblemFile(
         pmf=pmf, objective=objective, family=family, delta=delta, sweep=sweep
     )
@@ -197,8 +200,9 @@ def run_oracle_check(problem: ProblemFile, resolution: int | None) -> tuple[str,
         raise DivballError("this mode needs a single 'delta' (no sweep)")
     delta = problem.delta
     closed = Problem(problem.pmf, problem.objective, problem.family).lower(delta)
-    ball = BallSpec(problem.family, delta)
-    report = oracle_lower_expectation(problem.pmf, problem.objective, ball, resolution)
+    report = oracle_lower_expectation(
+        problem.pmf, problem.objective, problem.family, delta, resolution
+    )
     if not (math.isfinite(closed.value) and math.isfinite(report.grid_minimum)):
         raise NonFiniteError(
             "the expectation overflows the float range; a certificate needs finite values"

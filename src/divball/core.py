@@ -202,23 +202,6 @@ class Objective:
         return self.__dict__["_perm_changes"]
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """A divergence ball description: family plus radius."""
-
-    family: BallFamily
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", BallFamily(self.family))
-        delta = float(self.delta)
-        if not np.isfinite(delta):
-            raise NonFiniteError("delta must be finite")
-        if delta < 0.0:
-            raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
-        object.__setattr__(self, "delta", delta)
-
-
 @dataclass(frozen=True, eq=False)
 class SortedProblem:
     """A (pmf, objective) pair in objective-ascending order plus tail masses.
@@ -312,18 +295,21 @@ _HALF_MAX = 2.0**1023
 def weighted_mean(weights: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
     """``weights · values`` for weights summing to 1 and values in ``[lo, hi]``.
 
-    The exact mean lies in ``[lo, hi]``.  Where the dot overflows (payoffs
-    near the float maximum), it is redone in units of the exact power of two
-    ``2**1023`` and clamped to ``[lo, hi]``; every finite dot keeps its bits.
+    The exact mean lies in ``[lo, hi]``, so the dot is clamped to it: its
+    rounding, or weights whose float sum is an ulp above 1, can leave it.
+    Where the dot overflows (payoffs near the float maximum), it is redone
+    in units of the exact power of two ``2**1023``.
     """
     if -_HALF_MAX < lo and hi < _HALF_MAX:
-        return float(np.dot(weights, values))
-    with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.dot(weights, values))
-    if math.isfinite(value):
-        return value
-    value = float(np.dot(weights, values / _HALF_MAX)) * _HALF_MAX
-    return float(min(max(value, lo), hi))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.dot(weights, values))
+        if not math.isfinite(value):
+            value = float(np.dot(weights, values / _HALF_MAX)) * _HALF_MAX
+    if value < lo:
+        return float(lo)
+    return float(hi) if value > hi else value
 
 
 def suffix_masses(weights: np.ndarray) -> np.ndarray:

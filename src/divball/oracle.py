@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallFamily, BallSpec, Objective, Pmf
+from .core import BallFamily, Objective, Pmf, check_delta, require_positive
 from .errors import (
     DivballError,
     EmptySupportError,
@@ -166,31 +166,35 @@ def default_resolution(n: int) -> int:
 
 
 def oracle_lower_expectation(
-    p: Pmf, f: Objective, ball: BallSpec, resolution: int | None = None
+    p: Pmf, f: Objective, family: BallFamily | str, delta: float,
+    resolution: int | None = None,
 ) -> OracleReport:
     """Exhaustive feasible-grid minimum of the expectation over a ball.
 
-    The reported minimum is recomputed with the definitional loops, and the
+    ``family`` and ``delta`` follow the bounds' rules: any radius >= 0 is
+    valid, and an infinite one makes every grid point feasible.  The
+    reported minimum is recomputed with the definitional loops, and the
     argmin's ball membership is rechecked the same way, so the report stands
     on its own even if the vectorized path were wrong.
     """
+    family = BallFamily(family)
+    check_delta(delta)
+    delta = float(delta)
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    if ball.family is BallFamily.CHI2 and np.any(p.weights == 0.0):
-        raise ZeroMassForbiddenError(
-            "chi-squared balls need a strictly positive center pmf"
-        )
+    if family is BallFamily.CHI2:
+        require_positive(p.weights)
     n = p.n
     if resolution is None:
         resolution = default_resolution(n)
     _check_grid_size(n, resolution)
 
-    column_distance = _column_tv if ball.family is BallFamily.TV else _column_chi2
+    column_distance = _column_tv if family is BallFamily.TV else _column_chi2
     feasible_count = 0
     best_value, argmin_weights = None, None
     for counts in _composition_blocks(n, resolution):
         W = counts / float(resolution)
-        mask = column_distance(W, p.weights) <= ball.delta
+        mask = column_distance(W, p.weights) <= delta
         count = int(np.count_nonzero(mask))
         if count == 0:
             continue
@@ -208,11 +212,11 @@ def oracle_lower_expectation(
     if feasible_count == 0:
         raise EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "
-            f"{ball.family.value} ball of radius {ball.delta}"
+            f"{family.value} ball of radius {delta}"
         )
 
     grid_minimum = float(naive_expectation(argmin_weights, f.values))
-    if naive_divergence(argmin_weights, p.weights, ball.family) > ball.delta:
+    if naive_divergence(argmin_weights, p.weights, family) > delta:
         raise RuntimeError("oracle internal inconsistency: argmin left the ball")
 
     span = float(f.values.max() - f.values.min())

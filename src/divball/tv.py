@@ -31,8 +31,10 @@ def tv_distance(q: Pmf, p: Pmf) -> float:
 def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
     """Smallest support size r whose tail mass (after r) is at most delta."""
     check_delta(delta)
-    # The empty tail is exactly 0, so some tail is always covered.
-    return int((delta >= sp.tails).argmax()) + 1
+    # A top-down running sum of non-negative terms, the tails are exactly
+    # non-increasing and end in 0, so reversed they are sorted for a search.
+    tails = sp.tails
+    return 1 + tails.size - int(tails[::-1].searchsorted(delta, "right"))
 
 
 class TVSide(SortedProblem):

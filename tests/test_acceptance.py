@@ -116,7 +116,7 @@ def test_criterion_1_tv_oracle_sandwich():
             f = random_objective(rng, n, -1.0, 1.0)
             delta = float(rng.uniform(0.0, 1.2))
             res = db.tv_lower_expectation(p, f, delta)
-            report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", delta), resolution)
+            report = db.oracle_lower_expectation(p, f, "tv", delta, resolution)
             span = float(f.values.max() - f.values.min())
             gap = report.grid_minimum - res.value
             assert gap >= -1e-12 * (1.0 + span)
@@ -140,7 +140,7 @@ def test_criterion_2_chi2_oracle_sandwich():
             tolerance = span * n / resolution
             try:
                 report = db.oracle_lower_expectation(
-                    p, f, db.BallSpec("chi2", delta), resolution
+                    p, f, "chi2", delta, resolution
                 )
             except db.EmptyFeasibleError:
                 # Off-grid center with a radius below mesh reach: compare the

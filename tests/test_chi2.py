@@ -360,7 +360,7 @@ class TestChi2LowerExpectation:
         assert abs(res.value - expected) <= 1e-12
         assert res.active_index == 3
         assert res.branch == "interior"
-        report = db.oracle_lower_expectation(pmf, obj, db.BallSpec("chi2", 0.1), 200)
+        report = db.oracle_lower_expectation(pmf, obj, "chi2", 0.1, 200)
         assert -1e-12 <= report.grid_minimum - res.value <= report.tolerance
 
     def test_zero_delta(self):
@@ -586,7 +586,7 @@ class TestChi2Invariants:
             res = db.chi2_lower_expectation(pmf, obj, delta)
             try:
                 report = db.oracle_lower_expectation(
-                    pmf, obj, db.BallSpec("chi2", delta), resolution
+                    pmf, obj, "chi2", delta, resolution
                 )
             except db.EmptyFeasibleError:
                 assert abs(res.value - db.expectation(pmf, obj)) <= 0.05

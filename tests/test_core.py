@@ -92,26 +92,39 @@ class TestPmf:
 
 
 class TestBallSpec:
+    """A ball is a family and a radius: the oracle takes both as the bounds do."""
+
     def test_negative_delta(self):
-        with pytest.raises(db.NegativeDeltaError):
-            db.BallSpec("tv", -0.1)
+        p, f = db.validate([0.5, 0.5], [0, 1])
+        for family in ("tv", "chi2"):
+            with pytest.raises(db.NegativeDeltaError, match=r"^delta must be >= 0, got -0.1$"):
+                db.oracle_lower_expectation(p, f, family, -0.1)
 
     def test_family_coercion(self):
-        assert db.BallSpec("chi2", 0.5).family is db.BallFamily.CHI2
+        p, f = db.validate([0.5, 0.5], [0, 1], "chi2")
+        by_name = db.oracle_lower_expectation(p, f, "chi2", 0.5, 20)
+        by_member = db.oracle_lower_expectation(p, f, db.BallFamily.CHI2, 0.5, 20)
+        assert by_name.grid_argmin.weights.tobytes() == by_member.grid_argmin.weights.tobytes()
+        assert by_name.feasible_count == by_member.feasible_count < 21
 
     def test_non_finite_delta(self):
-        with pytest.raises(db.NonFiniteError):
-            db.BallSpec("tv", float("nan"))
+        # NaN is no radius, as for the bounds (the CLI says "must be finite").
+        p, f = db.validate([0.5, 0.5], [0, 1])
+        for family in ("tv", "chi2"):
+            with pytest.raises(db.NegativeDeltaError, match=r"^delta must be >= 0, got nan$"):
+                db.oracle_lower_expectation(p, f, family, float("nan"))
+            with pytest.raises(db.NegativeDeltaError, match=r"^delta must be >= 0, got nan$"):
+                db.Problem(p, f, family).lower(float("nan"))
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: db.validate([0.5, 0.5], [0, 1], "kl"),
-            lambda: db.BallSpec("kl", 0.1),
+            lambda: db.oracle_lower_expectation(*db.validate([0.5, 0.5], [0, 1]), "kl", 0.1),
             lambda: db.Problem(*db.validate([0.5, 0.5], [0, 1]), "kl"),
             lambda: naive_divergence(db.Pmf([0.5, 0.5]), db.Pmf([0.5, 0.5]), "kl"),
         ],
-        ids=["validate", "BallSpec", "Problem", "naive_divergence"],
+        ids=["validate", "oracle", "Problem", "naive_divergence"],
     )
     def test_unknown_family_is_a_divball_error(self, make):
         with pytest.raises(db.DivballError) as info:
@@ -141,6 +154,14 @@ class TestExpectation:
         _, f = db.validate([1.0], [3.0])
         with pytest.raises(db.LengthMismatchError):
             db.expectation(p, f)
+
+    def test_constant_payoff_is_its_own_mean(self):
+        # The dot's rounding alone fell an ulp below the constant.
+        p, f = db.validate(
+            [0.08433549140854188, 0.6256359910228938, 0.04981171773129562, 0.24021679983726876],
+            [2.0] * 4,
+        )
+        assert db.expectation(p, f) == 2.0
 
     def test_near_float_max_payoff_does_not_overflow(self):
         big = 1.7976931348623157e308

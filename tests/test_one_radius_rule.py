@@ -1,0 +1,84 @@
+"""One radius rule and one center rule: every bound, ``Problem``, the CLI and
+the grid oracle reject a bad radius through ``core.check_delta`` and a
+chi-squared center with a zero weight through ``core.require_positive``, so
+a second copy of either rule cannot drift from the first.
+
+Like ``test_family_branches.py``, this reads the syntax tree of every module
+in the package: ``NegativeDeltaError`` is raised only in ``check_delta``, and
+the zero-center message only in ``require_positive``.
+"""
+
+import ast
+from pathlib import Path
+
+import divball
+
+ZERO_CENTER = "chi-squared balls need a strictly positive center pmf"
+
+
+def raisers(source: str, module: str, test) -> list[str]:
+    """The functions (``module.Class.name``) holding a ``raise`` whose
+    exception expression ``test`` accepts."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None and test(child.exc):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def negative_delta(exc) -> bool:
+    """``NegativeDeltaError(...)``, bare or through a module attribute."""
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return getattr(target, "id", getattr(target, "attr", None)) == "NegativeDeltaError"
+
+
+def zero_center(exc) -> bool:
+    """Any exception built with the zero-center message in a literal."""
+    return any(
+        isinstance(node, ast.Constant) and isinstance(node.value, str) and ZERO_CENTER in node.value
+        for node in ast.walk(exc)
+    )
+
+
+def package_raisers(test) -> list[str]:
+    modules = sorted(Path(divball.__file__).parent.glob("*.py"))
+    return [where for path in modules
+            for where in raisers(path.read_text(encoding="utf-8"), path.stem, test)]
+
+
+def test_only_check_delta_rejects_a_radius():
+    assert package_raisers(negative_delta) == ["core.check_delta"]
+
+
+def test_only_require_positive_rejects_a_zero_center():
+    assert package_raisers(zero_center) == ["core.require_positive"]
+
+
+def test_check_flags_a_second_rule():
+    source = (
+        "def check_delta(delta):\n"
+        "    if not delta >= 0.0:\n"
+        "        raise NegativeDeltaError(f'delta must be >= 0, got {delta}')\n"
+        "class Spec:\n"
+        "    def __post_init__(self):\n"
+        "        if self.delta < 0.0:\n"
+        "            raise errors.NegativeDeltaError('negative')\n"
+        "def oracle(p):\n"
+        "    if np.any(p == 0.0):\n"
+        "        raise ZeroMassForbiddenError(\n"
+        "            'chi-squared balls need a strictly positive center pmf'\n"
+        "        )\n"
+        "    raise NegativeDeltaError\n"
+    )
+    assert raisers(source, "m", negative_delta) == [
+        "m.check_delta", "m.Spec.__post_init__", "m.oracle"
+    ]
+    assert raisers(source, "m", zero_center) == ["m.oracle"]

@@ -49,6 +49,14 @@ class TestEnumerateCompositions:
         assert np.all(matrix.sum(axis=1) == 9)
         assert np.all(matrix >= 0)
 
+    @pytest.mark.parametrize("family", ["tv", "chi2"])
+    def test_infinite_radius_makes_every_grid_point_feasible(self, family):
+        p, f = db.validate([0.2, 0.3, 0.5], [1.5, -0.5, 3.0], family)
+        report = db.oracle_lower_expectation(p, f, family, math.inf, 40)
+        assert report.feasible_count == math.comb(42, 2)
+        assert report.grid_minimum == -0.5
+        assert report.grid_argmin.weights.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
+
     def test_too_large(self):
         with pytest.raises(db.TooLargeError):
             list(enumerate_compositions(5, 10))
@@ -67,7 +75,7 @@ class TestEnumerateCompositions:
 class TestOracleLowerExpectation:
     def test_tv_worked_example(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
-        report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.4), 200)
+        report = db.oracle_lower_expectation(p, f, "tv", 0.4, 200)
         assert 1.5 <= report.grid_minimum <= 1.5 + 3 * 2 / 200
         assert report.tolerance == pytest.approx(2 * 3 / 200)
         # argmin is on the grid and feasible per the independent distance
@@ -77,47 +85,47 @@ class TestOracleLowerExpectation:
 
     def test_zero_delta_on_grid_center(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
-        report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.0), 200)
+        report = db.oracle_lower_expectation(p, f, "tv", 0.0, 200)
         assert report.feasible_count == 1
         np.testing.assert_allclose(report.grid_argmin.weights, p.weights, atol=1e-15)
         assert abs(report.grid_minimum - db.expectation(p, f)) <= 1e-14
 
     def test_chi2_worked_example(self):
         p, f = db.validate([0.5, 0.5], [0, 1], "chi2")
-        report = db.oracle_lower_expectation(p, f, db.BallSpec("chi2", 0.25), 200)
+        report = db.oracle_lower_expectation(p, f, "chi2", 0.25, 200)
         assert 0.25 <= report.grid_minimum <= 0.25 + 1 * 2 / 200
         assert naive_chi2_divergence(report.grid_argmin, p) <= 0.25
 
     def test_empty_feasible(self):
         p, f = db.validate([1 / 3, 2 / 3], [0, 1], "chi2")
         with pytest.raises(db.EmptyFeasibleError):
-            db.oracle_lower_expectation(p, f, db.BallSpec("chi2", 1e-8), 10)
+            db.oracle_lower_expectation(p, f, "chi2", 1e-8, 10)
 
     def test_deterministic(self):
         p, f = db.validate([0.3, 0.3, 0.4], [2, 1, 3])
-        a = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.2), 50)
-        b = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.2), 50)
+        a = db.oracle_lower_expectation(p, f, "tv", 0.2, 50)
+        b = db.oracle_lower_expectation(p, f, "tv", 0.2, 50)
         assert a.grid_minimum == b.grid_minimum
         np.testing.assert_array_equal(a.grid_argmin.weights, b.grid_argmin.weights)
         assert a.feasible_count == b.feasible_count
 
     def test_default_resolution(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
-        report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.1))
+        report = db.oracle_lower_expectation(p, f, "tv", 0.1)
         assert report.resolution == 200
         p4, f4 = db.validate([0.25] * 4, [0, 1, 2, 3])
-        report4 = db.oracle_lower_expectation(p4, f4, db.BallSpec("tv", 0.1))
+        report4 = db.oracle_lower_expectation(p4, f4, "tv", 0.1)
         assert report4.resolution == 100
 
     def test_too_large(self):
         p, f = db.validate([0.2] * 5, [1, 2, 3, 4, 5])
         with pytest.raises(db.TooLargeError):
-            db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.5), 10)
+            db.oracle_lower_expectation(p, f, "tv", 0.5, 10)
 
     def test_chi2_needs_positive_center(self):
         p, f = db.validate([0.0, 1.0], [0, 1], "tv")
         with pytest.raises(db.ZeroMassForbiddenError):
-            db.oracle_lower_expectation(p, f, db.BallSpec("chi2", 0.5), 10)
+            db.oracle_lower_expectation(p, f, "chi2", 0.5, 10)
 
     def test_closed_form_attainment_certificate(self):
         # The closed-form minimizer, measured entirely with the oracle's own
@@ -150,7 +158,7 @@ class TestOracleLowerExpectation:
                     closed = db.chi2_lower_expectation(p, f, delta).value
                 try:
                     report = db.oracle_lower_expectation(
-                        p, f, db.BallSpec(family, delta), 60
+                        p, f, family, delta, 60
                     )
                 except db.EmptyFeasibleError:
                     continue
@@ -166,7 +174,7 @@ def lex_reference(n, resolution):
     ]
 
 
-def full_matrix_reference(p, f, ball, resolution):
+def full_matrix_reference(p, f, family, delta, resolution):
     """The whole-grid oracle that the streamed one replaced: one composition
     matrix in lexicographic order, one mask, one argmin."""
 
@@ -183,16 +191,17 @@ def full_matrix_reference(p, f, ball, resolution):
         return np.vstack(blocks)
 
     W = build(p.n, resolution) / float(resolution)
-    if ball.family is db.BallFamily.TV:
+    family = db.BallFamily(family)
+    if family is db.BallFamily.TV:
         dists = oracle._column_tv(W, p.weights)
     else:
         dists = oracle._column_chi2(W, p.weights)
-    mask = dists <= ball.delta
+    mask = dists <= delta
     feasible_count = int(np.count_nonzero(mask))
     if feasible_count == 0:
         raise db.EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "
-            f"{ball.family.value} ball of radius {ball.delta}"
+            f"{family.value} ball of radius {delta}"
         )
     masked = np.where(mask, oracle._column_expectation(W, f.values), np.inf)
     argmin_weights = W[int(np.argmin(masked))]
@@ -228,16 +237,16 @@ class TestStreamedGrid:
             else:  # constant payoff: every feasible point ties
                 f = db.Objective(np.full(n, float(rng.uniform(-2, 2))))
             family = ("tv", "chi2")[int(rng.integers(2))]
-            ball = db.BallSpec(family, float(rng.choice([0.0, 0.01, 0.2, 1.5])))
+            delta = float(rng.choice([0.0, 0.01, 0.2, 1.5]))
             try:
-                expected = full_matrix_reference(p, f, ball, resolution)
+                expected = full_matrix_reference(p, f, family, delta, resolution)
             except db.EmptyFeasibleError as err:
                 raised += 1
                 with pytest.raises(db.EmptyFeasibleError) as got:
-                    db.oracle_lower_expectation(p, f, ball, resolution)
+                    db.oracle_lower_expectation(p, f, family, delta, resolution)
                 assert str(got.value) == str(err)
                 continue
-            report = db.oracle_lower_expectation(p, f, ball, resolution)
+            report = db.oracle_lower_expectation(p, f, family, delta, resolution)
             assert (
                 np.float64(report.grid_minimum).tobytes(),
                 report.grid_argmin.weights.tobytes(),
@@ -252,7 +261,7 @@ class TestStreamedGrid:
         # no feasible point; a power-of-two resolution makes every feasible
         # expectation the same float, so only the order decides the argmin.
         p, f = db.validate([0.75, 0.125, 0.125], [2.0, 2.0, 2.0], family)
-        report = db.oracle_lower_expectation(p, f, db.BallSpec(family, delta), 16)
+        report = db.oracle_lower_expectation(p, f, family, delta, 16)
         first = next(
             q for q in enumerate_compositions(3, 16)
             if oracle.naive_divergence(q, p, family) <= delta
@@ -267,7 +276,7 @@ class TestStreamedGrid:
         big = np.finfo(float).max
         p, f = db.validate([0.2, 0.4, 0.4], [big, big, big], "tv")
         with np.errstate(over="ignore"):
-            report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.0), 5)
+            report = db.oracle_lower_expectation(p, f, "tv", 0.0, 5)
         assert report.grid_minimum == math.inf
         assert report.feasible_count == 1
         assert report.grid_argmin.weights.tobytes() == (np.array([1, 2, 2]) / 5.0).tobytes()
@@ -281,10 +290,9 @@ class TestStreamedGrid:
     ):
         big = np.finfo(float).max
         p, f = db.validate(center, [big, big, big], family)
-        ball = db.BallSpec(family, delta)
         with np.errstate(over="ignore"):
-            expected = full_matrix_reference(p, f, ball, resolution)
-            report = db.oracle_lower_expectation(p, f, ball, resolution)
+            expected = full_matrix_reference(p, f, family, delta, resolution)
+            report = db.oracle_lower_expectation(p, f, family, delta, resolution)
         assert math.isfinite(report.grid_minimum)
         assert (
             np.float64(report.grid_minimum).tobytes(),
@@ -299,7 +307,7 @@ class TestStreamedGrid:
         p, f = db.validate([0.1, 0.2, 0.3, 0.4], [3.0, 1.0, 4.0, 1.5], "chi2")
         tracemalloc.start()
         try:
-            db.oracle_lower_expectation(p, f, db.BallSpec("chi2", 0.3), 250)
+            db.oracle_lower_expectation(p, f, "chi2", 0.3, 250)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

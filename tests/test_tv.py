@@ -82,6 +82,32 @@ class TestThresholdIndex:
             ]
             assert r == min(candidates)
 
+    def test_binary_search_matches_the_scan(self):
+        # The scan it replaced: the first tail that delta covers.
+        rng = np.random.default_rng(2)
+        for kind in ("random", "tied", "zero_weight", "signed_zero"):
+            for _ in range(60):
+                n = int(rng.integers(1, 12))
+                w = rng.dirichlet(np.ones(n))
+                f = rng.uniform(-1, 1, n)
+                if kind == "tied":
+                    f = rng.integers(0, 3, n).astype(float)
+                elif kind == "zero_weight":
+                    w[rng.random(n) < 0.4] = 0.0
+                elif kind == "signed_zero":
+                    w[rng.random(n) < 0.4] = -0.0
+                    f = rng.choice([0.0, -0.0, 1.0], n)
+                if not w.sum():
+                    w[0] = 1.0
+                sp = db.sort_and_prefix(*db.validate(w / w.sum(), f))
+                deltas = [0.0, -0.0, math.inf]
+                for t in sp.tails:
+                    deltas += [t, np.nextafter(t, math.inf), np.nextafter(t, -math.inf)]
+                for delta in deltas:
+                    if delta >= 0.0:
+                        expected = int((delta >= sp.tails).argmax()) + 1
+                        assert tv_threshold_index(sp, float(delta)) == expected
+
 
 class TestTvLowerExpectation:
     def test_worked_three_point(self):
@@ -91,7 +117,7 @@ class TestTvLowerExpectation:
         np.testing.assert_allclose(res.minimizer.weights, [0.6, 0.3, 0.1], atol=1e-12)
         assert res.active_index == 3
         assert res.branch == "interior"
-        report = db.oracle_lower_expectation(p, f, db.BallSpec("tv", 0.4), 200)
+        report = db.oracle_lower_expectation(p, f, "tv", 0.4, 200)
         assert 0 <= report.grid_minimum - res.value <= report.tolerance
 
     def test_zero_delta_returns_center(self):
@@ -117,6 +143,12 @@ class TestTvLowerExpectation:
         res = db.tv_lower_expectation(p, f, 3.0)
         assert res.value == 2.0
         assert db.tv_distance(res.minimizer, p) == pytest.approx(0.6, abs=1e-15)
+
+    def test_value_stays_in_the_payoff_range(self):
+        # Just under radius 1 the tails round to a mass above 1, and the
+        # sorted minimizer's dot fell an ulp below the least payoff.
+        p, f = db.validate([0.0, 0.29, 0.11, 0.6000000000000001], [-1.0, -0.4, -0.7, -0.5])
+        assert db.tv_lower_expectation(p, f, 0.9999999999999999).value == -1.0
 
     def test_negative_delta(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
@@ -154,6 +186,15 @@ class TestTvUpperExpectation:
         p, f = db.validate([0.3, 0.7], [2.5, 2.5])
         for delta in (0.0, 0.4, 1.0):
             assert db.tv_upper_expectation(p, f, delta).value == 2.5
+
+    def test_value_stays_in_the_payoff_range(self):
+        # The dot's rounding alone rose an ulp above the greatest payoff.
+        p, f = db.validate(
+            [0.3597135271775536, 0.01561916197691528, 0.2125925424189481,
+             0.019022654566643704, 0.3930521138599393],
+            [0, 2, 1, 1, 2],
+        )
+        assert db.tv_upper_expectation(p, f, 0.6283249873750498).value == 2.0
 
 
 class TestTvInvariants:
@@ -259,7 +300,7 @@ class TestTvInvariants:
             delta = float(rng.uniform(0, 1.2))
             res = db.tv_lower_expectation(p, f, delta)
             report = db.oracle_lower_expectation(
-                p, f, db.BallSpec("tv", delta), resolution
+                p, f, "tv", delta, resolution
             )
             gap = report.grid_minimum - res.value
             assert gap >= -1e-12 * (1 + abs(res.value))
