@@ -15,14 +15,13 @@ closed forms at small n.
 
 # ``divball.cli.main`` is reachable right after ``import divball``.
 from . import cli  # noqa: F401
-from .chi2 import chi2_divergence, critical_deltas
+from .chi2 import CriticalDeltas, chi2_divergence
 from .core import (
     BallFamily,
     BoundResult,
     Objective,
     Pmf,
     expectation,
-    sort_and_prefix,
     validate,
 )
 from .errors import (
@@ -54,6 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BallFamily",
     "BoundResult",
+    "CriticalDeltas",
     "DivballError",
     "EmptyFeasibleError",
     "EmptySupportError",
@@ -72,11 +72,9 @@ __all__ = [
     "chi2_divergence",
     "chi2_lower_expectation",
     "chi2_upper_expectation",
-    "critical_deltas",
     "expectation",
     "oracle_lower_expectation",
     "robustness_radius",
-    "sort_and_prefix",
     "tv_distance",
     "tv_lower_expectation",
     "tv_upper_expectation",

@@ -18,13 +18,13 @@ minimal objective remain and the bound saturates at that minimal value.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     BRANCH_INTERIOR,
     BRANCH_PLATEAU,
+    Objective,
     Pmf,
     SortedProblem,
     check_delta,
@@ -99,26 +99,51 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     return mass, gap, var
 
 
-@dataclass(frozen=True, eq=False)
 class CriticalDeltas(SortedProblem):
-    """A chi-squared side: a sorted side plus its prefix statistics and the
-    breakpoint radii at which the optimal support loses its top outcome.
+    """The chi-squared side of ``(p, f)``: the sorted side plus its prefix
+    statistics and the breakpoint radii at which the optimal support loses
+    its top outcome.
 
-    It shares the sorted side's arrays.  The prefix arrays, over the first
-    ``i + 1`` sorted outcomes at entry ``i``, come from one pass of
-    :func:`_prefix_moments`.  ``gap[i]`` is ``f_sorted[i]`` less the prefix
-    mean, formed as a quotient of non-negative running sums rather than by
-    that subtraction, so it keeps its relative accuracy when it is far below
-    an ulp of the payoff.  ``finite[j]`` is the critical radius for support
-    size ``plateau + 1 + j`` (so the array is empty when the objective is
-    constant).  The plateau support itself never shrinks; its radius is
-    unbounded and is represented structurally rather than by a float sentinel.
+    The prefix arrays, over the first ``i + 1`` sorted outcomes at entry
+    ``i``, come from one pass of :func:`_prefix_moments`.  ``gap[i]`` is
+    ``f_sorted[i]`` less the prefix mean, formed as a quotient of
+    non-negative running sums rather than by that subtraction, so it keeps
+    its relative accuracy when it is far below an ulp of the payoff.
+    ``finite[j]`` is the critical radius for support size ``plateau + 1 + j``
+    (so the array is empty when the objective is constant).  The plateau
+    support itself never shrinks; its radius is unbounded and is represented
+    structurally rather than by a float sentinel.  Each check that raises is
+    a numeric breakdown of the closed form.
     """
 
-    prefix_mass: np.ndarray
-    gap: np.ndarray
-    prefix_var: np.ndarray
-    finite: np.ndarray
+    def __init__(self, p: Pmf, f: Objective):
+        super().__init__(p, f)
+        require_positive(self.p_sorted)
+        ell = self.plateau
+        mass, gap, var = _prefix_moments(self.p_sorted, self.f_sorted)
+        self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
+        gap = gap[ell:]
+        var = var[ell:]
+        # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
+        if gap.size and not (gap[gap.argmin()] > 0.0 and var[var.argmin()] > 0.0):
+            raise DivballError("non-plateau prefix is constant")
+        finite = np.multiply(gap, gap)
+        np.divide(var, finite, out=finite)
+        finite += self.tails[ell:]
+        finite /= mass[ell:]
+        if finite.size and not finite[-1] > 0.0:
+            raise DivballError("critical radii must be positive")
+        # Non-increasing up to roundoff (NaN fails), the allowance formed only when needed.
+        falling = finite[1:] <= finite[:-1]
+        if np.count_nonzero(falling) != falling.size:
+            bound = np.abs(finite[:-1])
+            bound += 1.0
+            bound *= 1e-12
+            bound += finite[:-1]
+            if np.count_nonzero(finite[1:] <= bound) != falling.size:
+                raise DivballError("critical radii must be non-increasing")
+        finite.setflags(write=False)
+        self.finite = finite
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
@@ -138,39 +163,6 @@ class CriticalDeltas(SortedProblem):
         q = np.zeros(self.n)
         q[self.perm[:r]] = head
         return q
-
-
-def critical_deltas(sp: SortedProblem) -> CriticalDeltas:
-    """The chi-squared side of ``sp``, with critical radii for every support
-    size above the bottom tie plateau.
-
-    Each check that raises is a numeric breakdown of the closed form.
-    """
-    require_positive(sp.p_sorted)
-    ell = sp.plateau
-    mass, gap, var = moments = _prefix_moments(sp.p_sorted, sp.f_sorted)
-    gap = gap[ell:]
-    var = var[ell:]
-    # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
-    if gap.size and not (gap[gap.argmin()] > 0.0 and var[var.argmin()] > 0.0):
-        raise DivballError("non-plateau prefix is constant")
-    finite = np.multiply(gap, gap)
-    np.divide(var, finite, out=finite)
-    finite += sp.tails[ell:]
-    finite /= mass[ell:]
-    if finite.size and not finite[-1] > 0.0:
-        raise DivballError("critical radii must be positive")
-    # Non-increasing up to roundoff (NaN fails), the allowance formed only when needed.
-    falling = finite[1:] <= finite[:-1]
-    if np.count_nonzero(falling) != falling.size:
-        bound = np.abs(finite[:-1])
-        bound += 1.0
-        bound *= 1e-12
-        bound += finite[:-1]
-        if np.count_nonzero(finite[1:] <= bound) != falling.size:
-            raise DivballError("critical radii must be non-increasing")
-    finite.setflags(write=False)
-    return CriticalDeltas(sp.perm, sp.p_sorted, sp.f_sorted, sp.tails, ell, *moments, finite)
 
 
 def chi2_active_index(cd: CriticalDeltas, delta: float) -> int:

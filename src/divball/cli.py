@@ -42,7 +42,14 @@ class ProblemFile:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that converts to a float: an integer past the float range does not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def load_problem_dict(obj) -> dict:
@@ -170,7 +177,12 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
         if problem.pmf.labels is not None:
             payload["labels"] = list(problem.pmf.labels)
         return json.dumps(payload)
-    deltas = np.linspace(*problem.sweep) if problem.delta is None else [problem.delta]
+    deltas = [problem.delta]
+    if problem.delta is None:
+        try:
+            deltas = np.linspace(*problem.sweep)
+        except (ValueError, MemoryError) as exc:  # more steps than an array can hold
+            raise DivballError(f"'sweep.steps' is too large: {exc}") from None
     rows = [_bound_row(prepared, d) for d in deltas]
     return json.dumps(rows) if output == "json" else _render_csv(rows)
 

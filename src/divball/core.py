@@ -9,9 +9,11 @@ serves both bounds: the negation that an upper bound solves derives its
 order from its source's in O(n), reversing it and putting each run of tied
 values back in ascending original index.
 
-All values are immutable after construction and every function is pure, so
-instances are safe to share across threads (racing first reads of an order
-only compute it twice).
+Every array is read-only and every function is pure.  No attribute is set
+outside a constructor, except the order an ``Objective`` keeps; ``Pmf``,
+``Objective`` and ``BoundResult`` are frozen dataclasses, and the sorted
+side and its subclasses are plain classes.  So instances are safe to share
+across threads (racing first reads of an order only compute it twice).
 """
 
 import enum
@@ -202,7 +204,6 @@ class Objective:
         return self.__dict__["_perm_changes"]
 
 
-@dataclass(frozen=True, eq=False)
 class SortedProblem:
     """A (pmf, objective) pair in objective-ascending order plus tail masses.
 
@@ -212,13 +213,26 @@ class SortedProblem:
     objective value (at least 1).  A family's side subclasses it and answers
     ``value(delta)`` and ``weights(r, delta)``, writing minimizers straight
     into original order through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).
+
+    The order is ``f``'s own, stable and kept on ``f``: :func:`_stable_order`
+    sorts a payoff once, and a negated payoff derives its order from its
+    source's in O(n).  The tails are :func:`suffix_masses`.
     """
 
-    perm: np.ndarray
-    p_sorted: np.ndarray
-    f_sorted: np.ndarray
-    tails: np.ndarray
-    plateau: int
+    def __init__(self, p: Pmf, f: Objective):
+        if p.n != f.n:
+            raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
+        perm, f_sorted, changes = f._sorted()
+        p_sorted = p.weights[perm]
+        p_sorted.setflags(write=False)
+        f_sorted.setflags(write=False)
+        self.perm = perm
+        self.p_sorted = p_sorted
+        self.f_sorted = f_sorted
+        self.tails = suffix_masses(p_sorted)
+        # The bottom run ends at the first change (untied: at 1; constant: at n).
+        k = 0 if changes is None else int(changes.argmax())
+        self.plateau = k + 1 if changes is None or changes[k] else p.n
 
     @property
     def n(self) -> int:
@@ -382,30 +396,4 @@ def _negated_order(perm: np.ndarray, changes: np.ndarray | None):
     perm = perm[index]
     perm.setflags(write=False)
     return perm, changes
-
-
-def sort_and_prefix(p: Pmf, f: Objective) -> SortedProblem:
-    """Sort outcomes by ascending objective and take the tail masses.
-
-    The order is ``f``'s own, stable (ties keep original order) and kept on
-    ``f``: :func:`_stable_order` sorts a payoff once, and a negated payoff
-    derives its order from its source's in O(n).  The tails are
-    :func:`suffix_masses`.
-    """
-    if p.n != f.n:
-        raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    perm, f_sorted, changes = f._sorted()
-    p_sorted = p.weights[perm]
-    # The bottom run ends at the first change (untied: at 1; constant: at n).
-    k = 0 if changes is None else int(changes.argmax())
-    plateau = k + 1 if changes is None or changes[k] else p.n
-    p_sorted.setflags(write=False)
-    f_sorted.setflags(write=False)
-    return SortedProblem(
-        perm=perm,
-        p_sorted=p_sorted,
-        f_sorted=f_sorted,
-        tails=suffix_masses(p_sorted),
-        plateau=plateau,
-    )
 

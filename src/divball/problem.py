@@ -8,16 +8,12 @@ step (``core._negated_order``).  The one-shot bounds each solve a ``Problem``.
 
 import math
 
-from .chi2 import critical_deltas
-from .core import (BallFamily, BoundResult, Objective, Pmf, check_delta, expectation,
-                   require_positive, sort_and_prefix)
+from .chi2 import CriticalDeltas
+from .core import BallFamily, BoundResult, Objective, Pmf, check_delta
 from .errors import NonFiniteError, UnreachableError
 from .tv import TVSide
 
-_BUILDERS = {
-    BallFamily.TV: lambda pmf, f: TVSide(sort_and_prefix(pmf, f), pmf.weights),
-    BallFamily.CHI2: lambda pmf, f: critical_deltas(sort_and_prefix(pmf, f)),
-}
+_BUILDERS = {BallFamily.TV: TVSide, BallFamily.CHI2: CriticalDeltas}
 
 
 class Problem:
@@ -105,17 +101,15 @@ def robustness_radius(
     The lower expectation is continuous and non-increasing in the radius, so
     bisection applies; the answer carries an absolute radius tolerance of
     1e-10, or one ulp where the radius is too large for that.  Thresholds at
-    or above the center expectation need no budget at all; thresholds below
-    the objective's minimum are unreachable.
+    or above the lower bound at radius 0 (the center expectation, as the
+    prepared side rounds it) need no budget at all; thresholds below the
+    objective's minimum are unreachable.
     """
     problem = Problem(pmf, objective, family)
     theta = float(theta)
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
-    center = expectation(pmf, objective)
-    if family == BallFamily.CHI2:
-        require_positive(pmf.weights)  # as for a bound, whatever the threshold
-    if theta >= center:
+    if theta >= problem._value(False, 0.0)[0]:
         return 0.0
     f_min = float(objective.values.min())
     if theta < f_min:
@@ -126,7 +120,7 @@ def robustness_radius(
     hi = 1.0
     while problem._value(False, hi)[0] > theta:
         hi *= 2.0
-        if hi > 2.0**512:
+        if hi > 2.0**1023:
             raise RuntimeError("radius bracket failed to close")
     lo = 0.0
     while hi - lo > 1e-10:

@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     BRANCH_DEGENERATE,
     BRANCH_INTERIOR,
+    Objective,
     Pmf,
     SortedProblem,
     check_delta,
@@ -38,10 +39,12 @@ def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
 
 
 class TVSide(SortedProblem):
-    """A sorted side ``sp`` that also holds ``center``, the center's original-order weights."""
+    """The sorted side of ``(p, f)`` that also holds ``center``, ``p``'s
+    original-order weights (shared, not copied)."""
 
-    def __init__(self, sp: SortedProblem, center: np.ndarray):
-        self.__dict__.update(vars(sp), center=center)  # shared; a frozen dataclass init costs ~1 us
+    def __init__(self, p: Pmf, f: Objective):
+        super().__init__(p, f)
+        self.center = p.weights
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""

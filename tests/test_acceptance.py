@@ -13,7 +13,8 @@ import pytest
 
 import divball as db
 from divball import cli
-from divball.core import suffix_masses
+from divball.chi2 import CriticalDeltas
+from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence, naive_tv_distance
 from crosscheck import chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta
 from conftest import assert_tv_pattern, criterion, grid_round, random_objective, random_pmf, sorted_minimizer
@@ -26,7 +27,7 @@ SEED = 20260810
 def tv_structure_check(p, f, delta):
     """Minimizer distance and shape for one TV instance (1e-12 tolerances)."""
     res = db.tv_lower_expectation(p, f, delta)
-    sp = db.sort_and_prefix(p, f)
+    sp = SortedProblem(p, f)
     delta_eff = min(min(delta, 1.0), 1.0 - float(sp.p_sorted[0]))
     assert abs(db.tv_distance(res.minimizer, p) - delta_eff) <= 1e-12
     assert_tv_pattern(sp, sorted_minimizer(sp, res), delta_eff, res.active_index)
@@ -34,7 +35,7 @@ def tv_structure_check(p, f, delta):
 
 def prop1_check(pmf, obj):
     """Critical radii positive and non-increasing (1e-12 inversion budget)."""
-    cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+    cd = CriticalDeltas(pmf, obj)
     finite = cd.finite
     if finite.size:
         assert finite[-1] > 0.0
@@ -45,13 +46,12 @@ def prop1_check(pmf, obj):
 
 def chi2_consistency_check(pmf, obj, delta):
     """Branch continuity, boundary attainment, and vanishing top coordinate."""
-    sp = db.sort_and_prefix(pmf, obj)
-    cd = db.critical_deltas(sp)
-    tails = suffix_masses(sp.p_sorted)
+    cd = CriticalDeltas(pmf, obj)
+    tails = suffix_masses(cd.p_sorted)
 
     def branch_value(k, d):
         if k == cd.plateau:
-            return float(sp.f_sorted[0])
+            return float(cd.f_sorted[0])
         i = k - 1
         rad = max(cd.prefix_mass[i] * d - tails[i], 0.0)
         return float((cd.f_sorted[i] - cd.gap[i]) - math.sqrt(cd.prefix_var[i]) * math.sqrt(rad))
@@ -60,7 +60,7 @@ def chi2_consistency_check(pmf, obj, delta):
         dk = critical_delta(cd, k)
         a, b = branch_value(k, dk), branch_value(k - 1, dk)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
-        q_at_break = chi2_minimizer(sp, k, dk)
+        q_at_break = chi2_minimizer(cd, k, dk)
         assert abs(q_at_break.weights[k - 1]) <= 1e-9
 
     res = db.chi2_lower_expectation(pmf, obj, delta)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import divball as db
 from divball import chi2
-from divball.core import suffix_masses
+from divball.chi2 import CriticalDeltas
+from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence
 from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, with_prefix_stats
 from conftest import random_objective, random_pmf
@@ -100,7 +101,7 @@ class TestChi2Divergence:
 class TestCriticalDeltas:
     def test_uniform_three_point(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
-        cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+        cd = CriticalDeltas(pmf, obj)
         assert cd.plateau == 1
         assert critical_delta(cd, 1) == math.inf
         assert abs(critical_delta(cd, 2) - 2.0) <= 1e-12
@@ -108,24 +109,24 @@ class TestCriticalDeltas:
 
     def test_constant_objective_has_no_finite_deltas(self):
         pmf, obj = chi2_problem([0.25, 0.75], [3, 3])
-        cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+        cd = CriticalDeltas(pmf, obj)
         assert cd.plateau == 2
         assert cd.finite.size == 0
         assert critical_delta(cd, 2) == math.inf
 
     def test_two_point_ratio(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
-        cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+        cd = CriticalDeltas(pmf, obj)
         assert abs(critical_delta(cd, 2) - 1.0) <= 1e-12
         pmf, obj = chi2_problem([0.2, 0.8], [1, 0])
-        cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+        cd = CriticalDeltas(pmf, obj)
         # ratio p(x_2)/p(x_1) in objective-ascending order: 0.2 / 0.8
         assert abs(critical_delta(cd, 2) - 0.25) <= 1e-12
 
     def test_zero_mass_forbidden(self):
         pmf, obj = db.validate([0.0, 1.0], [0, 1], "tv")
         with pytest.raises(db.ZeroMassForbiddenError):
-            db.critical_deltas(db.sort_and_prefix(pmf, obj))
+            CriticalDeltas(pmf, obj)
 
     @pytest.mark.parametrize(
         "payoff, message",
@@ -162,7 +163,7 @@ class TestCriticalDeltas:
         for _ in range(300):
             n = int(rng.integers(1, 17))
             pmf, obj = positive_instance(rng, n)
-            cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+            cd = CriticalDeltas(pmf, obj)
             finite = cd.finite
             if finite.size:
                 assert finite[-1] > 0.0
@@ -176,11 +177,10 @@ class TestCriticalDeltas:
             n = int(rng.integers(1, 17))
             pmf = random_pmf(rng, n, floor=0.01)
             obj = db.Objective(np.round(rng.uniform(-1.0, 1.0, n) * 3) / 3)
-            sp = db.sort_and_prefix(pmf, obj)
-            cd = db.critical_deltas(sp)
-            tails = suffix_masses(sp.p_sorted)
+            cd = CriticalDeltas(pmf, obj)
+            tails = suffix_masses(cd.p_sorted)
             expected = []
-            for i in range(sp.plateau, n):
+            for i in range(cd.plateau, n):
                 gap = cd.gap[i]
                 expected.append((cd.prefix_var[i] / (gap * gap) + tails[i]) / cd.prefix_mass[i])
             got = cd.finite
@@ -194,13 +194,13 @@ class TestCriticalDeltas:
         tol = 16 * np.finfo(float).eps
         rescued = 0
         for _ in range(200):
-            side = db.sort_and_prefix(*exact_radius_case(rng, kind))
-            sp = with_prefix_stats(side)
+            case = exact_radius_case(rng, kind)
+            sp = with_prefix_stats(SortedProblem(*case))
             ell = sp.plateau
             if np.any(sp.gap[ell:] ** 2 < np.finfo(float).tiny):
                 continue  # the squared gap underflows: a payoff-scale defect
             exact = exact_critical_radii(sp.p_sorted, sp.f_sorted, ell)
-            new = db.critical_deltas(side).finite
+            new = CriticalDeltas(*case).finite
             cancelled = sp.f_sorted[ell:] - sp.prefix_mean[ell:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 old = (sp.prefix_var[ell:] / (cancelled * cancelled) + sp.tails[ell:]) / sp.prefix_mass[ell:]
@@ -226,7 +226,7 @@ class TestCriticalDeltas:
         delta = 723969.668734905
         pmf, obj = chi2_problem(p, f)
         for side in (obj, obj.negated()):
-            finite = db.critical_deltas(db.sort_and_prefix(pmf, side)).finite
+            finite = CriticalDeltas(pmf, side).finite
             assert np.all(finite[1:] <= finite[:-1] * (1.0 + 4 * np.finfo(float).eps))
         lower = db.chi2_lower_expectation(pmf, obj, delta)
         upper = db.chi2_upper_expectation(pmf, obj, delta)
@@ -246,7 +246,7 @@ class TestCriticalDeltas:
 class TestActiveIndex:
     def test_uniform_three_point_branches(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
-        cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+        cd = CriticalDeltas(pmf, obj)
         assert chi2.chi2_active_index(cd, 0.1) == 3
         assert chi2.chi2_active_index(cd, 1.0) == 2
         assert chi2.chi2_active_index(cd, 5.0) == 1
@@ -256,7 +256,7 @@ class TestActiveIndex:
         for _ in range(200):
             n = int(rng.integers(1, 10))
             pmf, obj = positive_instance(rng, n)
-            cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+            cd = CriticalDeltas(pmf, obj)
             delta = float(rng.uniform(0, 4))
             r = chi2.chi2_active_index(cd, delta)
             above = [
@@ -268,7 +268,7 @@ class TestActiveIndex:
 
     def test_negative_delta(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
-        cd = db.critical_deltas(db.sort_and_prefix(pmf, obj))
+        cd = CriticalDeltas(pmf, obj)
         with pytest.raises(db.NegativeDeltaError):
             chi2.chi2_active_index(cd, -0.5)
 
@@ -276,7 +276,7 @@ class TestActiveIndex:
 class TestChi2Minimizer:
     def test_uniform_three_point_formula(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
-        sp = db.sort_and_prefix(pmf, obj)
+        sp = SortedProblem(pmf, obj)
         q = chi2_minimizer(sp, 3, 0.1)
         scale = math.sqrt(0.1) / math.sqrt(2.0 / 3.0)
         expected = [(1 / 3) * (1 - (v - 1.0) * scale) for v in (0.0, 1.0, 2.0)]
@@ -288,26 +288,24 @@ class TestChi2Minimizer:
         for _ in range(25):
             n = int(rng.integers(1, 9))
             pmf, obj = positive_instance(rng, n)
-            sp = db.sort_and_prefix(pmf, obj)
-            cd = db.critical_deltas(sp)
+            cd = CriticalDeltas(pmf, obj)
             r = chi2.chi2_active_index(cd, 0.0)
-            q = chi2_minimizer(sp, r, 0.0)
-            np.testing.assert_allclose(q.weights, sp.p_sorted, atol=1e-12)
+            q = chi2_minimizer(cd, r, 0.0)
+            np.testing.assert_allclose(q.weights, cd.p_sorted, atol=1e-12)
 
     def test_plateau_renormalization(self):
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
-        sp = db.sort_and_prefix(pmf, obj)
-        cd = db.critical_deltas(sp)
+        cd = CriticalDeltas(pmf, obj)
         assert abs(critical_delta(cd, 3) - 1.0 / 3.0) <= 1e-12
         r = chi2.chi2_active_index(cd, 0.5)
         assert r == 2
-        q = chi2_minimizer(sp, r, 0.5)
+        q = chi2_minimizer(cd, r, 0.5)
         np.testing.assert_allclose(q.weights, [2 / 3, 1 / 3, 0.0], atol=1e-12)
         assert db.chi2_divergence(q, pmf) <= 0.5 + 1e-12
 
     def test_invalid_support_size(self):
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
-        sp = db.sort_and_prefix(pmf, obj)
+        sp = SortedProblem(pmf, obj)
         with pytest.raises(db.DivballError):
             chi2_minimizer(sp, 1, 0.1)  # below the plateau size 2
         with pytest.raises(db.DivballError):
@@ -316,7 +314,7 @@ class TestChi2Minimizer:
     def test_zero_interior_variance_raises(self):
         # The payoff's spread underflows the prefix variance to 0.
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1e-300, 2e-300])
-        sp = db.sort_and_prefix(pmf, obj)
+        sp = SortedProblem(pmf, obj)
         with pytest.raises(db.DivballError, match="zero prefix variance"):
             chi2_minimizer(sp, 3, 0.5)
 
@@ -325,13 +323,12 @@ class TestChi2Minimizer:
         for _ in range(200):
             n = int(rng.integers(2, 9))
             pmf, obj = positive_instance(rng, n)
-            sp = db.sort_and_prefix(pmf, obj)
-            cd = db.critical_deltas(sp)
+            cd = CriticalDeltas(pmf, obj)
             delta = float(rng.uniform(0, 3))
             r = chi2.chi2_active_index(cd, delta)
-            q = chi2_minimizer(sp, r, delta)
+            q = chi2_minimizer(cd, r, delta)
             q_orig = np.empty(n)
-            q_orig[sp.perm] = q.weights
+            q_orig[cd.perm] = q.weights
             q_orig = db.Pmf(q_orig)
             if r > cd.plateau:
                 assert abs(db.chi2_divergence(q_orig, pmf) - delta) <= 1e-9
@@ -345,10 +342,9 @@ class TestChi2Minimizer:
         for _ in range(100):
             n = int(rng.integers(2, 9))
             pmf, obj = positive_instance(rng, n)
-            sp = db.sort_and_prefix(pmf, obj)
-            cd = db.critical_deltas(sp)
+            cd = CriticalDeltas(pmf, obj)
             for k in range(cd.plateau + 1, cd.n + 1):
-                q = chi2_minimizer(sp, k, critical_delta(cd, k))
+                q = chi2_minimizer(cd, k, critical_delta(cd, k))
                 assert abs(q.weights[k - 1]) <= 1e-9
 
 
@@ -500,13 +496,12 @@ class TestChi2Invariants:
         for _ in range(200):
             n = int(rng.integers(2, 9))
             pmf, obj = positive_instance(rng, n, f_lo=-3, f_hi=3)
-            sp = db.sort_and_prefix(pmf, obj)
-            cd = db.critical_deltas(sp)
-            tails = suffix_masses(sp.p_sorted)
+            cd = CriticalDeltas(pmf, obj)
+            tails = suffix_masses(cd.p_sorted)
 
             def branch_value(k, delta):
                 if k == cd.plateau:
-                    return float(sp.f_sorted[0])
+                    return float(cd.f_sorted[0])
                 i = k - 1
                 rad = max(cd.prefix_mass[i] * delta - tails[i], 0.0)
                 return float(

@@ -25,6 +25,7 @@ def write_problem(tmp_path, obj, name="problem.json"):
 
 TV_FIXTURE = {"p": [0.3, 0.7], "f": [0.0, 1.0], "ball": "tv", "delta": 0.1}
 CHI2_FIXTURE = {"p": [0.5, 0.5], "f": [0.0, 1.0], "ball": "chi2", "delta": 0.25}
+HUGE = 10**400  # a JSON integer too large for a float
 
 
 class TestRunBound:
@@ -203,6 +204,37 @@ class TestValidationFailures:
         path = write_problem(tmp_path, {**TV_FIXTURE, "delta": delta})
         assert cli.main(["--input", path, *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"delta": HUGE}, "'delta' must be a number"),
+            ({"f": [0, HUGE], "delta": 0.1}, "'f' must be a list of numbers"),
+            ({"p": [HUGE, 0.5], "delta": 0.1}, "'p' must be a list of numbers"),
+            ({"sweep": {"start": 0, "stop": HUGE, "steps": 3}},
+             "'sweep.start' and 'sweep.stop' must be numbers"),
+            ({"sweep": {"start": -HUGE, "stop": 1, "steps": 3}},
+             "'sweep.start' and 'sweep.stop' must be numbers"),
+        ],
+        ids=["delta", "f", "p", "sweep-stop", "sweep-start"],
+    )
+    def test_integers_past_the_float_range_are_rejected(self, tmp_path, capsys, fields, message):
+        # JSON integers are unbounded; one that no float holds is not a number.
+        path = write_problem(tmp_path, {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", **fields})
+        assert cli.main(["--input", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("steps", [HUGE, 2**62, 2**59], ids=["10**400", "2**62", "2**59"])
+    def test_sweep_steps_past_an_array_are_rejected(self, tmp_path, capsys, steps):
+        # Each size fails before any memory is touched: one no index holds,
+        # one whose byte count overflows, one no address space holds.
+        sweep = {"start": 0, "stop": 1, "steps": steps}
+        path = write_problem(tmp_path, {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "sweep": sweep})
+        assert cli.main(["--input", path]) == 2
+        assert cli.main(["--input", path, "--sweep", f"0:1:{steps}"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error: 'sweep.steps' is too large: ") for line in lines)
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import divball as db
 from divball import core
-from divball.core import suffix_masses
+from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_divergence, naive_expectation
 from crosscheck import with_prefix_stats
 from conftest import random_objective, random_pmf
@@ -195,7 +195,7 @@ def direct_prefix_stats(p_sorted, f_sorted):
 class TestSortAndPrefix:
     def test_two_point_example(self):
         p, f = db.validate([0.5, 0.5], [1, 0])
-        sp = with_prefix_stats(db.sort_and_prefix(p, f))
+        sp = with_prefix_stats(SortedProblem(p, f))
         assert list(sp.perm) == [1, 0]
         assert list(sp.f_sorted) == [0, 1]
         np.testing.assert_allclose(sp.prefix_mass, [0.5, 1.0], atol=1e-15)
@@ -205,13 +205,13 @@ class TestSortAndPrefix:
 
     def test_constant_objective(self):
         p, f = db.validate([1 / 3, 1 / 3, 1 / 3], [5, 5, 5])
-        sp = with_prefix_stats(db.sort_and_prefix(p, f))
+        sp = with_prefix_stats(SortedProblem(p, f))
         assert sp.plateau == 3
         assert sp.prefix_var[2] == 0.0
 
     def test_three_point_example(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
-        sp = with_prefix_stats(db.sort_and_prefix(p, f))
+        sp = with_prefix_stats(SortedProblem(p, f))
         np.testing.assert_allclose(sp.prefix_mass, [0.2, 0.5, 1.0], atol=1e-12)
         np.testing.assert_allclose(sp.prefix_mean, [1.0, 1.6, 2.3], atol=1e-12)
         np.testing.assert_allclose(sp.prefix_var, [0.0, 0.24, 0.61], atol=1e-12)
@@ -223,7 +223,7 @@ class TestSortAndPrefix:
             n = int(rng.integers(1, 33))
             p = random_pmf(rng, n)
             f = random_objective(rng, n)
-            sp = with_prefix_stats(db.sort_and_prefix(p, f))
+            sp = with_prefix_stats(SortedProblem(p, f))
             assert np.all(np.diff(sp.f_sorted) >= 0)
             assert abs(sp.prefix_mass[-1] - 1.0) <= 1e-12
             if sp.plateau < n:
@@ -231,7 +231,7 @@ class TestSortAndPrefix:
 
     def test_stable_tie_break(self):
         p, f = db.validate([0.1, 0.2, 0.3, 0.4], [1, 0, 1, 0])
-        sp = db.sort_and_prefix(p, f)
+        sp = SortedProblem(p, f)
         assert list(sp.perm) == [1, 3, 0, 2]
         assert sp.plateau == 2
 
@@ -241,7 +241,7 @@ class TestSortAndPrefix:
             n = int(rng.integers(1, 65))
             p = random_pmf(rng, n)
             f = random_objective(rng, n, -10, 10)
-            sp = with_prefix_stats(db.sort_and_prefix(p, f))
+            sp = with_prefix_stats(SortedProblem(p, f))
             mass, mean, var = direct_prefix_stats(sp.p_sorted, sp.f_sorted)
             tol = 1e-12 * (1.0 + float(np.max(f.values**2)))
             np.testing.assert_allclose(sp.prefix_mass, mass, atol=tol)
@@ -256,7 +256,7 @@ class TestSortAndPrefix:
             f_vals = np.concatenate([np.full(ties, -2.0), rng.uniform(-1, 5, n - ties)])
             rng.shuffle(f_vals)
             p = random_pmf(rng, n)
-            sp = with_prefix_stats(db.sort_and_prefix(p, db.Objective(f_vals)))
+            sp = with_prefix_stats(SortedProblem(p, db.Objective(f_vals)))
             assert sp.prefix_var[sp.plateau - 1] == 0.0
             assert np.all(sp.prefix_var >= 0.0)
 
@@ -266,9 +266,9 @@ class TestSortAndPrefix:
             n = int(rng.integers(2, 17))
             p = random_pmf(rng, n)
             f = db.Objective(rng.permutation(np.arange(n, dtype=float)))
-            sp = with_prefix_stats(db.sort_and_prefix(p, f))
+            sp = with_prefix_stats(SortedProblem(p, f))
             pi = rng.permutation(n)
-            sp2 = with_prefix_stats(db.sort_and_prefix(
+            sp2 = with_prefix_stats(SortedProblem(
                 db.Pmf(p.weights[pi]), db.Objective(f.values[pi])
             ))
             # Re-normalization inside Pmf sums in permuted order, so agreement
@@ -295,7 +295,7 @@ class TestSortAndPrefix:
             raw_w = raw_w + 1.0
         p = db.Pmf(raw_w / raw_w.sum())
         f = db.Objective(np.array([x for _, x in pairs]))
-        sp = with_prefix_stats(db.sort_and_prefix(p, f))
+        sp = with_prefix_stats(SortedProblem(p, f))
         mass, mean, var = direct_prefix_stats(sp.p_sorted, sp.f_sorted)
         tol = 1e-12 * (1.0 + float(np.max(f.values**2)))
         np.testing.assert_allclose(sp.prefix_var, var, atol=tol)
@@ -335,7 +335,7 @@ class TestStableOrder:
                 # At 1e300 the prefix variance overflows, a known payoff-scale
                 # defect; this test reads only the order.
                 with np.errstate(over="ignore"):
-                    sp = db.sort_and_prefix(db.Pmf(np.full(n, 1.0 / n)), db.Objective(values))
+                    sp = SortedProblem(db.Pmf(np.full(n, 1.0 / n)), db.Objective(values))
                 expected = np.argsort(values, kind="stable")
                 assert sp.perm.dtype == expected.dtype
                 assert sp.perm.tobytes() == expected.tobytes()
@@ -343,7 +343,7 @@ class TestStableOrder:
 
     def test_signed_zero_run_keeps_each_sign(self):
         values = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0])
-        sp = db.sort_and_prefix(db.Pmf(np.full(7, 1.0 / 7)), db.Objective(values))
+        sp = SortedProblem(db.Pmf(np.full(7, 1.0 / 7)), db.Objective(values))
         assert list(sp.perm) == [5, 0, 1, 3, 4, 6, 2]
         assert list(np.signbit(sp.f_sorted)) == [True, False, True, True, False, True, False]
 
@@ -368,8 +368,8 @@ class TestNegatedOrder:
                 # defect; this test reads only the order.
                 with np.errstate(over="ignore"):
                     if k % 2:  # the source's order first, or derived on demand
-                        db.sort_and_prefix(p, f)
-                    sp = db.sort_and_prefix(p, f.negated())
+                        SortedProblem(p, f)
+                    sp = SortedProblem(p, f.negated())
                 expected = np.argsort(-values, kind="stable")
                 assert sp.perm.dtype == expected.dtype
                 assert sp.perm.tobytes() == expected.tobytes()
@@ -384,21 +384,21 @@ class TestNegatedOrder:
             p, f = db.Pmf(np.full(n, 1.0 / n)), db.Objective(values)
             twice = f.negated().negated()
             assert twice.values.tobytes() == f.values.tobytes()
-            got, want = db.sort_and_prefix(p, twice), db.sort_and_prefix(p, f)
+            got, want = SortedProblem(p, twice), SortedProblem(p, f)
             assert got.perm.tobytes() == want.perm.tobytes()
             assert got.f_sorted.tobytes() == want.f_sorted.tobytes()
 
     def test_signed_zero_run_keeps_each_sign(self):
         values = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0])
         f = db.Objective(values)
-        sp = db.sort_and_prefix(db.Pmf(np.full(7, 1.0 / 7)), f.negated())
+        sp = SortedProblem(db.Pmf(np.full(7, 1.0 / 7)), f.negated())
         assert list(sp.perm) == [2, 0, 1, 3, 4, 6, 5]
         assert list(np.signbit(sp.f_sorted)) == [True, True, False, False, True, False, False]
 
     def test_untied_negation_reuses_the_source_order(self):
         values = np.random.default_rng(3).uniform(-1.0, 1.0, 50)
         p, f = db.Pmf(np.full(50, 0.02)), db.Objective(values)
-        lower, upper = db.sort_and_prefix(p, f), db.sort_and_prefix(p, f.negated())
+        lower, upper = SortedProblem(p, f), SortedProblem(p, f.negated())
         assert np.shares_memory(lower.perm, upper.perm)
         assert not lower.perm.flags.writeable and not upper.perm.flags.writeable
 
@@ -409,7 +409,7 @@ class TestNegatedOrder:
         p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
         negated = f.negated()
         for objective in (negated, f, negated, f, f.negated()):
-            db.sort_and_prefix(p, objective)
+            SortedProblem(p, objective)
         assert len(calls) == 1
 
 
@@ -520,18 +520,18 @@ class TestExactPrefixReference:
     def test_small_prefixes_match_rationals(self, kind):
         rng = np.random.default_rng(EXACT_KINDS.index(kind))
         for _ in range(150):
-            assert_matches_exact(db.sort_and_prefix(*exact_case(rng, kind)))
+            assert_matches_exact(SortedProblem(*exact_case(rng, kind)))
 
     def test_skewed_reproducer_matches_rationals(self):
         p, f = db.validate([1e-12, 1e-20, 1 - 1e-12 - 1e-20], [0, 0.5, 1], "chi2")
-        assert_matches_exact(db.sort_and_prefix(p, f))
+        assert_matches_exact(SortedProblem(p, f))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.05])
     def test_large_prefixes_match_fsum(self, alpha):
         rng = np.random.default_rng(12)
         n = 100_000
         p = db.Pmf(np.maximum(rng.dirichlet(np.full(n, alpha)), 1e-300))
-        sp = with_prefix_stats(db.sort_and_prefix(p, random_objective(rng, n)))
+        sp = with_prefix_stats(SortedProblem(p, random_objective(rng, n)))
         tol = prefix_tolerance(n)
         for k in [*rng.integers(0, n, 12), n - 1]:
             ps, fs = sp.p_sorted[: k + 1], sp.f_sorted[: k + 1]

@@ -9,6 +9,8 @@ import pytest
 
 import divball as db
 from divball import chi2
+from divball.chi2 import CriticalDeltas
+from divball.core import SortedProblem
 from divball.errors import DivballError
 from crosscheck import (
     expression_critical_radii,
@@ -65,7 +67,7 @@ def same_failure(got, want):
 
 
 def assert_side_matches(pmf, obj, radii):
-    sp = db.sort_and_prefix(pmf, obj)
+    sp = SortedProblem(pmf, obj)
     ref = expression_sorted(pmf, obj)
     stats = with_prefix_stats(sp)
     for name in FIELDS:
@@ -73,12 +75,12 @@ def assert_side_matches(pmf, obj, radii):
     assert sp.plateau == ref.plateau
     if not radii:
         return
-    got = outcome(lambda: chi2.critical_deltas(sp).finite)
+    got = outcome(lambda: CriticalDeltas(pmf, obj).finite)
     want = outcome(expression_critical_radii, ref)
     assert same_failure(got, want)
     if isinstance(want, tuple):
         return
-    cd = chi2.critical_deltas(sp)
+    cd = CriticalDeltas(pmf, obj)
     deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *cd.finite[:: max(1, cd.finite.size // 4)]]
     for delta in deltas:
         r = chi2.chi2_active_index(cd, float(delta))
@@ -175,7 +177,7 @@ def test_inverted_radii_fail_alike():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(db.DivballError, match="non-increasing"):
-            chi2.critical_deltas(db.sort_and_prefix(pmf, obj.negated()))
+            CriticalDeltas(pmf, obj.negated())
         assert_side_matches(pmf, obj.negated(), True)
 
 

@@ -1,9 +1,11 @@
 """The prepared problem: sorting once per side changes no output bit."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,14 +139,14 @@ def test_sides_are_single_objects():
                 assert side.center is p.weights
                 continue
             assert type(side) is chi2.CriticalDeltas
-            sp = db.sort_and_prefix(p, f.negated() if negated else f)
-            cd = db.critical_deltas(sp)
+            sp = core.SortedProblem(p, f.negated() if negated else f)
             for name in ("perm", "p_sorted", "f_sorted", "tails"):
-                assert getattr(cd, name) is getattr(sp, name)
-            assert (cd.plateau, cd.n) == (sp.plateau, sp.n)
-            moments = chi2._prefix_moments(sp.p_sorted, sp.f_sorted)
-            for got, want in zip((cd.prefix_mass, cd.gap, cd.prefix_var), moments):
+                assert getattr(side, name).tobytes() == getattr(sp, name).tobytes()
+            assert (side.plateau, side.n) == (sp.plateau, sp.n)
+            moments = chi2._prefix_moments(side.p_sorted, side.f_sorted)
+            for got, want in zip((side.prefix_mass, side.gap, side.prefix_var), moments):
                 assert got.tobytes() == want.tobytes()
+            cd = chi2.CriticalDeltas(p, f.negated() if negated else f)
             assert cd.finite.tobytes() == side.finite.tobytes()
 
 
@@ -159,25 +161,26 @@ def counting(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize(
-    "args, sorts",
+    "args, sides",
     [(["--sweep", "0:5:50"], 2), (["--delta", "0.3"], 2), (["--radius", "0.5"], 1)],
 )
-def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sorts):
+def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
+    # Each side takes its tails once; the payoff is sorted once for both.
     counts = {}
-    counting(monkeypatch, problem, "sort_and_prefix", counts)
     counting(monkeypatch, core, "suffix_masses", counts)
+    counting(monkeypatch, core, "_stable_order", counts)
     obj, _ = SWEEP_CASES["chi2_ties"]
     run_cli(tmp_path, capsys, obj, *args)
-    assert counts == {"sort_and_prefix": sorts, "suffix_masses": sorts}
+    assert counts == {"suffix_masses": sides, "_stable_order": 1}
 
 
 def test_one_shot_sorts_once(monkeypatch):
     counts = {}
-    counting(monkeypatch, problem, "sort_and_prefix", counts)
     counting(monkeypatch, core, "suffix_masses", counts)
+    counting(monkeypatch, core, "_stable_order", counts)
     p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
     db.tv_upper_expectation(p, f, 0.25)
-    assert counts == {"sort_and_prefix": 1, "suffix_masses": 1}
+    assert counts == {"suffix_masses": 1, "_stable_order": 1}
 
 
 @pytest.mark.parametrize("args", [["--sweep", "0:5:50"], ["--delta", "0.3"]])
@@ -290,6 +293,53 @@ def test_radius_terminates_when_the_answer_is_large():
     p, f = db.validate(obj["p"], obj["f"], "chi2")
     assert db.chi2_lower_expectation(p, f, star).value <= 1e-4
     assert db.chi2_lower_expectation(p, f, np.nextafter(star, 0.0)).value > 1e-4
+
+
+def test_radius_bracket_spans_the_float_range():
+    # A 1e-300 weight puts delta* near 5e299: past 2**512, within the float range.
+    p, f = db.validate([1.0, 1e-300], [0.8610046048250064, 0.3092122273087854], "chi2")
+    theta = 0.4747499405636517
+    prepared = db.Problem(p, f, "chi2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the radii's underflowing gap
+        star = problem.robustness_radius(p, f, "chi2", theta)
+        assert 2.0**512 < star < math.inf
+        assert prepared._value(False, star)[0] <= theta
+        assert prepared._value(False, np.nextafter(star, 0.0))[0] > theta
+
+
+RADIUS_REPRODUCER = {
+    "p": [0.06294085039004263, 0.06231415846679216, 0.00441271338007718, 0.23016998724111834,
+          0.150933921810448, 0.006998178591307987, 0.1555301357128916, 0.32670005440732225],
+    "f": [-0.5856176638379975, 0.26018039957068595, -0.4036738186851505, 0.48351336013866075,
+          0.44432961628423495, -0.5625691508623909, 0.6597737485486246, 0.31530442174648643],
+}
+
+
+def test_radius_reads_the_center_from_the_lower_side():
+    # theta is E_p f as ``expectation`` rounds it, an ulp below the lower
+    # bound at radius 0, so a radius of 0 does not reach it.
+    p, f = db.validate(RADIUS_REPRODUCER["p"], RADIUS_REPRODUCER["f"], "tv")
+    theta = 0.3576147405221671
+    assert db.Problem(p, f, "tv").lower(0.0).value == 0.35761474052216713
+    star = problem.robustness_radius(p, f, "tv", theta)
+    assert star == 5.820766091346741e-11
+    assert db.Problem(p, f, "tv").lower(star).value <= theta
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+def test_radius_answers_reach_the_threshold_at_the_center(family):
+    # A radius answer's bound is at most theta, and 0 is answered exactly
+    # when the bound at radius 0 already is.
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        p, f = db.validate(rng.dirichlet(np.ones(n)), rng.uniform(-1.0, 1.0, n), family)
+        prepared = db.Problem(p, f, family)
+        for theta in (db.expectation(p, f), prepared._value(False, 0.0)[0]):
+            star = problem.robustness_radius(p, f, family, theta)
+            assert prepared._value(False, star)[0] <= theta
+            assert (star == 0.0) == (prepared._value(False, 0.0)[0] <= theta)
 
 
 @pytest.mark.parametrize("theta", [5.0, 0.5])

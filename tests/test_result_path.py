@@ -11,6 +11,7 @@ import pytest
 
 import divball as db
 from divball import chi2
+from divball.chi2 import CriticalDeltas
 from divball.core import SUM_TOLERANCE
 from crosscheck import chi2_minimizer
 
@@ -112,12 +113,11 @@ def test_faulty_head_raises_under_optimized_interpreter():
 def test_chi2_minimizer_pads_the_solve_head():
     # The public sorted minimizer and the solve share one head.
     pmf, obj = db.validate(*CENTER, "chi2")
-    sp = db.sort_and_prefix(pmf, obj)
-    cd = db.critical_deltas(sp)
+    cd = CriticalDeltas(pmf, obj)
     for delta in (0.0, 0.05, 0.3, 5.0):
         res = db.chi2_lower_expectation(pmf, obj, delta)
-        sorted_weights = chi2_minimizer(sp, chi2.chi2_active_index(cd, delta), delta).weights
-        assert res.minimizer.weights[sp.perm].tobytes() == sorted_weights.tobytes()
+        sorted_weights = chi2_minimizer(cd, chi2.chi2_active_index(cd, delta), delta).weights
+        assert res.minimizer.weights[cd.perm].tobytes() == sorted_weights.tobytes()
 
 
 def test_chi2_minimizer_bytes_match_the_padded_head():
@@ -126,12 +126,11 @@ def test_chi2_minimizer_bytes_match_the_padded_head():
     for n in range(1, 17):
         p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
         for f in (rng.uniform(-1.0, 1.0, n), np.round(rng.uniform(-1.0, 1.0, n) * 2) / 3):
-            sp = db.sort_and_prefix(*db.validate(p, f, "chi2"))
-            cd = db.critical_deltas(sp)
+            cd = CriticalDeltas(*db.validate(p, f, "chi2"))
             probes = [(chi2.chi2_active_index(cd, d), d) for d in (0.0, 0.05, 0.7, 50.0)]
-            probes += [(sp.plateau + 1 + j, float(r)) for j, r in enumerate(cd.finite)]
+            probes += [(cd.plateau + 1 + j, float(r)) for j, r in enumerate(cd.finite)]
             for r, delta in probes:
-                padded = np.pad(chi2._minimizer_head(cd, r, delta), (0, sp.n - r))
+                padded = np.pad(chi2._minimizer_head(cd, r, delta), (0, cd.n - r))
                 want = db.Pmf._solved(padded, None).weights
-                got = chi2_minimizer(sp, r, delta).weights
+                got = chi2_minimizer(cd, r, delta).weights
                 assert got.tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divball as db
+from divball.core import SortedProblem
 
 WRAPPERS = ("any", "all", "searchsorted", "pad")
 
@@ -80,7 +81,7 @@ def test_plateau_is_the_bottom_run(values):
     pmf = db.Pmf(np.full(n, 1.0 / n))
     source = db.Objective(values)
     for obj in (source, source.negated()):
-        sp = db.sort_and_prefix(pmf, obj)
+        sp = SortedProblem(pmf, obj)
         want = int(np.searchsorted(sp.f_sorted, sp.f_sorted[0], side="right"))
         assert sp.plateau == want
 
@@ -92,6 +93,7 @@ CHECKS = r"""
 import numpy as np
 import divball as db
 from divball import chi2
+from divball.core import SortedProblem
 
 nan, inf = float("nan"), float("inf")
 moments = chi2._prefix_moments
@@ -108,13 +110,13 @@ def show(solve):
 def radii(gap=None, var=None):
     # Critical radii of a prepared three-point side whose moments are replaced.
     p, f = db.validate([0.25, 0.25, 0.5], [0.0, 1.0, 2.0], "chi2")
-    sp = db.sort_and_prefix(p, f)
+    sp = SortedProblem(p, f)
     mass, g, v = moments(sp.p_sorted, sp.f_sorted)
     g = g if gap is None else np.array(gap)
     v = v if var is None else np.array(var)
     chi2._prefix_moments = lambda p_sorted, f_sorted: (mass, g, v)
     try:
-        return db.critical_deltas(sp)
+        return chi2.CriticalDeltas(p, f)
     finally:
         chi2._prefix_moments = moments
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import divball as db
 from divball import cli
-from divball.core import suffix_masses
+from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_tv_distance
 from divball.tv import tv_threshold_index
 from conftest import assert_tv_pattern, random_objective, random_pmf, sorted_minimizer
@@ -43,7 +43,7 @@ class TestTvDistance:
 class TestThresholdIndex:
     def test_partial_budget(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
-        sp = db.sort_and_prefix(p, f)
+        sp = SortedProblem(p, f)
         # suffix masses after r = 1, 2, 3 are 0.8, 0.5, 0.
         assert tv_threshold_index(sp, 0.4) == 3
         assert tv_threshold_index(sp, 0.5) == 2
@@ -53,26 +53,26 @@ class TestThresholdIndex:
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 9))
-            sp = db.sort_and_prefix(random_pmf(rng, n), random_objective(rng, n))
+            sp = SortedProblem(random_pmf(rng, n), random_objective(rng, n))
             assert tv_threshold_index(sp, 1.0) == 1
             assert tv_threshold_index(sp, 2.5) == 1
 
     def test_zero_budget(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
-        sp = db.sort_and_prefix(p, f)
+        sp = SortedProblem(p, f)
         assert tv_threshold_index(sp, 0.0) == 2
 
     def test_negative_delta(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
         with pytest.raises(db.NegativeDeltaError):
-            tv_threshold_index(db.sort_and_prefix(p, f), -0.1)
+            tv_threshold_index(SortedProblem(p, f), -0.1)
 
     def test_exhaustive_scan_agreement(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = int(rng.integers(1, 10))
             p = random_pmf(rng, n)
-            sp = db.sort_and_prefix(p, random_objective(rng, n))
+            sp = SortedProblem(p, random_objective(rng, n))
             delta = float(rng.uniform(0, 1))
             r = tv_threshold_index(sp, delta)
             candidates = [
@@ -99,7 +99,7 @@ class TestThresholdIndex:
                     f = rng.choice([0.0, -0.0, 1.0], n)
                 if not w.sum():
                     w[0] = 1.0
-                sp = db.sort_and_prefix(*db.validate(w / w.sum(), f))
+                sp = SortedProblem(*db.validate(w / w.sum(), f))
                 deltas = [0.0, -0.0, math.inf]
                 for t in sp.tails:
                     deltas += [t, np.nextafter(t, math.inf), np.nextafter(t, -math.inf)]
@@ -210,7 +210,7 @@ class TestTvInvariants:
             f = random_objective(rng, n)
             delta = float(rng.uniform(0, 1.3))
             res = db.tv_lower_expectation(p, f, delta)
-            sp = db.sort_and_prefix(p, f)
+            sp = SortedProblem(p, f)
             expected = min(min(delta, 1.0), 1.0 - sp.p_sorted[0])
             assert abs(db.tv_distance(res.minimizer, p) - expected) <= 1e-12
             assert abs(db.expectation(res.minimizer, f) - res.value) <= 1e-9
@@ -223,7 +223,7 @@ class TestTvInvariants:
             f = random_objective(rng, n)
             delta = float(rng.uniform(0, 1.2))
             res = db.tv_lower_expectation(p, f, delta)
-            sp = db.sort_and_prefix(p, f)
+            sp = SortedProblem(p, f)
             q_sorted = sorted_minimizer(sp, res)
             delta_eff = min(min(delta, 1.0), 1.0 - sp.p_sorted[0])
             assert_tv_pattern(sp, q_sorted, delta_eff, res.active_index)
