@@ -147,7 +147,9 @@ class CriticalDeltas(SortedProblem):
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
-        r = chi2_active_index(self, delta)
+        check_delta(delta)
+        above = (self.finite > delta).nonzero()[0]
+        r = self.plateau + 1 + int(above[-1]) if above.size else self.plateau
         if r == self.plateau:
             return float(self.f_sorted[0]), r, BRANCH_PLATEAU
         i = r - 1
@@ -163,17 +165,6 @@ class CriticalDeltas(SortedProblem):
         q = np.zeros(self.n)
         q[self.perm[:r]] = head
         return q
-
-
-def chi2_active_index(cd: CriticalDeltas, delta: float) -> int:
-    """Largest support size whose critical radius strictly exceeds ``delta``.
-
-    Falls back to the plateau size when every finite critical radius is
-    covered; returns ``n`` for radii below the smallest one.
-    """
-    check_delta(delta)
-    above = (cd.finite > delta).nonzero()[0]
-    return cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
 
 
 def _radicand(mass: float, tail: float, delta: float) -> float:

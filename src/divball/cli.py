@@ -148,7 +148,7 @@ def _fmt(x: float) -> str:
 def _bound_row(prepared: Problem, delta: float) -> dict:
     """One CSV or sweep row: both bounds' values, with no minimizer."""
     lower, r, branch = prepared._value(False, delta)
-    upper = -prepared._value(True, delta)[0]
+    upper = prepared._value(True, delta)[0]
     return {"delta": float(delta), "lower": lower, "upper": upper, "r": r, "branch": branch}
 
 
@@ -167,7 +167,7 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
         lower = prepared.lower(problem.delta)
         payload = {
             "value": lower.value,
-            "upper_value": -prepared._value(True, problem.delta)[0],
+            "upper_value": prepared._value(True, problem.delta)[0],
             "r": lower.active_index,
             "branch": lower.branch,
             "minimizer": lower.minimizer.weights.tolist(),
@@ -219,6 +219,11 @@ def run_oracle_check(problem: ProblemFile, resolution: int | None) -> tuple[str,
         raise NonFiniteError(
             "the expectation overflows the float range; a certificate needs finite values"
         )
+    if not math.isfinite(report.tolerance):
+        raise NonFiniteError(
+            "the certificate's tolerance, the payoff span times n over the"
+            " resolution, overflows the float range"
+        )
     dist = naive_divergence(closed.minimizer, problem.pmf, problem.family)
     ok = oracle_check_verdict(closed.value, report, dist, delta)
     payload = {
@@ -263,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--radius",
         type=float,
         metavar="THETA",
-        help="find the smallest radius whose lower expectation drops to THETA",
+        help=(
+            "find the smallest radius whose lower expectation drops to THETA;"
+            " write a negative THETA as --radius=THETA"
+        ),
     )
     parser.add_argument(
         "--oracle-check",

@@ -6,8 +6,8 @@ types, input validation, and the expectation operation.
 
 An ``Objective`` keeps its stable ascending order once computed.  One sort
 serves both bounds: the negation that an upper bound solves derives its
-order from its source's in O(n), reversing it and putting each run of tied
-values back in ascending original index.
+order from its source's in O(n) when it is built, reversing it and putting
+each run of tied values back in ascending original index.
 
 Every array is read-only and every function is pure.  No attribute is set
 outside a constructor, except the order an ``Objective`` keeps; ``Pmf``,
@@ -150,7 +150,8 @@ class Objective:
     """Real-valued payoff on the same outcome set as the ball center.
 
     Its stable ascending order is computed on first use and kept (the
-    values are read-only); a negation derives its order from its source's.
+    values are read-only); a negation gets its order, derived from this
+    one's, when it is built.
     """
 
     values: np.ndarray
@@ -168,40 +169,32 @@ class Objective:
     def negated(self) -> "Objective":
         """The pointwise negation; used for upper bounds via conjugacy.
 
-        It records its source, and its order is derived from the source's.
+        It gets its order when it is built: :func:`_negated_order` derives
+        it from this payoff's kept order, sorting this payoff first if needed.
         """
         negated = object.__new__(Objective)
         object.__setattr__(negated, "values", -self.values)
         negated.values.setflags(write=False)
-        negated.__dict__["_source"] = self
+        if "_perm_changes" not in self.__dict__:
+            self._sorted()
+        # Read-only already: a view of this payoff's order, or a new array.
+        negated.__dict__["_perm_changes"] = _negated_order(*self.__dict__["_perm_changes"])
         return negated
 
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The stable ascending order of the values, the values gathered by
         it, and where they change (``None`` when no two values tie).
 
-        The order and its changes are computed on first use and kept; the
-        gathered values are not kept.  A negation's order is derived from
-        its source's by :func:`_negated_order`, the source's being computed
-        first if needed, so each payoff is sorted once.
+        The order and its changes are computed on first use and kept (a
+        negation's when it is built); the gathered values are not kept.
         """
         order = self.__dict__.get("_perm_changes")
         if order is None:
-            source = self.__dict__.get("_source")
-            if source is None:
-                perm, ordered, changes = _stable_order(self.values)
-                perm.setflags(write=False)
-                self.__dict__["_perm_changes"] = perm, changes
-                return perm, ordered, changes
-            # Read-only already: a view of the source's order, or a new array.
-            order = self.__dict__["_perm_changes"] = _negated_order(*source._order())
+            perm, ordered, changes = _stable_order(self.values)
+            perm.setflags(write=False)
+            self.__dict__["_perm_changes"] = perm, changes
+            return perm, ordered, changes
         return order[0], self.values[order[0]], order[1]
-
-    def _order(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The kept order and value changes of :meth:`_sorted`."""
-        if "_perm_changes" not in self.__dict__:
-            self._sorted()
-        return self.__dict__["_perm_changes"]
 
 
 class SortedProblem:
@@ -256,10 +249,6 @@ class BoundResult:
     def __post_init__(self):
         if self.branch not in BRANCHES:
             raise DivballError(f"unknown branch tag {self.branch!r}")
-
-    def conjugate(self) -> "BoundResult":
-        """The upper bound this lower bound of the negated payoff gives."""
-        return BoundResult(-self.value, self.minimizer, self.active_index, self.branch)
 
 
 def check_delta(delta) -> None:

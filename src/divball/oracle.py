@@ -219,7 +219,8 @@ def oracle_lower_expectation(
     if naive_divergence(argmin_weights, p.weights, family) > delta:
         raise RuntimeError("oracle internal inconsistency: argmin left the ball")
 
-    span = float(f.values.max() - f.values.min())
+    # Python floats: a span past the float range is inf, with no warning.
+    span = float(f.values.max()) - float(f.values.min())
     return OracleReport(
         grid_minimum=grid_minimum,
         grid_argmin=Pmf._exact(argmin_weights),

@@ -34,26 +34,31 @@ class Problem:
 
     def upper(self, delta: float) -> BoundResult:
         """Exact maximum over the ball, by conjugacy with the negated payoff."""
-        return self._solve(True, delta).conjugate()
+        return self._solve(True, delta)
 
-    def _solve(self, negated: bool, delta: float) -> BoundResult:
-        """One side's bound; its minimizer is wrapped with no second validation."""
+    def _solve(self, upper: bool, delta: float) -> BoundResult:
+        """One bound; its minimizer is wrapped with no second validation."""
+        value, r, branch = self._value(upper, delta)
+        weights = self._side(upper).weights(r, delta)
+        return BoundResult(value, Pmf._solved(weights, self.pmf.labels), r, branch)
+
+    def _value(self, upper: bool, delta: float) -> tuple[float, int, str]:
+        """A bound's value, support size and branch, with no minimizer.
+
+        An upper bound's value is the negated lower bound of the negated
+        payoff; its support size and branch are that lower bound's.
+        """
         check_delta(delta)
-        side = self._side(negated)
-        value, r, branch = side.value(delta)
-        return BoundResult(value, Pmf._solved(side.weights(r, delta), self.pmf.labels), r, branch)
+        value, r, branch = self._side(upper).value(delta)
+        return -value if upper else value, r, branch
 
-    def _value(self, negated: bool, delta: float) -> tuple[float, int, str]:
-        """:meth:`_solve`'s value, support size and branch, with no minimizer."""
-        check_delta(delta)
-        return self._side(negated).value(delta)
-
-    def _side(self, negated: bool):
-        """The prepared side: a ``TVSide`` or a ``CriticalDeltas``."""
-        side = self._sides.get(negated)
+    def _side(self, upper: bool):
+        """The prepared side, of the payoff or (upper) of its negation:
+        a ``TVSide`` or a ``CriticalDeltas``."""
+        side = self._sides.get(upper)
         if side is None:
-            objective = self.objective.negated() if negated else self.objective
-            side = self._sides[negated] = self._build(self.pmf, objective)
+            objective = self.objective.negated() if upper else self.objective
+            side = self._sides[upper] = self._build(self.pmf, objective)
         return side
 
 

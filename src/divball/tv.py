@@ -29,15 +29,6 @@ def tv_distance(q: Pmf, p: Pmf) -> float:
     return 0.5 * float(np.abs(q.weights - p.weights).sum())
 
 
-def tv_threshold_index(sp: SortedProblem, delta: float) -> int:
-    """Smallest support size r whose tail mass (after r) is at most delta."""
-    check_delta(delta)
-    # A top-down running sum of non-negative terms, the tails are exactly
-    # non-increasing and end in 0, so reversed they are sorted for a search.
-    tails = sp.tails
-    return 1 + tails.size - int(tails[::-1].searchsorted(delta, "right"))
-
-
 class TVSide(SortedProblem):
     """The sorted side of ``(p, f)`` that also holds ``center``, ``p``'s
     original-order weights (shared, not copied)."""
@@ -49,7 +40,11 @@ class TVSide(SortedProblem):
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
         d = float(delta)
-        r = 1 if d >= 1.0 else tv_threshold_index(self, d)
+        check_delta(d)
+        # A top-down running sum of non-negative terms, the tails are exactly
+        # non-increasing and end in 0, so reversed they are sorted for a search.
+        tails = self.tails
+        r = 1 if d >= 1.0 else 1 + tails.size - int(tails[::-1].searchsorted(d, "right"))
         if r == 1:
             return float(self.f_sorted[0]), r, BRANCH_DEGENERATE
         # The value is one full-length dot in sorted order, which fixes its bits.

@@ -74,7 +74,7 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     plateau size the canonical choice is the minimum-divergence distribution:
     the center renormalized on the plateau.
 
-    ``r`` must come from :func:`chi2_active_index` (or be a critical-radius
+    ``r`` must come from ``CriticalDeltas.value`` (or be a critical-radius
     probe at ``delta == delta_r``); other pairs are rejected.  The prefix
     statistics come from :func:`with_prefix_stats`, so a side whose critical
     radii fail can still be probed.

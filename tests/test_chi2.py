@@ -247,9 +247,9 @@ class TestActiveIndex:
     def test_uniform_three_point_branches(self):
         pmf, obj = chi2_problem([1 / 3, 1 / 3, 1 / 3], [0, 1, 2])
         cd = CriticalDeltas(pmf, obj)
-        assert chi2.chi2_active_index(cd, 0.1) == 3
-        assert chi2.chi2_active_index(cd, 1.0) == 2
-        assert chi2.chi2_active_index(cd, 5.0) == 1
+        assert cd.value(0.1)[1] == 3
+        assert cd.value(1.0)[1] == 2
+        assert cd.value(5.0)[1] == 1
 
     def test_scan_agreement(self):
         rng = np.random.default_rng(11)
@@ -258,7 +258,7 @@ class TestActiveIndex:
             pmf, obj = positive_instance(rng, n)
             cd = CriticalDeltas(pmf, obj)
             delta = float(rng.uniform(0, 4))
-            r = chi2.chi2_active_index(cd, delta)
+            r = cd.value(delta)[1]
             above = [
                 k
                 for k in range(cd.plateau + 1, cd.n + 1)
@@ -270,7 +270,7 @@ class TestActiveIndex:
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
         cd = CriticalDeltas(pmf, obj)
         with pytest.raises(db.NegativeDeltaError):
-            chi2.chi2_active_index(cd, -0.5)
+            cd.value(-0.5)
 
 
 class TestChi2Minimizer:
@@ -289,7 +289,7 @@ class TestChi2Minimizer:
             n = int(rng.integers(1, 9))
             pmf, obj = positive_instance(rng, n)
             cd = CriticalDeltas(pmf, obj)
-            r = chi2.chi2_active_index(cd, 0.0)
+            r = cd.value(0.0)[1]
             q = chi2_minimizer(cd, r, 0.0)
             np.testing.assert_allclose(q.weights, cd.p_sorted, atol=1e-12)
 
@@ -297,7 +297,7 @@ class TestChi2Minimizer:
         pmf, obj = chi2_problem([0.5, 0.25, 0.25], [0, 0, 1])
         cd = CriticalDeltas(pmf, obj)
         assert abs(critical_delta(cd, 3) - 1.0 / 3.0) <= 1e-12
-        r = chi2.chi2_active_index(cd, 0.5)
+        r = cd.value(0.5)[1]
         assert r == 2
         q = chi2_minimizer(cd, r, 0.5)
         np.testing.assert_allclose(q.weights, [2 / 3, 1 / 3, 0.0], atol=1e-12)
@@ -325,7 +325,7 @@ class TestChi2Minimizer:
             pmf, obj = positive_instance(rng, n)
             cd = CriticalDeltas(pmf, obj)
             delta = float(rng.uniform(0, 3))
-            r = chi2.chi2_active_index(cd, delta)
+            r = cd.value(delta)[1]
             q = chi2_minimizer(cd, r, delta)
             q_orig = np.empty(n)
             q_orig[cd.perm] = q.weights

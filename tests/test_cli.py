@@ -293,6 +293,15 @@ class TestRadiusMode:
         assert cli.main(["--input", path, "--radius", "-0.5"]) == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_exponent_threshold_in_the_equals_form(self, tmp_path, capsys):
+        # argparse takes "-5e-09" after a space for an option; "=" keeps it a value.
+        path = write_problem(tmp_path, {"p": [0.5, 0.5], "f": [-1e-8, 1e-8], "ball": "tv"})
+        assert cli.main(["--input", path, "--radius=-5e-09"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "theta": -5e-09, "delta_star": 0.25, "ball": "tv"
+        }
+        assert "--radius=THETA" in " ".join(cli.build_parser().format_help().split())
+
     def test_round_trip_property(self):
         rng = np.random.default_rng(40)
         for _ in range(40):
@@ -388,6 +397,18 @@ class TestOracleCheckMode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows the float range" in captured.err
+
+    @pytest.mark.parametrize("f", [[0, 1e300, 1.7e308], [-1.7e308, 0, 1.7e308]])
+    def test_overflowing_tolerance_is_rejected_not_a_vacuous_pass(self, tmp_path, capsys, f):
+        # An infinite tolerance would print "Infinity" and pass any gap.
+        p = [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]
+        path = write_problem(tmp_path, {"p": p, "f": f, "ball": "tv", "delta": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--input", path, "--oracle-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows the float range" in captured.err
 
     def test_requires_single_delta(self, tmp_path, capsys):
         path = write_problem(tmp_path, TV_FIXTURE)

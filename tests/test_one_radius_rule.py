@@ -9,9 +9,15 @@ the zero-center message only in ``require_positive``.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import divball
+from divball.chi2 import CriticalDeltas
+from divball.tv import TVSide
 
 ZERO_CENTER = "chi-squared balls need a strictly positive center pmf"
 
@@ -82,3 +88,22 @@ def test_check_flags_a_second_rule():
         "m.check_delta", "m.Spec.__post_init__", "m.oracle"
     ]
     assert raisers(source, "m", zero_center) == ["m.oracle"]
+
+
+@pytest.mark.parametrize("side", [TVSide, CriticalDeltas])
+@pytest.mark.parametrize("delta", [math.nan, -0.1])
+def test_each_side_checks_its_radius(side, delta):
+    # Sides are public, so each side's value checks the radius itself.
+    built = side(*divball.validate([0.2, 0.5, 0.3], [1.0, 0.0, 2.0], "chi2"))
+    with pytest.raises(divball.NegativeDeltaError):
+        built.value(delta)
+
+
+def test_a_bad_radius_outranks_a_breakdown():
+    # The side's critical radii overflow, but the radius is checked first.
+    problem = divball.Problem(*divball.validate([1 / 3] * 3, [0.0, 1e200, 2e200]), "chi2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(divball.NegativeDeltaError):
+            problem.lower(math.nan)
+        with pytest.raises(divball.DivballError, match="critical radii must be positive"):
+            problem.lower(0.1)

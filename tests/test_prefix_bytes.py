@@ -83,7 +83,7 @@ def assert_side_matches(pmf, obj, radii):
     cd = CriticalDeltas(pmf, obj)
     deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *cd.finite[:: max(1, cd.finite.size // 4)]]
     for delta in deltas:
-        r = chi2.chi2_active_index(cd, float(delta))
+        r = cd.value(float(delta))[1]
         got = outcome(padded_head, cd, r, float(delta))
         want = outcome(expression_minimizer_weights, ref, r, float(delta))
         assert same_failure(got, want), (r, delta)

@@ -54,7 +54,7 @@ def test_readme_names_exist():
     # Guard against a parse that finds nothing and so passes vacuously.
     assert len(table_names(text)) >= 10
     assert {module for module, _ in module_names(text)} >= {
-        "divball.core", "divball.tv", "divball.chi2", "divball.oracle", "tests/crosscheck.py",
+        "divball.core", "divball.tv", "divball.oracle", "tests/crosscheck.py",
     }
     assert missing(text) == []
 

@@ -116,7 +116,7 @@ def test_chi2_minimizer_pads_the_solve_head():
     cd = CriticalDeltas(pmf, obj)
     for delta in (0.0, 0.05, 0.3, 5.0):
         res = db.chi2_lower_expectation(pmf, obj, delta)
-        sorted_weights = chi2_minimizer(cd, chi2.chi2_active_index(cd, delta), delta).weights
+        sorted_weights = chi2_minimizer(cd, cd.value(delta)[1], delta).weights
         assert res.minimizer.weights[cd.perm].tobytes() == sorted_weights.tobytes()
 
 
@@ -127,7 +127,7 @@ def test_chi2_minimizer_bytes_match_the_padded_head():
         p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
         for f in (rng.uniform(-1.0, 1.0, n), np.round(rng.uniform(-1.0, 1.0, n) * 2) / 3):
             cd = CriticalDeltas(*db.validate(p, f, "chi2"))
-            probes = [(chi2.chi2_active_index(cd, d), d) for d in (0.0, 0.05, 0.7, 50.0)]
+            probes = [(cd.value(d)[1], d) for d in (0.0, 0.05, 0.7, 50.0)]
             probes += [(cd.plateau + 1 + j, float(r)) for j, r in enumerate(cd.finite)]
             for r, delta in probes:
                 padded = np.pad(chi2._minimizer_head(cd, r, delta), (0, cd.n - r))

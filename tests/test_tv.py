@@ -14,7 +14,7 @@ import divball as db
 from divball import cli
 from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_tv_distance
-from divball.tv import tv_threshold_index
+from divball.tv import TVSide
 from conftest import assert_tv_pattern, random_objective, random_pmf, sorted_minimizer
 
 
@@ -43,38 +43,38 @@ class TestTvDistance:
 class TestThresholdIndex:
     def test_partial_budget(self):
         p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
-        sp = SortedProblem(p, f)
+        sp = TVSide(p, f)
         # suffix masses after r = 1, 2, 3 are 0.8, 0.5, 0.
-        assert tv_threshold_index(sp, 0.4) == 3
-        assert tv_threshold_index(sp, 0.5) == 2
-        assert tv_threshold_index(sp, 0.79) == 2
+        assert sp.value(0.4)[1] == 3
+        assert sp.value(0.5)[1] == 2
+        assert sp.value(0.79)[1] == 2
 
     def test_full_budget(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 9))
-            sp = SortedProblem(random_pmf(rng, n), random_objective(rng, n))
-            assert tv_threshold_index(sp, 1.0) == 1
-            assert tv_threshold_index(sp, 2.5) == 1
+            sp = TVSide(random_pmf(rng, n), random_objective(rng, n))
+            assert sp.value(1.0)[1] == 1
+            assert sp.value(2.5)[1] == 1
 
     def test_zero_budget(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
-        sp = SortedProblem(p, f)
-        assert tv_threshold_index(sp, 0.0) == 2
+        sp = TVSide(p, f)
+        assert sp.value(0.0)[1] == 2
 
     def test_negative_delta(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
         with pytest.raises(db.NegativeDeltaError):
-            tv_threshold_index(SortedProblem(p, f), -0.1)
+            TVSide(p, f).value(-0.1)
 
     def test_exhaustive_scan_agreement(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             n = int(rng.integers(1, 10))
             p = random_pmf(rng, n)
-            sp = SortedProblem(p, random_objective(rng, n))
+            sp = TVSide(p, random_objective(rng, n))
             delta = float(rng.uniform(0, 1))
-            r = tv_threshold_index(sp, delta)
+            r = sp.value(delta)[1]
             candidates = [
                 k
                 for k in range(1, n + 1)
@@ -83,7 +83,9 @@ class TestThresholdIndex:
             assert r == min(candidates)
 
     def test_binary_search_matches_the_scan(self):
-        # The scan it replaced: the first tail that delta covers.
+        # The scan it replaced: the first tail that delta covers.  A radius of
+        # 1 or more covers every tail in exact arithmetic, but a tail summed
+        # from the top down can round above 1, so there ``value`` compares none.
         rng = np.random.default_rng(2)
         for kind in ("random", "tied", "zero_weight", "signed_zero"):
             for _ in range(60):
@@ -99,14 +101,14 @@ class TestThresholdIndex:
                     f = rng.choice([0.0, -0.0, 1.0], n)
                 if not w.sum():
                     w[0] = 1.0
-                sp = SortedProblem(*db.validate(w / w.sum(), f))
+                sp = TVSide(*db.validate(w / w.sum(), f))
                 deltas = [0.0, -0.0, math.inf]
                 for t in sp.tails:
                     deltas += [t, np.nextafter(t, math.inf), np.nextafter(t, -math.inf)]
                 for delta in deltas:
                     if delta >= 0.0:
-                        expected = int((delta >= sp.tails).argmax()) + 1
-                        assert tv_threshold_index(sp, float(delta)) == expected
+                        expected = 1 if delta >= 1.0 else int((delta >= sp.tails).argmax()) + 1
+                        assert sp.value(float(delta))[1] == expected
 
 
 class TestTvLowerExpectation:
