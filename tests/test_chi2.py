@@ -266,6 +266,54 @@ class TestActiveIndex:
             ]
             assert r == (max(above) if above else cd.plateau)
 
+    @pytest.mark.parametrize("kind", ["ties", "skewed", "constant"])
+    def test_support_size_is_the_last_radius_above_delta(self, kind):
+        # The nonzero() form the scan replaced, on every radius, its float
+        # neighbours and the extremes; tied sides carry wobbling radii.
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(150):
+            pmf, obj = exact_radius_case(rng, "skewed" if kind == "skewed" else "ties")
+            if kind == "constant":
+                obj = db.Objective(np.full(pmf.n, obj.values[0]))
+            for side in (obj, obj.negated()):
+                try:
+                    # A squared gap can underflow on a skewed side (a known
+                    # payoff-scale defect); its +inf radius is still a radius.
+                    with np.errstate(divide="ignore"):
+                        cd = CriticalDeltas(pmf, side)
+                except db.DivballError:
+                    continue  # a numeric breakdown of the closed form
+                radii = np.concatenate([
+                    [0.0, math.inf, float(rng.uniform(0, 4))], cd.finite,
+                    np.nextafter(cd.finite, 0.0), np.nextafter(cd.finite, math.inf),
+                ])
+                for delta in radii:
+                    above = (cd.finite > delta).nonzero()[0]
+                    want = cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
+                    try:
+                        assert cd.value(float(delta))[1] == want
+                    except db.DivballError:
+                        continue  # the radicand check, after r is chosen
+                    checked += 1
+        assert checked > 800
+
+    def test_support_size_on_the_seed_11_item_373_wobble(self):
+        p = [0.01228511520154883, 0.13596715113316812, 0.024724906875710582,
+             0.09900836251245594, 0.018157825967619202, 0.10547605377370337,
+             0.03304945968137316, 0.07476289889001071, 0.10037135458072449,
+             0.07835984091065086, 0.01109715953352639, 9.66071391791976e-05,
+             0.011266872430827905, 0.11727789942570614, 0.178098491943795]
+        third, two = 1 / 3, 2 / 3
+        f = [0.0, third, -1.0, two, -third, third, two, two, two, -two, two, 1.0, two, two, -1.0]
+        pmf, obj = chi2_problem(p, f)
+        cd = CriticalDeltas(pmf, obj.negated())
+        assert np.any(cd.finite[1:] > cd.finite[:-1])  # the radii do wobble
+        for delta in np.concatenate([cd.finite, np.nextafter(cd.finite, 0.0)]):
+            above = (cd.finite > delta).nonzero()[0]
+            want = cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
+            assert cd.value(float(delta))[1] == want
+
     def test_negative_delta(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])
         cd = CriticalDeltas(pmf, obj)

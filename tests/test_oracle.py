@@ -191,11 +191,18 @@ def full_matrix_reference(p, f, family, delta, resolution):
         return np.vstack(blocks)
 
     W = build(p.n, resolution) / float(resolution)
+    pw, fv = p.weights, f.values
     family = db.BallFamily(family)
+    # Column passes, left to right, with the definitional loops' operations.
     if family is db.BallFamily.TV:
-        dists = oracle._column_tv(W, p.weights)
+        acc = np.abs(W[:, 0] - pw[0])
+        for j in range(1, p.n):
+            acc = acc + np.abs(W[:, j] - pw[j])
+        dists = 0.5 * acc
     else:
-        dists = oracle._column_chi2(W, p.weights)
+        dists = (W[:, 0] - pw[0]) ** 2 / pw[0]
+        for j in range(1, p.n):
+            dists = dists + (W[:, j] - pw[j]) ** 2 / pw[j]
     mask = dists <= delta
     feasible_count = int(np.count_nonzero(mask))
     if feasible_count == 0:
@@ -203,8 +210,16 @@ def full_matrix_reference(p, f, family, delta, resolution):
             f"no grid point at resolution {resolution} lies in the "
             f"{family.value} ball of radius {delta}"
         )
-    masked = np.where(mask, oracle._column_expectation(W, f.values), np.inf)
-    argmin_weights = W[int(np.argmin(masked))]
+    values = W[:, 0] * fv[0]
+    for j in range(1, p.n):
+        values = values + W[:, j] * fv[j]
+    masked = np.where(mask, values, np.inf)
+    idx = int(np.argmin(masked))
+    if not mask[idx]:
+        # Every feasible expectation overflowed to +inf: the first feasible
+        # point is the lexicographically first minimum.
+        idx = int(np.argmax(mask))
+    argmin_weights = W[idx]
     span = float(f.values.max() - f.values.min())
     return (
         np.float64(naive_expectation(argmin_weights, f.values)).tobytes(),
@@ -212,6 +227,26 @@ def full_matrix_reference(p, f, family, delta, resolution):
         feasible_count,
         np.float64(span * p.n / resolution).tobytes(),
     )
+
+
+def assert_matches_reference(p, f, family, delta, resolution):
+    """The oracle's report bytes, or its EmptyFeasibleError message, equal
+    the whole-grid reference's; True when some grid point is feasible."""
+    try:
+        expected = full_matrix_reference(p, f, family, delta, resolution)
+    except db.EmptyFeasibleError as err:
+        with pytest.raises(db.EmptyFeasibleError) as got:
+            db.oracle_lower_expectation(p, f, family, delta, resolution)
+        assert str(got.value) == str(err)
+        return False
+    report = db.oracle_lower_expectation(p, f, family, delta, resolution)
+    assert (
+        np.float64(report.grid_minimum).tobytes(),
+        report.grid_argmin.weights.tobytes(),
+        report.feasible_count,
+        np.float64(report.tolerance).tobytes(),
+    ) == expected
+    return True
 
 
 class TestStreamedGrid:
@@ -238,21 +273,7 @@ class TestStreamedGrid:
                 f = db.Objective(np.full(n, float(rng.uniform(-2, 2))))
             family = ("tv", "chi2")[int(rng.integers(2))]
             delta = float(rng.choice([0.0, 0.01, 0.2, 1.5]))
-            try:
-                expected = full_matrix_reference(p, f, family, delta, resolution)
-            except db.EmptyFeasibleError as err:
-                raised += 1
-                with pytest.raises(db.EmptyFeasibleError) as got:
-                    db.oracle_lower_expectation(p, f, family, delta, resolution)
-                assert str(got.value) == str(err)
-                continue
-            report = db.oracle_lower_expectation(p, f, family, delta, resolution)
-            assert (
-                np.float64(report.grid_minimum).tobytes(),
-                report.grid_argmin.weights.tobytes(),
-                report.feasible_count,
-                np.float64(report.tolerance).tobytes(),
-            ) == expected
+            raised += not assert_matches_reference(p, f, family, delta, resolution)
         assert 0 < raised < 300
 
     @pytest.mark.parametrize("family, delta", [("tv", 0.125), ("chi2", 0.05)])
@@ -291,15 +312,9 @@ class TestStreamedGrid:
         big = np.finfo(float).max
         p, f = db.validate(center, [big, big, big], family)
         with np.errstate(over="ignore"):
-            expected = full_matrix_reference(p, f, family, delta, resolution)
+            assert assert_matches_reference(p, f, family, delta, resolution)
             report = db.oracle_lower_expectation(p, f, family, delta, resolution)
         assert math.isfinite(report.grid_minimum)
-        assert (
-            np.float64(report.grid_minimum).tobytes(),
-            report.grid_argmin.weights.tobytes(),
-            report.feasible_count,
-            np.float64(report.tolerance).tobytes(),
-        ) == expected
 
     def test_peak_memory_stays_at_one_block(self):
         # The whole n = 4, resolution 250 grid is 2.7M points; as one float
@@ -312,6 +327,88 @@ class TestStreamedGrid:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def on_grid_center(rng, n, resolution):
+    """A positive center whose weights are multiples of 1/resolution."""
+    counts = 1 + rng.multinomial(resolution - n, np.full(n, 1.0 / n))
+    return db.Pmf(counts / float(resolution))
+
+
+def term_tables(p, family, resolution):
+    """Each coordinate's distance term at every grid value, and the factor
+    that turns a sum of terms into the distance."""
+    grid = np.arange(resolution + 1) / float(resolution)
+    if db.BallFamily(family) is db.BallFamily.TV:
+        return [np.abs(grid - w) for w in p.weights], 0.5
+    return [(grid - w) ** 2 / w for w in p.weights], 1.0
+
+
+BIG = np.finfo(float).max
+EDGE_PAYOFFS = {
+    "continuous": lambda rng, n: rng.uniform(-1, 1, n),
+    "tied": lambda rng, n: rng.integers(0, 2, n).astype(float),
+    "constant": lambda rng, n: np.full(n, 0.3),
+    "overflowing": lambda rng, n: np.full(n, BIG),
+    "mixed_overflowing": lambda rng, n: np.array([BIG, 0.5, BIG, -1.0][:n]),
+}
+
+
+class TestPruningEdges:
+    """The streamed search skips blocks and rows by partial sums; at radii on
+    those sums, and at the grid's extremes, it must keep the whole-grid bits."""
+
+    @pytest.mark.parametrize("family", ["tv", "chi2"])
+    def test_radius_on_a_leading_term_or_a_first_two_sum(self, family):
+        rng = np.random.default_rng(2020)
+        hits = 0
+        for trial in range(80):
+            n = int(rng.integers(2, 5))
+            resolution = int(rng.integers(n, 25))
+            if trial % 2:
+                p = on_grid_center(rng, n, resolution)
+            else:
+                p = random_pmf(rng, n, floor=0.01)
+            f = random_objective(rng, n)
+            terms, scale = term_tables(p, family, resolution)
+            counts = np.rint(p.weights * resolution).astype(int)
+            a = int(rng.integers(resolution + 1))
+            if trial % 2 and a <= counts[0] + counts[1]:
+                # On a grid center, (a, b, counts[2:]) has exactly the first
+                # two terms as its distance: a feasible row on the boundary.
+                b = int(counts[0] + counts[1] - a)
+            else:
+                b = int(rng.integers(resolution + 1 - a))
+            for edge in (scale * terms[0][a], scale * (terms[0][a] + terms[1][b])):
+                for delta in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
+                    hits += assert_matches_reference(p, f, family, float(delta), resolution)
+        assert hits > 0
+
+    @pytest.mark.parametrize("family", ["tv", "chi2"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [1, 2, 9])
+    def test_zero_and_infinite_radius_on_every_payoff_kind(self, family, n, resolution):
+        rng = np.random.default_rng(100 * n + resolution)
+        centers = [random_pmf(rng, n, floor=0.01)]
+        if resolution >= n:
+            centers.append(on_grid_center(rng, n, resolution))
+        for p in centers:
+            for draw in EDGE_PAYOFFS.values():
+                f = db.Objective(draw(rng, n))
+                for delta in (0.0, math.inf, 0.05):
+                    with np.errstate(over="ignore"):
+                        assert_matches_reference(p, f, family, delta, resolution)
+
+    @pytest.mark.parametrize("center", [[0.5, 0.0, 0.5], [0.0, 0.25, 0.25, 0.5], [1.0, 0.0]])
+    @pytest.mark.parametrize("resolution", [1, 4, 13])
+    def test_tv_center_with_a_zero_weight(self, center, resolution):
+        rng = np.random.default_rng(resolution)
+        p = db.Pmf(center)
+        for draw in EDGE_PAYOFFS.values():
+            f = db.Objective(draw(rng, p.n))
+            for delta in (0.0, 0.125, 0.3, 1.0, math.inf):
+                with np.errstate(over="ignore"):
+                    assert_matches_reference(p, f, "tv", delta, resolution)
 
 
 class TestOracleCheckVerdict:
