@@ -197,8 +197,9 @@ def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     if not sigma2 > 0.0:
         raise DivballError("interior support has zero prefix variance")
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
-    # The support's prefix mean, f - gap; its mass is positive on a chi^2 side.
-    tilt = cd.f_sorted[:r] - (cd.f_sorted[i] - cd.gap[i])
+    # f - (f[i] - gap[i]) as (f - f[i]) + gap[i], so the mean is not rounded to f's ulp.
+    tilt = cd.f_sorted[:r] - cd.f_sorted[i]
+    tilt += cd.gap[i]
     tilt *= scale
     np.subtract(1.0, tilt, out=tilt)
     head = np.divide(cd.p_sorted[:r], mass)

@@ -17,12 +17,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import BallFamily, Objective, Pmf, check_delta, validate
+from .core import BallFamily, check_delta, validate
 from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
 from .problem import Problem, robustness_radius
@@ -30,69 +29,61 @@ from .problem import Problem, robustness_radius
 _UNSET = object()
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """A fully resolved problem: validated inputs plus one radius or a sweep."""
-
-    pmf: Pmf
-    objective: Objective
-    family: BallFamily
-    delta: float | None
-    sweep: tuple[float, float, int] | None
-
-
-def _number(v) -> bool:
-    """A JSON number that converts to a float: an integer past the float range does not."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
+def _floats(values: list) -> np.ndarray | None:
+    """``values`` as a float array, or None unless each is a JSON number
+    (an int or a float, not a bool) that a float holds."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
     try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
+        return np.array(values, dtype=float)
+    except OverflowError:  # an integer past the float range
+        return None
 
 
 def load_problem_dict(obj) -> dict:
-    """Schema-check a raw problem object; returns the cleaned field dict."""
+    """Schema-check a raw problem object; returns the cleaned field dict,
+    with ``p`` and ``f`` as float arrays and ``sweep`` as a tuple."""
     if not isinstance(obj, dict):
         raise DivballError("problem file must be a JSON object")
     allowed = {"labels", "p", "f", "ball", "delta", "sweep"}
     unknown = set(obj) - allowed
     if unknown:
         raise DivballError(f"unknown problem keys: {sorted(unknown)}")
+    fields = dict(obj)
     for key in ("p", "f"):
         if key not in obj:
             raise DivballError(f"problem is missing required key '{key}'")
-        if not isinstance(obj[key], list) or not all(_number(v) for v in obj[key]):
+        values = _floats(obj[key]) if isinstance(obj[key], list) else None
+        if values is None:
             raise DivballError(f"'{key}' must be a list of numbers")
+        fields[key] = values
     if "ball" not in obj:
         raise DivballError("problem is missing required key 'ball'")
     if obj["ball"] not in ("tv", "chi2"):
         raise DivballError("'ball' must be \"tv\" or \"chi2\"")
     if "labels" in obj and (
-        not isinstance(obj["labels"], list)
-        or not all(isinstance(v, str) for v in obj["labels"])
+        not isinstance(obj["labels"], list) or not set(map(type, obj["labels"])) <= {str}
     ):
         raise DivballError("'labels' must be a list of strings")
     if "delta" in obj and "sweep" in obj:
         raise DivballError("give exactly one of 'delta' and 'sweep', not both")
-    if "delta" in obj and not _number(obj["delta"]):
+    if "delta" in obj and _floats([obj["delta"]]) is None:
         raise DivballError("'delta' must be a number")
     if "sweep" in obj:
-        obj = {**obj, "sweep": _parse_sweep_dict(obj["sweep"])}
-    return obj
+        fields["sweep"] = _parse_sweep_dict(obj["sweep"])
+    return fields
 
 
 def _parse_sweep_dict(sweep) -> tuple[float, float, int]:
     if not isinstance(sweep, dict) or set(sweep) != {"start", "stop", "steps"}:
         raise DivballError("'sweep' must be an object with start, stop and steps")
-    start, stop, steps = sweep["start"], sweep["stop"], sweep["steps"]
-    if not (_number(start) and _number(stop)):
+    bounds, steps = _floats([sweep["start"], sweep["stop"]]), sweep["steps"]
+    if bounds is None:
         raise DivballError("'sweep.start' and 'sweep.stop' must be numbers")
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
         raise DivballError("'sweep.steps' must be an integer >= 2")
-    start, stop = float(start), float(stop)
-    if not np.isfinite([start, stop]).all():
+    start, stop = bounds.tolist()
+    if not np.isfinite(bounds).all():
         raise DivballError("'sweep.start' and 'sweep.stop' must be finite")
     if start < 0.0:
         raise DivballError("'sweep.start' must be >= 0")
@@ -112,8 +103,9 @@ def _parse_sweep_flag(text: str) -> tuple[float, float, int]:
     return _parse_sweep_dict({"start": start, "stop": stop, "steps": steps})
 
 
-def resolve_problem(obj: dict, args=None) -> ProblemFile:
-    """Merge CLI overrides into a schema-checked problem dict and validate."""
+def resolve_problem(obj: dict, args=None) -> tuple[Problem, float | None, tuple | None]:
+    """Merge CLI overrides into a schema-checked problem dict and validate:
+    the one ``Problem`` every mode answers from, and its radius or sweep."""
     fields = load_problem_dict(obj)
     family = fields["ball"]
     delta = fields.get("delta")
@@ -126,19 +118,14 @@ def resolve_problem(obj: dict, args=None) -> ProblemFile:
         elif args.sweep is not None:
             delta, sweep = None, _parse_sweep_flag(args.sweep)
     family = BallFamily(family)
-    pmf, objective = validate(fields["p"], fields["f"], family)
-    if fields.get("labels") is not None:
-        # From the raw weights, so they are normalized once, as without labels.
-        pmf = Pmf(fields["p"], labels=tuple(fields["labels"]))
+    pmf, objective = validate(fields["p"], fields["f"], family, fields.get("labels"))
     if delta is not None:
         delta = float(delta)
         # The library accepts an infinite radius; JSON output cannot carry one.
         if not math.isfinite(delta):
             raise NonFiniteError("delta must be finite")
         check_delta(delta)
-    return ProblemFile(
-        pmf=pmf, objective=objective, family=family, delta=delta, sweep=sweep
-    )
+    return Problem(pmf, objective, family), delta, sweep
 
 
 def _fmt(x: float) -> str:
@@ -152,7 +139,7 @@ def _bound_row(prepared: Problem, delta: float) -> dict:
     return {"delta": float(delta), "lower": lower, "upper": upper, "r": r, "branch": branch}
 
 
-def run_bound(problem: ProblemFile, output: str | None = None) -> str:
+def run_bound(problem: Problem, delta: float | None, sweep, output: str | None = None) -> str:
     """Render bound output: JSON for a single radius, CSV rows for a sweep.
 
     ``output`` forces a format; sweeps default to CSV and single radii to
@@ -160,30 +147,29 @@ def run_bound(problem: ProblemFile, output: str | None = None) -> str:
     significant digits, '.' decimals and LF line endings.  Only single-radius
     JSON prints a minimizer, the lower bound's, so only it builds one.
     """
-    if (problem.delta is None) == (problem.sweep is None):
+    if (delta is None) == (sweep is None):
         raise DivballError("give exactly one of 'delta' and 'sweep'")
-    prepared = Problem(problem.pmf, problem.objective, problem.family)
-    if problem.delta is not None and output != "csv":
-        lower = prepared.lower(problem.delta)
+    if delta is not None and output != "csv":
+        lower = problem.lower(delta)
         payload = {
             "value": lower.value,
-            "upper_value": prepared._value(True, problem.delta)[0],
+            "upper_value": problem._value(True, delta)[0],
             "r": lower.active_index,
             "branch": lower.branch,
             "minimizer": lower.minimizer.weights.tolist(),
-            "delta": float(problem.delta),
+            "delta": float(delta),
             "ball": problem.family.value,
         }
         if problem.pmf.labels is not None:
             payload["labels"] = list(problem.pmf.labels)
         return json.dumps(payload)
-    deltas = [problem.delta]
-    if problem.delta is None:
+    deltas = [delta]
+    if delta is None:
         try:
-            deltas = np.linspace(*problem.sweep)
+            deltas = np.linspace(*sweep)
         except (ValueError, MemoryError) as exc:  # more steps than an array can hold
             raise DivballError(f"'sweep.steps' is too large: {exc}") from None
-    rows = [_bound_row(prepared, d) for d in deltas]
+    rows = [_bound_row(problem, d) for d in deltas]
     return json.dumps(rows) if output == "json" else _render_csv(rows)
 
 
@@ -197,7 +183,7 @@ def _render_csv(rows) -> str:
     return "\n".join(lines)
 
 
-def run_radius(problem: ProblemFile, theta: float) -> str:
+def run_radius(problem: Problem, theta: float) -> str:
     delta_star = robustness_radius(
         problem.pmf, problem.objective, problem.family, theta
     )
@@ -206,12 +192,11 @@ def run_radius(problem: ProblemFile, theta: float) -> str:
     )
 
 
-def run_oracle_check(problem: ProblemFile, resolution: int | None) -> tuple[str, bool]:
+def run_oracle_check(problem: Problem, delta: float | None, resolution) -> tuple[str, bool]:
     """Certify the closed form against the grid oracle at one radius."""
-    if problem.delta is None:
+    if delta is None:
         raise DivballError("this mode needs a single 'delta' (no sweep)")
-    delta = problem.delta
-    closed = Problem(problem.pmf, problem.objective, problem.family).lower(delta)
+    closed = problem.lower(delta)
     report = oracle_lower_expectation(
         problem.pmf, problem.objective, problem.family, delta, resolution
     )
@@ -300,21 +285,21 @@ def main(argv=None) -> int:
             raw = sys.stdin.read()
         else:
             raw = Path(args.input).read_text(encoding="utf-8")
-        problem = resolve_problem(json.loads(raw), args)
+        problem, delta, sweep = resolve_problem(json.loads(raw), args)
 
         if args.radius is not None and args.oracle_check is not _UNSET:
             raise DivballError("--radius and --oracle-check are separate modes")
         if args.radius is not None:
             print(run_radius(problem, args.radius))
         elif args.oracle_check is not _UNSET:
-            text, ok = run_oracle_check(problem, args.oracle_check)
+            text, ok = run_oracle_check(problem, delta, args.oracle_check)
             print(text)
             if not ok:
                 if not args.quiet:
                     print("oracle check failed", file=sys.stderr)
                 return 3
         else:
-            print(run_bound(problem, args.output))
+            print(run_bound(problem, delta, sweep, args.output))
         return 0
     except UnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -257,9 +257,12 @@ def check_delta(delta) -> None:
         raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
 
 
-def validate(p, f, family: BallFamily | str = BallFamily.TV) -> tuple[Pmf, Objective]:
+def validate(
+    p, f, family: BallFamily | str = BallFamily.TV, labels=None
+) -> tuple[Pmf, Objective]:
     """Validate raw weight and payoff vectors for the given ball family.
 
+    ``labels`` name the outcomes of the one ``Pmf`` built, under its rules.
     Chi-squared balls additionally require a strictly positive center, since
     the divergence is undefined once the reference mass vanishes somewhere.
     """
@@ -269,7 +272,7 @@ def validate(p, f, family: BallFamily | str = BallFamily.TV) -> tuple[Pmf, Objec
     fv = np.asarray(f, dtype=float)
     if pw.size != fv.size:
         raise LengthMismatchError(f"{pw.size} weights vs {fv.size} objective values")
-    pmf = Pmf(pw)
+    pmf = Pmf(pw, labels)
     obj = Objective(fv)
     if family is BallFamily.CHI2:
         require_positive(pmf.weights)

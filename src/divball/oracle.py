@@ -196,13 +196,14 @@ def _grid_search(grid, distance, expectation, scale, delta):
         if count == 0:
             continue
         feasible_count += count
-        np.add(
-            expectation[0][a], expectation[1][v0 - a:resolution + 1 - a],
-            out=two_expectation[v0:],
-        )
-        values = two_expectation.take(columns[0])
-        for table, column in zip(expectation[2:], columns[1:]):
-            values += table.take(column)
+        with np.errstate(over="ignore"):  # a sum past the float range is +inf
+            np.add(
+                expectation[0][a], expectation[1][v0 - a:resolution + 1 - a],
+                out=two_expectation[v0:],
+            )
+            values = two_expectation.take(columns[0])
+            for table, column in zip(expectation[2:], columns[1:]):
+                values += table.take(column)
         values[outside] = np.inf
         idx = int(values.argmin())
         if outside[idx]:

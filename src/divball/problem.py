@@ -17,7 +17,7 @@ _BUILDERS = {BallFamily.TV: TVSide, BallFamily.CHI2: CriticalDeltas}
 
 
 class Problem:
-    """A validated (pmf, objective) pair under one ball family.
+    """A validated (pmf, objective) pair under one ball ``family``.
 
     Each side is prepared on its first bound and kept for every later one.
     """
@@ -25,7 +25,7 @@ class Problem:
     def __init__(self, pmf: Pmf, objective: Objective, family: BallFamily | str):
         self.pmf = pmf
         self.objective = objective
-        self._build = _BUILDERS[family if isinstance(family, BallFamily) else BallFamily(family)]
+        self.family = family if isinstance(family, BallFamily) else BallFamily(family)
         self._sides = {}
 
     def lower(self, delta: float) -> BoundResult:
@@ -58,7 +58,7 @@ class Problem:
         side = self._sides.get(upper)
         if side is None:
             objective = self.objective.negated() if upper else self.objective
-            side = self._sides[upper] = self._build(self.pmf, objective)
+            side = self._sides[upper] = _BUILDERS[self.family](self.pmf, objective)
         return side
 
 

@@ -11,15 +11,27 @@ valid support size.  ``expression_sorted``, ``expression_critical_radii``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
 whole-array expression form of the prefix pass, the critical radii and the
 two minimizers that the in-place library code must reproduce byte for byte.
+``reference_bound`` solves a bound exactly, in rationals, with one square
+root at 60 digits, and shares nothing with the library but the float inputs.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 
 from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _prefix_moments, _radicand
-from divball.core import Objective, Pmf, SortedProblem, _stable_order, check_delta, require_positive
+from divball.core import (
+    BallFamily,
+    Objective,
+    Pmf,
+    SortedProblem,
+    _stable_order,
+    check_delta,
+    require_positive,
+)
 from divball.errors import DivballError, ZeroMassForbiddenError
 from divball.oracle import _check_grid_size, _composition_blocks
 
@@ -228,7 +240,7 @@ def expression_minimizer_weights(sp, r: int, delta: float) -> np.ndarray:
     assert sigma2 > 0.0, "interior support has positive prefix variance"
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
     head = (sp.p_sorted[: i + 1] / mass) * (
-        1.0 - (sp.f_sorted[: i + 1] - sp.prefix_mean[i]) * scale
+        1.0 - (sp.f_sorted[: i + 1] - sp.f_sorted[i] + sp.gap[i]) * scale
     )
     negative = head < 0.0
     if np.any(head[negative] < -_COORDINATE_SLACK):
@@ -253,3 +265,85 @@ def expression_tv_weights(sp, delta: float) -> tuple[int, np.ndarray]:
     q[0] += delta
     q[r - 1] = sp.tails[r - 2] - delta
     return r, q
+
+
+def _mpf(x):
+    """A ``Fraction`` (or an ``mpf``) at the working precision of ``mpmath``."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespace:
+    """The exact lower bound of ``f`` over the ``family`` ball of radius
+    ``delta`` around ``p``, from the float inputs read as rationals.
+
+    The outcomes are sorted by ``(f, index)``, the ball's center is ``p``
+    divided by its exact sum, and every prefix mass, mean, variance, tail and
+    critical radius is an exact ``Fraction``; the support size r is the
+    exact comparison of ``Fraction(delta)`` with the tails (TV: the first r
+    whose tail is at most delta) or the critical radii (chi^2: the last r
+    whose radius exceeds delta, else the minimal-payoff plateau).  TV is
+    exact throughout; chi^2 takes its one square root with ``mpmath`` at 60
+    digits.  Returns the ``value`` (an ``mpf``), ``r``, the ``minimizer`` in
+    original order (``mpf`` weights) and the sorted ``breakpoints`` (tails
+    or critical radii, as ``Fraction``s) that ``delta`` is compared with.
+    """
+    family = BallFamily(family)
+    check_delta(delta)
+    weights = [Fraction(w) for w in p.weights.tolist()]
+    total = sum(weights)
+    values = [Fraction(v) for v in f.values.tolist()]
+    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    ps = [weights[i] / total for i in order]
+    fs = [values[i] for i in order]
+    n = len(ps)
+    tails = [Fraction(0)] * n
+    for k in range(n - 2, -1, -1):
+        tails[k] = tails[k + 1] + ps[k + 1]
+    d = Fraction(delta) if math.isfinite(delta) else None  # None: infinite
+    with mpmath.workdps(60):
+        if family is BallFamily.TV:
+            r = next(k + 1 for k in range(n) if d is None or tails[k] <= d)
+            q = [Fraction(0)] * n
+            if r == 1:
+                q[0] = Fraction(1)
+            else:
+                q[:r] = ps[:r]
+                q[0] += d
+                q[r - 1] = tails[r - 2] - d
+            value = _mpf(sum(w * v for w, v in zip(q, fs)))
+            breakpoints = tails
+        else:
+            plateau = fs.count(fs[0])
+            mass = mean_sum = square_sum = Fraction(0)
+            stats, breakpoints = [], []
+            for k in range(n):
+                mass += ps[k]
+                mean_sum += ps[k] * fs[k]
+                square_sum += ps[k] * fs[k] * fs[k]
+                mean = mean_sum / mass
+                var = square_sum / mass - mean * mean
+                stats.append((mass, mean, var))
+                if k >= plateau:
+                    breakpoints.append((var / (fs[k] - mean) ** 2 + tails[k]) / mass)
+            above = [k for k, b in enumerate(breakpoints) if d is not None and b > d]
+            r = plateau + 1 + above[-1] if above else plateau
+            mass, mean, var = stats[r - 1]
+            if r == plateau:
+                q = [w / mass for w in ps[:r]] + [Fraction(0)] * (n - r)
+                value = _mpf(fs[0])
+            else:
+                radicand = mass * d - tails[r - 1]
+                if radicand < 0:
+                    raise AssertionError("a negative radicand on the exact support")
+                scale = mpmath.sqrt(_mpf(radicand) / _mpf(var))
+                q = [
+                    _mpf(w / mass) * (1 - _mpf(v - mean) * scale)
+                    for w, v in zip(ps[:r], fs[:r])
+                ] + [Fraction(0)] * (n - r)
+                value = _mpf(mean) - mpmath.sqrt(_mpf(var * radicand))
+        minimizer = [None] * n
+        for i, w in zip(order, q):
+            minimizer[i] = _mpf(w)
+    return SimpleNamespace(value=value, r=r, minimizer=minimizer, breakpoints=breakpoints)

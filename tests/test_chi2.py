@@ -453,6 +453,30 @@ class TestChi2LowerExpectation:
             res = db.chi2_lower_expectation(pmf, obj, delta)
             assert abs(db.expectation(res.minimizer, obj) - res.value) <= 1e-9
 
+    def test_skewed_centers_raise_no_mass_error(self):
+        # The first 1000 draws of the skewed probe: Dirichlet(0.05) centers
+        # floored at 1e-300, payoffs on [-1, 1] at scales 1e-8, 1 and 1e8,
+        # radii log-uniform on [1e-9, 1e6].  A tilt formed from the rounded
+        # prefix mean left minimizer masses off 1 by more than the tolerance.
+        rng = np.random.default_rng(5)
+        returned = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 12))
+            p = np.maximum(rng.dirichlet(np.full(n, 0.05)), 1e-300)
+            p /= p.sum()
+            f = rng.uniform(-1, 1, n) * [1e-8, 1.0, 1e8][int(rng.integers(0, 3))]
+            delta = float(np.exp(rng.uniform(np.log(1e-9), np.log(1e6))))
+            pmf, obj = db.validate(p, f, "chi2")
+            try:
+                with np.errstate(all="ignore"):
+                    db.chi2_lower_expectation(pmf, obj, delta)
+            except db.SumNotOneError as exc:
+                pytest.fail(f"{exc} for p={p.tolist()}, f={f.tolist()}, delta={delta!r}")
+            except db.DivballError:
+                continue  # a breakdown of the critical radii, not the mass
+            returned += 1
+        assert returned >= 995
+
 
 class TestChi2UpperExpectation:
     def test_zero_delta(self):

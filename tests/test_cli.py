@@ -270,6 +270,115 @@ class TestValidationFailures:
         assert capsys.readouterr().err == 2 * message
 
 
+class TestInputPath:
+    """Each list of numbers is checked once, by its element types and one
+    float conversion; every fault keeps its class and message."""
+
+    BASE = {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "delta": 0.1}
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"p": [True, 0.5]}, db.DivballError, "'p' must be a list of numbers"),
+            ({"p": [math.nan, 0.5]}, db.NonFiniteError, "weights contains NaN or infinity"),
+            ({"p": [], "f": []}, db.EmptySupportError, "weights must have at least one entry"),
+            ({"p": []}, db.LengthMismatchError, "0 weights vs 2 objective values"),
+            ({"p": [HUGE, 0.5]}, db.DivballError, "'p' must be a list of numbers"),
+            ({"p": [0.5, None]}, db.DivballError, "'p' must be a list of numbers"),
+            ({"p": [[0.5], [0.5]]}, db.DivballError, "'p' must be a list of numbers"),
+            ({"f": [0, False]}, db.DivballError, "'f' must be a list of numbers"),
+            ({"f": [0, math.nan]}, db.NonFiniteError, "objective values contains NaN or infinity"),
+            ({"f": []}, db.LengthMismatchError, "2 weights vs 0 objective values"),
+            ({"f": [0.5, -HUGE]}, db.DivballError, "'f' must be a list of numbers"),
+            ({"delta": []}, db.DivballError, "'delta' must be a number"),
+            ({"delta": None}, db.DivballError, "'delta' must be a number"),
+            ({"delta": math.nan}, db.NonFiniteError, "delta must be finite"),
+            ({"delta": -HUGE}, db.DivballError, "'delta' must be a number"),
+            ({"sweep": {"start": [], "stop": 1, "steps": 3}}, db.DivballError,
+             "'sweep.start' and 'sweep.stop' must be numbers"),
+            ({"sweep": {"start": 0, "stop": True, "steps": 3}}, db.DivballError,
+             "'sweep.start' and 'sweep.stop' must be numbers"),
+            ({"sweep": {"start": math.nan, "stop": 1, "steps": 3}}, db.DivballError,
+             "'sweep.start' and 'sweep.stop' must be finite"),
+            ({"sweep": {"start": 0, "stop": -HUGE, "steps": 3}}, db.DivballError,
+             "'sweep.start' and 'sweep.stop' must be numbers"),
+        ],
+    )
+    def test_each_fault_keeps_its_class_and_message(self, tmp_path, capsys, fields, error, message):
+        obj = {**self.BASE, **fields}
+        if "sweep" in fields:
+            del obj["delta"]
+        path = write_problem(tmp_path, obj)
+        assert cli.main(["--input", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(error) as info:
+            cli.resolve_problem(json.loads(Path(path).read_text(encoding="utf-8")))
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "ball, mixed_p", [("tv", [0, 0.25, 0.75]), ("chi2", [0.25, 0.25, 0.5])]
+    )
+    def test_mixed_int_and_float_lists_read_as_floats(self, tmp_path, capsys, ball, mixed_p):
+        mixed = {"p": mixed_p, "f": [0, 2.5, -1], "ball": ball,
+                 "sweep": {"start": 0, "stop": 0.5, "steps": 3}}
+        floats = {"p": [float(w) for w in mixed_p], "f": [0.0, 2.5, -1.0], "ball": ball,
+                  "sweep": {"start": 0.0, "stop": 0.5, "steps": 3}}
+        outputs = []
+        for name, obj in (("mixed.json", mixed), ("floats.json", floats)):
+            assert cli.main(["--input", write_problem(tmp_path, obj, name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 4
+
+    def test_a_labelled_center_has_the_bits_of_its_pmf(self):
+        p = [0.096, 0.033, 0.41, 0.174, 0.287]
+        obj = {"labels": list("abcde"), "p": p, "f": [0.4, -0.5, 0.1, 0.4, -0.9],
+               "ball": "chi2", "delta": 0.3}
+        problem, delta, sweep = cli.resolve_problem(obj)
+        want = db.Pmf(p, tuple("abcde"))
+        assert problem.pmf.weights.tobytes() == want.weights.tobytes()
+        assert problem.pmf.labels == want.labels == tuple("abcde")
+        assert problem.family is db.BallFamily.CHI2
+        assert (delta, sweep) == (0.3, None)
+
+    @pytest.mark.parametrize(
+        "labels", [["a"], ["a", 1], ("a", "a")], ids=["count", "type", "distinct"]
+    )
+    def test_validate_raises_the_errors_of_pmf(self, labels):
+        with pytest.raises(db.DivballError) as want:
+            db.Pmf([0.5, 0.5], labels)
+        with pytest.raises(type(want.value), match=f"^{str(want.value)}$"):
+            db.validate([0.5, 0.5], [0, 1], "tv", labels)
+        with pytest.raises(type(want.value), match=f"^{str(want.value)}$"):
+            db.validate([0.5, 0.5], [0, 1], labels=labels)
+
+    def test_a_label_fault_is_reported_before_a_zero_chi2_weight(self, tmp_path, capsys):
+        # The labels are checked where the one Pmf is built, before the
+        # chi-squared center is.
+        obj = {"labels": ["a"], "p": [0, 1], "f": [0, 1], "ball": "chi2", "delta": 0.1}
+        assert cli.main(["--input", write_problem(tmp_path, obj)]) == 2
+        assert capsys.readouterr().err == "error: 1 labels for 2 outcomes\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--output", "csv"], ["--sweep", "0:1:5"], ["--oracle-check", "20"]],
+        ids=["json", "csv", "sweep", "oracle-check"],
+    )
+    def test_a_run_builds_one_problem(self, tmp_path, capsys, monkeypatch, flags):
+        built = []
+
+        class Counted(db.Problem):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cli, "Problem", Counted)
+        path = write_problem(tmp_path, {**TV_FIXTURE, "p": [0.2, 0.3, 0.5], "f": [1, 0, 2]})
+        assert cli.main(["--input", path, *flags]) == 0
+        assert capsys.readouterr().out
+        assert len(built) == 1
+
+
 class TestRadiusMode:
     def test_tv_fixture(self, tmp_path, capsys):
         path = write_problem(tmp_path, TV_FIXTURE)
@@ -409,6 +518,24 @@ class TestOracleCheckMode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "overflows the float range" in captured.err
+
+    def test_overflowing_feasible_sums_print_no_warning(self, tmp_path, capsys):
+        # Feasible grid expectations past the float range are +inf; the
+        # recheck by the definitional loops gives the reported minimum.
+        big = np.finfo(float).max
+        path = write_problem(
+            tmp_path, {"p": [0.2, 0.4, 0.4], "f": [big, big, big], "ball": "tv", "delta": 0.2}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--input", path, "--oracle-check", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            '{"closed_form": 1.7976931348623157e+308, "grid_minimum": 1.7976931348623155e+308,'
+            ' "tolerance": 0.0, "pass": true, "resolution": 5, "feasible_count": 7,'
+            ' "minimizer_distance": 0.2}\n'
+        )
 
     def test_requires_single_delta(self, tmp_path, capsys):
         path = write_problem(tmp_path, TV_FIXTURE)
