@@ -4,21 +4,20 @@ Both ball solvers start the same way: reorder the outcomes so the objective
 is non-decreasing and take the tail masses.  This module owns those shared
 types, input validation, and the expectation operation.
 
-An ``Objective`` keeps its stable ascending order once computed.  One sort
-serves both bounds: the negation that an upper bound solves derives its
-order from its source's in O(n) when it is built, reversing it and putting
-each run of tied values back in ascending original index.
+An ``Objective`` sorts its values once, when it is built, and keeps the
+order.  One sort serves both bounds: the negation that an upper bound solves
+derives its order from its source's in O(n), reversing it and putting each
+run of tied values back in ascending original index.
 
 Every array is read-only and every function is pure.  No attribute is set
-outside a constructor, except the order an ``Objective`` keeps; ``Pmf``,
-``Objective`` and ``BoundResult`` are frozen dataclasses, and the sorted
-side and its subclasses are plain classes.  So instances are safe to share
-across threads (racing first reads of an order only compute it twice).
+outside a constructor; ``Pmf``, ``Objective`` and ``BoundResult`` are frozen
+dataclasses, and the sorted side and its subclasses are plain classes.  So
+instances are safe to share across threads.
 """
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,18 +148,33 @@ class Pmf:
 class Objective:
     """Real-valued payoff on the same outcome set as the ball center.
 
-    Its stable ascending order is computed on first use and kept (the
-    values are read-only); a negation gets its order, derived from this
-    one's, when it is built.
+    It is sorted once, when it is built: ``_perm`` is the stable ascending
+    order of the values, ``_ordered`` the values gathered by it, and
+    ``_changes`` where they change (``None`` when no two values tie).  All
+    four arrays are read-only; a negation derives its three from these.
     """
 
     values: np.ndarray
+    _perm: np.ndarray = field(init=False, repr=False)
+    _ordered: np.ndarray = field(init=False, repr=False)
+    _changes: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         # One copy: freezing the caller's own array would make it read-only.
         v = _clean_vector(np.array(self.values, dtype=float), "objective values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self._keep(v, *_stable_order(v))
+
+    def _keep(self, values, perm, ordered, changes):
+        """Set the four fields, each array read-only (a constructor's step)."""
+        values.setflags(write=False)
+        perm.setflags(write=False)
+        ordered.setflags(write=False)
+        if changes is not None:
+            changes.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_perm", perm)
+        object.__setattr__(self, "_ordered", ordered)
+        object.__setattr__(self, "_changes", changes)
 
     @property
     def n(self) -> int:
@@ -169,32 +183,14 @@ class Objective:
     def negated(self) -> "Objective":
         """The pointwise negation; used for upper bounds via conjugacy.
 
-        It gets its order when it is built: :func:`_negated_order` derives
-        it from this payoff's kept order, sorting this payoff first if needed.
+        Its order and changes come from this payoff's in O(n), by
+        :func:`_negated_order`, and its sorted values by one gather.
         """
         negated = object.__new__(Objective)
-        object.__setattr__(negated, "values", -self.values)
-        negated.values.setflags(write=False)
-        if "_perm_changes" not in self.__dict__:
-            self._sorted()
-        # Read-only already: a view of this payoff's order, or a new array.
-        negated.__dict__["_perm_changes"] = _negated_order(*self.__dict__["_perm_changes"])
+        values = -self.values
+        perm, changes = _negated_order(self._perm, self._changes)
+        negated._keep(values, perm, values[perm], changes)
         return negated
-
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The stable ascending order of the values, the values gathered by
-        it, and where they change (``None`` when no two values tie).
-
-        The order and its changes are computed on first use and kept (a
-        negation's when it is built); the gathered values are not kept.
-        """
-        order = self.__dict__.get("_perm_changes")
-        if order is None:
-            perm, ordered, changes = _stable_order(self.values)
-            perm.setflags(write=False)
-            self.__dict__["_perm_changes"] = perm, changes
-            return perm, ordered, changes
-        return order[0], self.values[order[0]], order[1]
 
 
 class SortedProblem:
@@ -203,25 +199,26 @@ class SortedProblem:
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  ``tails[i]`` is the mass after entry
     ``i``.  ``plateau`` is the number of leading outcomes tied at the minimal
-    objective value (at least 1).  A family's side subclasses it and answers
+    objective value (at least 1).  ``center`` is ``p``'s original-order
+    weights (shared, not copied).  A family's side subclasses it and answers
     ``value(delta)`` and ``weights(r, delta)``, writing minimizers straight
     into original order through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).
 
-    The order is ``f``'s own, stable and kept on ``f``: :func:`_stable_order`
-    sorts a payoff once, and a negated payoff derives its order from its
-    source's in O(n).  The tails are :func:`suffix_masses`.
+    The order and the sorted payoff are ``f``'s own, read-only and shared:
+    an ``Objective`` sorts itself when it is built.  The tails are
+    :func:`suffix_masses`.
     """
 
     def __init__(self, p: Pmf, f: Objective):
         if p.n != f.n:
             raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-        perm, f_sorted, changes = f._sorted()
+        perm, changes = f._perm, f._changes
         p_sorted = p.weights[perm]
         p_sorted.setflags(write=False)
-        f_sorted.setflags(write=False)
         self.perm = perm
+        self.center = p.weights
         self.p_sorted = p_sorted
-        self.f_sorted = f_sorted
+        self.f_sorted = f._ordered
         self.tails = suffix_masses(p_sorted)
         # The bottom run ends at the first change (untied: at 1; constant: at n).
         k = 0 if changes is None else int(changes.argmax())
@@ -385,7 +382,5 @@ def _negated_order(perm: np.ndarray, changes: np.ndarray | None):
     a, c = edges[:-1], edges[1:]
     index = np.arange(n, 2 * n)
     index -= (a + c).repeat(c - a)
-    perm = perm[index]
-    perm.setflags(write=False)
-    return perm, changes
+    return perm[index], changes
 

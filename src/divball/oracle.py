@@ -255,7 +255,8 @@ def oracle_lower_expectation(
     if family is BallFamily.TV:
         distance, scale = [np.abs(grid - w) for w in p.weights], 0.5
     else:
-        distance, scale = [(grid - w) ** 2 / w for w in p.weights], 1.0
+        with np.errstate(over="ignore"):  # a +inf term already leaves the ball
+            distance, scale = [(grid - w) ** 2 / w for w in p.weights], 1.0
     expectation = [grid * v for v in f.values]
     if n == 1:
         # The one grid point is (1.0,).

@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     BRANCH_DEGENERATE,
     BRANCH_INTERIOR,
-    Objective,
     Pmf,
     SortedProblem,
     check_delta,
@@ -30,12 +29,7 @@ def tv_distance(q: Pmf, p: Pmf) -> float:
 
 
 class TVSide(SortedProblem):
-    """The sorted side of ``(p, f)`` that also holds ``center``, ``p``'s
-    original-order weights (shared, not copied)."""
-
-    def __init__(self, p: Pmf, f: Objective):
-        super().__init__(p, f)
-        self.center = p.weights
+    """The TV side of ``(p, f)``: the sorted side, which also holds the center."""
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""

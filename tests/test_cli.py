@@ -537,6 +537,22 @@ class TestOracleCheckMode:
             ' "minimizer_distance": 0.2}\n'
         )
 
+    def test_subnormal_chi2_weight_prints_no_warning(self, tmp_path, capsys):
+        # A distance term divided by a subnormal weight is +inf, which already
+        # lies outside the ball; the check passes with nothing on stderr.
+        path = write_problem(
+            tmp_path, {"p": [0.9999999999999999, 5e-324], "f": [0, 1], "ball": "chi2", "delta": 0.2}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--input", path, "--oracle-check", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            '{"closed_form": 0.0, "grid_minimum": 0.0, "tolerance": 0.4, "pass": true,'
+            ' "resolution": 5, "feasible_count": 1, "minimizer_distance": 0.0}\n'
+        )
+
     def test_requires_single_delta(self, tmp_path, capsys):
         path = write_problem(tmp_path, TV_FIXTURE)
         assert cli.main(["--input", path, "--sweep", "0:1:3", "--oracle-check"]) == 2

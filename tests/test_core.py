@@ -1,8 +1,10 @@
 """Unit tests for the core types, validation, and prefix preprocessing."""
 
+import ast
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +413,47 @@ class TestNegatedOrder:
         for objective in (negated, f, negated, f, f.negated()):
             SortedProblem(p, objective)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["tv", "chi2"])
+    @pytest.mark.parametrize("values", [[1.0, 0.0, 1.0, -0.0], [0.5, -2.0, 3.0, 1.0]])
+    def test_payoff_is_sorted_when_it_is_built(self, monkeypatch, family, values):
+        p, f = db.validate([0.1, 0.2, 0.3, 0.4], values, family)
+
+        def unexpected(values):
+            raise AssertionError("sorted after the payoff was built")
+
+        monkeypatch.setattr(core, "_stable_order", unexpected)
+        problem = db.Problem(p, f, family)
+        problem.lower(0.1)
+        problem.upper(0.1)
+        f.negated().negated()
+
+    def test_order_arrays_are_read_only(self):
+        for values in ([1.0, 0.0, 1.0, -0.0], [0.5, -2.0, 3.0, 1.0]):
+            f = db.Objective(values)
+            for objective in (f, f.negated(), f.negated().negated()):
+                kept = objective._perm, objective._ordered, objective._changes
+                for arr in (objective.values, *kept):
+                    assert arr is None or not arr.flags.writeable
+
+    def test_no_module_assigns_through_dict(self):
+        # Every attribute is set by a constructor, never by a later write
+        # into an instance's ``__dict__``.
+        found = []
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                    owner = node.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = node.func.value if node.func.attr in _DICT_WRITES else None
+                else:
+                    continue
+                if isinstance(owner, ast.Attribute) and owner.attr == "__dict__":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear"}
 
 
 class TestTieIndependence:
