@@ -157,8 +157,10 @@ class CriticalDeltas(SortedProblem):
         i = r - 1
         rad = _radicand(self.prefix_mass[i], self.tails[i], delta)
         mean = self.f_sorted[i] - self.gap[i]
-        value = float(mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad))
-        return value, r, BRANCH_INTERIOR
+        value = mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad)
+        # The exact bound lies in the support's payoff range; rounding can leave it.
+        value = min(max(value, self.f_sorted[0]), self.f_sorted[i])
+        return float(value), r, BRANCH_INTERIOR
 
     def weights(self, r: int, delta: float) -> np.ndarray:
         """:meth:`value`'s minimizer for support size ``r``, in original order."""

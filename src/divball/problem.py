@@ -7,6 +7,7 @@ step (``core._negated_order``).  The one-shot bounds each solve a ``Problem``.
 """
 
 import math
+import struct
 
 from .chi2 import CriticalDeltas
 from .core import BallFamily, BoundResult, Objective, Pmf, check_delta
@@ -101,39 +102,30 @@ def chi2_upper_expectation(p: Pmf, f: Objective, delta: float) -> BoundResult:
 def robustness_radius(
     pmf: Pmf, objective: Objective, family: BallFamily, theta: float
 ) -> float:
-    """Smallest radius at which the lower expectation drops to ``theta``.
+    """The smallest double radius whose lower bound is at most ``theta``.
 
-    The lower expectation is continuous and non-increasing in the radius, so
-    bisection applies; the answer carries an absolute radius tolerance of
-    1e-10, or one ulp where the radius is too large for that.  Thresholds at
-    or above the lower bound at radius 0 (the center expectation, as the
-    prepared side rounds it) need no budget at all; thresholds below the
-    objective's minimum are unreachable.
+    The bound does not increase with the radius, and non-negative doubles
+    sort as their bit patterns do, so one bisection over the patterns, from
+    a sentinel below 0.0 up to +inf's, finds it in at most 63 bounds: 0.0
+    when the bound at radius 0 already reaches ``theta``.  Where the
+    computed bound is not monotone, the answer's bound reaches ``theta``
+    and the next smaller double's does not.  A threshold that no finite
+    radius reaches raises ``UnreachableError``.
     """
     problem = Problem(pmf, objective, family)
     theta = float(theta)
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
-    if theta >= problem._value(False, 0.0)[0]:
-        return 0.0
-    f_min = float(objective.values.min())
-    if theta < f_min:
-        raise UnreachableError(
-            f"threshold {theta} lies below the objective minimum {f_min}"
-        )
-
-    hi = 1.0
-    while problem._value(False, hi)[0] > theta:
-        hi *= 2.0
-        if hi > 2.0**1023:
-            raise RuntimeError("radius bracket failed to close")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # lo and hi are adjacent doubles
-        if problem._value(False, mid)[0] <= theta:
-            hi = mid
+    lo, hi, star = -1, 0x7FF0000000000000, math.inf  # hi: +inf's bit pattern
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        delta = struct.unpack("<d", mid.to_bytes(8, "little"))[0]
+        if problem._value(False, delta)[0] <= theta:
+            hi, star = mid, delta
         else:
             lo = mid
-    return hi
+    if star == math.inf:
+        f_min = float(objective.values.min())
+        where = f"below the objective minimum {f_min}" if theta < f_min else "out of reach"
+        raise UnreachableError(f"threshold {theta} lies {where}")
+    return star

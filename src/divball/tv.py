@@ -48,7 +48,8 @@ class TVSide(SortedProblem):
         # threshold guarantees d < tails[r-2], so this stays positive.
         q_sorted[r - 1] = self.tails[r - 2] - d
         q_sorted[r:] = 0.0
-        value = weighted_mean(q_sorted, self.f_sorted, self.f_sorted[0], self.f_sorted[-1])
+        # Clamped to the support's payoff range: on a tied bottom run, the tied payoff.
+        value = weighted_mean(q_sorted, self.f_sorted, self.f_sorted[0], self.f_sorted[r - 1])
         return value, r, BRANCH_INTERIOR
 
     def weights(self, r: int, delta: float) -> np.ndarray:

@@ -209,15 +209,17 @@ def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
 
 def expression_critical_radii(sp) -> np.ndarray:
     """Critical radii above the plateau of an :func:`expression_sorted` side,
-    with the library's checks written as asserts."""
+    raising the library's errors where its checks fail."""
     ell = sp.plateau
     gap = sp.gap[ell:]
     var = sp.prefix_var[ell:]
-    assert ((gap > 0.0) & (var > 0.0)).all(), "non-plateau prefix is constant"
+    if not ((gap > 0.0) & (var > 0.0)).all():
+        raise DivballError("non-plateau prefix is constant")
     finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]
-    if finite.size:
-        assert finite[-1] > 0.0, "critical radii must be positive"
-        assert (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all()
+    if finite.size and not finite[-1] > 0.0:
+        raise DivballError("critical radii must be positive")
+    if not (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all():
+        raise DivballError("critical radii must be non-increasing")
     return finite
 
 
@@ -237,7 +239,8 @@ def expression_minimizer_weights(sp, r: int, delta: float) -> np.ndarray:
     mass = sp.prefix_mass[i]
     tail = sp.tails[i]
     sigma2 = sp.prefix_var[i]
-    assert sigma2 > 0.0, "interior support has positive prefix variance"
+    if not sigma2 > 0.0:
+        raise DivballError("interior support has zero prefix variance")
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
     head = (sp.p_sorted[: i + 1] / mass) * (
         1.0 - (sp.f_sorted[: i + 1] - sp.f_sorted[i] + sp.gap[i]) * scale

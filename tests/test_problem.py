@@ -265,19 +265,22 @@ def test_one_shot_moment_passes(monkeypatch, family, passes):
     "obj, theta, delta_star",
     [
         ({"p": [0.1, 0.2, 0.3, 0.25, 0.15], "f": [0.5, -1, 2, 0.5, 1.5], "ball": "tv"},
-         "0.3", 0.16666666668606922),
-        ({"p": [0.4, 0.35, 0.25], "f": [1, 3, 2], "ball": "chi2"}, "1.6", 0.16387959866551682),
+         "0.3", 0.16666666666666666),
+        ({"p": [0.4, 0.35, 0.25], "f": [1, 3, 2], "ball": "chi2"}, "1.6", 0.16387959866220714),
     ],
+    ids=["tv", "chi2"],
 )
 def test_radius_answers_are_unchanged(tmp_path, capsys, obj, theta, delta_star):
-    # Pinned from the bisection before it ran on a prepared problem.
+    # The smallest doubles whose exact bounds reach theta are 0.16666666666666666
+    # and 0.16387959866220725 (crosscheck.reference_bound): TV lands on its
+    # target, chi^2 4 ulps below it, where the computed bound already reads 1.6.
     payload = json.loads(run_cli(tmp_path, capsys, obj, "--radius", theta))
     assert payload["delta_star"] == delta_star
 
 
 def test_radius_terminates_when_the_answer_is_large():
-    # delta* is about 1e7, where adjacent doubles lie further apart than the
-    # 1e-10 stopping width; the search must still end.
+    # delta* is about 1e7, where adjacent doubles lie about 2e-9 apart; the
+    # search must still end on the first one whose bound reaches theta.
     obj = {"p": [1e-7, 0.9999999], "f": [0, 1], "ball": "chi2"}
     src = str(Path(db.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -318,12 +321,13 @@ RADIUS_REPRODUCER = {
 
 def test_radius_reads_the_center_from_the_lower_side():
     # theta is E_p f as ``expectation`` rounds it, an ulp below the lower
-    # bound at radius 0, so a radius of 0 does not reach it.
+    # bound at radius 0, so a radius of 0 does not reach it (the exact target
+    # is 0.0); the answer is the first double whose computed bound does.
     p, f = db.validate(RADIUS_REPRODUCER["p"], RADIUS_REPRODUCER["f"], "tv")
     theta = 0.3576147405221671
     assert db.Problem(p, f, "tv").lower(0.0).value == 0.35761474052216713
     star = problem.robustness_radius(p, f, "tv", theta)
-    assert star == 5.820766091346741e-11
+    assert star == 4.163336342344337e-17
     assert db.Problem(p, f, "tv").lower(star).value <= theta
 
 

@@ -291,19 +291,18 @@ def test_bounds_enclose_the_center_expectation_near_radius_zero(family, delta):
     assert lower <= db.expectation(pmf, obj) <= upper
 
 
-@known_defect("a TV bound on a tied bottom run is a dot product, not the tied payoff")
 def test_tv_bound_is_exactly_monotone_on_a_tied_bottom():
     # Past radius 0.082 all the mass sits on the run tied at -3; the dot of
-    # its weights with the run reads -2.9999999999999996 at 0.36.
+    # its weights with the run reads -2.9999999999999996 at 0.36 unless the
+    # bound is clamped to its support's payoff range.
     pmf, obj = db.validate([0.082, 0.177, 0.741], [-2.0, -3.0, -3.0], "tv")
     problem = db.Problem(pmf, obj, "tv")
     assert problem.lower(0.36).value <= problem.lower(0.18).value
 
 
-@known_defect("a chi^2 bound is not clamped to the payoff range")
 def test_chi2_bound_stays_in_the_payoff_range_below_a_critical_radius():
-    # One ulp below its only critical radius the bound is -3.0000000000000004,
-    # below min f and below the -3.0 it takes at the radius itself.
+    # One ulp below its only critical radius the closed form rounds to
+    # -3.0000000000000004, below min f and below the -3.0 at the radius itself.
     pmf, obj = db.validate([0.9951, 0.0049], [1.0, -3.0], "chi2")
     problem = db.Problem(pmf, obj, "chi2")
     assert problem.lower(203.0816326530612).value >= -3.0

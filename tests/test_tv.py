@@ -385,7 +385,7 @@ class TestWholeSimplex:
         assert row == f"{float(delta):.17g},-1,{upper},1,degenerate"
 
     def test_radius_search_closes_at_one(self):
-        # The radius bracket runs for TV too: the bound at radius 1 must
-        # already reach the minimal payoff, or the bracket never closes.
+        # The radius search runs for TV too: the bound at radius 1 must
+        # already reach the minimal payoff, or no finite radius reaches it.
         p, f = db.validate(ROUNDED_TAIL_P, ROUNDED_TAIL_F["above"])
         assert db.robustness_radius(p, f, "tv", -1.0) == 1.0
