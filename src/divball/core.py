@@ -5,9 +5,11 @@ is non-decreasing and take the tail masses.  This module owns those shared
 types, input validation, and the expectation operation.
 
 An ``Objective`` sorts its values once, when it is built, and keeps the
-order.  One sort serves both bounds: the negation that an upper bound solves
-derives its order from its source's in O(n), reversing it and putting each
-run of tied values back in ascending original index.
+order.  The negation that an upper bound solves derives its order from its
+source's in O(n), reversing it and putting each run of tied values back in
+ascending original index; only a tied payoff of at most
+``_STABLE_SORT_MAX`` values, where one stable argsort costs less, sorts its
+negation again.
 
 Every array is read-only and every function is pure.  No attribute is set
 outside a constructor; ``Pmf``, ``Objective`` and ``BoundResult`` are frozen
@@ -151,7 +153,8 @@ class Objective:
     It is sorted once, when it is built: ``_perm`` is the stable ascending
     order of the values, ``_ordered`` the values gathered by it, and
     ``_changes`` where they change (``None`` when no two values tie).  All
-    four arrays are read-only; a negation derives its three from these.
+    four arrays are read-only; :meth:`negated` says how a negation gets its
+    three.
     """
 
     values: np.ndarray
@@ -183,12 +186,18 @@ class Objective:
     def negated(self) -> "Objective":
         """The pointwise negation; used for upper bounds via conjugacy.
 
-        Its order and changes come from this payoff's in O(n), by
-        :func:`_negated_order`, and its sorted values by one gather.
+        Its changes are this payoff's read backwards and its order is
+        derived from this payoff's in O(n), by :func:`_negated_order`, except
+        that a tied payoff of at most ``_STABLE_SORT_MAX`` values takes one
+        stable argsort of the negated values, which costs less there.  Its
+        sorted values are one gather.
         """
         negated = object.__new__(Objective)
         values = -self.values
-        perm, changes = _negated_order(self._perm, self._changes)
+        if self._changes is not None and values.size <= _STABLE_SORT_MAX:
+            perm, changes = values.argsort(kind="stable"), self._changes[::-1]
+        else:
+            perm, changes = _negated_order(self._perm, self._changes)
         negated._keep(values, perm, values[perm], changes)
         return negated
 
@@ -328,32 +337,44 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
     return out
 
 
+# Up to this size a stable argsort of untied doubles costs about what numpy's
+# default argsort costs (README), and it leaves no tie to repair.
+_STABLE_SORT_MAX = 40
+
+
 def _stable_order(values: np.ndarray):
     """The stable ascending order of ``values``, ``values`` gathered by it,
     and where the gathered values change.
 
-    This is the one full sort.  numpy's default argsort is a vectorized
-    introsort that leaves tied values in arbitrary order.  Where the sorted
-    values have a tied run (compared with ``!=``, so ``0.0`` ties ``-0.0``),
-    one sort of the integer key ``run * n + index``, with ``run`` the count
-    of value changes so far, puts every run back in ascending original
-    index; the key is formed in ``perm`` itself.  The values are then
-    gathered again through the repaired order: a run may mix ``0.0`` and
-    ``-0.0``, whose bits differ.  ``changes[i]`` is whether sorted values
-    ``i`` and ``i + 1`` differ, or ``changes`` is ``None`` when no two
-    values tie.
+    An ``Objective`` calls this once, when it is built.  Up to
+    ``_STABLE_SORT_MAX`` values it is one stable argsort, which keeps tied
+    values (``0.0`` ties ``-0.0``) in ascending original index.  Above that
+    numpy's default argsort, a vectorized introsort, runs instead and leaves
+    tied values in arbitrary order.  Where the sorted values then have a
+    tied run (compared with ``!=``), one sort of the integer key
+    ``run * n + index``, with ``run`` the count of value changes so far,
+    puts every run back in ascending original index; the key is formed in
+    ``perm`` itself and its ``run * n`` taken off again.  The values are
+    then gathered again through the repaired order: a run may mix ``0.0``
+    and ``-0.0``, whose bits differ.  ``changes[i]`` is whether sorted
+    values ``i`` and ``i + 1`` differ, or ``changes`` is ``None`` when no
+    two values tie.
     """
     n = values.size
-    perm = values.argsort()
+    small = n <= _STABLE_SORT_MAX
+    perm = values.argsort(kind="stable") if small else values.argsort()
     ordered = values[perm]
     changes = ordered[1:] != ordered[:-1]
     if np.count_nonzero(changes) == n - 1:
         return perm, ordered, None
-    run = np.add.accumulate(changes, dtype=np.intp)
+    if small:
+        return perm, ordered, changes
+    run = changes.astype(np.intp)
+    np.add.accumulate(run, out=run)
     run *= n
     perm[1:] += run
     perm.sort()
-    perm %= n
+    perm[1:] -= run
     # The indices are in range; "clip" skips take's buffered copy.
     np.take(values, perm, out=ordered, mode="clip")
     return perm, ordered, changes

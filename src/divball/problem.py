@@ -3,7 +3,8 @@ their last lookup, so a ``Problem`` prepares the payoff (lower bounds) and
 its negation (upper bounds) once each and answers every radius from them.
 One sort serves both sides: the negation's stable order is the payoff's read
 backwards with each tied run put back in ascending original order, an O(n)
-step (``core._negated_order``).  The one-shot bounds each solve a ``Problem``.
+step (``core._negated_order``), unless the payoff is tied and at most
+``core._STABLE_SORT_MAX`` long.  The one-shot bounds each solve a ``Problem``.
 """
 
 import math

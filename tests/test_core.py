@@ -320,6 +320,10 @@ def payoff_case(rng, n, kind, scale):
     return f * scale
 
 
+# Sizes either side of the switch from one stable argsort to the tie repair.
+BOUNDARY = [core._STABLE_SORT_MAX - 1, core._STABLE_SORT_MAX, core._STABLE_SORT_MAX + 1]
+
+
 class TestStableOrder:
     """The sort must be exactly numpy's stable argsort: every tie order and
     every signed zero feeds the minimizer's bytes."""
@@ -329,7 +333,7 @@ class TestStableOrder:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_stable_argsort(self, kind):
         rng = np.random.default_rng(90 + self.KINDS.index(kind))
-        sizes = [1, 2, 3, 4, 5, 8, 16, 17, 100, 1000, 5000]
+        sizes = [1, 2, 3, 4, 5, 8, 16, 17, *BOUNDARY, 100, 1000, 5000]
         sizes += [int(x) for x in rng.integers(1, 5001, 8)]
         for n in sizes:
             for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
@@ -351,16 +355,17 @@ class TestStableOrder:
 
 
 class TestNegatedOrder:
-    """A negation derives its order from its source's in O(n); it must be
-    exactly the stable argsort of the negated values, tie order and signed
-    zeros included."""
+    """A negation derives its order from its source's in O(n), except that a
+    tied payoff of at most ``_STABLE_SORT_MAX`` values takes one stable
+    argsort of the negated values; either way it must be exactly the stable
+    argsort of the negated values, tie order and signed zeros included."""
 
     KINDS = TestStableOrder.KINDS
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_stable_argsort_of_negation(self, kind):
         rng = np.random.default_rng(190 + self.KINDS.index(kind))
-        sizes = [1, 2, 3, 4, 5, 8, 16, 17, 100, 1000, 5000]
+        sizes = [1, 2, 3, 4, 5, 8, 16, 17, *BOUNDARY, 100, 1000, 5000]
         sizes += [int(x) for x in rng.integers(1, 5001, 8)]
         for k, n in enumerate(sizes):
             for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
@@ -405,13 +410,16 @@ class TestNegatedOrder:
         assert not lower.perm.flags.writeable and not upper.perm.flags.writeable
 
     def test_order_is_computed_once(self, monkeypatch):
+        # Each payoff's order is computed when it is built and read by every
+        # SortedProblem: ``_stable_order`` runs once, for ``f``.  This tied
+        # negation is small, so ``negated()`` takes its own stable argsort.
         calls = []
         original = core._stable_order
         monkeypatch.setattr(core, "_stable_order", lambda v: calls.append(1) or original(v))
         p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
         negated = f.negated()
         for objective in (negated, f, negated, f, f.negated()):
-            SortedProblem(p, objective)
+            assert SortedProblem(p, objective).perm is objective._perm
         assert len(calls) == 1
 
     @pytest.mark.parametrize("family", ["tv", "chi2"])

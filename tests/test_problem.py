@@ -165,7 +165,8 @@ def counting(monkeypatch, module, name, counts):
     [(["--sweep", "0:5:50"], 2), (["--delta", "0.3"], 2), (["--radius", "0.5"], 1)],
 )
 def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
-    # Each side takes its tails once; the payoff is sorted once for both.
+    # Each side takes its tails once; ``_stable_order`` runs once, for the
+    # payoff (this tied negation is small: ``negated()`` argsorts it itself).
     counts = {}
     counting(monkeypatch, core, "suffix_masses", counts)
     counting(monkeypatch, core, "_stable_order", counts)
@@ -185,7 +186,9 @@ def test_one_shot_sorts_once(monkeypatch):
 
 @pytest.mark.parametrize("args", [["--sweep", "0:5:50"], ["--delta", "0.3"]])
 def test_cli_sorts_each_payoff_once(tmp_path, capsys, monkeypatch, args):
-    # The upper side derives its order from the lower side's.
+    # The upper side's order comes from its negation, which never calls
+    # ``_stable_order``: derived from the lower side's, or, tied and small as
+    # here, one stable argsort in ``negated()``.
     counts = {}
     counting(monkeypatch, core, "_stable_order", counts)
     obj, _ = SWEEP_CASES["chi2_ties"]
@@ -212,11 +215,12 @@ def test_library_sorts_each_payoff_once(monkeypatch, family):
 @pytest.mark.parametrize("family", ["tv", "chi2"])
 @pytest.mark.parametrize("levels", [0, 1, 3, 50])
 def test_upper_alone_matches_the_negation_sorted_in_its_own_right(family, levels):
-    # An upper bound with no lower bound before it derives its order from a
-    # source order computed on demand; a fresh Objective holding the negated
-    # values sorts them itself.  Both must give the same bits.
+    # An upper bound solves the payoff's negation, whose order is derived
+    # from the payoff's (or, tied and at most ``_STABLE_SORT_MAX`` values,
+    # one stable argsort); a fresh Objective holding the negated values
+    # sorts them itself.  Both must give the same bits.
     rng = np.random.default_rng(70 + levels)
-    for n in (1, 2, 5, 40, 700):
+    for n in (1, 2, 5, core._STABLE_SORT_MAX, core._STABLE_SORT_MAX + 1, 700):
         for _ in range(4):
             p = rng.dirichlet(np.ones(n))
             f = rng.uniform(-1.0, 1.0, n)

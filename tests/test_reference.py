@@ -216,6 +216,13 @@ def test_chi2_bounds_match_the_exact_reference_at_extreme_payoff_scales(data):
                      0.7587272260986305,
                      marks=known_defect("subnormal gap and variance next to a 1e-300 weight"),
                      id="subnormal-moments"),
+        # "non-plateau prefix is constant" at a scale inside MODERATE: the
+        # prefix variance, about 2e-300 in units of 2**-42, underflows to 0
+        # when scaled back by unit**2.  Reversed, f = [2, 1, -3] * 2**-44
+        # breaks the upper bound alike; at scale 1e-8 both bounds return.
+        pytest.param([1e-300, 0.5, 0.5], [-3 * 2.0**-44, 2.0**-44, 2 * 2.0**-44], 1.0,
+                     marks=known_defect("the prefix variance underflows when scaled back by unit**2"),
+                     id="moderate-scale-variance-underflow"),
     ],
 )
 def test_known_chi2_defects(p, f, delta):
