@@ -28,7 +28,6 @@ from divball.core import (
     Objective,
     Pmf,
     SortedProblem,
-    _stable_order,
     check_delta,
     require_positive,
 )
@@ -173,8 +172,10 @@ def chi2_three_point(p: Pmf, f: Objective, delta: float) -> float:
 
 def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
     """The sorted side with every prefix statistic formed as whole-array
-    expressions, each a new array, in the library's order of operations."""
-    perm, f_sorted, _ = _stable_order(f.values)
+    expressions, each a new array, in the library's order of operations.
+    The order is numpy's stable argsort, not the library's own sort."""
+    perm = np.argsort(f.values, kind="stable")
+    f_sorted = f.values[perm]
     p_sorted = p.weights[perm]
 
     mass = np.add.accumulate(p_sorted)

@@ -315,25 +315,47 @@ def payoff_case(rng, n, kind, scale):
         f = np.sort(np.round(rng.uniform(-1.0, 1.0, n), 2))
     elif kind == "reversed":
         f = np.sort(np.round(rng.uniform(-1.0, 1.0, n), 2))[::-1]
-    else:  # signed zeros: runs of 0.0 and -0.0 among a few other values
+    elif kind == "signed-zero":  # runs of 0.0 and -0.0 among a few other values
         f = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], n)
+    else:  # near ties: values that differ only in their lowest bits
+        f = near_ties(rng, n)
     return f * scale
 
 
-# Sizes either side of the switch from one stable argsort to the tie repair.
+def near_ties(rng, n):
+    """Values a packed sort key cannot tell apart by its kept bits alone:
+    ``1 + k * 2**-52`` and its negation (k < n, so every such value shares
+    its kept bits with the others of its sign), mixed with scattered
+    ``nextafter`` pairs of uniform draws."""
+    ulps = rng.integers(0, n, n) * 2.0**-52
+    f = np.where(rng.random(n) < 0.5, 1.0 + ulps, -1.0 - ulps)
+    pairs = rng.random(n) < 0.5
+    base = rng.uniform(-1.0, 1.0, n)
+    base[1:] = np.where(rng.random(n - 1) < 0.5, np.nextafter(base[:-1], 2.0), base[1:])
+    f[pairs] = base[pairs]
+    return f
+
+
+# Sizes either side of the switch from one stable argsort to the packed-key sort.
 BOUNDARY = [core._STABLE_SORT_MAX - 1, core._STABLE_SORT_MAX, core._STABLE_SORT_MAX + 1]
+# Sizes either side of a step in the packed key's index width: 2**s values
+# take s index bits and one more value takes s + 1.
+SMALL_WIDTHS = [64, 65, 1024, 1025]
+LARGE_WIDTHS = [2**16, 2**16 + 1, 2**17, 2**17 + 1]
 
 
 class TestStableOrder:
     """The sort must be exactly numpy's stable argsort: every tie order and
     every signed zero feeds the minimizer's bytes."""
 
-    KINDS = ("continuous", "few-level", "constant", "presorted", "reversed", "signed-zero")
+    KINDS = (
+        "continuous", "few-level", "constant", "presorted", "reversed", "signed-zero", "near-tie",
+    )
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_stable_argsort(self, kind):
         rng = np.random.default_rng(90 + self.KINDS.index(kind))
-        sizes = [1, 2, 3, 4, 5, 8, 16, 17, *BOUNDARY, 100, 1000, 5000]
+        sizes = [1, 2, 3, 4, 5, 8, 16, 17, *BOUNDARY, *SMALL_WIDTHS, 100, 1000, 5000]
         sizes += [int(x) for x in rng.integers(1, 5001, 8)]
         for n in sizes:
             for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
@@ -346,6 +368,25 @@ class TestStableOrder:
                 assert sp.perm.dtype == expected.dtype
                 assert sp.perm.tobytes() == expected.tobytes()
                 assert sp.f_sorted.tobytes() == values[expected].tobytes()
+
+    @pytest.mark.parametrize("n", LARGE_WIDTHS)
+    def test_near_ties_either_side_of_an_index_width(self, n):
+        rng = np.random.default_rng(n)
+        for values in (near_ties(rng, n), rng.uniform(-1.0, 1.0, n)):
+            f = db.Objective(values)
+            expected = np.argsort(values, kind="stable")
+            assert f._perm.tobytes() == expected.tobytes()
+            assert f._ordered.tobytes() == values[expected].tobytes()
+
+    def test_near_ties_past_the_packed_repair(self):
+        # Above 2**21 values the group rank, dropped bits and position of a
+        # repaired slice no longer pack into one key.
+        n = 2**21 + 1
+        values = near_ties(np.random.default_rng(21), n)
+        f = db.Objective(values)
+        expected = np.argsort(values, kind="stable")
+        assert f._perm.tobytes() == expected.tobytes()
+        assert f._ordered.tobytes() == values[expected].tobytes()
 
     def test_signed_zero_run_keeps_each_sign(self):
         values = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0])
@@ -365,7 +406,7 @@ class TestNegatedOrder:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_stable_argsort_of_negation(self, kind):
         rng = np.random.default_rng(190 + self.KINDS.index(kind))
-        sizes = [1, 2, 3, 4, 5, 8, 16, 17, *BOUNDARY, 100, 1000, 5000]
+        sizes = [1, 2, 3, 4, 5, 8, 16, 17, *BOUNDARY, *SMALL_WIDTHS, 100, 1000, 5000]
         sizes += [int(x) for x in rng.integers(1, 5001, 8)]
         for k, n in enumerate(sizes):
             for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
@@ -382,6 +423,15 @@ class TestNegatedOrder:
                 assert sp.perm.tobytes() == expected.tobytes()
                 assert sp.f_sorted.tobytes() == (-values)[expected].tobytes()
                 assert sp.p_sorted.tobytes() == p.weights[expected].tobytes()
+
+    @pytest.mark.parametrize("n", LARGE_WIDTHS)
+    def test_near_ties_either_side_of_an_index_width(self, n):
+        rng = np.random.default_rng(n + 1)
+        for values in (near_ties(rng, n), rng.uniform(-1.0, 1.0, n)):
+            negated = db.Objective(values).negated()
+            expected = np.argsort(-values, kind="stable")
+            assert negated._perm.tobytes() == expected.tobytes()
+            assert negated._ordered.tobytes() == (-values)[expected].tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_double_negation_gives_the_source_order(self, kind):
@@ -437,7 +487,9 @@ class TestNegatedOrder:
         f.negated().negated()
 
     def test_order_arrays_are_read_only(self):
-        for values in ([1.0, 0.0, 1.0, -0.0], [0.5, -2.0, 3.0, 1.0]):
+        large = np.linspace(-1.0, 1.0, 2 * core._STABLE_SORT_MAX)
+        cases = ([1.0, 0.0, 1.0, -0.0], [0.5, -2.0, 3.0, 1.0], large, np.round(large))
+        for values in cases:
             f = db.Objective(values)
             for objective in (f, f.negated(), f.negated().negated()):
                 kept = objective._perm, objective._ordered, objective._changes
