@@ -15,6 +15,14 @@ which are positive and non-increasing in k; the active support is the
 largest k whose critical radius still exceeds the requested one.  Once the
 radius passes every finite critical value, only the outcomes tied at the
 minimal objective remain and the bound saturates at that minimal value.
+
+The tilt is affine in the objective, so tied outcomes share one ratio
+q/p, the optimal support is a union of whole payoff levels, and every
+critical radius inside a tied run is the same number.  So a tied payoff of
+more than ``core._STABLE_SORT_MAX`` values is solved over its distinct
+levels: each tied run collapses to one level with the run's summed mass,
+its last sorted payoff and the tail after it, and the prefix statistics,
+the critical radii and the scan run over the levels, not the outcomes.
 """
 
 import math
@@ -22,6 +30,7 @@ import math
 import numpy as np
 
 from .core import (
+    _STABLE_SORT_MAX,
     BRANCH_INTERIOR,
     BRANCH_PLATEAU,
     Objective,
@@ -99,10 +108,33 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     return mass, gap, var
 
 
+def _levels(sp: SortedProblem, changes: np.ndarray | None):
+    """What the prefix pass of side ``sp`` reads, with ``changes`` its
+    payoff's: ``(run_ends, plateau, masses, payoffs, tails)``.
+
+    A tied payoff of more than ``_STABLE_SORT_MAX`` values collapses to its
+    levels: ``run_ends`` holds each tied run's last sorted position, the
+    bottom level is the plateau (``1``), each level's mass is its run's
+    accurate sum (one ``reduceat``, never a difference of prefix masses),
+    and its payoff and tail are read at the run end.  Any other side reads
+    its outcomes as they are, with ``run_ends`` ``None``.
+    """
+    if changes is None or sp.n <= _STABLE_SORT_MAX:
+        return None, sp.plateau, sp.p_sorted, sp.f_sorted, sp.tails
+    cuts = changes.nonzero()[0]
+    bounds = np.empty(cuts.size + 2, dtype=cuts.dtype)
+    bounds[0], bounds[-1] = 0, sp.n
+    np.add(cuts, 1, out=bounds[1:-1])
+    ends = bounds[1:] - 1
+    ends.setflags(write=False)
+    masses = np.add.reduceat(sp.p_sorted, bounds[:-1])
+    return ends, 1, masses, sp.f_sorted[ends], sp.tails[ends]
+
+
 class CriticalDeltas(SortedProblem):
     """The chi-squared side of ``(p, f)``: the sorted side plus its prefix
     statistics and the breakpoint radii at which the optimal support loses
-    its top outcome.
+    its top outcome, or, collapsed, its top level.
 
     The prefix arrays, over the first ``i + 1`` sorted outcomes at entry
     ``i``, come from one pass of :func:`_prefix_moments`.  ``gap[i]`` is
@@ -114,13 +146,22 @@ class CriticalDeltas(SortedProblem):
     support itself never shrinks; its radius is unbounded and is represented
     structurally rather than by a float sentinel.  Each check that raises is
     a numeric breakdown of the closed form.
+
+    A tied payoff of more than ``_STABLE_SORT_MAX`` values is collapsed to
+    its levels (:func:`_levels`): ``run_ends`` holds the last sorted
+    position of each tied run, ascending, and ``None`` when the side is not
+    collapsed.  Collapsed, ``prefix_mass``, ``gap`` and ``prefix_var`` at
+    entry ``i`` cover the first ``i + 1`` levels, that is the outcomes up
+    to ``run_ends[i]``, and ``finite[j]`` is the critical radius of the
+    support that ends at ``run_ends[j + 1]``: one entry per level above the
+    bottom one.  Every support size :meth:`value` returns then ends a run.
     """
 
     def __init__(self, p: Pmf, f: Objective):
         super().__init__(p, f)
         require_positive(self.p_sorted)
-        ell = self.plateau
-        mass, gap, var = _prefix_moments(self.p_sorted, self.f_sorted)
+        self.run_ends, ell, p_sorted, f_sorted, tails = _levels(self, f._changes)
+        mass, gap, var = _prefix_moments(p_sorted, f_sorted)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
         gap = gap[ell:]
         var = var[ell:]
@@ -129,7 +170,7 @@ class CriticalDeltas(SortedProblem):
             raise DivballError("non-plateau prefix is constant")
         finite = np.multiply(gap, gap)
         np.divide(var, finite, out=finite)
-        finite += self.tails[ell:]
+        finite += tails[ell:]
         finite /= mass[ell:]
         if finite.size and not finite[-1] > 0.0:
             raise DivballError("critical radii must be positive")
@@ -150,17 +191,24 @@ class CriticalDeltas(SortedProblem):
         check_delta(delta)
         # The comparison's bytes are 0 or 1, so rfind finds the last radius
         # above delta, or -1 for none.  A scan, not a bisection: tied radii
-        # may wobble upward within the allowance that __init__ checks.
-        r = self.plateau + 1 + (self.finite > delta).tobytes().rfind(1)
-        if r == self.plateau:
-            return float(self.f_sorted[0]), r, BRANCH_PLATEAU
-        i = r - 1
-        rad = _radicand(self.prefix_mass[i], self.tails[i], delta)
-        mean = self.f_sorted[i] - self.gap[i]
+        # of an uncollapsed side may wobble upward within the allowance that
+        # __init__ checks.
+        k = (self.finite > delta).tobytes().rfind(1)
+        if k < 0:
+            return float(self.f_sorted[0]), self.plateau, BRANCH_PLATEAU
+        # i indexes the prefix statistics, e the support's last sorted outcome.
+        ends = self.run_ends
+        if ends is None:
+            i = e = self.plateau + k
+        else:
+            i = k + 1
+            e = int(ends[i])
+        rad = _radicand(self.prefix_mass[i], self.tails[e], delta)
+        mean = self.f_sorted[e] - self.gap[i]
         value = mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad)
         # The exact bound lies in the support's payoff range; rounding can leave it.
-        value = min(max(value, self.f_sorted[0]), self.f_sorted[i])
-        return float(value), r, BRANCH_INTERIOR
+        value = min(max(value, self.f_sorted[0]), self.f_sorted[e])
+        return float(value), e + 1, BRANCH_INTERIOR
 
     def weights(self, r: int, delta: float) -> np.ndarray:
         """:meth:`value`'s minimizer for support size ``r``, in original order."""
@@ -185,22 +233,31 @@ def _radicand(mass: float, tail: float, delta: float) -> float:
 def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     """The first ``r`` sorted weights of the attaining distribution for support
     size ``r`` before normalization (the rest are 0): the tilted center above
-    the plateau, the center renormalized on it.  Invalid ``(r, delta)`` pairs raise."""
+    the plateau, the center renormalized on it.  The tilt is formed per
+    outcome from the statistics of the support's prefix, which on a collapsed
+    side is the level that ends at outcome ``r``.  Invalid ``(r, delta)``
+    pairs raise, and so does a support that ends inside a collapsed run."""
     ell = cd.plateau
     if not ell <= r <= cd.n:
         raise DivballError(f"support size {r} outside [{ell}, {cd.n}]")
-    if r == ell:
-        return cd.p_sorted[:ell] / cd.prefix_mass[ell - 1]
-
-    i = r - 1
+    # i indexes the prefix statistics, e the support's last sorted outcome.
+    i = e = r - 1
+    ends = cd.run_ends
+    if ends is not None:
+        i = int(ends.searchsorted(e))
+        if ends[i] != e:
+            raise DivballError(f"support size {r} ends inside a tied run")
     mass = cd.prefix_mass[i]
-    tail = cd.tails[i]
+    if r == ell:
+        return cd.p_sorted[:ell] / mass
+
+    tail = cd.tails[e]
     sigma2 = cd.prefix_var[i]
     if not sigma2 > 0.0:
         raise DivballError("interior support has zero prefix variance")
     scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
-    # f - (f[i] - gap[i]) as (f - f[i]) + gap[i], so the mean is not rounded to f's ulp.
-    tilt = cd.f_sorted[:r] - cd.f_sorted[i]
+    # f - (f[e] - gap[i]) as (f - f[e]) + gap[i], so the mean is not rounded to f's ulp.
+    tilt = cd.f_sorted[:r] - cd.f_sorted[e]
     tilt += cd.gap[i]
     tilt *= scale
     np.subtract(1.0, tilt, out=tilt)

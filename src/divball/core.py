@@ -19,6 +19,7 @@ dataclasses, and the sorted side and its subclasses are plain classes.  So
 instances are safe to share across threads.
 """
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -422,25 +423,34 @@ def _repair_collisions(values, perm, ordered, descents, shift):
     gathered ``ordered`` falls), rewriting ``perm`` and ``ordered`` in place.
 
     Such values share a kept key, a group, and the groups are in order, so
-    only the slice from the first to the last falling group is sorted again,
-    by (group rank, dropped key bits, position): each field takes ``shift``
-    bits, so up to ``2**21`` values the three pack into one key, and tied
-    values keep their ascending index, the slice's position order.  Larger
-    payoffs take one stable argsort of the slice's values instead.
+    only the slice from the first to the last falling group is sorted again.
+    Its ends are found by bisecting over the group ids of single positions,
+    in O(log n), and it is sorted by (group rank, dropped key bits,
+    position): each field takes ``shift`` bits, so up to ``2**21`` values
+    the three pack into one key, and tied values keep their ascending index,
+    the slice's position order.  Larger payoffs take one stable argsort of
+    the slice's values instead.
     """
-    key = _order_key(ordered)
-    group = key >> shift
+
+    def group_at(i):
+        return int(_order_key(ordered[i : i + 1])[0]) >> shift
+
+    # The first and the last position of a falling pair, and the slice's ends.
     falls = descents.nonzero()[0]
-    a = group.searchsorted(group[falls[0]])
-    b = group.searchsorted(group[falls[-1]], "right")
+    first, last = int(falls[0]), int(falls[-1]) + 1
+    a = bisect.bisect_left(range(first), group_at(first), key=group_at)
+    after = range(last + 1, ordered.size)
+    b = last + 1 + bisect.bisect_right(after, group_at(last), key=group_at)
     if 3 * shift < 64:
+        key = _order_key(ordered[a:b])
         index = ~(-1 << shift)
         order = np.empty(b - a, dtype=np.int64)
         order[0] = 0
-        np.not_equal(group[a + 1 : b], group[a : b - 1], out=order[1:])
+        group = key >> shift
+        np.not_equal(group[1:], group[:-1], out=order[1:])
         np.add.accumulate(order, out=order)
         order <<= shift
-        order |= key[a:b] & index
+        order |= key & index
         order <<= shift
         order |= np.arange(b - a)
         order.sort()

@@ -59,8 +59,13 @@ class TVSide(SortedProblem):
             q[self.perm[0]] = 1.0
             return q
         d = float(delta)
-        q = self.center.copy()
-        q[self.perm[r:]] = 0.0
+        # Whichever of the support and the rest is smaller is written.
+        if 2 * r <= self.n:
+            q = np.zeros(self.n)
+            q[self.perm[:r]] = self.p_sorted[:r]
+        else:
+            q = self.center.copy()
+            q[self.perm[r:]] = 0.0
         q[self.perm[0]] = self.p_sorted[0] + d
         q[self.perm[r - 1]] = self.tails[r - 2] - d
         return q

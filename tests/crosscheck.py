@@ -7,14 +7,18 @@ point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
 size.  ``with_prefix_stats`` reads a sorted side's prefix statistics, and
 ``chi2_minimizer`` is the attaining distribution in sorted order for any
-valid support size.  ``expression_sorted``, ``expression_critical_radii``,
+valid support size.  Each reads a side collapsed to its payoff levels
+(``CriticalDeltas.run_ends``) as the library does.  ``expression_sorted``,
+``expression_critical_radii``, ``expression_value``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
-whole-array expression form of the prefix pass, the critical radii and the
-two minimizers that the in-place library code must reproduce byte for byte.
+whole-array expression form of the prefix pass, the critical radii, the
+chi^2 value and the two minimizers that the in-place library code must
+reproduce byte for byte where it solves outcome by outcome.
 ``reference_bound`` solves a bound exactly, in rationals, with one square
 root at 60 digits, and shares nothing with the library but the float inputs.
 """
 
+import functools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -22,7 +26,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 
-from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _prefix_moments, _radicand
+from divball.chi2 import _COORDINATE_SLACK, _levels, _minimizer_head, _prefix_moments, _radicand
 from divball.core import (
     BallFamily,
     Objective,
@@ -45,20 +49,28 @@ class TiedBottomError(DivballError):
 
 def critical_delta(cd, k: int) -> float:
     """Critical radius for support size k of critical radii ``cd``;
-    ``math.inf`` for the plateau."""
+    ``math.inf`` for the plateau.  On a collapsed side it is the radius of
+    the level that holds outcome k: in exact arithmetic every support size
+    inside a tied run has the radius of the run's end."""
     if not cd.plateau <= k <= cd.n:
         raise DivballError(f"support size {k} outside [{cd.plateau}, {cd.n}]")
     if k == cd.plateau:
         return math.inf
-    return float(cd.finite[k - cd.plateau - 1])
+    if cd.run_ends is None:
+        return float(cd.finite[k - cd.plateau - 1])
+    return float(cd.finite[int(cd.run_ends.searchsorted(k - 1)) - 1])
 
 
 def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
     """``sp`` with the prefix mass, gap and variance of the library's one
     prefix pass, and the prefix mean ``f_sorted - gap``, 0.0 on a prefix of
-    zero mass; any sorted side can be read, TV or with zero weights too."""
-    mass, gap, var = _prefix_moments(sp.p_sorted, sp.f_sorted)
-    mean = sp.f_sorted - gap
+    zero mass; any sorted side can be read, TV or with zero weights too.
+    A side that ``CriticalDeltas`` collapses to its levels is collapsed
+    alike: its ``run_ends`` are set and the prefix arrays are per level."""
+    changes = sp.f_sorted[1:] != sp.f_sorted[:-1]
+    run_ends, _, p, f, _ = _levels(sp, None if changes.all() else changes)
+    mass, gap, var = _prefix_moments(p, f)
+    mean = f - gap
     mean[mass == 0.0] = 0.0
     mean.setflags(write=False)
     return SimpleNamespace(
@@ -68,6 +80,7 @@ def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
         f_sorted=sp.f_sorted,
         tails=sp.tails,
         plateau=sp.plateau,
+        run_ends=run_ends,
         prefix_mass=mass,
         prefix_mean=mean,
         prefix_var=var,
@@ -86,7 +99,8 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     the center renormalized on the plateau.
 
     ``r`` must come from ``CriticalDeltas.value`` (or be a critical-radius
-    probe at ``delta == delta_r``); other pairs are rejected.  The prefix
+    probe at ``delta == delta_r``); other pairs are rejected, and so is a
+    support that ends inside a tied run of a collapsed side.  The prefix
     statistics come from :func:`with_prefix_stats`, so a side whose critical
     radii fail can still be probed.
     """
@@ -205,23 +219,38 @@ def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
         gap=gap,
         tails=np.concatenate((np.add.accumulate(p_sorted[:0:-1])[::-1], [0.0])),
         plateau=plateau,
+        run_ends=None,  # never collapsed: one entry per outcome
     )
 
 
 def expression_critical_radii(sp) -> np.ndarray:
     """Critical radii above the plateau of an :func:`expression_sorted` side,
+    or above the bottom level of a collapsed one (``sp.run_ends`` set),
     raising the library's errors where its checks fail."""
-    ell = sp.plateau
+    ell, tails = (sp.plateau, sp.tails) if sp.run_ends is None else (1, sp.tails[sp.run_ends])
     gap = sp.gap[ell:]
     var = sp.prefix_var[ell:]
     if not ((gap > 0.0) & (var > 0.0)).all():
         raise DivballError("non-plateau prefix is constant")
-    finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]
+    finite = (var / (gap * gap) + tails[ell:]) / sp.prefix_mass[ell:]
     if finite.size and not finite[-1] > 0.0:
         raise DivballError("critical radii must be positive")
     if not (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all():
         raise DivballError("critical radii must be non-increasing")
     return finite
+
+
+def expression_value(sp, finite, delta: float) -> tuple[float, int]:
+    """The chi^2 lower bound at ``delta`` and its support size, of an
+    :func:`expression_sorted` side with critical radii ``finite``, in the
+    library's order of operations for a side it does not collapse."""
+    above = (finite > delta).nonzero()[0]
+    if not above.size:
+        return float(sp.f_sorted[0]), sp.plateau
+    i = sp.plateau + int(above[-1])
+    rad = _radicand(sp.prefix_mass[i], sp.tails[i], delta)
+    value = sp.f_sorted[i] - sp.gap[i] - math.sqrt(sp.prefix_var[i]) * math.sqrt(rad)
+    return float(min(max(value, sp.f_sorted[0]), sp.f_sorted[i])), i + 1
 
 
 def expression_minimizer_weights(sp, r: int, delta: float) -> np.ndarray:
@@ -278,6 +307,41 @@ def _mpf(x):
     return mpmath.mpf(x)
 
 
+@functools.lru_cache(maxsize=8)
+def _exact_side(weights: bytes, values: bytes, chi2: bool) -> SimpleNamespace:
+    """The exact sorted side of the float ``weights`` and ``values`` (their
+    bytes, so that the pass is shared by every radius asked of one side):
+    the order, the normalized center and the payoff in it, the tails, and
+    for chi^2 the plateau, each prefix's (mass, mean, variance) and the
+    critical radii, all as ``Fraction``s."""
+    weights = [Fraction(w) for w in np.frombuffer(weights).tolist()]
+    total = sum(weights)
+    values = [Fraction(v) for v in np.frombuffer(values).tolist()]
+    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    ps = [weights[i] / total for i in order]
+    fs = [values[i] for i in order]
+    n = len(ps)
+    tails = [Fraction(0)] * n
+    for k in range(n - 2, -1, -1):
+        tails[k] = tails[k + 1] + ps[k + 1]
+    side = SimpleNamespace(order=order, ps=ps, fs=fs, tails=tails)
+    if chi2:
+        plateau = fs.count(fs[0])
+        mass = mean_sum = square_sum = Fraction(0)
+        stats, radii = [], []
+        for k in range(n):
+            mass += ps[k]
+            mean_sum += ps[k] * fs[k]
+            square_sum += ps[k] * fs[k] * fs[k]
+            mean = mean_sum / mass
+            var = square_sum / mass - mean * mean
+            stats.append((mass, mean, var))
+            if k >= plateau:
+                radii.append((var / (fs[k] - mean) ** 2 + tails[k]) / mass)
+        side.plateau, side.stats, side.radii = plateau, stats, radii
+    return side
+
+
 def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespace:
     """The exact lower bound of ``f`` over the ``family`` ball of radius
     ``delta`` around ``p``, from the float inputs read as rationals.
@@ -295,19 +359,13 @@ def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespa
     """
     family = BallFamily(family)
     check_delta(delta)
-    weights = [Fraction(w) for w in p.weights.tolist()]
-    total = sum(weights)
-    values = [Fraction(v) for v in f.values.tolist()]
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    ps = [weights[i] / total for i in order]
-    fs = [values[i] for i in order]
+    chi2 = family is BallFamily.CHI2
+    side = _exact_side(p.weights.tobytes(), f.values.tobytes(), chi2)
+    ps, fs, tails = side.ps, side.fs, side.tails
     n = len(ps)
-    tails = [Fraction(0)] * n
-    for k in range(n - 2, -1, -1):
-        tails[k] = tails[k + 1] + ps[k + 1]
     d = Fraction(delta) if math.isfinite(delta) else None  # None: infinite
     with mpmath.workdps(60):
-        if family is BallFamily.TV:
+        if not chi2:
             r = next(k + 1 for k in range(n) if d is None or tails[k] <= d)
             q = [Fraction(0)] * n
             if r == 1:
@@ -317,23 +375,12 @@ def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespa
                 q[0] += d
                 q[r - 1] = tails[r - 2] - d
             value = _mpf(sum(w * v for w, v in zip(q, fs)))
-            breakpoints = tails
+            breakpoints = list(tails)
         else:
-            plateau = fs.count(fs[0])
-            mass = mean_sum = square_sum = Fraction(0)
-            stats, breakpoints = [], []
-            for k in range(n):
-                mass += ps[k]
-                mean_sum += ps[k] * fs[k]
-                square_sum += ps[k] * fs[k] * fs[k]
-                mean = mean_sum / mass
-                var = square_sum / mass - mean * mean
-                stats.append((mass, mean, var))
-                if k >= plateau:
-                    breakpoints.append((var / (fs[k] - mean) ** 2 + tails[k]) / mass)
+            plateau, breakpoints = side.plateau, list(side.radii)
             above = [k for k, b in enumerate(breakpoints) if d is not None and b > d]
             r = plateau + 1 + above[-1] if above else plateau
-            mass, mean, var = stats[r - 1]
+            mass, mean, var = side.stats[r - 1]
             if r == plateau:
                 q = [w / mass for w in ps[:r]] + [Fraction(0)] * (n - r)
                 value = _mpf(fs[0])
@@ -348,6 +395,6 @@ def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespa
                 ] + [Fraction(0)] * (n - r)
                 value = _mpf(mean) - mpmath.sqrt(_mpf(var * radicand))
         minimizer = [None] * n
-        for i, w in zip(order, q):
+        for i, w in zip(side.order, q):
             minimizer[i] = _mpf(w)
     return SimpleNamespace(value=value, r=r, minimizer=minimizer, breakpoints=breakpoints)

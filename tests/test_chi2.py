@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import divball as db
 from divball import chi2
 from divball.chi2 import CriticalDeltas
-from divball.core import SortedProblem, suffix_masses
+from divball.core import _STABLE_SORT_MAX, SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, with_prefix_stats
+from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, reference_bound, with_prefix_stats
 from conftest import random_objective, random_pmf
 
 
@@ -394,6 +394,80 @@ class TestChi2Minimizer:
             for k in range(cd.plateau + 1, cd.n + 1):
                 q = chi2_minimizer(cd, k, critical_delta(cd, k))
                 assert abs(q.weights[k - 1]) <= 1e-9
+
+
+class TestLevels:
+    """Tied payoffs either side of ``core._STABLE_SORT_MAX``: above it a side
+    is solved over its payoff levels, at or below it outcome by outcome."""
+
+    SIZES = (_STABLE_SORT_MAX - 1, _STABLE_SORT_MAX, _STABLE_SORT_MAX + 1)
+    DELTAS = (0.0, 1e-3, 0.3, 5.0, 1e6)
+
+    @staticmethod
+    def sides(n):
+        """Tied positive problems of ``n`` values and their negated sides:
+        two, three and seven levels, the two-level one of signed zeros."""
+        rng = np.random.default_rng([31, n])
+        for levels in (2, 3, 7):
+            pmf = random_pmf(rng, n, floor=0.1 / n)
+            f = rng.integers(0, levels, n).astype(float) / 3
+            if levels == 2:
+                f[(f == 0.0) & (rng.random(n) < 0.5)] = -0.0
+            obj = db.Objective(f * float(rng.choice([1e-8, 1.0, 1e8])))
+            for side in (obj, obj.negated()):
+                yield pmf, side
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_radius_per_level_above_the_bottom_one(self, n):
+        for pmf, side in self.sides(n):
+            cd = CriticalDeltas(pmf, side)
+            runs = np.append((cd.f_sorted[1:] != cd.f_sorted[:-1]).nonzero()[0], n - 1)
+            if n <= _STABLE_SORT_MAX:
+                assert cd.run_ends is None
+                assert cd.finite.size == n - cd.plateau
+                continue
+            assert cd.run_ends.tolist() == runs.tolist()
+            assert not cd.run_ends.flags.writeable
+            assert cd.finite.size == runs.size - 1 == np.unique(side.values).size - 1
+            assert cd.prefix_mass.size == cd.gap.size == cd.prefix_var.size == runs.size
+            assert cd.run_ends[0] == cd.plateau - 1
+            # Each level's mass is its run's, and the radii of a run are its end's.
+            starts = np.append(0, runs[:-1] + 1)
+            np.testing.assert_allclose(np.diff(cd.prefix_mass, prepend=0.0),
+                                       [math.fsum(cd.p_sorted[a : b + 1]) for a, b in zip(starts, runs)],
+                                       rtol=1e-12)
+            for a, b, radius in zip(starts[1:], runs[1:], cd.finite):
+                assert {critical_delta(cd, k) for k in range(a + 1, b + 2)} == {float(radius)}
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_support_ends_at_a_run_end_with_one_ratio_per_level(self, n):
+        for pmf, side in self.sides(n):
+            cd = CriticalDeltas(pmf, side)
+            radii = np.concatenate([self.DELTAS, cd.finite, np.nextafter(cd.finite, 0.0)])
+            for delta in map(float, radii):
+                value, r, branch = cd.value(delta)
+                q = np.zeros(n)
+                q[cd.perm] = chi2_minimizer(cd, r, delta).weights
+                if delta in self.DELTAS:
+                    assert r == reference_bound(pmf, side, "chi2", delta).r
+                if n <= _STABLE_SORT_MAX:
+                    continue
+                assert r - 1 in cd.run_ends
+                ratio = (q / pmf.weights)[cd.perm]
+                assert not ratio[r:].any()
+                start = 0
+                for end in cd.run_ends[cd.run_ends < r]:
+                    level = ratio[start : end + 1]
+                    assert np.ptp(level) <= 8 * np.finfo(float).eps * level.max(), (delta, end)
+                    start = end + 1
+
+    def test_a_support_inside_a_tied_run_is_rejected(self):
+        for pmf, side in self.sides(_STABLE_SORT_MAX + 1):
+            cd = CriticalDeltas(pmf, side)
+            inside = [k for k in range(cd.plateau + 1, cd.n + 1) if k - 1 not in cd.run_ends]
+            for k in inside[:3]:
+                with pytest.raises(db.DivballError, match="ends inside a tied run"):
+                    cd.weights(k, 0.3)
 
 
 class TestChi2LowerExpectation:

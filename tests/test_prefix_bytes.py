@@ -1,24 +1,57 @@
 """The in-place prefix pass, critical radii and minimizer reproduce the
 whole-array expression form in ``crosscheck`` byte for byte, and so do the
-minimizers that ``Problem`` returns, built in original order."""
+minimizers that ``Problem`` returns, built in original order.
 
+A chi-squared side of a tied payoff above ``_STABLE_SORT_MAX`` values is
+solved over its payoff levels, so its bits are judged, not pinned.  Its
+sorted arrays and tails keep their bytes, and its level statistics and radii
+are those that the ``crosscheck`` helpers read.  Every minimizer sums to 1
+within n * 1e-15 and passes ``bench/check.py``'s minimizer check (in the
+ball, attaining the value), and every value is within the benchmark's
+tolerance of the closed-form dual at its support size.  Up to 64 values,
+and at one size from 250 to 255 per kind, each bound is also judged by
+``reference_bound``: the support size is the exact one, unless the radius
+is a float critical radius and every exact breakpoint between the two lies
+within 2**-40 of it, as in ``test_reference.py``; and each value is no
+farther from the exact one, in ulps of the payoff span, than the element
+path's value (the expression form) or than one ulp, with the largest and
+the summed distances of each test no larger than the element path's.
+"""
+
+import importlib.util
+import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import divball as db
 from divball import chi2
 from divball.chi2 import CriticalDeltas
-from divball.core import SortedProblem
+from divball.core import _STABLE_SORT_MAX, SortedProblem
 from divball.errors import DivballError
 from crosscheck import (
+    chi2_minimizer,
     expression_critical_radii,
     expression_minimizer_weights,
     expression_sorted,
     expression_tv_weights,
+    expression_value,
+    reference_bound,
     with_prefix_stats,
 )
+
+# The benchmark's output checks, loaded from their file and not registered
+# as a module, so that they share nothing with the library or these tests.
+_spec = importlib.util.spec_from_file_location(
+    "bench_check", Path(__file__).resolve().parents[1] / "bench" / "check.py"
+)
+check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check)
+BREAKPOINT_RTOL = 2.0**-40
 
 KINDS = ("random", "skewed", "ties", "signed_zero", "constant", "zero_weight")
 FIELDS = ("perm", "p_sorted", "f_sorted", "prefix_mass", "prefix_mean", "prefix_var", "gap", "tails")
@@ -81,11 +114,104 @@ def assert_side_matches(pmf, obj, radii):
         assert got == want, (r, delta)
 
 
-def check_draw(rng, kind, n):
+def collapses(side):
+    """Whether the chi-squared side of this payoff is solved over its levels."""
+    return side.n > _STABLE_SORT_MAX and side._changes is not None
+
+
+def judged(n):
+    """Whether a collapsed side of ``n`` values is judged by the reference."""
+    return n <= 64 or 250 <= n < 256
+
+
+def judge(pmf, side, delta, value, r, q, element, distances):
+    """Check a collapsed side's lower bound ``value`` at ``delta`` with its
+    support size ``r`` and minimizer ``q`` (original order); ``element`` is
+    the element path's ``(value, r)``, or ``None`` where it breaks down, and
+    ``distances`` collects the two values' distances from the reference."""
+    p, f = pmf.weights, side.values
+    tol = check.value_tol(f)
+    assert abs(math.fsum(q.tolist()) - 1.0) <= q.size * 1e-15, delta
+    check.check_minimizer(p, f, "chi2", delta, value, q, tol)
+    check.check_gap(value, check.dual_lower_bound(p, f, "chi2", delta, r), tol, "lower bound")
+    if not judged(side.n):
+        return
+    exact = reference_bound(pmf, side, "chi2", delta)
+    if r != exact.r:
+        plateau = int(np.count_nonzero(f == f.min()))
+        lo, hi = sorted((r, exact.r))
+        between = exact.breakpoints[lo - plateau : hi - plateau]
+        d = Fraction(delta)
+        assert between and all(abs(d - b) <= BREAKPOINT_RTOL * b for b in between), (r, exact.r)
+    if element is None:
+        return
+    ulp = np.spacing(float(f.max()) - float(f.min()))
+    got, was = (float(abs(mpmath.mpf(v) - exact.value) / ulp) for v in (value, element[0]))
+    assert got <= max(was, 1.0), (delta, got, was)
+    distances.append((got, was))
+
+
+def element_value(ref, finite, delta):
+    """The element path's value and support size, or ``None`` where it raises."""
+    if finite is None:
+        return None
+    try:
+        return expression_value(ref, finite, delta)
+    except DivballError:
+        return None
+
+
+def element_radii(ref):
+    """The element path's critical radii, or ``None`` where its checks raise."""
+    try:
+        return expression_critical_radii(ref)
+    except DivballError:
+        return None
+
+
+def assert_levels_judged(pmf, obj, distances):
+    """A collapsed side: the outcome arrays keep the expression form's bytes,
+    the library's level statistics and radii are those the helpers read,
+    and each bound and its sorted minimizer pass :func:`judge`."""
+    sp = SortedProblem(pmf, obj)
+    ref = expression_sorted(pmf, obj)
+    stats = with_prefix_stats(sp)
+    for name in ("perm", "p_sorted", "f_sorted", "tails"):
+        assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert sp.plateau == ref.plateau
+    got = outcome(lambda: CriticalDeltas(pmf, obj).finite)
+    want = outcome(expression_critical_radii, stats)
+    assert got == want
+    if isinstance(want, tuple):
+        return
+    cd = CriticalDeltas(pmf, obj)
+    for name in ("run_ends", "prefix_mass", "gap", "prefix_var"):
+        assert getattr(cd, name).tobytes() == getattr(stats, name).tobytes(), name
+    finite = element_radii(ref)
+    deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *cd.finite[:: max(1, cd.finite.size // 4)]]
+    for delta in map(float, deltas):
+        value, r, _ = cd.value(delta)
+        q = np.empty(cd.n)
+        q[cd.perm] = chi2_minimizer(cd, r, delta).weights
+        judge(pmf, obj, delta, value, r, q, element_value(ref, finite, delta), distances)
+
+
+def check_draw(rng, kind, n, distances):
     pmf, obj = draw(rng, kind, n)
     radii = kind != "zero_weight"
-    assert_side_matches(pmf, obj, radii)
-    assert_side_matches(pmf, obj.negated(), radii)
+    for side in (obj, obj.negated()):
+        if radii and collapses(side):
+            assert_levels_judged(pmf, side, distances)
+        else:
+            assert_side_matches(pmf, side, radii)
+
+
+def assert_no_farther(distances):
+    """The judged values, together, are no farther from the exact ones than
+    the element path's: neither the largest distance nor their sum."""
+    if distances:
+        got, was = zip(*distances)
+        assert max(got) <= max(was) and math.fsum(got) <= math.fsum(was), (max(got), max(was))
 
 
 def expression_result(ref, family, finite, delta):
@@ -111,10 +237,22 @@ def result_outcome(fn):
     return r, minimizer.weights.tobytes()
 
 
-def assert_results_match(pmf, obj, family):
+def assert_results_match(pmf, obj, family, distances):
     prepared = db.Problem(pmf, obj, family)
     for solve, side in ((prepared.lower, obj), (prepared.upper, obj.negated())):
         ref = expression_sorted(pmf, side)
+        if family == "chi2" and collapses(side):
+            upper = side is not obj
+            finite = prepared._side(upper).finite
+            deltas = [0.0, 1e-3, 0.3, 5.0, 1e6, *finite[:: max(1, finite.size // 4)]]
+            radii = element_radii(ref)
+            for delta in map(float, deltas):
+                res = solve(delta)
+                value = -res.value if upper else res.value
+                q = res.minimizer.weights
+                element = element_value(ref, radii, delta)
+                judge(pmf, side, delta, value, res.active_index, q, element, distances)
+            continue
         finite = None
         if family == "tv":
             deltas = [0.0, 1e-3, 0.3, 1.0, 5.0, *ref.tails[:: max(1, ref.n // 4)]]
@@ -130,11 +268,11 @@ def assert_results_match(pmf, obj, family):
             assert got == want, (family, delta)
 
 
-def check_results(rng, kind, n):
+def check_results(rng, kind, n, distances):
     pmf, obj = draw(rng, kind, n)
-    assert_results_match(pmf, obj, "tv")
+    assert_results_match(pmf, obj, "tv", distances)
     if kind != "zero_weight":
-        assert_results_match(pmf, obj, "chi2")
+        assert_results_match(pmf, obj, "chi2", distances)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -143,11 +281,13 @@ def test_sizes_up_to_2000(kind):
     # n up to 2000 is drawn once.
     k = KINDS.index(kind)
     rng = np.random.default_rng([17, k])
+    distances = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for n in range(1, 2001):
             if n <= 64 or n % len(KINDS) == k:
-                check_draw(rng, kind, n)
+                check_draw(rng, kind, n, distances)
+    assert_no_farther(distances)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -155,7 +295,7 @@ def test_large_side(kind):
     rng = np.random.default_rng([18, KINDS.index(kind)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        check_draw(rng, kind, 100_000)
+        check_draw(rng, kind, 100_000, [])
 
 
 def test_inverted_radii_fail_alike():
@@ -176,11 +316,13 @@ def test_result_minimizers_up_to_2000(kind):
     # The draws of test_sizes_up_to_2000, one Problem per draw.
     k = KINDS.index(kind)
     rng = np.random.default_rng([17, k])
+    distances = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for n in range(1, 2001):
             if n <= 64 or n % len(KINDS) == k:
-                check_results(rng, kind, n)
+                check_results(rng, kind, n, distances)
+    assert_no_farther(distances)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -188,4 +330,4 @@ def test_result_minimizers_large(kind):
     rng = np.random.default_rng([18, KINDS.index(kind)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        check_results(rng, kind, 100_000)
+        check_results(rng, kind, 100_000, [])
