@@ -7,8 +7,10 @@ point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
 size.  ``with_prefix_stats`` reads a sorted side's prefix statistics, and
 ``chi2_minimizer`` is the attaining distribution in sorted order for any
-valid support size.  Each reads a side collapsed to its payoff levels
-(``CriticalDeltas.run_ends``) as the library does.  ``expression_sorted``,
+valid support size.  ``payoff_levels`` finds a sorted side's payoff
+levels from its sorted payoff alone, and both helpers read a tied side of
+more than ``_STABLE_SORT_MAX`` values over those levels, as the library
+solves it (``CriticalDeltas.run_ends``).  ``expression_sorted``,
 ``expression_critical_radii``, ``expression_value``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
 whole-array expression form of the prefix pass, the critical radii, the
@@ -26,8 +28,9 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 
-from divball.chi2 import _COORDINATE_SLACK, _levels, _minimizer_head, _prefix_moments, _radicand
+from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _prefix_moments, _radicand
 from divball.core import (
+    _STABLE_SORT_MAX,
     BallFamily,
     Objective,
     Pmf,
@@ -61,14 +64,30 @@ def critical_delta(cd, k: int) -> float:
     return float(cd.finite[int(cd.run_ends.searchsorted(k - 1)) - 1])
 
 
+def payoff_levels(sp: SortedProblem):
+    """``(run_ends, masses)`` of a sorted side's payoff levels, read from its
+    sorted arrays alone: each run of equal sorted payoffs (signed zeros
+    equal) is one level, ending at ``run_ends`` and holding the run's
+    summed mass, one ``reduceat`` over run starts found here."""
+    f = sp.f_sorted
+    ends = np.append(np.flatnonzero(f[1:] != f[:-1]), sp.n - 1)
+    starts = np.append(0, ends[:-1] + 1)
+    return ends, np.add.reduceat(sp.p_sorted, starts)
+
+
 def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
     """``sp`` with the prefix mass, gap and variance of the library's one
     prefix pass, and the prefix mean ``f_sorted - gap``, 0.0 on a prefix of
     zero mass; any sorted side can be read, TV or with zero weights too.
-    A side that ``CriticalDeltas`` collapses to its levels is collapsed
-    alike: its ``run_ends`` are set and the prefix arrays are per level."""
-    changes = sp.f_sorted[1:] != sp.f_sorted[:-1]
-    run_ends, _, p, f, _ = _levels(sp, None if changes.all() else changes)
+    A tied side of more than ``_STABLE_SORT_MAX`` values, which
+    ``CriticalDeltas`` solves over its levels, is read over the levels of
+    :func:`payoff_levels`: ``run_ends`` is set and the prefix arrays are
+    per level.  Otherwise ``run_ends`` is ``None``."""
+    run_ends, p, f = None, sp.p_sorted, sp.f_sorted
+    if sp.n > _STABLE_SORT_MAX:
+        ends, masses = payoff_levels(sp)
+        if ends.size < sp.n:
+            run_ends, p, f = ends, masses, f[ends]
     mass, gap, var = _prefix_moments(p, f)
     mean = f - gap
     mean[mass == 0.0] = 0.0
@@ -342,7 +361,7 @@ def _exact_side(weights: bytes, values: bytes, chi2: bool) -> SimpleNamespace:
     return side
 
 
-def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespace:
+def reference_bound(p: Pmf, f: Objective, family, delta: float, minimizer: bool = True) -> SimpleNamespace:
     """The exact lower bound of ``f`` over the ``family`` ball of radius
     ``delta`` around ``p``, from the float inputs read as rationals.
 
@@ -354,8 +373,9 @@ def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespa
     whose radius exceeds delta, else the minimal-payoff plateau).  TV is
     exact throughout; chi^2 takes its one square root with ``mpmath`` at 60
     digits.  Returns the ``value`` (an ``mpf``), ``r``, the ``minimizer`` in
-    original order (``mpf`` weights) and the sorted ``breakpoints`` (tails
-    or critical radii, as ``Fraction``s) that ``delta`` is compared with.
+    original order (``mpf`` weights; ``None`` when ``minimizer`` is false)
+    and the sorted ``breakpoints`` (tails or critical radii, as
+    ``Fraction``s) that ``delta`` is compared with.
     """
     family = BallFamily(family)
     check_delta(delta)
@@ -388,13 +408,16 @@ def reference_bound(p: Pmf, f: Objective, family, delta: float) -> SimpleNamespa
                 radicand = mass * d - tails[r - 1]
                 if radicand < 0:
                     raise AssertionError("a negative radicand on the exact support")
-                scale = mpmath.sqrt(_mpf(radicand) / _mpf(var))
-                q = [
-                    _mpf(w / mass) * (1 - _mpf(v - mean) * scale)
-                    for w, v in zip(ps[:r], fs[:r])
-                ] + [Fraction(0)] * (n - r)
+                if minimizer:
+                    scale = mpmath.sqrt(_mpf(radicand) / _mpf(var))
+                    q = [
+                        _mpf(w / mass) * (1 - _mpf(v - mean) * scale)
+                        for w, v in zip(ps[:r], fs[:r])
+                    ] + [Fraction(0)] * (n - r)
                 value = _mpf(mean) - mpmath.sqrt(_mpf(var * radicand))
-        minimizer = [None] * n
-        for i, w in zip(side.order, q):
-            minimizer[i] = _mpf(w)
-    return SimpleNamespace(value=value, r=r, minimizer=minimizer, breakpoints=breakpoints)
+        weights = None
+        if minimizer:
+            weights = [None] * n
+            for i, w in zip(side.order, q):
+                weights[i] = _mpf(w)
+    return SimpleNamespace(value=value, r=r, minimizer=weights, breakpoints=breakpoints)
