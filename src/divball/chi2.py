@@ -108,14 +108,15 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     return mass, gap, var
 
 
-def _levels(sp: SortedProblem, changes: np.ndarray | None):
-    """What the prefix pass of side ``sp`` reads, with ``changes`` its
-    payoff's: ``(run_ends, plateau, masses, payoffs, tails)``.
+def _levels(sp: SortedProblem, edges: np.ndarray | None):
+    """What the prefix pass of side ``sp`` reads, with ``edges`` its
+    payoff's run edges: ``(run_ends, plateau, masses, payoffs, tails)``.
 
     A tied payoff of more than ``_STABLE_SORT_MAX`` values collapses to its
-    levels: ``run_ends`` holds each tied run's last sorted position, the
-    bottom level is the plateau (``1``), each level's mass is its run's
-    accurate sum (one ``reduceat``, never a difference of prefix masses),
+    levels, the runs between its edges: ``run_ends`` holds each run's last
+    sorted position (each edge after the first, less one), the bottom level
+    is the plateau (``1``), each level's mass is its run's accurate sum (one
+    ``reduceat`` at the run starts, never a difference of prefix masses),
     and its payoff and tail are read at the run end.  Any other side reads
     its outcomes as they are, with ``run_ends`` ``None``.
     """
@@ -123,15 +124,11 @@ def _levels(sp: SortedProblem, changes: np.ndarray | None):
     # this collapse): at n <= 16 the collapse's extra numpy calls made tied
     # small queries 15-28% slower, at n = 1e5 it is a third faster, and no
     # size between was measured.
-    if changes is None or sp.n <= _STABLE_SORT_MAX:
+    if edges is None or sp.n <= _STABLE_SORT_MAX:
         return None, sp.plateau, sp.p_sorted, sp.f_sorted, sp.tails
-    cuts = changes.nonzero()[0]
-    bounds = np.empty(cuts.size + 2, dtype=cuts.dtype)
-    bounds[0], bounds[-1] = 0, sp.n
-    np.add(cuts, 1, out=bounds[1:-1])
-    ends = bounds[1:] - 1
+    ends = edges[1:] - 1
     ends.setflags(write=False)
-    masses = np.add.reduceat(sp.p_sorted, bounds[:-1])
+    masses = np.add.reduceat(sp.p_sorted, edges[:-1])
     return ends, 1, masses, sp.f_sorted[ends], sp.tails[ends]
 
 
@@ -154,20 +151,20 @@ class CriticalDeltas(SortedProblem):
     a numeric breakdown of the closed form.
 
     A tied payoff of more than ``_STABLE_SORT_MAX`` values is collapsed to
-    its levels (:func:`_levels`): ``run_ends`` holds the last sorted
-    position of each tied run, ascending, and ``None`` when the side is not
-    collapsed.  Collapsed, ``prefix_mass``, ``gap`` and ``prefix_var`` at
-    entry ``i`` cover the first ``i + 1`` levels, that is the outcomes up
-    to ``run_ends[i]``, and ``finite[j]`` is the critical radius of the
-    support that ends at ``run_ends[j + 1]``: one entry per level above the
-    bottom one.  Every support size :meth:`value` returns then ends a run,
-    and :meth:`weights` rejects one that does not.
+    its levels, the runs between its run edges (:func:`_levels`):
+    ``run_ends`` holds the last sorted position of each run, ascending, and
+    ``None`` when the side is not collapsed.  Collapsed, ``prefix_mass``,
+    ``gap`` and ``prefix_var`` at entry ``i`` cover the first ``i + 1``
+    levels, that is the outcomes up to ``run_ends[i]``, and ``finite[j]`` is
+    the critical radius of the support that ends at ``run_ends[j + 1]``: one
+    entry per level above the bottom one.  Every support size :meth:`value`
+    returns then ends a run, and :meth:`weights` rejects one that does not.
     """
 
     def __init__(self, p: Pmf, f: Objective):
         super().__init__(p, f)
         require_positive(self.p_sorted)
-        self.run_ends, ell, p_sorted, f_sorted, tails = _levels(self, f._changes)
+        self.run_ends, ell, p_sorted, f_sorted, tails = _levels(self, f._edges)
         mass, gap, var = _prefix_moments(p_sorted, f_sorted)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
         gap = gap[ell:]

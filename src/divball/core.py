@@ -5,13 +5,17 @@ is non-decreasing and take the tail masses.  This module owns those shared
 types, input validation, and the expectation operation.
 
 An ``Objective`` sorts its values once, when it is built, and keeps the
-order: one stable argsort up to ``_STABLE_SORT_MAX`` values, and above that
-one in-place sort of packed value-and-index keys, which leaves every tie in
-ascending original index with no repair of tied runs (``_stable_order``).  The negation
-that an upper bound solves derives its order from its source's in O(n),
-reversing it and putting each run of tied values back in ascending original
-index; only a tied payoff of at most ``_STABLE_SORT_MAX`` values, where one
-stable argsort costs less, sorts its negation again.
+order, the sorted values and the run edges, where each tied run starts
+(``_stable_order``): one stable argsort up to ``_STABLE_SORT_MAX`` values,
+and above that one in-place sort of packed value-and-index keys, which
+leaves every tie in ascending original index.  The edges are the one
+record of the ties: the negation reads them backwards, the sorted side's
+plateau is the second edge, and a chi-squared side's levels are the runs
+between them.  The negation that an upper bound solves derives its order
+from its source's in O(n), reversing it and putting each tied run back in
+ascending original index; only a tied payoff of at most
+``_STABLE_SORT_MAX`` values, where one stable argsort costs less, sorts its
+negation again.
 
 Every array is read-only and every function is pure.  No attribute is set
 outside a constructor; ``Pmf``, ``Objective`` and ``BoundResult`` are frozen
@@ -156,33 +160,32 @@ class Objective:
     It is sorted once, when it is built, by :func:`_stable_order`: ``_perm``
     is the stable ascending order of the values (exactly numpy's
     ``argsort(kind="stable")``), ``_ordered`` the values gathered by it, and
-    ``_changes`` where they change (``None`` when no two values tie).  At
-    ``n = 10**5`` building one takes about 1.8 ms, tied or not (one core of
-    the 2-vCPU benchmark host, page faults taken out).  All four arrays are
-    read-only; :meth:`negated` says how a negation gets its three.
+    ``_edges`` its tied runs: the sorted position where each run of equal
+    values starts, then ``n`` (``None`` when no two values tie).  All four
+    arrays are read-only; :meth:`negated` says how a negation gets its three.
     """
 
     values: np.ndarray
     _perm: np.ndarray = field(init=False, repr=False)
     _ordered: np.ndarray = field(init=False, repr=False)
-    _changes: np.ndarray | None = field(init=False, repr=False)
+    _edges: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         # One copy: freezing the caller's own array would make it read-only.
         v = _clean_vector(np.array(self.values, dtype=float), "objective values")
         self._keep(v, *_stable_order(v))
 
-    def _keep(self, values, perm, ordered, changes):
+    def _keep(self, values, perm, ordered, edges):
         """Set the four fields, each array read-only (a constructor's step)."""
         values.setflags(write=False)
         perm.setflags(write=False)
         ordered.setflags(write=False)
-        if changes is not None:
-            changes.setflags(write=False)
+        if edges is not None:
+            edges.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_perm", perm)
         object.__setattr__(self, "_ordered", ordered)
-        object.__setattr__(self, "_changes", changes)
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def n(self) -> int:
@@ -191,27 +194,27 @@ class Objective:
     def negated(self) -> "Objective":
         """The pointwise negation; used for upper bounds via conjugacy.
 
-        Its changes are this payoff's read backwards and its order is
-        derived from this payoff's in O(n), by :func:`_negated_order`, except
-        that a tied payoff of at most ``_STABLE_SORT_MAX`` values takes one
-        stable argsort of the negated values, which costs less there.  Its
-        sorted values are one gather, or, untied above ``_STABLE_SORT_MAX``
-        values, this payoff's sorted values negated backwards: the same
-        bits, without the gather's random reads.  A tied payoff keeps the
-        gather, since a run may mix ``0.0`` and ``-0.0``.
+        Its runs are this payoff's read backwards, edges ``n - edges[::-1]``.
+        Untied, its order is this payoff's reversed and its sorted values
+        this payoff's negated backwards: the same bits as a gather.  Tied,
+        its order comes from :func:`_negated_order` in O(n), or, at most
+        ``_STABLE_SORT_MAX`` values, from one stable argsort, which costs
+        less there; its values are gathered, since a run may mix ``0.0`` and
+        ``-0.0``.
         """
         negated = object.__new__(Objective)
         values = -self.values
-        small = values.size <= _STABLE_SORT_MAX
-        if self._changes is not None and small:
-            perm, changes = values.argsort(kind="stable"), self._changes[::-1]
+        edges = self._edges
+        if edges is None:
+            perm, ordered = self._perm[::-1], np.negative(self._ordered[::-1])
         else:
-            perm, changes = _negated_order(self._perm, self._changes)
-        if changes is None and not small:
-            ordered = np.negative(self._ordered[::-1])
-        else:
+            edges = values.size - edges[::-1]
+            if values.size <= _STABLE_SORT_MAX:
+                perm = values.argsort(kind="stable")
+            else:
+                perm = _negated_order(self._perm, edges)
             ordered = values[perm]
-        negated._keep(values, perm, ordered, changes)
+        negated._keep(values, perm, ordered, edges)
         return negated
 
 
@@ -221,10 +224,11 @@ class SortedProblem:
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  ``tails[i]`` is the mass after entry
     ``i``.  ``plateau`` is the number of leading outcomes tied at the minimal
-    objective value (at least 1).  ``center`` is ``p``'s original-order
-    weights (shared, not copied).  A family's side subclasses it and answers
-    ``value(delta)`` and ``weights(r, delta)``, writing minimizers straight
-    into original order through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).
+    objective value (at least 1): the payoff's second run edge, or 1 untied.
+    ``center`` is ``p``'s original-order weights (shared, not copied).  A
+    family's side subclasses it and answers ``value(delta)`` and
+    ``weights(r, delta)``, writing minimizers straight into original order
+    through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).
 
     The order and the sorted payoff are ``f``'s own, read-only and shared:
     an ``Objective`` sorts itself when it is built.  The tails are
@@ -234,17 +238,14 @@ class SortedProblem:
     def __init__(self, p: Pmf, f: Objective):
         if p.n != f.n:
             raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-        perm, changes = f._perm, f._changes
-        p_sorted = p.weights[perm]
+        p_sorted = p.weights[f._perm]
         p_sorted.setflags(write=False)
-        self.perm = perm
+        self.perm = f._perm
         self.center = p.weights
         self.p_sorted = p_sorted
         self.f_sorted = f._ordered
         self.tails = suffix_masses(p_sorted)
-        # The bottom run ends at the first change (untied: at 1; constant: at n).
-        k = 0 if changes is None else int(changes.argmax())
-        self.plateau = k + 1 if changes is None or changes[k] else p.n
+        self.plateau = 1 if f._edges is None else int(f._edges[1])
 
     @property
     def n(self) -> int:
@@ -358,7 +359,9 @@ _STABLE_SORT_MAX = 40
 
 def _stable_order(values: np.ndarray):
     """The stable ascending order of ``values``, ``values`` gathered by it,
-    and where the gathered values change.
+    and the run edges of the gathered values: ``0``, each position whose
+    value differs from the one before (compared with ``!=``), then ``n``,
+    or ``None`` when no two values tie.
 
     An ``Objective`` calls this once, when it is built.  Up to
     ``_STABLE_SORT_MAX`` values it is one stable argsort, which keeps tied
@@ -372,21 +375,22 @@ def _stable_order(values: np.ndarray):
     in nothing but the ``s`` dropped bits can come out of order.  A descent
     in the gathered values shows it (about 1% of uniform payoffs of
     ``10**5`` values), and :func:`_repair_collisions` sorts those again.
-    ``changes[i]`` is whether sorted values ``i`` and ``i + 1`` differ
-    (compared with ``!=``), or ``changes`` is ``None`` when no two values
-    tie.
 
     At ``n = 10**5``, on one core of the 2-vCPU benchmark host with page
     faults taken out, an ``Objective`` takes about 1.8 ms to build, tied or
-    untied, and about 4.6 ms when every value collides.  The sort's fixed
-    cost, about fifteen numpy calls, is 10-18 µs from 41 to 256 values, where
-    one stable argsort of untied values takes 4-6 µs.
+    untied.  When every value collides the slice is the whole payoff, and
+    the sort takes 13-14 ms (page faults in), a little more than one stable
+    argsort of the values.  The sort's fixed cost, about fifteen numpy
+    calls, is 10-18 µs from 41 to 256 values, where one stable argsort of
+    untied values takes 4-6 µs.
     """
     n = values.size
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    changes = starts[1:n]
     if n <= _STABLE_SORT_MAX:
         perm = values.argsort(kind="stable")
         ordered = values[perm]
-        changes = ordered[1:] != ordered[:-1]
     else:
         shift = (n - 1).bit_length()
         kept = -1 << shift
@@ -398,13 +402,15 @@ def _stable_order(values: np.ndarray):
         perm &= ~kept
         # The indices are in range; "clip" skips take's buffered copy.
         ordered = values.take(perm, out=index.view(values.dtype), mode="clip")
-        changes = np.less(ordered[1:], ordered[:-1])
+        np.less(ordered[1:], ordered[:-1], out=changes)
         if np.count_nonzero(changes):
             _repair_collisions(values, perm, ordered, changes, shift)
-        np.not_equal(ordered[1:], ordered[:-1], out=changes)
-    if np.count_nonzero(changes) == n - 1:
+    np.not_equal(ordered[1:], ordered[:-1], out=changes)
+    # Counted first above the crossover: untied, nonzero would list n + 1 edges.
+    if n > _STABLE_SORT_MAX and np.count_nonzero(changes) == n - 1:
         return perm, ordered, None
-    return perm, ordered, changes
+    edges = starts.nonzero()[0]
+    return perm, ordered, None if edges.size > n else edges
 
 
 def _order_key(values: np.ndarray) -> np.ndarray:
@@ -423,13 +429,10 @@ def _repair_collisions(values, perm, ordered, descents, shift):
     gathered ``ordered`` falls), rewriting ``perm`` and ``ordered`` in place.
 
     Such values share a kept key, a group, and the groups are in order, so
-    only the slice from the first to the last falling group is sorted again.
-    Its ends are found by bisecting over the group ids of single positions,
-    in O(log n), and it is sorted by (group rank, dropped key bits,
-    position): each field takes ``shift`` bits, so up to ``2**21`` values
-    the three pack into one key, and tied values keep their ascending index,
-    the slice's position order.  Larger payoffs take one stable argsort of
-    the slice's values instead.
+    only the slice from the first to the last falling group is sorted again,
+    by one stable argsort of its values: tied values are in ascending index
+    there, the slice's position order, and keep it.  The slice's ends are
+    found by bisecting over the group ids of single positions, in O(log n).
     """
 
     def group_at(i):
@@ -441,48 +444,21 @@ def _repair_collisions(values, perm, ordered, descents, shift):
     a = bisect.bisect_left(range(first), group_at(first), key=group_at)
     after = range(last + 1, ordered.size)
     b = last + 1 + bisect.bisect_right(after, group_at(last), key=group_at)
-    if 3 * shift < 64:
-        key = _order_key(ordered[a:b])
-        index = ~(-1 << shift)
-        order = np.empty(b - a, dtype=np.int64)
-        order[0] = 0
-        group = key >> shift
-        np.not_equal(group[1:], group[:-1], out=order[1:])
-        np.add.accumulate(order, out=order)
-        order <<= shift
-        order |= key & index
-        order <<= shift
-        order |= np.arange(b - a)
-        order.sort()
-        order &= index
-    else:
-        order = ordered[a:b].argsort(kind="stable")
-    perm[a:b] = perm[a:b][order]
+    perm[a:b] = perm[a:b][ordered[a:b].argsort(kind="stable")]
     values.take(perm[a:b], out=ordered[a:b], mode="clip")
 
 
-def _negated_order(perm: np.ndarray, changes: np.ndarray | None):
-    """The stable ascending order of ``-values`` and where its values change,
-    from the order ``perm`` of ``values`` and its ``changes``, in O(n).
+def _negated_order(perm: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The stable ascending order of ``-values``, in O(n), from the order
+    ``perm`` of tied ``values`` and the negated order's run ``edges``.
 
     Read backwards, ``perm`` orders ``-values`` with each tied run in
-    descending index, and ``changes`` read backwards marks the same runs.
-    Untied, those reversed views are the answer.  Tied, each run is put
-    back in ascending index: run ``[a, c)`` of the negated order holds
-    source run ``[n - c, n - a)``, so position ``i`` reads
-    ``perm[i + n - c - a]``, one shift per run.
+    descending index.  Each run is put back in ascending index: run
+    ``[a, c)`` of the negated order holds source run ``[n - c, n - a)``, so
+    position ``i`` reads ``perm[i + n - c - a]``, one shift per run.
     """
-    if changes is None:
-        return perm[::-1], None
     n = perm.size
-    changes = changes[::-1]
-    # The negated order's run edges: where each run starts, and n.
-    starts = np.empty(n + 1, dtype=bool)
-    starts[0] = starts[-1] = True
-    starts[1:-1] = changes
-    edges = starts.nonzero()[0]
     a, c = edges[:-1], edges[1:]
     index = np.arange(n, 2 * n)
     index -= (a + c).repeat(c - a)
-    return perm[index], changes
-
+    return perm[index]

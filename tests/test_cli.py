@@ -236,6 +236,29 @@ class TestValidationFailures:
         assert len(lines) == 2
         assert all(line.startswith("error: 'sweep.steps' is too large: ") for line in lines)
 
+    @pytest.mark.parametrize(
+        "problem, flags, message",
+        [
+            ([], [], "problem file must be a JSON object"),
+            ({"p": [0.5, 0.5], "f": [0, 1], "delta": 0.1}, [],
+             "problem is missing required key 'ball'"),
+            ({**TV_FIXTURE, "labels": ["a", 1]}, [], "'labels' must be a list of strings"),
+            ({"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "sweep": [0, 1, 3]}, [],
+             "'sweep' must be an object with start, stop and steps"),
+            ({"p": [0.5, 0.5], "f": [0, 1], "ball": "tv",
+              "sweep": {"start": -1, "stop": 1, "steps": 3}}, [],
+             "'sweep.start' must be >= 0"),
+            (TV_FIXTURE, ["--sweep", "a:b:3"],
+             "bad --sweep value: could not convert string to float: 'a'"),
+        ],
+        ids=["not-an-object", "no-ball", "label-not-a-string", "sweep-not-an-object",
+             "negative-sweep-start", "sweep-flag-not-a-number"],
+    )
+    def test_each_schema_fault_has_its_line(self, tmp_path, capsys, problem, flags, message):
+        path = write_problem(tmp_path, problem)
+        assert cli.main(["--input", path, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

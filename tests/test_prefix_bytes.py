@@ -118,7 +118,7 @@ def assert_side_matches(pmf, obj, radii):
 
 def collapses(side):
     """Whether the chi-squared side of this payoff is solved over its levels."""
-    return side.n > _STABLE_SORT_MAX and side._changes is not None
+    return side.n > _STABLE_SORT_MAX and side._edges is not None
 
 
 def assert_feasible(pmf, side, delta, value, r, q):

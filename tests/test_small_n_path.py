@@ -1,6 +1,6 @@
 """The per-query path at small n: numpy's Python-level wrappers stay off it,
-the plateau comes from the kept tie mask, and every check on it keeps its
-exception class and message, also under ``python -O``."""
+the plateau is the second of the payoff's kept run edges, and every check
+on it keeps its exception class and message, also under ``python -O``."""
 
 import os
 import subprocess

@@ -266,7 +266,7 @@ class TestTvInvariants:
         st.floats(0, 4),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     def test_translation_and_scaling(self, n, delta, shift, scale, seed):
         rng = np.random.default_rng(seed)
         p = random_pmf(rng, n)
