@@ -15,7 +15,7 @@ closed forms at small n.
 
 # ``divball.cli.main`` is reachable right after ``import divball``.
 from . import cli  # noqa: F401
-from .chi2 import CriticalDeltas, chi2_divergence
+from .chi2 import chi2_divergence
 from .core import (
     BallFamily,
     BoundResult,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BallFamily",
     "BoundResult",
-    "CriticalDeltas",
     "DivballError",
     "EmptyFeasibleError",
     "EmptySupportError",

@@ -36,7 +36,6 @@ from .core import (
     Objective,
     Pmf,
     SortedProblem,
-    check_delta,
     require_positive,
 )
 from .errors import (
@@ -120,10 +119,11 @@ def _levels(sp: SortedProblem, edges: np.ndarray | None):
     and its payoff and tail are read at the run end.  Any other side reads
     its outcomes as they are, with ``run_ends`` ``None``.
     """
-    # The gate shares the sort's crossover (measured for the sort, not for
-    # this collapse): at n <= 16 the collapse's extra numpy calls made tied
-    # small queries 15-28% slower, at n = 1e5 it is a third faster, and no
-    # size between was measured.
+    # The gate is the sort's crossover.  Collapsing the tied chi^2 queries of
+    # n <= 16 as well would not change their speed (a median query of 86-94
+    # against 81-93 us, one core, alternating runs), and at n = 1e5 the
+    # collapse is a third faster; the gate stays because collapsing changes
+    # the result bits of tied sides of up to 40 values.
     if edges is None or sp.n <= _STABLE_SORT_MAX:
         return None, sp.plateau, sp.p_sorted, sp.f_sorted, sp.tails
     ends = edges[1:] - 1
@@ -157,8 +157,8 @@ class CriticalDeltas(SortedProblem):
     ``gap`` and ``prefix_var`` at entry ``i`` cover the first ``i + 1``
     levels, that is the outcomes up to ``run_ends[i]``, and ``finite[j]`` is
     the critical radius of the support that ends at ``run_ends[j + 1]``: one
-    entry per level above the bottom one.  Every support size :meth:`value`
-    returns then ends a run, and :meth:`weights` rejects one that does not.
+    entry per level above the bottom one, so every support size
+    :meth:`value` returns ends a run.
     """
 
     def __init__(self, p: Pmf, f: Objective):
@@ -192,7 +192,6 @@ class CriticalDeltas(SortedProblem):
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
-        check_delta(delta)
         # The comparison's bytes are 0 or 1, so rfind finds the last radius
         # above delta, or -1 for none.  A scan, not a bisection: tied radii
         # of an uncollapsed side may wobble upward within the allowance that
@@ -215,10 +214,8 @@ class CriticalDeltas(SortedProblem):
         return float(value), e + 1, BRANCH_INTERIOR
 
     def weights(self, r: int, delta: float) -> np.ndarray:
-        """:meth:`value`'s minimizer for support size ``r``, in original order.
-
-        On a collapsed side ``r`` must end a tied run (``r - 1`` in
-        ``run_ends``); a support size inside a run raises ``DivballError``."""
+        """:meth:`value`'s minimizer in original order, for the support size
+        ``r`` that :meth:`value` returned at ``delta``."""
         head = _minimizer_head(self, r, delta)
         # One original-order array, allocated once the head's temporaries are freed.
         q = np.zeros(self.n)
@@ -242,27 +239,18 @@ def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     size ``r`` before normalization (the rest are 0): the tilted center above
     the plateau, the center renormalized on it.  The tilt is formed per
     outcome from the statistics of the support's prefix, which on a collapsed
-    side is the level that ends at outcome ``r``.  Invalid ``(r, delta)``
-    pairs raise, and so does a support that ends inside a collapsed run."""
-    ell = cd.plateau
-    if not ell <= r <= cd.n:
-        raise DivballError(f"support size {r} outside [{ell}, {cd.n}]")
+    side is the level that ends at outcome ``r``.  ``r`` is the support size
+    that ``cd.value`` returned, or one probed at its own critical radius, so
+    the prefix variance above the plateau is positive; a radius outside the
+    support's range raises."""
     # i indexes the prefix statistics, e the support's last sorted outcome.
     i = e = r - 1
-    ends = cd.run_ends
-    if ends is not None:
-        i = int(ends.searchsorted(e))
-        if ends[i] != e:
-            raise DivballError(f"support size {r} ends inside a tied run")
+    if cd.run_ends is not None:
+        i = int(cd.run_ends.searchsorted(e))
     mass = cd.prefix_mass[i]
-    if r == ell:
-        return cd.p_sorted[:ell] / mass
-
-    tail = cd.tails[e]
-    sigma2 = cd.prefix_var[i]
-    if not sigma2 > 0.0:
-        raise DivballError("interior support has zero prefix variance")
-    scale = math.sqrt(_radicand(mass, tail, delta)) / math.sqrt(sigma2)
+    if r == cd.plateau:
+        return cd.p_sorted[:r] / mass
+    scale = math.sqrt(_radicand(mass, cd.tails[e], delta)) / math.sqrt(cd.prefix_var[i])
     # f - (f[e] - gap[i]) as (f - f[e]) + gap[i], so the mean is not rounded to f's ulp.
     tilt = cd.f_sorted[:r] - cd.f_sorted[e]
     tilt += cd.gap[i]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BallFamily, check_delta, validate
+from .core import check_delta, validate
 from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
 from .problem import Problem, robustness_radius
@@ -117,7 +117,6 @@ def resolve_problem(obj: dict, args=None) -> tuple[Problem, float | None, tuple 
             delta, sweep = args.delta, None
         elif args.sweep is not None:
             delta, sweep = None, _parse_sweep_flag(args.sweep)
-    family = BallFamily(family)
     pmf, objective = validate(fields["p"], fields["f"], family, fields.get("labels"))
     if delta is not None:
         delta = float(delta)

@@ -228,7 +228,9 @@ class SortedProblem:
     ``center`` is ``p``'s original-order weights (shared, not copied).  A
     family's side subclasses it and answers ``value(delta)`` and
     ``weights(r, delta)``, writing minimizers straight into original order
-    through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).
+    through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).  The sides are
+    internals of ``problem.Problem``: it checks ``delta`` before asking, and
+    passes ``weights`` the support size ``r`` that ``value`` returned.
 
     The order and the sorted payoff are ``f``'s own, read-only and shared:
     an ``Objective`` sorts itself when it is built.  The tails are

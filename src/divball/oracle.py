@@ -7,7 +7,7 @@ an upper bound on the true one; the mesh density bounds the gap from above.
 The grid is streamed in lexicographic blocks, one per leading coordinate,
 cut from one list of (n-1)-part tails; the whole grid is never held, and at
 n = 4, resolution 250 a call peaks at about 1.5 MB of arrays, most of it
-that list.
+that list.  A grid of n <= 2 is one line, evaluated in one vector pass.
 
 Coordinate j of a grid point only takes the values k / resolution, so each
 distance or expectation term is looked up in a table of resolution + 1
@@ -17,8 +17,8 @@ monotone, so every left-to-right partial sum is at most the full distance:
 a block whose leading term lies outside the ball is skipped whole, and in
 the others only the rows whose first two terms lie inside are evaluated.
 At n = 4, resolution 250 (2.7M points) a call took 4-15 ms at radii that
-keep under 4% of the grid and 29-38 ms when nearly all of it is feasible,
-against 50-93 ms for the per-point passes (2-vCPU VM, one CPU).
+keep under 4% of the grid and 29-38 ms when nearly all of it is feasible
+(2-vCPU VM, one CPU).
 
 The distances and the expectation are deliberately reimplemented here as
 plain definitional loops, and each table applies the loop's operations, so
@@ -34,7 +34,6 @@ import numpy as np
 from .core import BallFamily, Objective, Pmf, check_delta, require_positive
 from .errors import (
     DivballError,
-    EmptySupportError,
     EmptyFeasibleError,
     LengthMismatchError,
     TooLargeError,
@@ -112,8 +111,6 @@ class OracleReport:
 
 
 def _check_grid_size(n: int, resolution: int) -> int:
-    if n < 1:
-        raise EmptySupportError("need at least one outcome")
     if resolution < 1:
         raise DivballError(f"resolution must be >= 1, got {resolution}")
     if n > MAX_OUTCOMES:
@@ -148,9 +145,33 @@ def _composition_blocks(parts: int, total: int):
         yield block
 
 
+def _first_minimum(values, outside) -> int:
+    """The first row not ``outside`` (some row is not) with the least value:
+    when each such value overflowed to +inf, the first such row."""
+    values[outside] = np.inf
+    idx = int(values.argmin())
+    return int(outside.argmin()) if outside[idx] else idx
+
+
+def _line_search(grid, distance, expectation, scale, delta):
+    """:func:`_grid_search`'s result for the n <= 2 grid, in one vector pass:
+    its points are (1.0,), or (a, R - a) for a = 0..R in lexicographic order."""
+    resolution = grid.size - 1
+    first = np.arange(resolution + 1) if len(distance) == 2 else np.array([resolution])
+    columns = (first, resolution - first)[:len(distance)]
+    outside = scale * sum(t.take(c) for t, c in zip(distance, columns)) > delta
+    count = outside.size - int(np.count_nonzero(outside))
+    if count == 0:
+        return 0, None
+    with np.errstate(over="ignore"):  # a sum past the float range is +inf
+        values = sum(t.take(c) for t, c in zip(expectation, columns))
+    idx = _first_minimum(values, outside)
+    return count, grid[[c[idx] for c in columns]]
+
+
 def _grid_search(grid, distance, expectation, scale, delta):
     """The feasible count and the lexicographically first feasible argmin's
-    weights (None when nothing is feasible) of the n >= 2 grid.
+    weights (None when nothing is feasible) of the n >= 3 grid.
 
     A tails row with first entry ``v`` is, in the block of leading
     coordinate ``a <= v``, the point ``(a, v - a, ...)``: a block is the rows
@@ -174,17 +195,13 @@ def _grid_search(grid, distance, expectation, scale, delta):
         lead = distance[0][a]
         if scale * lead > delta:
             continue
-        # The block's first v: a, or the resolution alone when n = 2.
-        v0 = int(heads[starts[a]])
-        partial = np.add(
-            lead, distance[1][v0 - a:resolution + 1 - a], out=two_distance[v0:]
-        )
+        partial = np.add(lead, distance[1][:resolution + 1 - a], out=two_distance[a:])
         inside = scale * partial <= delta
         first = int(inside.argmax())
         if not inside[first]:
             continue
         stop = inside.size - int(inside[::-1].argmax())
-        lo, hi = starts[v0 + first], starts[v0 + stop]
+        lo, hi = starts[a + first], starts[a + stop]
         columns = [tails[lo:hi, j] for j in range(tails.shape[1])]
 
         acc = two_distance.take(columns[0])
@@ -198,18 +215,13 @@ def _grid_search(grid, distance, expectation, scale, delta):
         feasible_count += count
         with np.errstate(over="ignore"):  # a sum past the float range is +inf
             np.add(
-                expectation[0][a], expectation[1][v0 - a:resolution + 1 - a],
-                out=two_expectation[v0:],
+                expectation[0][a], expectation[1][:resolution + 1 - a],
+                out=two_expectation[a:],
             )
             values = two_expectation.take(columns[0])
             for table, column in zip(expectation[2:], columns[1:]):
                 values += table.take(column)
-        values[outside] = np.inf
-        idx = int(values.argmin())
-        if outside[idx]:
-            # Every feasible expectation here overflowed to +inf, the fill of
-            # the infeasible rows: the first feasible point is the minimum.
-            idx = int(outside.argmin())
+        idx = _first_minimum(values, outside)
         # Only a strict decrease moves the argmin, so the first minimum in
         # lexicographic order wins, as np.argmin over the whole grid would.
         if argmin_weights is None or values[idx] < best_value:
@@ -258,14 +270,8 @@ def oracle_lower_expectation(
         with np.errstate(over="ignore"):  # a +inf term already leaves the ball
             distance, scale = [(grid - w) ** 2 / w for w in p.weights], 1.0
     expectation = [grid * v for v in f.values]
-    if n == 1:
-        # The one grid point is (1.0,).
-        feasible_count = int(scale * distance[0][-1] <= delta)
-        argmin_weights = grid[-1:]
-    else:
-        feasible_count, argmin_weights = _grid_search(
-            grid, distance, expectation, scale, delta
-        )
+    search = _line_search if n <= 2 else _grid_search
+    feasible_count, argmin_weights = search(grid, distance, expectation, scale, delta)
     if feasible_count == 0:
         raise EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "

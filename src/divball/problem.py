@@ -11,6 +11,10 @@ tied run put back in ascending original order, an O(n) step
 (``core._negated_order``), unless the payoff is tied and at most
 ``core._STABLE_SORT_MAX`` long.  The one-shot bounds each solve a
 ``Problem``.
+
+A ``Problem`` is the one way into a prepared side, an internal: it checks
+each radius once, before a side is built or asked, and hands ``weights``
+the support size that ``value`` returned.
 """
 
 import math
@@ -53,8 +57,9 @@ class Problem:
     def _value(self, upper: bool, delta: float) -> tuple[float, int, str]:
         """A bound's value, support size and branch, with no minimizer.
 
-        An upper bound's value is the negated lower bound of the negated
-        payoff; its support size and branch are that lower bound's.
+        The radius is checked here, the one check of every bound, before the
+        side is built.  An upper bound's value is the negated lower bound of
+        the negated payoff; its support size and branch are that lower bound's.
         """
         check_delta(delta)
         value, r, branch = self._side(upper).value(delta)

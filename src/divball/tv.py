@@ -15,7 +15,6 @@ from .core import (
     BRANCH_INTERIOR,
     Pmf,
     SortedProblem,
-    check_delta,
     weighted_mean,
 )
 from .errors import LengthMismatchError
@@ -34,7 +33,6 @@ class TVSide(SortedProblem):
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
         d = float(delta)
-        check_delta(d)
         # A top-down running sum of non-negative terms, the tails are exactly
         # non-increasing and end in 0, so reversed they are sorted for a search.
         tails = self.tails
@@ -53,7 +51,8 @@ class TVSide(SortedProblem):
         return value, r, BRANCH_INTERIOR
 
     def weights(self, r: int, delta: float) -> np.ndarray:
-        """:meth:`value`'s minimizer for support size ``r``, in original order."""
+        """:meth:`value`'s minimizer in original order, for the support size
+        ``r`` that :meth:`value` returned at ``delta``."""
         if r == 1:
             q = np.zeros(self.n)
             q[self.perm[0]] = 1.0

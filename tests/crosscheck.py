@@ -117,9 +117,8 @@ def chi2_minimizer(sp: SortedProblem, r: int, delta: float) -> Pmf:
     plateau size the canonical choice is the minimum-divergence distribution:
     the center renormalized on the plateau.
 
-    ``r`` must come from ``CriticalDeltas.value`` (or be a critical-radius
-    probe at ``delta == delta_r``); other pairs are rejected, and so is a
-    support that ends inside a tied run of a collapsed side.  The prefix
+    ``r`` must come from ``CriticalDeltas.value`` or be a critical-radius
+    probe at ``delta == delta_r``; the library does not check it.  The prefix
     statistics come from :func:`with_prefix_stats`, so a side whose critical
     radii fail can still be probed.
     """

@@ -1,7 +1,8 @@
-"""One radius rule and one center rule: every bound, ``Problem``, the CLI and
-the grid oracle reject a bad radius through ``core.check_delta`` and a
-chi-squared center with a zero weight through ``core.require_positive``, so
-a second copy of either rule cannot drift from the first.
+"""One radius rule and one center rule: ``Problem`` (and so every bound), the
+CLI and the grid oracle reject a bad radius through ``core.check_delta``, and
+a chi-squared center with a zero weight is rejected through
+``core.require_positive``, so a second copy of either rule cannot drift from
+the first.  ``Problem`` checks a radius before it builds or asks a side.
 
 Like ``test_family_branches.py``, this reads the syntax tree of every module
 in the package: ``NegativeDeltaError`` is raised only in ``check_delta``, and
@@ -93,10 +94,15 @@ def test_check_flags_a_second_rule():
 @pytest.mark.parametrize("side", [TVSide, CriticalDeltas])
 @pytest.mark.parametrize("delta", [math.nan, -0.1])
 def test_each_side_checks_its_radius(side, delta):
-    # Sides are public, so each side's value checks the radius itself.
-    built = side(*divball.validate([0.2, 0.5, 0.3], [1.0, 0.0, 2.0], "chi2"))
+    # Sides are internals of Problem, which checks the radius of either side
+    # of either family before building it.
+    family = "tv" if side is TVSide else "chi2"
+    problem = divball.Problem(*divball.validate([0.2, 0.5, 0.3], [1.0, 0.0, 2.0], family), family)
     with pytest.raises(divball.NegativeDeltaError):
-        built.value(delta)
+        problem.lower(delta)
+    with pytest.raises(divball.NegativeDeltaError):
+        problem.upper(delta)
+    assert problem._sides == {}
 
 
 def test_a_bad_radius_outranks_a_breakdown():

@@ -150,6 +150,15 @@ def test_sides_are_single_objects():
             assert cd.finite.tobytes() == side.finite.tobytes()
 
 
+def test_sides_are_internals():
+    # Problem is the one way into a prepared side; the side classes stay
+    # importable from their modules for the tests.
+    assert len(db.__all__) == 27
+    assert not hasattr(db, "CriticalDeltas")
+    assert not {"CriticalDeltas", "TVSide", "SortedProblem"} & set(db.__all__)
+    assert issubclass(chi2.CriticalDeltas, core.SortedProblem)
+
+
 def counting(monkeypatch, module, name, counts):
     original = getattr(module, name)
 

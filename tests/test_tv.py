@@ -64,8 +64,9 @@ class TestThresholdIndex:
 
     def test_negative_delta(self):
         p, f = db.validate([0.5, 0.5], [0, 1])
-        with pytest.raises(db.NegativeDeltaError):
-            TVSide(p, f).value(-0.1)
+        for bound in (db.tv_lower_expectation, db.tv_upper_expectation):
+            with pytest.raises(db.NegativeDeltaError):
+                bound(p, f, -0.1)
 
     def test_exhaustive_scan_agreement(self):
         rng = np.random.default_rng(1)
