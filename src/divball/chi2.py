@@ -41,7 +41,6 @@ from .core import (
 from .errors import (
     DivballError,
     LengthMismatchError,
-    ZeroMassForbiddenError,
 )
 
 # Radicand m_r*delta - t_r may dip this far below zero from roundoff at a
@@ -59,8 +58,7 @@ def chi2_divergence(q: Pmf, p: Pmf) -> float:
     """
     if q.n != p.n:
         raise LengthMismatchError(f"{q.n} vs {p.n} outcomes")
-    if np.any(p.weights == 0.0):
-        raise ZeroMassForbiddenError("chi-squared divergence needs p > 0 everywhere")
+    require_positive(p.weights)
     diff = q.weights - p.weights
     return float(np.sum(diff * diff / p.weights))
 
@@ -109,15 +107,17 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
 
 def _levels(sp: SortedProblem, edges: np.ndarray | None):
     """What the prefix pass of side ``sp`` reads, with ``edges`` its
-    payoff's run edges: ``(run_ends, plateau, masses, payoffs, tails)``.
+    payoff's run edges: ``(run_ends, ell, masses, payoffs, tails)``, where
+    ``ell`` is the number of levels in the bottom support.
 
     A tied payoff of more than ``_STABLE_SORT_MAX`` values collapses to its
     levels, the runs between its edges: ``run_ends`` holds each run's last
-    sorted position (each edge after the first, less one), the bottom level
-    is the plateau (``1``), each level's mass is its run's accurate sum (one
-    ``reduceat`` at the run starts, never a difference of prefix masses),
-    and its payoff and tail are read at the run end.  Any other side reads
-    its outcomes as they are, with ``run_ends`` ``None``.
+    sorted position (each edge after the first, less one), the bottom
+    support is one level (``ell`` is 1), each level's mass is its run's
+    accurate sum (one ``reduceat`` at the run starts, never a difference of
+    prefix masses), and its payoff and tail are read at the run end.  Any
+    other side's levels are its outcomes, read as they are, with
+    ``run_ends`` ``None`` and ``ell`` the plateau.
     """
     # The gate is the sort's crossover.  Collapsing the tied chi^2 queries of
     # n <= 16 as well would not change their speed (a median query of 86-94
@@ -135,36 +135,31 @@ def _levels(sp: SortedProblem, edges: np.ndarray | None):
 class CriticalDeltas(SortedProblem):
     """The chi-squared side of ``(p, f)``: the sorted side plus its prefix
     statistics and the breakpoint radii at which the optimal support loses
-    its top outcome, or, collapsed, its top level.
+    its top level.
 
-    The prefix arrays come from one pass of :func:`_prefix_moments`.  On a
-    side solved outcome by outcome (``run_ends`` is ``None``) entry ``i``
-    covers the first ``i + 1`` sorted outcomes, ``gap[i]`` is
-    ``f_sorted[i]`` less the prefix mean, and ``finite[j]`` is the critical
-    radius for support size ``plateau + 1 + j`` (so the array is empty when
-    the objective is constant); a collapsed side indexes them by level, as
-    below.  ``gap`` is formed as a quotient of non-negative running sums
-    rather than by that subtraction, so it keeps its relative accuracy
-    when it is far below an ulp of the payoff.  The plateau
-    support itself never shrinks; its radius is unbounded and is represented
-    structurally rather than by a float sentinel.  Each check that raises is
-    a numeric breakdown of the closed form.
-
-    A tied payoff of more than ``_STABLE_SORT_MAX`` values is collapsed to
-    its levels, the runs between its run edges (:func:`_levels`):
-    ``run_ends`` holds the last sorted position of each run, ascending, and
-    ``None`` when the side is not collapsed.  Collapsed, ``prefix_mass``,
-    ``gap`` and ``prefix_var`` at entry ``i`` cover the first ``i + 1``
-    levels, that is the outcomes up to ``run_ends[i]``, and ``finite[j]`` is
-    the critical radius of the support that ends at ``run_ends[j + 1]``: one
-    entry per level above the bottom one, so every support size
-    :meth:`value` returns ends a run.
+    A side's levels are its outcomes, or, for a tied payoff of more than
+    ``_STABLE_SORT_MAX`` values, its runs (:func:`_levels`); then
+    ``run_ends`` holds each run's last sorted position, ascending, and is
+    ``None`` otherwise.  The prefix arrays come from one pass of
+    :func:`_prefix_moments`: entry ``i`` of ``prefix_mass``, ``gap`` and
+    ``prefix_var`` covers the first ``i + 1`` levels, and ``gap[i]`` is the
+    payoff of level ``i`` less the prefix mean.  ``ell`` is the number of
+    levels in the bottom support, and ``finite[j]`` is the critical radius
+    of the support of the first ``ell + 1 + j`` levels (so the array is
+    empty when the objective is constant); every support size
+    :meth:`value` returns ends a level.  ``gap`` is formed as a quotient of
+    non-negative running sums rather than by that subtraction, so it keeps
+    its relative accuracy when it is far below an ulp of the payoff.  The
+    bottom support itself never shrinks; its radius is unbounded and is
+    represented structurally rather than by a float sentinel.  Each check
+    that raises is a numeric breakdown of the closed form.
     """
 
     def __init__(self, p: Pmf, f: Objective):
         super().__init__(p, f)
         require_positive(self.p_sorted)
         self.run_ends, ell, p_sorted, f_sorted, tails = _levels(self, f._edges)
+        self.ell = ell
         mass, gap, var = _prefix_moments(p_sorted, f_sorted)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
         gap = gap[ell:]
@@ -200,12 +195,8 @@ class CriticalDeltas(SortedProblem):
         if k < 0:
             return float(self.f_sorted[0]), self.plateau, BRANCH_PLATEAU
         # i indexes the prefix statistics, e the support's last sorted outcome.
-        ends = self.run_ends
-        if ends is None:
-            i = e = self.plateau + k
-        else:
-            i = k + 1
-            e = int(ends[i])
+        i = self.ell + k
+        e = i if self.run_ends is None else int(self.run_ends[i])
         rad = _radicand(self.prefix_mass[i], self.tails[e], delta)
         mean = self.f_sorted[e] - self.gap[i]
         value = mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad)

@@ -408,11 +408,9 @@ def _stable_order(values: np.ndarray):
         if np.count_nonzero(changes):
             _repair_collisions(values, perm, ordered, changes, shift)
     np.not_equal(ordered[1:], ordered[:-1], out=changes)
-    # Counted first above the crossover: untied, nonzero would list n + 1 edges.
-    if n > _STABLE_SORT_MAX and np.count_nonzero(changes) == n - 1:
+    if np.count_nonzero(changes) == n - 1:
         return perm, ordered, None
-    edges = starts.nonzero()[0]
-    return perm, ordered, None if edges.size > n else edges
+    return perm, ordered, starts.nonzero()[0]
 
 
 def _order_key(values: np.ndarray) -> np.ndarray:

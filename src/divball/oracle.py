@@ -110,7 +110,7 @@ class OracleReport:
     tolerance: float
 
 
-def _check_grid_size(n: int, resolution: int) -> int:
+def _check_grid_size(n: int, resolution: int) -> None:
     if resolution < 1:
         raise DivballError(f"resolution must be >= 1, got {resolution}")
     if n > MAX_OUTCOMES:
@@ -120,7 +120,6 @@ def _check_grid_size(n: int, resolution: int) -> int:
         raise TooLargeError(
             f"{count} grid points exceed the cap of {MAX_GRID_POINTS}"
         )
-    return count
 
 
 def _composition_blocks(parts: int, total: int):

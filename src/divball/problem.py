@@ -1,16 +1,9 @@
 """One problem, many radii: the closed forms depend on the radius only in
 their last lookup, so a ``Problem`` prepares the payoff (lower bounds) and
 its negation (upper bounds) once each and answers every radius from them.
-One sort serves both sides.  The payoff is sorted once, when its
-``Objective`` is built: above ``core._STABLE_SORT_MAX`` values by one sort of
-packed value-and-index keys, which leaves tied values in original order and
-records where each tied run starts (``core._stable_order``; about 1.8 ms at
-``n = 10**5`` on one core).  The negation's runs are the payoff's read
-backwards, and its stable order is the payoff's read backwards with each
-tied run put back in ascending original order, an O(n) step
-(``core._negated_order``), unless the payoff is tied and at most
-``core._STABLE_SORT_MAX`` long.  The one-shot bounds each solve a
-``Problem``.
+Both sides read the order the payoff's ``Objective`` kept when it was built
+(``Objective.negated`` derives the negation's).  The one-shot bounds each
+solve a ``Problem``.
 
 A ``Problem`` is the one way into a prepared side, an internal: it checks
 each radius once, before a side is built or asked, and hands ``weights``

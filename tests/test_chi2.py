@@ -90,7 +90,8 @@ class TestChi2Divergence:
     def test_zero_mass_forbidden(self):
         q = db.Pmf(np.array([0.5, 0.5]))
         p = db.Pmf(np.array([0.0, 1.0]))
-        with pytest.raises(db.ZeroMassForbiddenError):
+        message = "chi-squared balls need a strictly positive center pmf"
+        with pytest.raises(db.ZeroMassForbiddenError, match=message):
             db.chi2_divergence(q, p)
 
     def test_length_mismatch(self):

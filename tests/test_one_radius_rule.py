@@ -6,7 +6,9 @@ the first.  ``Problem`` checks a radius before it builds or asks a side.
 
 Like ``test_family_branches.py``, this reads the syntax tree of every module
 in the package: ``NegativeDeltaError`` is raised only in ``check_delta``, and
-the zero-center message only in ``require_positive``.
+the zero-center message only in ``require_positive``.  ``ZeroMassForbiddenError``
+is raised only there and in the oracle's definitional divergence, which stays
+independent of the package's rules on purpose.
 """
 
 import ast
@@ -41,10 +43,20 @@ def raisers(source: str, module: str, test) -> list[str]:
     return found
 
 
+def raised_name(exc) -> str | None:
+    """The name of the class raised, bare or through a module attribute."""
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return getattr(target, "id", getattr(target, "attr", None))
+
+
 def negative_delta(exc) -> bool:
     """``NegativeDeltaError(...)``, bare or through a module attribute."""
-    target = exc.func if isinstance(exc, ast.Call) else exc
-    return getattr(target, "id", getattr(target, "attr", None)) == "NegativeDeltaError"
+    return raised_name(exc) == "NegativeDeltaError"
+
+
+def zero_mass(exc) -> bool:
+    """``ZeroMassForbiddenError(...)``, bare or through a module attribute."""
+    return raised_name(exc) == "ZeroMassForbiddenError"
 
 
 def zero_center(exc) -> bool:
@@ -69,6 +81,12 @@ def test_only_require_positive_rejects_a_zero_center():
     assert package_raisers(zero_center) == ["core.require_positive"]
 
 
+def test_zero_mass_is_raised_by_the_one_rule_and_the_oracle():
+    assert package_raisers(zero_mass) == [
+        "core.require_positive", "oracle.naive_chi2_divergence"
+    ]
+
+
 def test_check_flags_a_second_rule():
     source = (
         "def check_delta(delta):\n"
@@ -84,11 +102,15 @@ def test_check_flags_a_second_rule():
         "            'chi-squared balls need a strictly positive center pmf'\n"
         "        )\n"
         "    raise NegativeDeltaError\n"
+        "def divergence(q, p):\n"
+        "    if np.any(p == 0.0):\n"
+        "        raise errors.ZeroMassForbiddenError('p > 0 everywhere')\n"
     )
     assert raisers(source, "m", negative_delta) == [
         "m.check_delta", "m.Spec.__post_init__", "m.oracle"
     ]
     assert raisers(source, "m", zero_center) == ["m.oracle"]
+    assert raisers(source, "m", zero_mass) == ["m.oracle", "m.divergence"]
 
 
 @pytest.mark.parametrize("side", [TVSide, CriticalDeltas])
