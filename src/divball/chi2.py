@@ -54,7 +54,9 @@ _COORDINATE_SLACK = 1e-9
 def chi2_divergence(q: Pmf, p: Pmf) -> float:
     """Chi-squared divergence: sum of ``(q(x) - p(x))^2 / p(x)``.
 
-    Asymmetric; requires a strictly positive reference ``p``.
+    Asymmetric; requires a strictly positive reference ``p``, which is
+    checked as a chi-squared ball's center is, so a zero weight raises
+    ``ZeroMassForbiddenError`` with the center rule's message.
     """
     if q.n != p.n:
         raise LengthMismatchError(f"{q.n} vs {p.n} outcomes")

@@ -52,15 +52,22 @@ class TVSide(SortedProblem):
 
     def weights(self, r: int, delta: float) -> np.ndarray:
         """:meth:`value`'s minimizer in original order, for the support size
-        ``r`` that :meth:`value` returned at ``delta``: a copy of the center
-        with the outcomes above the support zeroed and its two ends moved."""
+        ``r`` that :meth:`value` returned at ``delta``: the center's weights
+        on the support, zero above it, and the support's two ends moved."""
         if r == 1:
             q = np.zeros(self.n)
             q[self.perm[0]] = 1.0
             return q
         d = float(delta)
-        q = self.center.copy()
-        q[self.perm[r:]] = 0.0
+        # Only the fewer of the support and the rest is scattered: a drain of
+        # more than half the mass leaves r < n / 2, and a copy would then
+        # scatter most of the n zeros.
+        if 2 * r <= self.n:
+            q = np.zeros(self.n)
+            q[self.perm[:r]] = self.p_sorted[:r]
+        else:
+            q = self.center.copy()
+            q[self.perm[r:]] = 0.0
         q[self.perm[0]] = self.p_sorted[0] + d
         q[self.perm[r - 1]] = self.tails[r - 2] - d
         return q
