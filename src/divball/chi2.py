@@ -18,11 +18,12 @@ minimal objective remain and the bound saturates at that minimal value.
 
 The tilt is affine in the objective, so tied outcomes share one ratio
 q/p, the optimal support is a union of whole payoff levels, and every
-critical radius inside a tied run is the same number.  So a tied payoff of
-more than ``core._STABLE_SORT_MAX`` values is solved over its distinct
-levels: each tied run collapses to one level with the run's summed mass,
-its last sorted payoff and the tail after it, and the prefix statistics,
-the critical radii and the scan run over the levels, not the outcomes.
+critical radius inside a tied run is the same number.  So every side is
+solved over its distinct payoff levels: each tied run collapses to one
+level with the run's summed mass, its last sorted payoff and the tail after
+it, and an untied payoff's levels are its outcomes.  The prefix statistics,
+the critical radii and the scan run over the levels, and the bottom level
+is the support that never shrinks.
 """
 
 import math
@@ -30,7 +31,6 @@ import math
 import numpy as np
 
 from .core import (
-    _STABLE_SORT_MAX,
     BRANCH_INTERIOR,
     BRANCH_PLATEAU,
     Objective,
@@ -73,8 +73,8 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     mean's ``gap`` below ``f[k]`` is ``G[k]/m[k]`` with ``G`` the running sum
     of ``m[k-1] df[k]``, and ``m[k] var[k]`` is the running sum of the
     weighted update ``p[k] (m[k-1]/m[k]) (df[k] + G[k-1]/m[k-1])^2``.
-    Prefix variances are exact zeros on the leading tie plateau; gap and
-    variance are 0.0 on a prefix of zero mass.  Each step writes in place.
+    Every weight is positive, so every prefix mass is; a prefix variance is
+    an exact zero on a leading tie.  Each step writes in place.
     """
     masses = np.zeros(p_sorted.size + 1)
     before, mass = masses[:-1], masses[1:]
@@ -82,24 +82,21 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     step = np.zeros(p_sorted.size)
     rise = step[1:]
     np.subtract(f_sorted[1:], f_sorted[:-1], out=rise)
-    # Zero-mass prefixes lead and their sums are exact zeros, which dividing by
-    # 1.0 leaves as they are; a chi^2 side has none (its first weight is > 0).
-    divisor = mass if p_sorted[0] > 0.0 else np.where(mass == 0.0, 1.0, mass)
     gap = np.multiply(before, step)
     np.add.accumulate(gap, out=gap)
-    gap /= divisor
+    gap /= mass
     # f[k] - mean[k-1] in units of a power of two near the payoff span (an
     # exact rescaling), so that its square times a tiny mass stays normal.
     unit = math.ldexp(1.0, math.frexp(f_sorted[-1] - f_sorted[0])[1] - 1)
     lead = step
     rise += gap[:-1]  # lead[1:]
     lead /= unit
-    var = np.divide(before, divisor)
+    var = np.divide(before, mass)
     var *= p_sorted
     var *= lead
     var *= lead
     np.add.accumulate(var, out=var)
-    var /= divisor
+    var /= mass
     var *= unit
     var *= unit
     for arr in (mass, gap, var):
@@ -109,29 +106,21 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
 
 def _levels(sp: SortedProblem, edges: np.ndarray | None):
     """What the prefix pass of side ``sp`` reads, with ``edges`` its
-    payoff's run edges: ``(run_ends, ell, masses, payoffs, tails)``, where
-    ``ell`` is the number of levels in the bottom support.
+    payoff's run edges: ``(run_ends, masses, payoffs, tails)`` of its levels.
 
-    A tied payoff of more than ``_STABLE_SORT_MAX`` values collapses to its
-    levels, the runs between its edges: ``run_ends`` holds each run's last
-    sorted position (each edge after the first, less one), the bottom
-    support is one level (``ell`` is 1), each level's mass is its run's
-    accurate sum (one ``reduceat`` at the run starts, never a difference of
-    prefix masses), and its payoff and tail are read at the run end.  Any
-    other side's levels are its outcomes, read as they are, with
-    ``run_ends`` ``None`` and ``ell`` the plateau.
+    A tied payoff's levels are its runs, between its edges: ``run_ends``
+    holds each run's last sorted position (each edge after the first, less
+    one), each level's mass is its run's accurate sum (one ``reduceat`` at
+    the run starts, never a difference of prefix masses), and its payoff
+    and tail are read at the run end.  An untied payoff's levels are its
+    outcomes, read as they are, with ``run_ends`` ``None``.
     """
-    # The gate is the sort's crossover.  Collapsing the tied chi^2 queries of
-    # n <= 16 as well would not change their speed (a median query of 86-94
-    # against 81-93 us, one core, alternating runs), and at n = 1e5 the
-    # collapse is a third faster; the gate stays because collapsing changes
-    # the result bits of tied sides of up to 40 values.
-    if edges is None or sp.n <= _STABLE_SORT_MAX:
-        return None, sp.plateau, sp.p_sorted, sp.f_sorted, sp.tails
+    if edges is None:
+        return None, sp.p_sorted, sp.f_sorted, sp.tails
     ends = edges[1:] - 1
     ends.setflags(write=False)
     masses = np.add.reduceat(sp.p_sorted, edges[:-1])
-    return ends, 1, masses, sp.f_sorted[ends], sp.tails[ends]
+    return ends, masses, sp.f_sorted[ends], sp.tails[ends]
 
 
 class CriticalDeltas(SortedProblem):
@@ -139,40 +128,38 @@ class CriticalDeltas(SortedProblem):
     statistics and the breakpoint radii at which the optimal support loses
     its top level.
 
-    A side's levels are its outcomes, or, for a tied payoff of more than
-    ``_STABLE_SORT_MAX`` values, its runs (:func:`_levels`); then
-    ``run_ends`` holds each run's last sorted position, ascending, and is
-    ``None`` otherwise.  The prefix arrays come from one pass of
-    :func:`_prefix_moments`: entry ``i`` of ``prefix_mass``, ``gap`` and
-    ``prefix_var`` covers the first ``i + 1`` levels, and ``gap[i]`` is the
-    payoff of level ``i`` less the prefix mean.  ``ell`` is the number of
-    levels in the bottom support, and ``finite[j]`` is the critical radius
-    of the support of the first ``ell + 1 + j`` levels (so the array is
-    empty when the objective is constant); every support size
-    :meth:`value` returns ends a level.  ``gap`` is formed as a quotient of
-    non-negative running sums rather than by that subtraction, so it keeps
-    its relative accuracy when it is far below an ulp of the payoff.  The
-    bottom support itself never shrinks; its radius is unbounded and is
-    represented structurally rather than by a float sentinel.  Each check
-    that raises is a numeric breakdown of the closed form.
+    A side's levels are its payoff's runs (:func:`_levels`), so an untied
+    payoff's levels are its outcomes.  ``run_ends`` holds each run's last
+    sorted position, ascending, and is ``None`` for an untied payoff.  The
+    prefix arrays come from one pass of :func:`_prefix_moments`: entry ``i``
+    of ``prefix_mass``, ``gap`` and ``prefix_var`` covers the first ``i + 1``
+    levels, and ``gap[i]`` is the payoff of level ``i`` less the prefix
+    mean.  ``finite[j]`` is the critical radius of the support of the first
+    ``j + 2`` levels (so the array is empty when the objective is constant);
+    every support size :meth:`value` returns ends a level.  ``gap`` is formed
+    as a quotient of non-negative running sums rather than by that
+    subtraction, so it keeps its relative accuracy when it is far below an
+    ulp of the payoff.  The bottom level itself never shrinks; its radius is
+    unbounded and is represented structurally rather than by a float
+    sentinel.  Each check that raises is a numeric breakdown of the closed
+    form.
     """
 
     def __init__(self, p: Pmf, f: Objective):
         super().__init__(p, f)
         require_positive(self.p_sorted)
-        self.run_ends, ell, p_sorted, f_sorted, tails = _levels(self, f._edges)
-        self.ell = ell
+        self.run_ends, p_sorted, f_sorted, tails = _levels(self, f._edges)
         mass, gap, var = _prefix_moments(p_sorted, f_sorted)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
-        gap = gap[ell:]
-        var = var[ell:]
+        gap = gap[1:]
+        var = var[1:]
         # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
         if gap.size and not (gap[gap.argmin()] > 0.0 and var[var.argmin()] > 0.0):
             raise DivballError("non-plateau prefix is constant")
         finite = np.multiply(gap, gap)
         np.divide(var, finite, out=finite)
-        finite += tails[ell:]
-        finite /= mass[ell:]
+        finite += tails[1:]
+        finite /= mass[1:]
         if finite.size and not finite[-1] > 0.0:
             raise DivballError("critical radii must be positive")
         # Non-increasing up to roundoff (NaN fails), the allowance formed only when needed.
@@ -190,14 +177,16 @@ class CriticalDeltas(SortedProblem):
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
         # The comparison's bytes are 0 or 1, so rfind finds the last radius
-        # above delta, or -1 for none.  A scan, not a bisection: tied radii
-        # of an uncollapsed side may wobble upward within the allowance that
-        # __init__ checks.
+        # above delta, or -1 for none.  A scan, not a bisection: the radii of
+        # distinct levels may still rise within the allowance that __init__
+        # checks (231 of 41,502 untied and 33 of 38,498 tied sides of 2 to 40
+        # values did, over seeded draws with skewed centers and payoffs
+        # scaled from 1e-8 to 1e8).
         k = (self.finite > delta).tobytes().rfind(1)
         if k < 0:
             return float(self.f_sorted[0]), self.plateau, BRANCH_PLATEAU
         # i indexes the prefix statistics, e the support's last sorted outcome.
-        i = self.ell + k
+        i = k + 1
         e = i if self.run_ends is None else int(self.run_ends[i])
         rad = _radicand(self.prefix_mass[i], self.tails[e], delta)
         mean = self.f_sorted[e] - self.gap[i]
@@ -231,8 +220,8 @@ def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     """The first ``r`` sorted weights of the attaining distribution for support
     size ``r`` before normalization (the rest are 0): the tilted center above
     the plateau, the center renormalized on it.  The tilt is formed per
-    outcome from the statistics of the support's prefix, which on a collapsed
-    side is the level that ends at outcome ``r``.  ``r`` is the support size
+    outcome from the statistics of the support's prefix of levels, the one
+    whose last level ends at outcome ``r``.  ``r`` is the support size
     that ``cd.value`` returned, or one probed at its own critical radius, so
     the prefix variance above the plateau is positive; a radius outside the
     support's range raises."""

@@ -88,7 +88,9 @@ class Pmf:
     Weights must be nonnegative and sum to 1 within ``SUM_TOLERANCE``; they
     are then renormalized exactly (divided by their float sum) so downstream
     identities hold to machine precision.  Optional labels name the outcomes
-    and must be distinct.  :meth:`_solved` wraps solver output, checking only its mass.
+    and must be distinct strings, given as a sequence (one string is
+    refused, not split into letters).  :meth:`_solved` wraps solver output,
+    checking only its mass.
     """
 
     weights: np.ndarray
@@ -108,8 +110,9 @@ class Pmf:
                 raise LengthMismatchError(
                     f"{len(labels)} labels for {w.size} outcomes"
                 )
-            if not all(isinstance(lab, str) for lab in labels):
-                raise DivballError("labels must be strings")
+            # One string is refused: tuple() would split it into letters.
+            if isinstance(self.labels, str) or not all(isinstance(lab, str) for lab in labels):
+                raise DivballError("labels must be a sequence of strings")
             if len(set(labels)) != len(labels):
                 raise DivballError("labels must be distinct")
             object.__setattr__(self, "labels", labels)

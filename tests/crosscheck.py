@@ -5,17 +5,18 @@ case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
 point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
-size.  ``with_prefix_stats`` reads a sorted side's prefix statistics, and
+size, with ``level_ends`` the last outcome of each level.
+``with_prefix_stats`` reads a sorted side's prefix statistics, and
 ``chi2_minimizer`` is the attaining distribution in sorted order for any
 valid support size.  ``payoff_levels`` finds a sorted side's payoff
-levels from its sorted payoff alone, and both helpers read a tied side of
-more than ``_STABLE_SORT_MAX`` values over those levels, as the library
-solves it (``CriticalDeltas.run_ends``).  ``expression_sorted``,
+levels from its sorted payoff alone, and both helpers read a tied side over
+those levels, as the library solves it (``CriticalDeltas.run_ends``); an
+untied side's levels are its outcomes.  ``expression_sorted``,
 ``expression_critical_radii``, ``expression_value``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
 whole-array expression form of the prefix pass, the critical radii, the
 chi^2 value and the two minimizers that the in-place library code must
-reproduce byte for byte where it solves outcome by outcome.
+reproduce byte for byte on an untied side, whose levels are its outcomes.
 ``reference_bound`` solves a bound exactly, in rationals, with one square
 root at 60 digits, and shares nothing with the library but the float inputs.
 """
@@ -30,7 +31,6 @@ import numpy as np
 
 from divball.chi2 import _COORDINATE_SLACK, _minimizer_head, _prefix_moments, _radicand
 from divball.core import (
-    _STABLE_SORT_MAX,
     BallFamily,
     Objective,
     Pmf,
@@ -52,16 +52,21 @@ class TiedBottomError(DivballError):
 
 def critical_delta(cd, k: int) -> float:
     """Critical radius for support size k of critical radii ``cd``;
-    ``math.inf`` for the plateau.  On a collapsed side it is the radius of
-    the level that holds outcome k: in exact arithmetic every support size
-    inside a tied run has the radius of the run's end."""
+    ``math.inf`` for the plateau.  It is the radius of the level that holds
+    outcome k: in exact arithmetic every support size inside a tied run has
+    the radius of the run's end."""
     if not cd.plateau <= k <= cd.n:
         raise DivballError(f"support size {k} outside [{cd.plateau}, {cd.n}]")
     if k == cd.plateau:
         return math.inf
-    if cd.run_ends is None:
-        return float(cd.finite[k - cd.plateau - 1])
-    return float(cd.finite[int(cd.run_ends.searchsorted(k - 1)) - 1])
+    return float(cd.finite[int(level_ends(cd).searchsorted(k - 1)) - 1])
+
+
+def level_ends(cd) -> np.ndarray:
+    """The last sorted position of each level of a chi-squared side ``cd``:
+    its run ends, or every position of an untied side, whose levels are its
+    outcomes.  Support size ``level_ends(cd)[j] + 1`` ends level ``j``."""
+    return np.arange(cd.n) if cd.run_ends is None else cd.run_ends
 
 
 def payoff_levels(sp: SortedProblem):
@@ -77,20 +82,19 @@ def payoff_levels(sp: SortedProblem):
 
 def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
     """``sp`` with the prefix mass, gap and variance of the library's one
-    prefix pass, and the prefix mean ``f_sorted - gap``, 0.0 on a prefix of
-    zero mass; any sorted side can be read, TV or with zero weights too.
-    A tied side of more than ``_STABLE_SORT_MAX`` values, which
-    ``CriticalDeltas`` solves over its levels, is read over the levels of
-    :func:`payoff_levels`: ``run_ends`` is set and the prefix arrays are
-    per level.  Otherwise ``run_ends`` is ``None``."""
+    prefix pass, and the prefix mean ``f - gap``.  The pass reads strictly
+    positive weights, as a chi-squared side's are; a side with a zero
+    weight raises ``ZeroMassForbiddenError``.  It reads the levels of
+    :func:`payoff_levels`, as ``CriticalDeltas`` does: on a tied side
+    ``run_ends`` is set and the prefix arrays are per level, and on an
+    untied side, whose levels are its outcomes, ``run_ends`` is ``None``."""
+    require_positive(sp.p_sorted)
     run_ends, p, f = None, sp.p_sorted, sp.f_sorted
-    if sp.n > _STABLE_SORT_MAX:
-        ends, masses = payoff_levels(sp)
-        if ends.size < sp.n:
-            run_ends, p, f = ends, masses, f[ends]
+    ends, masses = payoff_levels(sp)
+    if ends.size < sp.n:
+        run_ends, p, f = ends, masses, f[ends]
     mass, gap, var = _prefix_moments(p, f)
     mean = f - gap
-    mean[mass == 0.0] = 0.0
     mean.setflags(write=False)
     return SimpleNamespace(
         n=sp.n,
@@ -260,8 +264,9 @@ def expression_critical_radii(sp) -> np.ndarray:
 
 def expression_value(sp, finite, delta: float) -> tuple[float, int]:
     """The chi^2 lower bound at ``delta`` and its support size, of an
-    :func:`expression_sorted` side with critical radii ``finite``, in the
-    library's order of operations for a side it does not collapse."""
+    :func:`expression_sorted` side with critical radii ``finite``, outcome by
+    outcome in the library's order of operations for an untied side (on a
+    tied side, the element path that the collapsed one is judged against)."""
     above = (finite > delta).nonzero()[0]
     if not above.size:
         return float(sp.f_sorted[0]), sp.plateau

@@ -16,7 +16,7 @@ from divball import cli
 from divball.chi2 import CriticalDeltas
 from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence, naive_tv_distance
-from crosscheck import chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta
+from crosscheck import chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, level_ends
 from conftest import assert_tv_pattern, criterion, grid_round, random_objective, random_pmf, sorted_minimizer
 
 SEED = 20260810
@@ -45,20 +45,23 @@ def prop1_check(pmf, obj):
 
 
 def chi2_consistency_check(pmf, obj, delta):
-    """Branch continuity, boundary attainment, and vanishing top coordinate."""
+    """Branch continuity, boundary attainment, and vanishing top coordinate,
+    level by level: a support of ``j + 1`` levels ends at outcome ``ends[j]``."""
     cd = CriticalDeltas(pmf, obj)
     tails = suffix_masses(cd.p_sorted)
+    ends = level_ends(cd)
 
-    def branch_value(k, d):
-        if k == cd.plateau:
+    def branch_value(j, d):
+        if j == 0:
             return float(cd.f_sorted[0])
-        i = k - 1
-        rad = max(cd.prefix_mass[i] * d - tails[i], 0.0)
-        return float((cd.f_sorted[i] - cd.gap[i]) - math.sqrt(cd.prefix_var[i]) * math.sqrt(rad))
+        e = ends[j]
+        rad = max(cd.prefix_mass[j] * d - tails[e], 0.0)
+        return float((cd.f_sorted[e] - cd.gap[j]) - math.sqrt(cd.prefix_var[j]) * math.sqrt(rad))
 
-    for k in range(cd.plateau + 1, cd.n + 1):
+    for j in range(1, ends.size):
+        k = int(ends[j]) + 1
         dk = critical_delta(cd, k)
-        a, b = branch_value(k, dk), branch_value(k - 1, dk)
+        a, b = branch_value(j, dk), branch_value(j - 1, dk)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
         q_at_break = chi2_minimizer(cd, k, dk)
         assert abs(q_at_break.weights[k - 1]) <= 1e-9

@@ -17,7 +17,7 @@ from divball import chi2
 from divball.chi2 import CriticalDeltas
 from divball.core import _STABLE_SORT_MAX, SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, reference_bound, with_prefix_stats
+from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, level_ends, reference_bound, with_prefix_stats
 from conftest import random_objective, random_pmf
 
 
@@ -45,14 +45,14 @@ def exact_radius_case(rng, kind):
     return db.Pmf(w / w.sum()), db.Objective(float(rng.choice([1e-8, 1.0, 1e8])) * f)
 
 
-def exact_critical_radii(p_sorted, f_sorted, plateau):
-    """(var_k / (f_k - mu_k)^2 + t_k) / m_k for every support size above the
-    plateau, in rational arithmetic on these doubles."""
+def exact_critical_radii(p_sorted, f_sorted, ends):
+    """(var_k / (f_k - mu_k)^2 + t_k) / m_k for the support that ends at each
+    sorted position k of ``ends``, in rational arithmetic on these doubles."""
     ps = [Fraction(x) for x in p_sorted.tolist()]
     fs = [Fraction(x) for x in f_sorted.tolist()]
     total = sum(ps, Fraction(0))
     radii = []
-    for k in range(plateau, len(ps)):
+    for k in map(int, ends):
         mass = sum(ps[: k + 1], Fraction(0))
         mean = sum((w * x for w, x in zip(ps[: k + 1], fs)), Fraction(0)) / mass
         var = sum((w * (x - mean) ** 2 for w, x in zip(ps[: k + 1], fs)), Fraction(0)) / mass
@@ -186,7 +186,7 @@ class TestCriticalDeltas:
                     assert b <= a + 1e-12 * (1.0 + abs(a))
 
     def test_matches_per_element_formula(self):
-        # Reference: the closed form evaluated one support size at a time.
+        # Reference: the closed form evaluated one support of levels at a time.
         rng = np.random.default_rng(12)
         for _ in range(200):
             n = int(rng.integers(1, 17))
@@ -195,9 +195,9 @@ class TestCriticalDeltas:
             cd = CriticalDeltas(pmf, obj)
             tails = suffix_masses(cd.p_sorted)
             expected = []
-            for i in range(cd.plateau, n):
+            for i, e in enumerate(level_ends(cd)[1:], start=1):
                 gap = cd.gap[i]
-                expected.append((cd.prefix_var[i] / (gap * gap) + tails[i]) / cd.prefix_mass[i])
+                expected.append((cd.prefix_var[i] / (gap * gap) + tails[e]) / cd.prefix_mass[i])
             got = cd.finite
             assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
@@ -211,14 +211,15 @@ class TestCriticalDeltas:
         for _ in range(200):
             case = exact_radius_case(rng, kind)
             sp = with_prefix_stats(SortedProblem(*case))
-            ell = sp.plateau
-            if np.any(sp.gap[ell:] ** 2 < np.finfo(float).tiny):
+            if np.any(sp.gap[1:] ** 2 < np.finfo(float).tiny):
                 continue  # the squared gap underflows: a payoff-scale defect
-            exact = exact_critical_radii(sp.p_sorted, sp.f_sorted, ell)
+            # Over the levels above the bottom one, each read at its last outcome.
+            ends = level_ends(sp)[1:]
+            exact = exact_critical_radii(sp.p_sorted, sp.f_sorted, ends)
             new = CriticalDeltas(*case).finite
-            cancelled = sp.f_sorted[ell:] - sp.prefix_mean[ell:]
+            cancelled = sp.f_sorted[ends] - sp.prefix_mean[1:]
             with np.errstate(divide="ignore", invalid="ignore"):
-                old = (sp.prefix_var[ell:] / (cancelled * cancelled) + sp.tails[ell:]) / sp.prefix_mass[ell:]
+                old = (sp.prefix_var[1:] / (cancelled * cancelled) + sp.tails[ends]) / sp.prefix_mass[1:]
             for got, was, want in zip(new, old, exact):
                 err_new, err_old = relative_error(got, want), relative_error(was, want)
                 assert err_new <= tol
@@ -284,7 +285,7 @@ class TestActiveIndex:
     @pytest.mark.parametrize("kind", ["ties", "skewed", "constant"])
     def test_support_size_is_the_last_radius_above_delta(self, kind):
         # The nonzero() form the scan replaced, on every radius, its float
-        # neighbours and the extremes; tied sides carry wobbling radii.
+        # neighbours and the extremes, with support sizes ending levels.
         rng = np.random.default_rng(23)
         checked = 0
         for _ in range(150):
@@ -303,9 +304,10 @@ class TestActiveIndex:
                     [0.0, math.inf, float(rng.uniform(0, 4))], cd.finite,
                     np.nextafter(cd.finite, 0.0), np.nextafter(cd.finite, math.inf),
                 ])
+                ends = level_ends(cd)
                 for delta in radii:
                     above = (cd.finite > delta).nonzero()[0]
-                    want = cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
+                    want = int(ends[above[-1] + 1]) + 1 if above.size else cd.plateau
                     try:
                         assert cd.value(float(delta))[1] == want
                     except db.DivballError:
@@ -313,17 +315,16 @@ class TestActiveIndex:
                     checked += 1
         assert checked > 800
 
-    def test_support_size_on_the_seed_11_item_373_wobble(self):
-        p = [0.01228511520154883, 0.13596715113316812, 0.024724906875710582,
-             0.09900836251245594, 0.018157825967619202, 0.10547605377370337,
-             0.03304945968137316, 0.07476289889001071, 0.10037135458072449,
-             0.07835984091065086, 0.01109715953352639, 9.66071391791976e-05,
-             0.011266872430827905, 0.11727789942570614, 0.178098491943795]
-        third, two = 1 / 3, 2 / 3
-        f = [0.0, third, -1.0, two, -third, third, two, two, two, -two, two, 1.0, two, two, -1.0]
+    def test_support_size_on_an_untied_side_whose_radii_rise(self):
+        # An untied side with a skewed center at payoff scale 1e8, whose two
+        # radii rise by one ulp, within the allowance: the scan, not a
+        # bisection, must choose the support.
+        p = [1.2959885007307662e-39, 0.9994120687503112, 0.0005879312496888112]
+        f = [-47443116.04016898, -88832106.21983346, 92211498.89093463]
         pmf, obj = chi2_problem(p, f)
-        cd = CriticalDeltas(pmf, obj.negated())
-        assert np.any(cd.finite[1:] > cd.finite[:-1])  # the radii do wobble
+        cd = CriticalDeltas(pmf, obj)
+        assert cd.run_ends is None
+        assert np.any(cd.finite[1:] > cd.finite[:-1])  # the radii do rise
         for delta in np.concatenate([cd.finite, np.nextafter(cd.finite, 0.0)]):
             above = (cd.finite > delta).nonzero()[0]
             want = cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
@@ -397,8 +398,9 @@ class TestChi2Minimizer:
 
 
 class TestLevels:
-    """Tied payoffs either side of ``core._STABLE_SORT_MAX``: above it a side
-    is solved over its payoff levels, at or below it outcome by outcome."""
+    """Tied payoffs either side of the sort's crossover,
+    ``core._STABLE_SORT_MAX``: whichever way its payoff was sorted, a tied
+    side is solved over its payoff levels."""
 
     SIZES = (_STABLE_SORT_MAX - 1, _STABLE_SORT_MAX, _STABLE_SORT_MAX + 1)
     DELTAS = (0.0, 1e-3, 0.3, 5.0, 1e6)
@@ -422,10 +424,6 @@ class TestLevels:
         for pmf, side in self.sides(n):
             cd = CriticalDeltas(pmf, side)
             runs = np.append((cd.f_sorted[1:] != cd.f_sorted[:-1]).nonzero()[0], n - 1)
-            if n <= _STABLE_SORT_MAX:
-                assert cd.run_ends is None
-                assert cd.finite.size == n - cd.plateau
-                continue
             assert cd.run_ends.tolist() == runs.tolist()
             assert not cd.run_ends.flags.writeable
             assert cd.finite.size == runs.size - 1 == np.unique(side.values).size - 1
@@ -450,8 +448,6 @@ class TestLevels:
                 q[cd.perm] = chi2_minimizer(cd, r, delta).weights
                 if delta in self.DELTAS:
                     assert r == reference_bound(pmf, side, "chi2", delta).r
-                if n <= _STABLE_SORT_MAX:
-                    continue
                 assert r - 1 in cd.run_ends
                 ratio = (q / pmf.weights)[cd.perm]
                 assert not ratio[r:].any()

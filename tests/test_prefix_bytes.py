@@ -1,15 +1,18 @@
-"""The in-place prefix pass, critical radii and minimizer reproduce the
-whole-array expression form in ``crosscheck`` byte for byte, and so do the
-minimizers that ``Problem`` returns, built in original order.
+"""On an untied payoff, whose levels are its outcomes, the in-place prefix
+pass, critical radii and minimizer reproduce the whole-array expression
+form in ``crosscheck`` byte for byte, and so do the minimizers that
+``Problem`` returns, built in original order; so do the TV minimizers of
+every payoff.  A center with a zero weight has no chi-squared side, and
+its sorted arrays and tails, all that a TV side reads, keep their bytes.
 
-A chi-squared side of a tied payoff above ``_STABLE_SORT_MAX`` values is
-solved over its payoff levels, so its bits are checked, not pinned.  Its
-sorted arrays and tails keep their bytes; its run ends, level statistics
-and radii are those of the levels that ``crosscheck.payoff_levels`` finds
-from the sorted payoff alone, each level mass within the summation error
-bound of its run's exact sum.  Every minimizer sums to 1 within n * 1e-15
-and passes ``bench/check.py``'s minimizer check (in the ball, attaining
-the value), and every value is within the benchmark's tolerance of the
+Every chi-squared side of a tied payoff, of any size, is solved over its
+payoff levels, so its bits are checked, not pinned.  Its sorted arrays
+and tails keep their bytes; its run ends, level statistics and radii are
+those of the levels that ``crosscheck.payoff_levels`` finds from the
+sorted payoff alone, each level mass within the summation error bound of
+its run's exact sum.  Every minimizer sums to 1 within n * 1e-15 and
+passes ``bench/check.py``'s minimizer check (in the ball, attaining the
+value), and every value is within the benchmark's tolerance of the
 closed-form dual at its support size.
 
 Up to 64 values, and at one size from 250 to 255 per tied kind, the
@@ -34,7 +37,7 @@ import pytest
 import divball as db
 from divball import chi2
 from divball.chi2 import CriticalDeltas
-from divball.core import _STABLE_SORT_MAX, SortedProblem
+from divball.core import SortedProblem
 from divball.errors import DivballError
 from crosscheck import (
     chi2_minimizer,
@@ -57,7 +60,8 @@ check = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check)
 
 KINDS = ("random", "skewed", "ties", "signed_zero", "constant", "zero_weight")
-FIELDS = ("perm", "p_sorted", "f_sorted", "prefix_mass", "prefix_mean", "prefix_var", "gap", "tails")
+SORTED_FIELDS = ("perm", "p_sorted", "f_sorted", "tails")
+PREFIX_FIELDS = ("prefix_mass", "prefix_mean", "prefix_var", "gap")
 
 
 def draw(rng, kind, n):
@@ -94,15 +98,24 @@ def padded_head(cd, r, delta):
     return q
 
 
-def assert_side_matches(pmf, obj, radii):
+def assert_sorted_matches(pmf, obj):
+    """The sorted side's arrays and tails keep the expression form's bytes,
+    and its plateau is the same; returns the side and the expression form."""
     sp = SortedProblem(pmf, obj)
     ref = expression_sorted(pmf, obj)
-    stats = with_prefix_stats(sp)
-    for name in FIELDS:
-        assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in SORTED_FIELDS:
+        assert getattr(sp, name).tobytes() == getattr(ref, name).tobytes(), name
     assert sp.plateau == ref.plateau
-    if not radii:
-        return
+    return sp, ref
+
+
+def assert_side_matches(pmf, obj):
+    """An untied chi-squared side: every prefix statistic, radius and
+    minimizer head keeps the expression form's bytes too."""
+    sp, ref = assert_sorted_matches(pmf, obj)
+    stats = with_prefix_stats(sp)
+    for name in PREFIX_FIELDS:
+        assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes(), name
     got = outcome(lambda: CriticalDeltas(pmf, obj).finite)
     want = outcome(expression_critical_radii, ref)
     assert got == want
@@ -117,8 +130,8 @@ def assert_side_matches(pmf, obj, radii):
 
 
 def collapses(side):
-    """Whether the chi-squared side of this payoff is solved over its levels."""
-    return side.n > _STABLE_SORT_MAX and side._edges is not None
+    """Whether this payoff is tied, so that its levels are not its outcomes."""
+    return side._edges is not None
 
 
 def assert_feasible(pmf, side, delta, value, r, q):
@@ -149,12 +162,8 @@ def assert_levels_match(pmf, obj):
     the library's run ends, level statistics and radii are those of the
     levels that ``crosscheck`` finds on its own, and each bound passes
     :func:`assert_feasible`."""
-    sp = SortedProblem(pmf, obj)
-    ref = expression_sorted(pmf, obj)
+    sp, _ = assert_sorted_matches(pmf, obj)
     stats = with_prefix_stats(sp)
-    for name in ("perm", "p_sorted", "f_sorted", "tails"):
-        assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert sp.plateau == ref.plateau
     assert_level_masses(sp)
     got = outcome(lambda: CriticalDeltas(pmf, obj).finite)
     want = outcome(expression_critical_radii, stats)
@@ -179,12 +188,13 @@ def radii_of(finite):
 
 def check_draw(rng, kind, n):
     pmf, obj = draw(rng, kind, n)
-    radii = kind != "zero_weight"
     for side in (obj, obj.negated()):
-        if radii and collapses(side):
+        if kind == "zero_weight":
+            assert_sorted_matches(pmf, side)
+        elif collapses(side):
             assert_levels_match(pmf, side)
         else:
-            assert_side_matches(pmf, side, radii)
+            assert_side_matches(pmf, side)
 
 
 def expression_result(ref, family, finite, delta):
@@ -274,7 +284,7 @@ def test_inverted_radii_fail_alike():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(db.DivballError, match="non-increasing"):
             CriticalDeltas(pmf, obj.negated())
-        assert_side_matches(pmf, obj.negated(), True)
+        assert_side_matches(pmf, obj.negated())
 
 
 @pytest.mark.parametrize("kind", KINDS)

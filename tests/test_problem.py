@@ -1,8 +1,10 @@
 """The prepared problem: sorting once per side changes no output bit."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -13,6 +15,7 @@ import pytest
 
 import divball as db
 from divball import chi2, cli, core, problem, tv
+from crosscheck import with_prefix_stats
 
 # Each case covers a branch the prepared path must reproduce exactly: a TV
 # radius that moves all mass (degenerate), a chi^2 radius past every critical
@@ -143,9 +146,10 @@ def test_sides_are_single_objects():
             for name in ("perm", "p_sorted", "f_sorted", "tails"):
                 assert getattr(side, name).tobytes() == getattr(sp, name).tobytes()
             assert (side.plateau, side.n) == (sp.plateau, sp.n)
-            moments = chi2._prefix_moments(side.p_sorted, side.f_sorted)
-            for got, want in zip((side.prefix_mass, side.gap, side.prefix_var), moments):
-                assert got.tobytes() == want.tobytes()
+            # A tied side's prefix statistics are over its payoff levels.
+            levels = with_prefix_stats(sp)
+            for name in ("run_ends", "prefix_mass", "gap", "prefix_var"):
+                assert getattr(side, name).tobytes() == getattr(levels, name).tobytes()
             cd = chi2.CriticalDeltas(p, f.negated() if negated else f)
             assert cd.finite.tobytes() == side.finite.tobytes()
 
@@ -243,6 +247,42 @@ def test_upper_alone_matches_the_negation_sorted_in_its_own_right(family, levels
             assert bits(got.value) == bits(-want.value)
             assert (got.active_index, got.branch) == (want.active_index, want.branch)
             assert got.minimizer.weights.tobytes() == want.minimizer.weights.tobytes()
+
+
+def test_only_core_binds_the_sort_crossover():
+    # The crossover is a speed constant of the sort alone.
+    for info in pkgutil.iter_modules(db.__path__):
+        module = importlib.import_module(f"divball.{info.name}")
+        assert hasattr(module, "_STABLE_SORT_MAX") == (info.name == "core"), info.name
+    assert not hasattr(db, "_STABLE_SORT_MAX")
+
+
+@pytest.mark.parametrize("n", [3, 12, 40, 41, 64, 300])
+def test_the_sort_crossover_decides_no_bit(monkeypatch, n):
+    # Every payoff sorted by the packed keys (crossover 0), or by one stable
+    # argsort (10**6), gives the bounds that the crossover of 40 gives.
+    rng = np.random.default_rng([43, n])
+    p = rng.dirichlet(np.ones(n))
+    untied = rng.uniform(-1.0, 1.0, n)
+    signed_zero = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    signed_zero[rng.random(n) < 0.2] = 1.0
+    payoffs = (untied, np.round(untied * 3.0), signed_zero)
+
+    def bounds(crossover):
+        monkeypatch.setattr(core, "_STABLE_SORT_MAX", crossover)
+        rows = []
+        for f in payoffs:
+            for family in ("tv", "chi2"):
+                prepared = db.Problem(*db.validate(p, f, family), family)
+                for delta in (0.0, 1e-3, 0.3, 1.0, 5.0):
+                    for res in (prepared.lower(delta), prepared.upper(delta)):
+                        rows.append((bits(res.value), res.active_index, res.branch,
+                                     res.minimizer.weights.tobytes()))
+        return rows
+
+    want = bounds(40)
+    assert bounds(0) == want
+    assert bounds(10**6) == want
 
 
 @pytest.mark.parametrize(

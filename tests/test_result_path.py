@@ -13,7 +13,7 @@ import divball as db
 from divball import chi2
 from divball.chi2 import CriticalDeltas
 from divball.core import _STABLE_SORT_MAX, SUM_TOLERANCE
-from crosscheck import chi2_minimizer
+from crosscheck import chi2_minimizer, level_ends
 
 CENTER = ([0.2, 0.5, 0.3], [1.0, 0.0, 2.0])
 LABELS = ("a", "b", "c")
@@ -122,7 +122,8 @@ def test_chi2_minimizer_pads_the_solve_head():
 
 def test_chi2_minimizer_bytes_match_the_padded_head():
     # The sorted minimizer is the head in a zeroed array: np.pad's bytes,
-    # also on a side collapsed to its levels, above _STABLE_SORT_MAX values.
+    # also on a tied side, collapsed to its levels, either side of the
+    # sort's crossover.
     rng = np.random.default_rng(21)
     for n in (*range(1, 17), _STABLE_SORT_MAX + 1):
         p = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
@@ -130,8 +131,7 @@ def test_chi2_minimizer_bytes_match_the_padded_head():
             cd = CriticalDeltas(*db.validate(p, f, "chi2"))
             probes = [(cd.value(d)[1], d) for d in (0.0, 0.05, 0.7, 50.0)]
             # The support size whose critical radius each entry of finite is.
-            ends = cd.run_ends
-            sizes = cd.plateau + 1 + np.arange(cd.finite.size) if ends is None else ends[1:] + 1
+            sizes = level_ends(cd)[1:] + 1
             probes += [(int(k), float(r)) for k, r in zip(sizes, cd.finite)]
             for r, delta in probes:
                 padded = np.pad(chi2._minimizer_head(cd, r, delta), (0, cd.n - r))
