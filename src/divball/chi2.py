@@ -104,9 +104,9 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     return mass, gap, var
 
 
-def _levels(sp: SortedProblem, edges: np.ndarray | None):
-    """What the prefix pass of side ``sp`` reads, with ``edges`` its
-    payoff's run edges: ``(run_ends, masses, payoffs, tails)`` of its levels.
+def _levels(sp: SortedProblem):
+    """What the prefix pass of side ``sp`` reads: ``(run_ends, masses,
+    payoffs, tails)`` of its levels, the runs between its ``edges``.
 
     A tied payoff's levels are its runs, between its edges: ``run_ends``
     holds each run's last sorted position (each edge after the first, less
@@ -115,6 +115,7 @@ def _levels(sp: SortedProblem, edges: np.ndarray | None):
     and tail are read at the run end.  An untied payoff's levels are its
     outcomes, read as they are, with ``run_ends`` ``None``.
     """
+    edges = sp.edges
     if edges is None:
         return None, sp.p_sorted, sp.f_sorted, sp.tails
     ends = edges[1:] - 1
@@ -145,10 +146,10 @@ class CriticalDeltas(SortedProblem):
     form.
     """
 
-    def __init__(self, p: Pmf, f: Objective):
-        super().__init__(p, f)
+    def __init__(self, p: Pmf, f: Objective, negated: bool = False):
+        super().__init__(p, f, negated)
         require_positive(self.p_sorted)
-        self.run_ends, p_sorted, f_sorted, tails = _levels(self, f._edges)
+        self.run_ends, p_sorted, f_sorted, tails = _levels(self)
         mass, gap, var = _prefix_moments(p_sorted, f_sorted)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
         gap = gap[1:]

@@ -11,8 +11,9 @@ and above that one in-place sort of packed value-and-index keys, which
 leaves every tie in ascending original index.  The edges are the one
 record of the ties: the negation reads them backwards, the sorted side's
 plateau is the second edge, and a chi-squared side's levels are the runs
-between them.  The negation that an upper bound solves derives its order
-from its source's in O(n), reversing it and putting each tied run back in
+between them.  An upper bound's side reads ``Objective._negation``: the
+order, sorted values and edges of ``-f``, derived from the payoff's in O(n)
+without forming ``-f``, the order reversed and each tied run put back in
 ascending original index; only a tied payoff of at most
 ``_STABLE_SORT_MAX`` values, where one stable argsort costs less, sorts its
 negation again.
@@ -165,7 +166,7 @@ class Objective:
     ``argsort(kind="stable")``), ``_ordered`` the values gathered by it, and
     ``_edges`` its tied runs: the sorted position where each run of equal
     values starts, then ``n`` (``None`` when no two values tie).  All four
-    arrays are read-only; :meth:`negated` says how a negation gets its three.
+    arrays are read-only; :meth:`_negation` says how a negation gets its three.
     """
 
     values: np.ndarray
@@ -195,30 +196,43 @@ class Objective:
         return self.values.size
 
     def negated(self) -> "Objective":
-        """The pointwise negation; used for upper bounds via conjugacy.
-
-        Its runs are this payoff's read backwards, edges ``n - edges[::-1]``.
-        Untied, its order is this payoff's reversed and its sorted values
-        this payoff's negated backwards: the same bits as a gather.  Tied,
-        its order comes from :func:`_negated_order` in O(n), or, at most
-        ``_STABLE_SORT_MAX`` values, from one stable argsort, which costs
-        less there; its values are gathered, since a run may mix ``0.0`` and
-        ``-0.0``.
-        """
+        """The pointwise negation, sorted by :meth:`_negation`; no bound builds it."""
         negated = object.__new__(Objective)
-        values = -self.values
-        edges = self._edges
+        negated._keep(-self.values, *self._negation())
+        return negated
+
+    def _negation(self):
+        """The order, sorted values and run edges of ``-values``, read-only,
+        derived in O(n) from this payoff's without forming ``-values``.
+
+        The edges are this payoff's read backwards, ``n - edges[::-1]``.
+        Untied, the order is this payoff's reversed and the sorted values
+        this payoff's negated backwards.  Tied, run ``[a, c)`` holds this
+        payoff's run ``[n - c, n - a)`` in ascending index: position ``i``
+        reads sorted position ``i + n - c - a``, and its value is negated in
+        place, so a run mixing ``0.0`` and ``-0.0`` keeps each sign.  At
+        most ``_STABLE_SORT_MAX`` tied values take one stable argsort of
+        ``-values`` instead, which costs less there.
+        """
+        n, edges = self.values.size, self._edges
         if edges is None:
             perm, ordered = self._perm[::-1], np.negative(self._ordered[::-1])
         else:
-            edges = values.size - edges[::-1]
-            if values.size <= _STABLE_SORT_MAX:
+            edges = n - edges[::-1]
+            edges.setflags(write=False)
+            if n <= _STABLE_SORT_MAX:
+                values = -self.values
                 perm = values.argsort(kind="stable")
+                ordered = values[perm]
             else:
-                perm = _negated_order(self._perm, edges)
-            ordered = values[perm]
-        negated._keep(values, perm, ordered, edges)
-        return negated
+                a, c = edges[:-1], edges[1:]
+                index = np.arange(n, 2 * n)
+                index -= (a + c).repeat(c - a)
+                perm, ordered = self._perm[index], self._ordered[index]
+                np.negative(ordered, out=ordered)
+        perm.setflags(write=False)
+        ordered.setflags(write=False)
+        return perm, ordered, edges
 
 
 class SortedProblem:
@@ -226,8 +240,8 @@ class SortedProblem:
 
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
     stable, ties keep original order).  ``tails[i]`` is the mass after entry
-    ``i``.  ``plateau`` is the number of leading outcomes tied at the minimal
-    objective value (at least 1): the payoff's second run edge, or 1 untied.
+    ``i``.  ``edges`` are the payoff's run edges, and ``plateau`` the second
+    (1 untied): the number of leading outcomes tied at the minimal payoff.
     ``center`` is ``p``'s original-order weights (shared, not copied).  A
     family's side subclasses it and answers ``value(delta)`` and
     ``weights(r, delta)``, writing minimizers straight into original order
@@ -235,22 +249,24 @@ class SortedProblem:
     internals of ``problem.Problem``: it checks ``delta`` before asking, and
     passes ``weights`` the support size ``r`` that ``value`` returned.
 
-    The order and the sorted payoff are ``f``'s own, read-only and shared:
-    an ``Objective`` sorts itself when it is built.  The tails are
-    :func:`suffix_masses`.
+    The order, the sorted payoff and the edges are ``f``'s own, read-only
+    and shared, or with ``negated`` ``-f``'s, from ``f._negation()``, which
+    forms no ``-f``.  The tails are :func:`suffix_masses`.
     """
 
-    def __init__(self, p: Pmf, f: Objective):
+    def __init__(self, p: Pmf, f: Objective, negated: bool = False):
         if p.n != f.n:
             raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-        p_sorted = p.weights[f._perm]
+        perm, ordered, edges = f._negation() if negated else (f._perm, f._ordered, f._edges)
+        p_sorted = p.weights[perm]
         p_sorted.setflags(write=False)
-        self.perm = f._perm
+        self.perm = perm
         self.center = p.weights
         self.p_sorted = p_sorted
-        self.f_sorted = f._ordered
+        self.f_sorted = ordered
         self.tails = suffix_masses(p_sorted)
-        self.plateau = 1 if f._edges is None else int(f._edges[1])
+        self.edges = edges
+        self.plateau = 1 if edges is None else int(edges[1])
 
     @property
     def n(self) -> int:
@@ -449,19 +465,3 @@ def _repair_collisions(values, perm, ordered, descents, shift):
     b = last + 1 + bisect.bisect_right(after, group_at(last), key=group_at)
     perm[a:b] = perm[a:b][ordered[a:b].argsort(kind="stable")]
     values.take(perm[a:b], out=ordered[a:b], mode="clip")
-
-
-def _negated_order(perm: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The stable ascending order of ``-values``, in O(n), from the order
-    ``perm`` of tied ``values`` and the negated order's run ``edges``.
-
-    Read backwards, ``perm`` orders ``-values`` with each tied run in
-    descending index.  Each run is put back in ascending index: run
-    ``[a, c)`` of the negated order holds source run ``[n - c, n - a)``, so
-    position ``i`` reads ``perm[i + n - c - a]``, one shift per run.
-    """
-    n = perm.size
-    a, c = edges[:-1], edges[1:]
-    index = np.arange(n, 2 * n)
-    index -= (a + c).repeat(c - a)
-    return perm[index]

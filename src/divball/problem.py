@@ -1,9 +1,9 @@
 """One problem, many radii: the closed forms depend on the radius only in
-their last lookup, so a ``Problem`` prepares the payoff (lower bounds) and
-its negation (upper bounds) once each and answers every radius from them.
-Both sides read the order the payoff's ``Objective`` kept when it was built
-(``Objective.negated`` derives the negation's).  The one-shot bounds each
-solve a ``Problem``.
+their last lookup, so a ``Problem`` prepares the side of the payoff (lower
+bounds) and of its negation (upper bounds) once each and answers every
+radius from them.  Both read the order the payoff's ``Objective`` kept when
+it was built, the negation's through ``Objective._negation``, which forms
+no negated payoff.  The one-shot bounds each solve a ``Problem``.
 
 A ``Problem`` is the one way into a prepared side, an internal: it checks
 each radius once, before a side is built or asked, and hands ``weights``
@@ -63,8 +63,7 @@ class Problem:
         a ``TVSide`` or a ``CriticalDeltas``."""
         side = self._sides.get(upper)
         if side is None:
-            objective = self.objective.negated() if upper else self.objective
-            side = self._sides[upper] = _BUILDERS[self.family](self.pmf, objective)
+            side = self._sides[upper] = _BUILDERS[self.family](self.pmf, self.objective, upper)
         return side
 
 

@@ -1,6 +1,9 @@
 """Conjugacy has one home: an upper bound is the negated lower bound of the
 negated payoff, and only ``Problem`` negates it.  ``Problem._value(True,
 delta)`` returns the upper bound's own value, so no caller negates again.
+The upper side reads the negation's order and sorted values from the
+payoff's (``Objective._negation``) and builds no negated ``Objective``, yet
+holds the bytes of a side built from ``Objective.negated()``.
 
 Like ``test_family_branches.py``, this reads the syntax tree: ``cli.py``
 holds no unary minus, so it cannot negate a bound itself.
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 import divball as db
-from divball import cli
+from divball import chi2, cli, tv
 
 
 def unary_minuses(source: str) -> list[str]:
@@ -51,3 +54,85 @@ def test_value_of_an_upper_bound_is_the_bound(family):
                 upper = prepared.upper(float(delta))
                 assert float(value).hex() == float(upper.value).hex()
                 assert (r, branch) == (upper.active_index, upper.branch)
+
+
+def conjugacy_payoffs(rng, n):
+    """Untied, tied, constant, and a zero run that mixes ``0.0`` and ``-0.0``."""
+    return (
+        rng.uniform(-1.0, 1.0, n),
+        np.round(rng.uniform(-1.0, 1.0, n) * 4) / 3,
+        np.full(n, 0.25),
+        rng.choice([0.0, -0.0, 1.0, -0.5], n),
+    )
+
+
+SIDES = {"tv": tv.TVSide, "chi2": chi2.CriticalDeltas}
+SIDE_ARRAYS = {
+    "tv": ("perm", "f_sorted", "p_sorted", "tails"),
+    "chi2": ("perm", "f_sorted", "p_sorted", "tails", "prefix_mass", "gap", "prefix_var", "finite"),
+}
+
+
+def assert_upper_side_is_the_negations(family, p, values):
+    pmf, obj = db.validate(p, values, family)
+    prepared = db.Problem(pmf, obj, family)
+    reference = db.Problem(pmf, obj.negated(), family)
+    for delta in (0.0, 0.05, 0.3, 2.0):
+        upper, lower = prepared.upper(delta), reference.lower(delta)
+        assert float(upper.value).hex() == float(-lower.value).hex()
+        assert (upper.active_index, upper.branch) == (lower.active_index, lower.branch)
+        assert upper.minimizer.weights.tobytes() == lower.minimizer.weights.tobytes()
+    side, built = prepared._sides[True], SIDES[family](pmf, obj.negated())
+    for name in SIDE_ARRAYS[family]:
+        assert getattr(side, name).tobytes() == getattr(built, name).tobytes(), name
+        assert not getattr(side, name).flags.writeable
+    assert (side.n, side.plateau) == (built.n, built.plateau)
+    if family == "chi2":
+        assert (side.run_ends is None) == (built.run_ends is None)
+        if side.run_ends is not None:
+            assert side.run_ends.tobytes() == built.run_ends.tobytes()
+    # Both are the stable ascending order of the negated values, signs kept.
+    expected = np.argsort(-obj.values, kind="stable")
+    assert side.perm.tobytes() == expected.tobytes()
+    assert side.f_sorted.tobytes() == (-obj.values)[expected].tobytes()
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+def test_upper_side_holds_the_bytes_of_the_negation(family):
+    rng = np.random.default_rng(31 if family == "tv" else 32)
+    for n in range(1, 301):
+        p = rng.dirichlet(np.ones(n))
+        for values in conjugacy_payoffs(rng, n):
+            assert_upper_side_is_the_negations(family, p, values)
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_upper_side_holds_the_bytes_of_the_negation_at_scale(family, tied):
+    rng = np.random.default_rng(33 + tied)
+    n = 100_000
+    values = rng.uniform(-1.0, 1.0, n)
+    if tied:
+        values = np.round(values * 50) / 50
+    assert_upper_side_is_the_negations(family, rng.dirichlet(np.ones(n)), values)
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("n", [5, 41, 100_000])
+def test_no_bound_builds_a_negated_payoff(monkeypatch, family, n):
+    def refused(self):
+        raise AssertionError("a bound built a negated payoff")
+
+    monkeypatch.setattr(db.Objective, "negated", refused)
+    with pytest.raises(AssertionError):
+        db.Objective([1.0]).negated()  # the guard is live
+    rng = np.random.default_rng(n)
+    p = rng.dirichlet(np.ones(n))
+    for values in (rng.uniform(-1.0, 1.0, n), np.round(rng.uniform(-1.0, 1.0, n) * 3)):
+        pmf, obj = db.validate(p, values, family)
+        getattr(db, f"{family}_upper_expectation")(pmf, obj, 0.1)
+        db.Problem(pmf, obj, family).upper(0.1)
+        sweep = {"start": 0.0, "stop": 0.5, "steps": 3}
+        file = {"p": p.tolist(), "f": values.tolist(), "ball": family, "sweep": sweep}
+        rows = cli.run_bound(*cli.resolve_problem(file)).splitlines()
+        assert len(rows) == 4

@@ -179,7 +179,7 @@ def counting(monkeypatch, module, name, counts):
 )
 def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
     # Each side takes its tails once; ``_stable_order`` runs once, for the
-    # payoff (this tied negation is small: ``negated()`` argsorts it itself).
+    # payoff (this tied negation is small: ``_negation()`` argsorts it itself).
     counts = {}
     counting(monkeypatch, core, "suffix_masses", counts)
     counting(monkeypatch, core, "_stable_order", counts)
@@ -199,9 +199,9 @@ def test_one_shot_sorts_once(monkeypatch):
 
 @pytest.mark.parametrize("args", [["--sweep", "0:5:50"], ["--delta", "0.3"]])
 def test_cli_sorts_each_payoff_once(tmp_path, capsys, monkeypatch, args):
-    # The upper side's order comes from its negation, which never calls
-    # ``_stable_order``: derived from the lower side's, or, tied and small as
-    # here, one stable argsort in ``negated()``.
+    # The upper side's order comes from ``Objective._negation``, which never
+    # calls ``_stable_order``: derived from the lower side's, or, tied and
+    # small as here, one stable argsort of the negated values.
     counts = {}
     counting(monkeypatch, core, "_stable_order", counts)
     obj, _ = SWEEP_CASES["chi2_ties"]

@@ -1,6 +1,9 @@
-"""The per-query path at small n: numpy's Python-level wrappers stay off it,
-the plateau is the second of the payoff's kept run edges, and every check
-on it keeps its exception class and message, also under ``python -O``."""
+"""The per-query path at small n: the numpy Python-level wrappers listed in
+``WRAPPERS``, which cost more than the calls that replace them, stay off it
+(``np.count_nonzero`` is a Python-level wrapper too, and stays: on a few
+booleans it is the cheapest check), the plateau is the second of the
+payoff's kept run edges, and every check on it keeps its exception class
+and message, also under ``python -O``."""
 
 import os
 import subprocess
