@@ -14,9 +14,7 @@ plateau is the second edge, and a chi-squared side's levels are the runs
 between them.  An upper bound's side reads ``Objective._negation``: the
 order, sorted values and edges of ``-f``, derived from the payoff's in O(n)
 without forming ``-f``, the order reversed and each tied run put back in
-ascending original index; only a tied payoff of at most
-``_STABLE_SORT_MAX`` values, where one stable argsort costs less, sorts its
-negation again.
+ascending original index.  No negation is sorted again.
 
 Every array is read-only and every function is pure.  No attribute is set
 outside a constructor; ``Pmf``, ``Objective`` and ``BoundResult`` are frozen
@@ -166,7 +164,9 @@ class Objective:
     ``argsort(kind="stable")``), ``_ordered`` the values gathered by it, and
     ``_edges`` its tied runs: the sorted position where each run of equal
     values starts, then ``n`` (``None`` when no two values tie).  All four
-    arrays are read-only; :meth:`_negation` says how a negation gets its three.
+    arrays are read-only.  :meth:`_negation` gives an upper bound's side the
+    order, sorted values and edges of ``-values``; no negated ``Objective``
+    is built.
     """
 
     values: np.ndarray
@@ -177,16 +177,11 @@ class Objective:
     def __post_init__(self):
         # One copy: freezing the caller's own array would make it read-only.
         v = _clean_vector(np.array(self.values, dtype=float), "objective values")
-        self._keep(v, *_stable_order(v))
-
-    def _keep(self, values, perm, ordered, edges):
-        """Set the four fields, each array read-only (a constructor's step)."""
-        values.setflags(write=False)
-        perm.setflags(write=False)
-        ordered.setflags(write=False)
-        if edges is not None:
-            edges.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        perm, ordered, edges = _stable_order(v)
+        for arr in (v, perm, ordered, edges):
+            if arr is not None:  # untied, the edges are None
+                arr.setflags(write=False)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "_perm", perm)
         object.__setattr__(self, "_ordered", ordered)
         object.__setattr__(self, "_edges", edges)
@@ -194,12 +189,6 @@ class Objective:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def negated(self) -> "Objective":
-        """The pointwise negation, sorted by :meth:`_negation`; no bound builds it."""
-        negated = object.__new__(Objective)
-        negated._keep(-self.values, *self._negation())
-        return negated
 
     def _negation(self):
         """The order, sorted values and run edges of ``-values``, read-only,
@@ -210,26 +199,20 @@ class Objective:
         this payoff's negated backwards.  Tied, run ``[a, c)`` holds this
         payoff's run ``[n - c, n - a)`` in ascending index: position ``i``
         reads sorted position ``i + n - c - a``, and its value is negated in
-        place, so a run mixing ``0.0`` and ``-0.0`` keeps each sign.  At
-        most ``_STABLE_SORT_MAX`` tied values take one stable argsort of
-        ``-values`` instead, which costs less there.
+        place, so a run mixing ``0.0`` and ``-0.0`` keeps each sign.  Either
+        way the order is exactly numpy's ``argsort(-values, kind="stable")``.
         """
-        n, edges = self.values.size, self._edges
+        n, edges = self._perm.size, self._edges
         if edges is None:
             perm, ordered = self._perm[::-1], np.negative(self._ordered[::-1])
         else:
             edges = n - edges[::-1]
             edges.setflags(write=False)
-            if n <= _STABLE_SORT_MAX:
-                values = -self.values
-                perm = values.argsort(kind="stable")
-                ordered = values[perm]
-            else:
-                a, c = edges[:-1], edges[1:]
-                index = np.arange(n, 2 * n)
-                index -= (a + c).repeat(c - a)
-                perm, ordered = self._perm[index], self._ordered[index]
-                np.negative(ordered, out=ordered)
+            a, c = edges[:-1], edges[1:]
+            index = np.arange(n, 2 * n)
+            index -= (a + c).repeat(c - a)
+            perm, ordered = self._perm[index], self._ordered[index]
+            np.negative(ordered, out=ordered)
         perm.setflags(write=False)
         ordered.setflags(write=False)
         return perm, ordered, edges
@@ -292,10 +275,18 @@ class BoundResult:
             raise DivballError(f"unknown branch tag {self.branch!r}")
 
 
-def check_delta(delta) -> None:
-    """Reject a negative or NaN ball radius; an infinite one is valid."""
+def check_delta(delta) -> float:
+    """Reject a negative or NaN ball radius, and return it as a float.
+
+    An infinite radius is valid, and so is an integer past the float range:
+    it exceeds every double, so it is ``math.inf``, the whole simplex.
+    """
     if not delta >= 0.0:
         raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
+    try:
+        return float(delta)
+    except OverflowError:
+        return math.inf
 
 
 def validate(
@@ -331,8 +322,7 @@ def expectation(p: Pmf, f: Objective) -> float:
     """Expected value of ``f`` under ``p``: sum of ``p(x) * f(x)``."""
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    v = f.values
-    return weighted_mean(p.weights, v, np.minimum.reduce(v), np.maximum.reduce(v))
+    return weighted_mean(p.weights, f.values, f._ordered[0], f._ordered[-1])
 
 
 # Below this payoff magnitude a dot with weights summing to 1 cannot overflow.

@@ -248,8 +248,7 @@ def oracle_lower_expectation(
     on its own even if the vectorized path were wrong.
     """
     family = BallFamily(family)
-    check_delta(delta)
-    delta = float(delta)
+    delta = check_delta(delta)
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
     if family is BallFamily.CHI2:

@@ -44,17 +44,19 @@ class Problem:
     def _solve(self, upper: bool, delta: float) -> BoundResult:
         """One bound; its minimizer is wrapped with no second validation."""
         value, r, branch = self._value(upper, delta)
-        weights = self._side(upper).weights(r, delta)
+        # :meth:`_value` checked the radius; the minimizer reads it as a float too.
+        weights = self._side(upper).weights(r, check_delta(delta))
         return BoundResult(value, Pmf._solved(weights, self.pmf.labels), r, branch)
 
     def _value(self, upper: bool, delta: float) -> tuple[float, int, str]:
         """A bound's value, support size and branch, with no minimizer.
 
-        The radius is checked here, the one check of every bound, before the
-        side is built.  An upper bound's value is the negated lower bound of
-        the negated payoff; its support size and branch are that lower bound's.
+        The radius is checked here, before the side is built, and the side
+        is handed it as a float.  An upper bound's value is the negated lower
+        bound of the negated payoff; its support size and branch are that
+        lower bound's.
         """
-        check_delta(delta)
+        delta = check_delta(delta)
         value, r, branch = self._side(upper).value(delta)
         return -value if upper else value, r, branch
 
@@ -117,7 +119,10 @@ def robustness_radius(
     radius reaches raises ``UnreachableError``.
     """
     problem = Problem(pmf, objective, family)
-    theta = float(theta)
+    try:
+        theta = float(theta)
+    except OverflowError:  # an integer past the float range
+        theta = math.inf
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
     lo, hi, star = -1, 0x7FF0000000000000, math.inf  # hi: +inf's bit pattern

@@ -32,19 +32,18 @@ class TVSide(SortedProblem):
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
-        d = float(delta)
         # A top-down running sum of non-negative terms, the tails are exactly
         # non-increasing and end in 0, so reversed they are sorted for a search.
         tails = self.tails
-        r = 1 if d >= 1.0 else 1 + tails.size - int(tails[::-1].searchsorted(d, "right"))
+        r = 1 if delta >= 1.0 else 1 + tails.size - int(tails[::-1].searchsorted(delta, "right"))
         if r == 1:
             return float(self.f_sorted[0]), r, BRANCH_DEGENERATE
         # The value is one full-length dot in sorted order, which fixes its bits.
         q_sorted = self.p_sorted.copy()
-        q_sorted[0] = self.p_sorted[0] + d
+        q_sorted[0] = self.p_sorted[0] + delta
         # tails[r-2] is the mass from position r onward (1-based); the
-        # threshold guarantees d < tails[r-2], so this stays positive.
-        q_sorted[r - 1] = self.tails[r - 2] - d
+        # threshold guarantees delta < tails[r-2], so this stays positive.
+        q_sorted[r - 1] = self.tails[r - 2] - delta
         q_sorted[r:] = 0.0
         # Clamped to the support's payoff range: on a tied bottom run, the tied payoff.
         value = weighted_mean(q_sorted, self.f_sorted, self.f_sorted[0], self.f_sorted[r - 1])
@@ -58,7 +57,6 @@ class TVSide(SortedProblem):
             q = np.zeros(self.n)
             q[self.perm[0]] = 1.0
             return q
-        d = float(delta)
         # Only the fewer of the support and the rest is scattered: a drain of
         # more than half the mass leaves r < n / 2, and a copy would then
         # scatter most of the n zeros.
@@ -68,6 +66,6 @@ class TVSide(SortedProblem):
         else:
             q = self.center.copy()
             q[self.perm[r:]] = 0.0
-        q[self.perm[0]] = self.p_sorted[0] + d
-        q[self.perm[r - 1]] = self.tails[r - 2] - d
+        q[self.perm[0]] = self.p_sorted[0] + delta
+        q[self.perm[r - 1]] = self.tails[r - 2] - delta
         return q

@@ -101,7 +101,7 @@ def axioms_check(pmf, obj, family, rng, deltas=None):
         assert abs(shifted - (base + shift)) <= 1e-9 * (1 + abs(shift))
         scaled = solve_lower(pmf, db.Objective(lam * obj.values), d).value
         assert abs(scaled - lam * base) <= 1e-9 * (1 + lam)
-        assert solve_upper(pmf, obj, d).value == -solve_lower(pmf, obj.negated(), d).value
+        assert solve_upper(pmf, obj, d).value == -solve_lower(pmf, db.Objective(-obj.values), d).value
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-9 * (1 + span)
 

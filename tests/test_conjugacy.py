@@ -3,7 +3,8 @@ negated payoff, and only ``Problem`` negates it.  ``Problem._value(True,
 delta)`` returns the upper bound's own value, so no caller negates again.
 The upper side reads the negation's order and sorted values from the
 payoff's (``Objective._negation``) and builds no negated ``Objective``, yet
-holds the bytes of a side built from ``Objective.negated()``.
+holds the bytes of a side built from ``Objective(-values)``, a negated
+payoff sorted from scratch.
 
 Like ``test_family_branches.py``, this reads the syntax tree: ``cli.py``
 holds no unary minus, so it cannot negate a bound itself.
@@ -76,13 +77,14 @@ SIDE_ARRAYS = {
 def assert_upper_side_is_the_negations(family, p, values):
     pmf, obj = db.validate(p, values, family)
     prepared = db.Problem(pmf, obj, family)
-    reference = db.Problem(pmf, obj.negated(), family)
+    fresh = db.Objective(-obj.values)
+    reference = db.Problem(pmf, fresh, family)
     for delta in (0.0, 0.05, 0.3, 2.0):
         upper, lower = prepared.upper(delta), reference.lower(delta)
         assert float(upper.value).hex() == float(-lower.value).hex()
         assert (upper.active_index, upper.branch) == (lower.active_index, lower.branch)
         assert upper.minimizer.weights.tobytes() == lower.minimizer.weights.tobytes()
-    side, built = prepared._sides[True], SIDES[family](pmf, obj.negated())
+    side, built = prepared._sides[True], SIDES[family](pmf, fresh)
     for name in SIDE_ARRAYS[family]:
         assert getattr(side, name).tobytes() == getattr(built, name).tobytes(), name
         assert not getattr(side, name).flags.writeable
@@ -120,19 +122,22 @@ def test_upper_side_holds_the_bytes_of_the_negation_at_scale(family, tied):
 @pytest.mark.parametrize("family", ["tv", "chi2"])
 @pytest.mark.parametrize("n", [5, 41, 100_000])
 def test_no_bound_builds_a_negated_payoff(monkeypatch, family, n):
+    # Once the payoff is built, no bound builds any Objective, negated or not.
     def refused(self):
-        raise AssertionError("a bound built a negated payoff")
+        raise AssertionError("a bound built a payoff")
 
-    monkeypatch.setattr(db.Objective, "negated", refused)
-    with pytest.raises(AssertionError):
-        db.Objective([1.0]).negated()  # the guard is live
     rng = np.random.default_rng(n)
     p = rng.dirichlet(np.ones(n))
     for values in (rng.uniform(-1.0, 1.0, n), np.round(rng.uniform(-1.0, 1.0, n) * 3)):
         pmf, obj = db.validate(p, values, family)
-        getattr(db, f"{family}_upper_expectation")(pmf, obj, 0.1)
-        db.Problem(pmf, obj, family).upper(0.1)
         sweep = {"start": 0.0, "stop": 0.5, "steps": 3}
         file = {"p": p.tolist(), "f": values.tolist(), "ball": family, "sweep": sweep}
-        rows = cli.run_bound(*cli.resolve_problem(file)).splitlines()
+        resolved = cli.resolve_problem(file)
+        with monkeypatch.context() as patch:
+            patch.setattr(db.Objective, "__post_init__", refused)
+            with pytest.raises(AssertionError):
+                db.Objective([1.0])  # the guard is live
+            getattr(db, f"{family}_upper_expectation")(pmf, obj, 0.1)
+            db.Problem(pmf, obj, family).upper(0.1)
+            rows = cli.run_bound(*resolved).splitlines()
         assert len(rows) == 4

@@ -70,7 +70,7 @@ class TestValidate:
         assert f.flags.writeable
         f[0] = 5.0
         assert obj.values[0] == direct.values[0] == 0.0
-        for values in (obj.values, direct.values, obj.negated().values):
+        for values in (obj.values, direct.values, obj._negation()[1]):
             with pytest.raises(ValueError):
                 values[0] = 9.0
 
@@ -193,7 +193,7 @@ class TestExpectation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert db.expectation(p, f) == big
-            assert db.expectation(p, f.negated()) == -big
+            assert db.expectation(p, db.Objective(-f.values)) == -big
 
 
 def direct_prefix_stats(p_sorted, f_sorted):
@@ -448,10 +448,10 @@ class TestStableOrder:
 
 
 class TestNegatedOrder:
-    """A negation derives its order from its source's in O(n), except that a
-    tied payoff of at most ``_STABLE_SORT_MAX`` values takes one stable
-    argsort of the negated values; either way it must be exactly the stable
-    argsort of the negated values, tie order and signed zeros included."""
+    """An upper side's order, ``Objective._negation``, is derived from its
+    payoff's in O(n), tied or not, at every size: it must be exactly the
+    stable argsort of the negated values, tie order and signed zeros
+    included."""
 
     KINDS = TestStableOrder.KINDS
 
@@ -469,7 +469,7 @@ class TestNegatedOrder:
                 with np.errstate(over="ignore"):
                     if k % 2:  # the source's order first, or derived on demand
                         SortedProblem(p, f)
-                    sp = SortedProblem(p, f.negated())
+                    sp = SortedProblem(p, f, negated=True)
                 expected = np.argsort(-values, kind="stable")
                 assert sp.perm.dtype == expected.dtype
                 assert sp.perm.tobytes() == expected.tobytes()
@@ -480,48 +480,48 @@ class TestNegatedOrder:
     def test_near_ties_either_side_of_an_index_width(self, n):
         rng = np.random.default_rng(n + 1)
         for values in (near_ties(rng, n), rng.uniform(-1.0, 1.0, n), colliding(rng, n)):
-            negated = db.Objective(values).negated()
+            perm, ordered, _ = db.Objective(values)._negation()
             expected = np.argsort(-values, kind="stable")
-            assert negated._perm.tobytes() == expected.tobytes()
-            assert negated._ordered.tobytes() == (-values)[expected].tobytes()
+            assert perm.tobytes() == expected.tobytes()
+            assert ordered.tobytes() == (-values)[expected].tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_double_negation_gives_the_source_order(self, kind):
         rng = np.random.default_rng(290 + self.KINDS.index(kind))
         for n in (1, 2, 7, 64, 999):
             values = payoff_case(rng, n, kind, 1.0)
+            # The negation of a freshly sorted negated payoff.
             p, f = db.Pmf(np.full(n, 1.0 / n)), db.Objective(values)
-            twice = f.negated().negated()
-            assert twice.values.tobytes() == f.values.tobytes()
-            got, want = SortedProblem(p, twice), SortedProblem(p, f)
+            got, want = SortedProblem(p, db.Objective(-values), negated=True), SortedProblem(p, f)
             assert got.perm.tobytes() == want.perm.tobytes()
             assert got.f_sorted.tobytes() == want.f_sorted.tobytes()
 
     def test_signed_zero_run_keeps_each_sign(self):
         values = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0])
         f = db.Objective(values)
-        sp = SortedProblem(db.Pmf(np.full(7, 1.0 / 7)), f.negated())
+        sp = SortedProblem(db.Pmf(np.full(7, 1.0 / 7)), f, negated=True)
         assert list(sp.perm) == [2, 0, 1, 3, 4, 6, 5]
         assert list(np.signbit(sp.f_sorted)) == [True, True, False, False, True, False, False]
 
     def test_untied_negation_reuses_the_source_order(self):
         values = np.random.default_rng(3).uniform(-1.0, 1.0, 50)
         p, f = db.Pmf(np.full(50, 0.02)), db.Objective(values)
-        lower, upper = SortedProblem(p, f), SortedProblem(p, f.negated())
+        lower, upper = SortedProblem(p, f), SortedProblem(p, f, negated=True)
         assert np.shares_memory(lower.perm, upper.perm)
         assert not lower.perm.flags.writeable and not upper.perm.flags.writeable
 
     def test_order_is_computed_once(self, monkeypatch):
         # Each payoff's order is computed when it is built and read by every
-        # SortedProblem: ``_stable_order`` runs once, for ``f``.  This tied
-        # negation is small, so ``negated()`` takes its own stable argsort.
+        # SortedProblem: ``_stable_order`` runs once, for ``f``, and each
+        # negated side, small and tied as here, derives its order from it.
         calls = []
         original = core._stable_order
         monkeypatch.setattr(core, "_stable_order", lambda v: calls.append(1) or original(v))
         p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
-        negated = f.negated()
-        for objective in (negated, f, negated, f, f.negated()):
-            assert SortedProblem(p, objective).perm is objective._perm
+        for negated in (True, False, True, False, True):
+            sp = SortedProblem(p, f, negated)
+            assert (sp.perm is f._perm) == (not negated)
+            assert list(sp.perm) == ([0, 2, 1] if negated else [1, 0, 2])
         assert len(calls) == 1
 
     @pytest.mark.parametrize("family", ["tv", "chi2"])
@@ -536,16 +536,15 @@ class TestNegatedOrder:
         problem = db.Problem(p, f, family)
         problem.lower(0.1)
         problem.upper(0.1)
-        f.negated().negated()
+        SortedProblem(p, f, negated=True)
 
     def test_order_arrays_are_read_only(self):
         large = np.linspace(-1.0, 1.0, 2 * core._STABLE_SORT_MAX)
         cases = ([1.0, 0.0, 1.0, -0.0], [0.5, -2.0, 3.0, 1.0], large, np.round(large))
         for values in cases:
             f = db.Objective(values)
-            for objective in (f, f.negated(), f.negated().negated()):
-                kept = objective._perm, objective._ordered, objective._edges
-                for arr in (objective.values, *kept):
+            for arrays in ((f.values, f._perm, f._ordered, f._edges), f._negation()):
+                for arr in arrays:
                     assert arr is None or not arr.flags.writeable
 
     def test_no_module_assigns_through_dict(self):
@@ -579,10 +578,10 @@ class TestRunEdges:
         for n in (*BOUNDARY, *SMALL_WIDTHS, *LARGE_WIDTHS):
             f = db.Objective(payoff_case(rng, n, kind, 1.0))
             p = db.Pmf(np.full(n, 1.0 / n))
-            for objective in (f, f.negated(), f.negated().negated()):
-                ordered, edges = objective._ordered, objective._edges
+            for negated in (False, True):
+                sp = SortedProblem(p, f, negated)
+                ordered, edges, plateau = sp.f_sorted, sp.edges, sp.plateau
                 starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-                plateau = SortedProblem(p, objective).plateau
                 if starts.size == n - 1:
                     assert edges is None
                     assert plateau == 1

@@ -135,3 +135,31 @@ def test_a_bad_radius_outranks_a_breakdown():
             problem.lower(math.nan)
         with pytest.raises(divball.DivballError, match="critical radii must be positive"):
             problem.lower(0.1)
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("f", [[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]], ids=["untied", "tied"])
+def test_an_integer_radius_past_the_float_range_is_infinite(family, f):
+    # 10**400 exceeds every double: it is the whole simplex, not an overflow.
+    pmf, obj = divball.validate([0.2, 0.5, 0.3], f, family)
+    problem = divball.Problem(pmf, obj, family)
+    lower = getattr(divball, f"{family}_lower_expectation")
+    upper = getattr(divball, f"{family}_upper_expectation")
+    pairs = [
+        (problem.lower, problem.lower), (problem.upper, problem.upper),
+        (lambda d: lower(pmf, obj, d), problem.lower), (lambda d: upper(pmf, obj, d), problem.upper),
+    ]
+    for solve, reference in pairs:
+        got, want = solve(10**400), reference(math.inf)
+        assert (got.value.hex(), got.active_index, got.branch) == (
+            want.value.hex(), want.active_index, want.branch)
+        assert got.minimizer.weights.tobytes() == want.minimizer.weights.tobytes()
+    for upper_side in (False, True):
+        assert problem._value(upper_side, 10**400) == problem._value(upper_side, math.inf)
+    got = divball.oracle_lower_expectation(pmf, obj, family, 10**400, 20)
+    want = divball.oracle_lower_expectation(pmf, obj, family, math.inf, 20)
+    assert (got.grid_minimum, got.feasible_count) == (want.grid_minimum, want.feasible_count)
+    assert got.grid_argmin.weights.tobytes() == want.grid_argmin.weights.tobytes()
+    for theta in (10**400, -10**400):
+        with pytest.raises(divball.NonFiniteError, match="radius threshold must be finite"):
+            divball.robustness_radius(pmf, obj, family, theta)

@@ -142,7 +142,8 @@ def test_sides_are_single_objects():
                 assert side.center is p.weights
                 continue
             assert type(side) is chi2.CriticalDeltas
-            sp = core.SortedProblem(p, f.negated() if negated else f)
+            source = db.Objective(-f.values) if negated else f
+            sp = core.SortedProblem(p, source)
             for name in ("perm", "p_sorted", "f_sorted", "tails"):
                 assert getattr(side, name).tobytes() == getattr(sp, name).tobytes()
             assert (side.plateau, side.n) == (sp.plateau, sp.n)
@@ -150,7 +151,7 @@ def test_sides_are_single_objects():
             levels = with_prefix_stats(sp)
             for name in ("run_ends", "prefix_mass", "gap", "prefix_var"):
                 assert getattr(side, name).tobytes() == getattr(levels, name).tobytes()
-            cd = chi2.CriticalDeltas(p, f.negated() if negated else f)
+            cd = chi2.CriticalDeltas(p, source)
             assert cd.finite.tobytes() == side.finite.tobytes()
 
 
@@ -179,7 +180,7 @@ def counting(monkeypatch, module, name, counts):
 )
 def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
     # Each side takes its tails once; ``_stable_order`` runs once, for the
-    # payoff (this tied negation is small: ``_negation()`` argsorts it itself).
+    # payoff (the tied negation's order is derived from it by ``_negation()``).
     counts = {}
     counting(monkeypatch, core, "suffix_masses", counts)
     counting(monkeypatch, core, "_stable_order", counts)
@@ -200,8 +201,7 @@ def test_one_shot_sorts_once(monkeypatch):
 @pytest.mark.parametrize("args", [["--sweep", "0:5:50"], ["--delta", "0.3"]])
 def test_cli_sorts_each_payoff_once(tmp_path, capsys, monkeypatch, args):
     # The upper side's order comes from ``Objective._negation``, which never
-    # calls ``_stable_order``: derived from the lower side's, or, tied and
-    # small as here, one stable argsort of the negated values.
+    # calls ``_stable_order``: it is derived from the lower side's.
     counts = {}
     counting(monkeypatch, core, "_stable_order", counts)
     obj, _ = SWEEP_CASES["chi2_ties"]
@@ -229,9 +229,8 @@ def test_library_sorts_each_payoff_once(monkeypatch, family):
 @pytest.mark.parametrize("levels", [0, 1, 3, 50])
 def test_upper_alone_matches_the_negation_sorted_in_its_own_right(family, levels):
     # An upper bound solves the payoff's negation, whose order is derived
-    # from the payoff's (or, tied and at most ``_STABLE_SORT_MAX`` values,
-    # one stable argsort); a fresh Objective holding the negated values
-    # sorts them itself.  Both must give the same bits.
+    # from the payoff's; a fresh Objective holding the negated values sorts
+    # them itself.  Both must give the same bits.
     rng = np.random.default_rng(70 + levels)
     for n in (1, 2, 5, core._STABLE_SORT_MAX, core._STABLE_SORT_MAX + 1, 700):
         for _ in range(4):

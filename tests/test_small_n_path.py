@@ -83,8 +83,8 @@ def test_plateau_is_the_bottom_run(values):
     n = len(values)
     pmf = db.Pmf(np.full(n, 1.0 / n))
     source = db.Objective(values)
-    for obj in (source, source.negated()):
-        sp = SortedProblem(pmf, obj)
+    for negated in (False, True):
+        sp = SortedProblem(pmf, source, negated)
         want = int(np.searchsorted(sp.f_sorted, sp.f_sorted[0], side="right"))
         assert sp.plateau == want
 
