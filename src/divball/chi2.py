@@ -22,8 +22,8 @@ critical radius inside a tied run is the same number.  So every side is
 solved over its distinct payoff levels: each tied run collapses to one
 level with the run's summed mass, its last sorted payoff and the tail after
 it, and an untied payoff's levels are its outcomes.  The prefix statistics,
-the critical radii and the scan run over the levels, and the bottom level
-is the support that never shrinks.
+the critical radii and the search for the support run over the levels, and
+the bottom level is the support that never shrinks.
 """
 
 import math
@@ -136,14 +136,16 @@ class CriticalDeltas(SortedProblem):
     of ``prefix_mass``, ``gap`` and ``prefix_var`` covers the first ``i + 1``
     levels, and ``gap[i]`` is the payoff of level ``i`` less the prefix
     mean.  ``finite[j]`` is the critical radius of the support of the first
-    ``j + 2`` levels (so the array is empty when the objective is constant);
-    every support size :meth:`value` returns ends a level.  ``gap`` is formed
-    as a quotient of non-negative running sums rather than by that
-    subtraction, so it keeps its relative accuracy when it is far below an
-    ulp of the payoff.  The bottom level itself never shrinks; its radius is
-    unbounded and is represented structurally rather than by a float
-    sentinel.  Each check that raises is a numeric breakdown of the closed
-    form.
+    ``j + 2`` levels (so the array is empty when the objective is constant),
+    raised to the largest radius after it, so that it is non-increasing
+    where roundoff let the radii rise; the last radius above any ``delta``
+    is the same either way.  Every support size :meth:`value` returns ends
+    a level.  ``gap`` is formed as a quotient of non-negative running sums
+    rather than by that subtraction, so it keeps its relative accuracy when
+    it is far below an ulp of the payoff.  The bottom level itself never
+    shrinks; its radius is unbounded and is represented structurally rather
+    than by a float sentinel.  Each check that raises is a numeric breakdown
+    of the closed form.
     """
 
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
@@ -152,8 +154,7 @@ class CriticalDeltas(SortedProblem):
         self.run_ends, p_sorted, f_sorted, tails = _levels(self)
         mass, gap, var = _prefix_moments(p_sorted, f_sorted)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
-        gap = gap[1:]
-        var = var[1:]
+        gap, var = gap[1:], var[1:]
         # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
         if gap.size and not (gap[gap.argmin()] > 0.0 and var[var.argmin()] > 0.0):
             raise DivballError("non-plateau prefix is constant")
@@ -172,22 +173,19 @@ class CriticalDeltas(SortedProblem):
             bound += finite[:-1]
             if np.count_nonzero(finite[1:] <= bound) != falling.size:
                 raise DivballError("critical radii must be non-increasing")
+            # Each radius raised to the largest after it: the same supports, searchable.
+            np.maximum.accumulate(finite[::-1], out=finite[::-1])
         finite.setflags(write=False)
         self.finite = finite
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
-        # The comparison's bytes are 0 or 1, so rfind finds the last radius
-        # above delta, or -1 for none.  A scan, not a bisection: the radii of
-        # distinct levels may still rise within the allowance that __init__
-        # checks (231 of 41,502 untied and 33 of 38,498 tied sides of 2 to 40
-        # values did, over seeded draws with skewed centers and payoffs
-        # scaled from 1e-8 to 1e8).
-        k = (self.finite > delta).tobytes().rfind(1)
-        if k < 0:
+        # The radii are non-increasing, so reversed they are sorted for a
+        # search; i, the count above delta, indexes the prefix statistics.
+        i = self.finite.size - int(self.finite[::-1].searchsorted(delta, "right"))
+        if i == 0:
             return float(self.f_sorted[0]), self.plateau, BRANCH_PLATEAU
-        # i indexes the prefix statistics, e the support's last sorted outcome.
-        i = k + 1
+        # e is the support's last sorted outcome.
         e = i if self.run_ends is None else int(self.run_ends[i])
         rad = _radicand(self.prefix_mass[i], self.tails[e], delta)
         mean = self.f_sorted[e] - self.gap[i]

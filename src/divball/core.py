@@ -279,14 +279,17 @@ def check_delta(delta) -> float:
     """Reject a negative or NaN ball radius, and return it as a float.
 
     An infinite radius is valid, and so is an integer past the float range:
-    it exceeds every double, so it is ``math.inf``, the whole simplex.
+    it exceeds every double, so it is ``math.inf``, the whole simplex.  A
+    rejected radius is reported as its float, so a negative integer past
+    that range reads ``-inf`` rather than its digits.
     """
-    if not delta >= 0.0:
-        raise NegativeDeltaError(f"delta must be >= 0, got {delta}")
     try:
-        return float(delta)
+        d = float(delta)
     except OverflowError:
-        return math.inf
+        d = math.inf if delta > 0 else -math.inf
+    if not delta >= 0.0:
+        raise NegativeDeltaError(f"delta must be >= 0, got {d}")
+    return d
 
 
 def validate(

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from divball import chi2
 from divball.chi2 import CriticalDeltas
 from divball.core import _STABLE_SORT_MAX, SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, level_ends, reference_bound, with_prefix_stats
+from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, expression_critical_radii, expression_sorted, level_ends, reference_bound, with_prefix_stats
 from conftest import random_objective, random_pmf
 
 
@@ -317,18 +318,70 @@ class TestActiveIndex:
 
     def test_support_size_on_an_untied_side_whose_radii_rise(self):
         # An untied side with a skewed center at payoff scale 1e8, whose two
-        # radii rise by one ulp, within the allowance: the scan, not a
-        # bisection, must choose the support.
+        # radii rise by one ulp, within the allowance: the side keeps their
+        # suffix maximum, and its search chooses the support that a scan over
+        # the raw radii chooses.
         p = [1.2959885007307662e-39, 0.9994120687503112, 0.0005879312496888112]
         f = [-47443116.04016898, -88832106.21983346, 92211498.89093463]
         pmf, obj = chi2_problem(p, f)
         cd = CriticalDeltas(pmf, obj)
         assert cd.run_ends is None
-        assert np.any(cd.finite[1:] > cd.finite[:-1])  # the radii do rise
-        for delta in np.concatenate([cd.finite, np.nextafter(cd.finite, 0.0)]):
-            above = (cd.finite > delta).nonzero()[0]
+        raw = expression_critical_radii(expression_sorted(pmf, obj))
+        assert np.any(raw[1:] > raw[:-1])  # the raw radii do rise
+        assert cd.finite.tobytes() == np.maximum.accumulate(raw[::-1])[::-1].tobytes()
+        for delta in np.concatenate([raw, np.nextafter(raw, 0.0)]):
+            above = (raw > delta).nonzero()[0]
             want = cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
             assert cd.value(float(delta))[1] == want
+
+    def test_radii_fall_on_every_side_and_rising_ones_keep_their_support(self):
+        # Skewed centers of 2 to 40 values, uniform and 7-level payoffs at
+        # scales 1e-8, 1 and 1e8: every side that builds stores exactly
+        # non-increasing radii, the suffix maximum of its raw ones.  Where
+        # the raw radii rise (94 of 5,999 sides), the search chooses at each
+        # raw radius and its neighbours the support that a scan over the raw
+        # radii chooses.
+        rng = np.random.default_rng(5)
+        rising = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            for j in range(3000):
+                n = int(rng.integers(2, 41))
+                w = np.maximum(rng.dirichlet(np.full(n, 0.05)), 1e-300)
+                f = rng.uniform(-1.0, 1.0, n) if j % 2 == 0 else rng.integers(0, 7, n) / 6.0
+                pmf, obj = db.Pmf(w / w.sum()), db.Objective((1e-8, 1.0, 1e8)[j % 3] * f)
+                for negated in (False, True):
+                    try:
+                        cd = CriticalDeltas(pmf, obj, negated)
+                    except db.DivballError:
+                        continue  # a numeric breakdown of the closed form
+                    assert np.all(cd.finite[1:] <= cd.finite[:-1])
+                    raw = expression_critical_radii(with_prefix_stats(SortedProblem(pmf, obj, negated)))
+                    assert cd.finite.tobytes() == np.maximum.accumulate(raw[::-1])[::-1].tobytes()
+                    if not np.any(raw[1:] > raw[:-1]):
+                        continue
+                    rising += 1
+                    ends = level_ends(cd)
+                    for delta in np.concatenate([raw, np.nextafter(raw, 0.0), np.nextafter(raw, math.inf)]):
+                        above = (raw > delta).nonzero()[0]
+                        want = int(ends[above[-1] + 1]) + 1 if above.size else cd.plateau
+                        assert cd.value(float(delta))[1] == want, (j, negated, delta)
+        assert rising >= 80
+
+    def test_lookup_allocates_no_array_of_the_radii(self):
+        # A prepared side's support search is a bisection over its radii: four
+        # lookups at n = 1e5, both branches, allocate far less than one radius
+        # array (800 KB; a byte mask of the radii alone would take 98 KiB).
+        rng = np.random.default_rng(33)
+        cd = CriticalDeltas(*positive_instance(rng, 10**5, floor=None))
+        deltas = [0.0, float(cd.finite[cd.finite.size // 2]), 1.0, math.inf]
+        tracemalloc.start()
+        try:
+            for delta in deltas:
+                cd.value(delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**10
 
     def test_negative_delta(self):
         pmf, obj = chi2_problem([0.5, 0.5], [0, 1])

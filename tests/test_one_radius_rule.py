@@ -163,3 +163,23 @@ def test_an_integer_radius_past_the_float_range_is_infinite(family, f):
     for theta in (10**400, -10**400):
         with pytest.raises(divball.NonFiniteError, match="radius threshold must be finite"):
             divball.robustness_radius(pmf, obj, family, theta)
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("f", [[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]], ids=["untied", "tied"])
+def test_an_integer_radius_past_the_float_range_below_zero_is_rejected(family, f):
+    # -10**5000 has more digits than Python turns into a string; like
+    # -10**400 it is a negative radius, below every double, so it reads -inf.
+    pmf, obj = divball.validate([0.2, 0.5, 0.3], f, family)
+    problem = divball.Problem(pmf, obj, family)
+    lower = getattr(divball, f"{family}_lower_expectation")
+    upper = getattr(divball, f"{family}_upper_expectation")
+    solves = [
+        problem.lower, problem.upper, lambda d: lower(pmf, obj, d), lambda d: upper(pmf, obj, d),
+        lambda d: divball.oracle_lower_expectation(pmf, obj, family, d, 20),
+    ]
+    for solve in solves:
+        for delta in (-10**5000, -10**400):
+            with pytest.raises(divball.NegativeDeltaError, match=r"^delta must be >= 0, got -inf$"):
+                solve(delta)
+    assert problem._sides == {}
