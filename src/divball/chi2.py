@@ -20,10 +20,10 @@ The tilt is affine in the objective, so tied outcomes share one ratio
 q/p, the optimal support is a union of whole payoff levels, and every
 critical radius inside a tied run is the same number.  So every side is
 solved over its distinct payoff levels: each tied run collapses to one
-level with the run's summed mass, its last sorted payoff and the tail after
-it, and an untied payoff's levels are its outcomes.  The prefix statistics,
-the critical radii and the search for the support run over the levels, and
-the bottom level is the support that never shrinks.
+level with the run's summed mass and its last sorted payoff, and an untied
+payoff's levels are its outcomes.  The tails, the prefix statistics, the
+critical radii and the search for the support run over the levels, and the
+bottom level is the support that never shrinks.
 """
 
 import math
@@ -37,6 +37,7 @@ from .core import (
     Pmf,
     SortedProblem,
     require_positive,
+    suffix_masses,
 )
 from .errors import (
     DivballError,
@@ -106,22 +107,23 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
 
 def _levels(sp: SortedProblem):
     """What the prefix pass of side ``sp`` reads: ``(run_ends, masses,
-    payoffs, tails)`` of its levels, the runs between its ``edges``.
+    payoffs)`` of its levels, the runs between its ``edges``.
 
     A tied payoff's levels are its runs, between its edges: ``run_ends``
     holds each run's last sorted position (each edge after the first, less
     one), each level's mass is its run's accurate sum (one ``reduceat`` at
-    the run starts, never a difference of prefix masses), and its payoff
-    and tail are read at the run end.  An untied payoff's levels are its
-    outcomes, read as they are, with ``run_ends`` ``None``.
+    the run starts, never a difference of prefix masses), and its payoff is
+    read at the run end.  An untied payoff's levels are its outcomes, read
+    as they are, with ``run_ends`` ``None``.  A tied side's arrays are K
+    long, one entry per level, so its tails are taken over the K masses.
     """
     edges = sp.edges
     if edges is None:
-        return None, sp.p_sorted, sp.f_sorted, sp.tails
+        return None, sp.p_sorted, sp.f_sorted
     ends = edges[1:] - 1
     ends.setflags(write=False)
     masses = np.add.reduceat(sp.p_sorted, edges[:-1])
-    return ends, masses, sp.f_sorted[ends], sp.tails[ends]
+    return ends, masses, sp.f_sorted[ends]
 
 
 class CriticalDeltas(SortedProblem):
@@ -131,9 +133,11 @@ class CriticalDeltas(SortedProblem):
 
     A side's levels are its payoff's runs (:func:`_levels`), so an untied
     payoff's levels are its outcomes.  ``run_ends`` holds each run's last
-    sorted position, ascending, and is ``None`` for an untied payoff.  The
-    prefix arrays come from one pass of :func:`_prefix_moments`: entry ``i``
-    of ``prefix_mass``, ``gap`` and ``prefix_var`` covers the first ``i + 1``
+    sorted position, ascending, and is ``None`` for an untied payoff.
+    ``tails[i]`` is the mass after level ``i``, :func:`suffix_masses` of the
+    level masses, so a tied side holds no per-outcome tails.  The prefix
+    arrays come from one pass of :func:`_prefix_moments`: entry ``i`` of
+    ``prefix_mass``, ``gap`` and ``prefix_var`` covers the first ``i + 1``
     levels, and ``gap[i]`` is the payoff of level ``i`` less the prefix
     mean.  ``finite[j]`` is the critical radius of the support of the first
     ``j + 2`` levels (so the array is empty when the objective is constant),
@@ -151,12 +155,14 @@ class CriticalDeltas(SortedProblem):
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
         super().__init__(p, f, negated)
         require_positive(self.p_sorted)
-        self.run_ends, p_sorted, f_sorted, tails = _levels(self)
-        mass, gap, var = _prefix_moments(p_sorted, f_sorted)
+        self.run_ends, masses, payoffs = _levels(self)
+        self.tails = tails = suffix_masses(masses)
+        mass, gap, var = _prefix_moments(masses, payoffs)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
         gap, var = gap[1:], var[1:]
-        # argmin finds the first NaN if there is one, so NaN fails ``> 0.0``.
-        if gap.size and not (gap[gap.argmin()] > 0.0 and var[var.argmin()] > 0.0):
+        # The least of each, NaN if one is (so NaN fails ``> 0.0``); a ufunc
+        # reduce, as argmin would copy these read-only arrays.
+        if gap.size and not (np.minimum.reduce(gap) > 0.0 and np.minimum.reduce(var) > 0.0):
             raise DivballError("non-plateau prefix is constant")
         finite = np.multiply(gap, gap)
         np.divide(var, finite, out=finite)
@@ -181,13 +187,13 @@ class CriticalDeltas(SortedProblem):
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""
         # The radii are non-increasing, so reversed they are sorted for a
-        # search; i, the count above delta, indexes the prefix statistics.
+        # search; i, the count above delta, indexes the level statistics and tails.
         i = self.finite.size - int(self.finite[::-1].searchsorted(delta, "right"))
         if i == 0:
             return float(self.f_sorted[0]), self.plateau, BRANCH_PLATEAU
         # e is the support's last sorted outcome.
         e = i if self.run_ends is None else int(self.run_ends[i])
-        rad = _radicand(self.prefix_mass[i], self.tails[e], delta)
+        rad = _radicand(self.prefix_mass[i], self.tails[i], delta)
         mean = self.f_sorted[e] - self.gap[i]
         value = mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad)
         # The exact bound lies in the support's payoff range; rounding can leave it.
@@ -224,14 +230,14 @@ def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     that ``cd.value`` returned, or one probed at its own critical radius, so
     the prefix variance above the plateau is positive; a radius outside the
     support's range raises."""
-    # i indexes the prefix statistics, e the support's last sorted outcome.
+    # i indexes the level statistics and tails, e the support's last sorted outcome.
     i = e = r - 1
     if cd.run_ends is not None:
         i = int(cd.run_ends.searchsorted(e))
     mass = cd.prefix_mass[i]
     if r == cd.plateau:
         return cd.p_sorted[:r] / mass
-    scale = math.sqrt(_radicand(mass, cd.tails[e], delta)) / math.sqrt(cd.prefix_var[i])
+    scale = math.sqrt(_radicand(mass, cd.tails[i], delta)) / math.sqrt(cd.prefix_var[i])
     # f - (f[e] - gap[i]) as (f - f[e]) + gap[i], so the mean is not rounded to f's ulp.
     tilt = cd.f_sorted[:r] - cd.f_sorted[e]
     tilt += cd.gap[i]

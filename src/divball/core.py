@@ -1,8 +1,8 @@
 """Core simplex types and the objective-ascending preprocessing.
 
 Both ball solvers start the same way: reorder the outcomes so the objective
-is non-decreasing and take the tail masses.  This module owns those shared
-types, input validation, and the expectation operation.
+is non-decreasing, then take the tail masses that each reads.  This module
+owns those shared types, input validation, and the expectation operation.
 
 An ``Objective`` sorts its values once, when it is built, and keeps the
 order, the sorted values and the run edges, where each tied run starts
@@ -219,22 +219,23 @@ class Objective:
 
 
 class SortedProblem:
-    """A (pmf, objective) pair in objective-ascending order plus tail masses.
+    """A (pmf, objective) pair in objective-ascending order.
 
     ``perm[i]`` is the original index of sorted position ``i`` (0-based,
-    stable, ties keep original order).  ``tails[i]`` is the mass after entry
-    ``i``.  ``edges`` are the payoff's run edges, and ``plateau`` the second
-    (1 untied): the number of leading outcomes tied at the minimal payoff.
-    ``center`` is ``p``'s original-order weights (shared, not copied).  A
-    family's side subclasses it and answers ``value(delta)`` and
-    ``weights(r, delta)``, writing minimizers straight into original order
-    through ``perm`` (``tv.TVSide``, ``chi2.CriticalDeltas``).  The sides are
-    internals of ``problem.Problem``: it checks ``delta`` before asking, and
-    passes ``weights`` the support size ``r`` that ``value`` returned.
+    stable, ties keep original order).  ``edges`` are the payoff's run
+    edges, and ``plateau`` the second (1 untied): the number of leading
+    outcomes tied at the minimal payoff.  ``center`` is ``p``'s
+    original-order weights (shared, not copied).  A family's side subclasses
+    it, takes the tail masses it reads (:func:`suffix_masses`: ``tv.TVSide``
+    one per outcome, ``chi2.CriticalDeltas`` one per payoff level), and
+    answers ``value(delta)`` and ``weights(r, delta)``, writing minimizers
+    straight into original order through ``perm``.  The sides are internals
+    of ``problem.Problem``: it checks ``delta`` before asking, and passes
+    ``weights`` the support size ``r`` that ``value`` returned.
 
     The order, the sorted payoff and the edges are ``f``'s own, read-only
     and shared, or with ``negated`` ``-f``'s, from ``f._negation()``, which
-    forms no ``-f``.  The tails are :func:`suffix_masses`.
+    forms no ``-f``.
     """
 
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
@@ -247,7 +248,6 @@ class SortedProblem:
         self.center = p.weights
         self.p_sorted = p_sorted
         self.f_sorted = ordered
-        self.tails = suffix_masses(p_sorted)
         self.edges = edges
         self.plateau = 1 if edges is None else int(edges[1])
 
@@ -316,8 +316,9 @@ def validate(
 
 def require_positive(weights: np.ndarray) -> None:
     """Reject a chi-squared center with a zero weight; the least of the
-    nonnegative weights is zero exactly when one is."""
-    if weights[weights.argmin()] == 0.0:
+    nonnegative weights is zero exactly when one is.  It is a ufunc reduce,
+    which reads a read-only array in place where argmin would copy it."""
+    if np.minimum.reduce(weights) == 0.0:
         raise ZeroMassForbiddenError("chi-squared balls need a strictly positive center pmf")
 
 

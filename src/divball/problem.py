@@ -42,11 +42,17 @@ class Problem:
         return self._solve(True, delta)
 
     def _solve(self, upper: bool, delta: float) -> BoundResult:
-        """One bound; its minimizer is wrapped with no second validation."""
-        value, r, branch = self._value(upper, delta)
-        # :meth:`_value` checked the radius; the minimizer reads it as a float too.
-        weights = self._side(upper).weights(r, check_delta(delta))
-        return BoundResult(value, Pmf._solved(weights, self.pmf.labels), r, branch)
+        """One bound; its minimizer is wrapped with no second validation.
+
+        The radius is checked once, before the side is built, and the value
+        and the minimizer read the same float, negated as :meth:`_value`
+        negates it.
+        """
+        delta = check_delta(delta)
+        side = self._side(upper)
+        value, r, branch = side.value(delta)
+        weights = Pmf._solved(side.weights(r, delta), self.pmf.labels)
+        return BoundResult(-value if upper else value, weights, r, branch)
 
     def _value(self, upper: bool, delta: float) -> tuple[float, int, str]:
         """A bound's value, support size and branch, with no minimizer.

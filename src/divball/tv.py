@@ -13,8 +13,10 @@ import numpy as np
 from .core import (
     BRANCH_DEGENERATE,
     BRANCH_INTERIOR,
+    Objective,
     Pmf,
     SortedProblem,
+    suffix_masses,
     weighted_mean,
 )
 from .errors import LengthMismatchError
@@ -28,7 +30,13 @@ def tv_distance(q: Pmf, p: Pmf) -> float:
 
 
 class TVSide(SortedProblem):
-    """The TV side of ``(p, f)``: the sorted side, which also holds the center."""
+    """The TV side of ``(p, f)``: the sorted side, which also holds the
+    center, and ``tails``, where ``tails[i]`` is the mass after sorted
+    outcome ``i`` (:func:`suffix_masses`)."""
+
+    def __init__(self, p: Pmf, f: Objective, negated: bool = False):
+        super().__init__(p, f, negated)
+        self.tails = suffix_masses(self.p_sorted)
 
     def value(self, delta: float) -> tuple[float, int, str]:
         """The lower bound at ``delta`` with its support size and branch."""

@@ -5,7 +5,9 @@ case from definitional prefix statistics, sharing no incremental machinery
 with ``divball.chi2``; ``enumerate_compositions`` walks the oracle's grid one
 point at a time; ``WrongArityError`` and ``TiedBottomError`` are the errors
 they raise, and ``critical_delta`` reads one critical radius by support
-size, with ``level_ends`` the last outcome of each level.
+size, with ``level_ends`` the last outcome of each level, and
+``suffix_max`` raises each radius to the largest after it, as the library
+stores them.
 ``with_prefix_stats`` reads a sorted side's prefix statistics, and
 ``chi2_minimizer`` is the attaining distribution in sorted order for any
 valid support size.  ``payoff_levels`` finds a sorted side's payoff
@@ -37,6 +39,7 @@ from divball.core import (
     SortedProblem,
     check_delta,
     require_positive,
+    suffix_masses,
 )
 from divball.errors import DivballError, ZeroMassForbiddenError
 from divball.oracle import _check_grid_size, _composition_blocks
@@ -80,13 +83,20 @@ def payoff_levels(sp: SortedProblem):
     return ends, np.add.reduceat(sp.p_sorted, starts)
 
 
+def suffix_max(raw: np.ndarray) -> np.ndarray:
+    """Each critical radius raised to the largest after it, as
+    ``CriticalDeltas.finite`` holds them."""
+    return np.maximum.accumulate(raw[::-1])[::-1]
+
+
 def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
-    """``sp`` with the prefix mass, gap and variance of the library's one
-    prefix pass, and the prefix mean ``f - gap``.  The pass reads strictly
-    positive weights, as a chi-squared side's are; a side with a zero
-    weight raises ``ZeroMassForbiddenError``.  It reads the levels of
-    :func:`payoff_levels`, as ``CriticalDeltas`` does: on a tied side
-    ``run_ends`` is set and the prefix arrays are per level, and on an
+    """``sp`` with the tails, the prefix mass, gap and variance of the
+    library's one prefix pass, and the prefix mean ``f - gap``.  The pass
+    reads strictly positive weights, as a chi-squared side's are; a side
+    with a zero weight raises ``ZeroMassForbiddenError``.  It reads the
+    levels of :func:`payoff_levels`, as ``CriticalDeltas`` does: on a tied
+    side ``run_ends`` is set and the tails and prefix arrays are per level,
+    the tails the suffix masses of the level masses found here, and on an
     untied side, whose levels are its outcomes, ``run_ends`` is ``None``."""
     require_positive(sp.p_sorted)
     run_ends, p, f = None, sp.p_sorted, sp.f_sorted
@@ -101,7 +111,7 @@ def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
         perm=sp.perm,
         p_sorted=sp.p_sorted,
         f_sorted=sp.f_sorted,
-        tails=sp.tails,
+        tails=suffix_masses(p),
         plateau=sp.plateau,
         run_ends=run_ends,
         prefix_mass=mass,
@@ -247,14 +257,15 @@ def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
 
 def expression_critical_radii(sp) -> np.ndarray:
     """Critical radii above the plateau of an :func:`expression_sorted` side,
-    or above the bottom level of a collapsed one (``sp.run_ends`` set),
-    raising the library's errors where its checks fail."""
-    ell, tails = (sp.plateau, sp.tails) if sp.run_ends is None else (1, sp.tails[sp.run_ends])
+    or above the bottom level of a collapsed one (``sp.run_ends`` set, its
+    tails per level as :func:`with_prefix_stats` forms them), raising the
+    library's errors where its checks fail."""
+    ell = sp.plateau if sp.run_ends is None else 1
     gap = sp.gap[ell:]
     var = sp.prefix_var[ell:]
     if not ((gap > 0.0) & (var > 0.0)).all():
         raise DivballError("non-plateau prefix is constant")
-    finite = (var / (gap * gap) + tails[ell:]) / sp.prefix_mass[ell:]
+    finite = (var / (gap * gap) + sp.tails[ell:]) / sp.prefix_mass[ell:]
     if finite.size and not finite[-1] > 0.0:
         raise DivballError("critical radii must be positive")
     if not (finite[1:] <= finite[:-1] + 1e-12 * (1.0 + np.abs(finite[:-1]))).all():

@@ -18,7 +18,7 @@ from divball import chi2
 from divball.chi2 import CriticalDeltas
 from divball.core import _STABLE_SORT_MAX, SortedProblem, suffix_masses
 from divball.oracle import naive_chi2_divergence
-from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, expression_critical_radii, expression_sorted, level_ends, reference_bound, with_prefix_stats
+from crosscheck import TiedBottomError, WrongArityError, chi2_minimizer, chi2_three_point, chi2_two_point, critical_delta, expression_critical_radii, expression_sorted, level_ends, payoff_levels, reference_bound, suffix_max, with_prefix_stats
 from conftest import random_objective, random_pmf
 
 
@@ -194,13 +194,15 @@ class TestCriticalDeltas:
             pmf = random_pmf(rng, n, floor=0.01)
             obj = db.Objective(np.round(rng.uniform(-1.0, 1.0, n) * 3) / 3)
             cd = CriticalDeltas(pmf, obj)
-            tails = suffix_masses(cd.p_sorted)
+            # One tail per level, after the level masses found from the sorted payoff.
+            tails = suffix_masses(payoff_levels(cd)[1])
             expected = []
-            for i, e in enumerate(level_ends(cd)[1:], start=1):
+            for i in range(1, tails.size):
                 gap = cd.gap[i]
-                expected.append((cd.prefix_var[i] / (gap * gap) + tails[e]) / cd.prefix_mass[i])
-            got = cd.finite
-            assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+                expected.append((cd.prefix_var[i] / (gap * gap) + tails[i]) / cd.prefix_mass[i])
+            # The library raises each radius to the largest after it.
+            want = suffix_max(np.array(expected, dtype=float))
+            assert cd.finite.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_match_rationals_at_least_as_closely_as_the_subtracted_gap(self, kind):
@@ -220,7 +222,7 @@ class TestCriticalDeltas:
             new = CriticalDeltas(*case).finite
             cancelled = sp.f_sorted[ends] - sp.prefix_mean[1:]
             with np.errstate(divide="ignore", invalid="ignore"):
-                old = (sp.prefix_var[1:] / (cancelled * cancelled) + sp.tails[ends]) / sp.prefix_mass[1:]
+                old = (sp.prefix_var[1:] / (cancelled * cancelled) + sp.tails[1:]) / sp.prefix_mass[1:]
             for got, was, want in zip(new, old, exact):
                 err_new, err_old = relative_error(got, want), relative_error(was, want)
                 assert err_new <= tol
@@ -228,6 +230,27 @@ class TestCriticalDeltas:
                 rescued += err_old > 1e-6
         if kind == "skewed":
             assert rescued > 0
+
+    def test_a_tied_side_holds_no_outcome_tails(self):
+        # A tied side's tails are one per level: building one at n = 1e5 with
+        # 101 levels allocates the gathered center and little more, where
+        # per-outcome tails would double it.  An untied side's levels are its
+        # outcomes, and its tails keep the bytes of the per-outcome pass.
+        rng = np.random.default_rng(34)
+        n = 10**5
+        pmf = db.Pmf(rng.dirichlet(np.ones(n)))
+        tied = db.Objective(np.round(rng.uniform(-1.0, 1.0, n) * 50))
+        tracemalloc.start()
+        try:
+            cd = CriticalDeltas(pmf, tied)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cd.run_ends.size <= 101
+        assert peak < 1.25 * 8 * n
+        cd = CriticalDeltas(pmf, db.Objective(rng.uniform(-1.0, 1.0, n)))
+        assert cd.run_ends is None
+        assert cd.tails.tobytes() == suffix_masses(cd.p_sorted).tobytes()
 
     def test_seed_11_item_373_radii_stay_monotone(self):
         # A Dirichlet(1) center and payoffs in thirds: the seven radii of the
@@ -328,7 +351,7 @@ class TestActiveIndex:
         assert cd.run_ends is None
         raw = expression_critical_radii(expression_sorted(pmf, obj))
         assert np.any(raw[1:] > raw[:-1])  # the raw radii do rise
-        assert cd.finite.tobytes() == np.maximum.accumulate(raw[::-1])[::-1].tobytes()
+        assert cd.finite.tobytes() == suffix_max(raw).tobytes()
         for delta in np.concatenate([raw, np.nextafter(raw, 0.0)]):
             above = (raw > delta).nonzero()[0]
             want = cd.plateau + 1 + int(above[-1]) if above.size else cd.plateau
@@ -356,7 +379,7 @@ class TestActiveIndex:
                         continue  # a numeric breakdown of the closed form
                     assert np.all(cd.finite[1:] <= cd.finite[:-1])
                     raw = expression_critical_radii(with_prefix_stats(SortedProblem(pmf, obj, negated)))
-                    assert cd.finite.tobytes() == np.maximum.accumulate(raw[::-1])[::-1].tobytes()
+                    assert cd.finite.tobytes() == suffix_max(raw).tobytes()
                     if not np.any(raw[1:] > raw[:-1]):
                         continue
                     rising += 1

@@ -11,6 +11,7 @@ holds no unary minus, so it cannot negate a bound itself.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,33 @@ def test_upper_side_holds_the_bytes_of_the_negation_at_scale(family, tied):
     if tied:
         values = np.round(values * 50) / 50
     assert_upper_side_is_the_negations(family, rng.dirichlet(np.ones(n)), values)
+
+
+def test_upper_tails_are_the_lower_prefix_masses_read_backwards():
+    # A chi-squared side's tails are the suffix masses of its level masses,
+    # and the upper side's levels are the lower side's reversed, each run
+    # summed in the same order; so the upper tails are the lower side's
+    # prefix masses, the total left out, read backwards, then 0.
+    rng = np.random.default_rng(35)
+    sides = {True: 0, False: 0}  # by whether the payoff is tied
+    for _ in range(3000):
+        n = int(rng.integers(2, 301))
+        p = np.maximum(np.nan_to_num(rng.dirichlet(np.full(n, rng.choice([0.05, 1.0])))), 1e-300)
+        values = rng.uniform(-1.0, 1.0, n)
+        if rng.random() < 0.5:
+            values = np.round(values * 3.0)
+        pmf, obj = db.validate(p / p.sum(), values * rng.choice([1e-8, 1.0, 1e8]), "chi2")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                lower = chi2.CriticalDeltas(pmf, obj)
+                upper = chi2.CriticalDeltas(pmf, obj, negated=True)
+        except db.DivballError:
+            continue  # a numeric breakdown of either side's radii
+        want = np.append(lower.prefix_mass[-2::-1], 0.0)
+        assert upper.tails.tobytes() == want.tobytes()
+        sides[lower.run_ends is not None] += 1
+    assert min(sides.values()) > 1000
 
 
 @pytest.mark.parametrize("family", ["tv", "chi2"])

@@ -15,6 +15,7 @@ import divball as db
 from divball import core
 from divball.core import SortedProblem, suffix_masses
 from divball.oracle import naive_divergence, naive_expectation
+from divball.tv import TVSide
 from crosscheck import level_ends, with_prefix_stats
 from conftest import random_objective, random_pmf
 
@@ -658,16 +659,17 @@ def exact_prefix_stats(p_sorted, f_sorted):
 
 
 def assert_matches_exact(sp):
-    """The tails of sorted side ``sp`` match rationals, and so do its prefix
-    statistics, one per payoff level, at each level's last outcome.  A side
-    with a zero weight, which only TV reads, forms no prefix statistics."""
+    """The outcome tails of TV side ``sp`` match rationals, and so do its
+    prefix statistics and tails, one per payoff level, at each level's last
+    outcome.  A side with a zero weight, which only TV reads, forms no
+    prefix statistics."""
     mass, mean, var, tails = exact_prefix_stats(sp.p_sorted, sp.f_sorted)
     tol = prefix_tolerance(sp.n)
     pairs = [(sp.tails, tails)]
     if sp.p_sorted.all():
         stats = with_prefix_stats(sp)
         ends = level_ends(stats)
-        pairs += [(stats.prefix_mass, mass[ends]), (stats.prefix_var, var[ends])]
+        pairs += [(stats.prefix_mass, mass[ends]), (stats.prefix_var, var[ends]), (stats.tails, tails[ends])]
         np.testing.assert_allclose(
             stats.prefix_mean, mean[ends], rtol=0, atol=tol * float(np.max(np.abs(sp.f_sorted)))
         )
@@ -704,11 +706,11 @@ class TestExactPrefixReference:
     def test_small_prefixes_match_rationals(self, kind):
         rng = np.random.default_rng(EXACT_KINDS.index(kind))
         for _ in range(150):
-            assert_matches_exact(SortedProblem(*exact_case(rng, kind)))
+            assert_matches_exact(TVSide(*exact_case(rng, kind)))
 
     def test_skewed_reproducer_matches_rationals(self):
         p, f = db.validate([1e-12, 1e-20, 1 - 1e-12 - 1e-20], [0, 0.5, 1], "chi2")
-        assert_matches_exact(SortedProblem(p, f))
+        assert_matches_exact(TVSide(p, f))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.05])
     def test_large_prefixes_match_fsum(self, alpha):

@@ -3,12 +3,13 @@ pass, critical radii and minimizer reproduce the whole-array expression
 form in ``crosscheck`` byte for byte, and so do the minimizers that
 ``Problem`` returns, built in original order; so do the TV minimizers of
 every payoff.  A center with a zero weight has no chi-squared side, and
-its sorted arrays and tails, all that a TV side reads, keep their bytes.
+its sorted arrays and per-outcome tails, all that a TV side reads, keep
+their bytes.
 
 Every chi-squared side of a tied payoff, of any size, is solved over its
 payoff levels, so its bits are checked, not pinned.  Its sorted arrays
-and tails keep their bytes; its run ends, level statistics and radii are
-those of the levels that ``crosscheck.payoff_levels`` finds from the
+keep their bytes; its run ends, level tails, level statistics and radii
+are those of the levels that ``crosscheck.payoff_levels`` finds from the
 sorted payoff alone, each level mass within the summation error bound of
 its run's exact sum.  Every minimizer sums to 1 within n * 1e-15 and
 passes ``bench/check.py``'s minimizer check (in the ball, attaining the
@@ -37,8 +38,8 @@ import pytest
 import divball as db
 from divball import chi2
 from divball.chi2 import CriticalDeltas
-from divball.core import SortedProblem
 from divball.errors import DivballError
+from divball.tv import TVSide
 from crosscheck import (
     chi2_minimizer,
     expression_critical_radii,
@@ -48,6 +49,7 @@ from crosscheck import (
     expression_value,
     payoff_levels,
     reference_bound,
+    suffix_max,
     with_prefix_stats,
 )
 
@@ -99,9 +101,10 @@ def padded_head(cd, r, delta):
 
 
 def assert_sorted_matches(pmf, obj):
-    """The sorted side's arrays and tails keep the expression form's bytes,
-    and its plateau is the same; returns the side and the expression form."""
-    sp = SortedProblem(pmf, obj)
+    """The TV side's sorted arrays and tails keep the expression form's
+    bytes, and its plateau is the same; returns the side and the expression
+    form."""
+    sp = TVSide(pmf, obj)
     ref = expression_sorted(pmf, obj)
     for name in SORTED_FIELDS:
         assert getattr(sp, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -109,15 +112,10 @@ def assert_sorted_matches(pmf, obj):
     return sp, ref
 
 
-def suffix_max(raw):
-    """Each radius raised to the largest after it."""
-    return np.maximum.accumulate(raw[::-1])[::-1]
-
-
 def assert_side_matches(pmf, obj):
-    """An untied chi-squared side: every prefix statistic and minimizer head
-    keeps the expression form's bytes too, and its radii are the suffix
-    maximum of the expression form's."""
+    """An untied chi-squared side: its tails, every prefix statistic and
+    minimizer head keep the expression form's bytes too, and its radii are
+    the suffix maximum of the expression form's."""
     sp, ref = assert_sorted_matches(pmf, obj)
     stats = with_prefix_stats(sp)
     for name in PREFIX_FIELDS:
@@ -128,6 +126,7 @@ def assert_side_matches(pmf, obj):
     if isinstance(want, tuple):
         return
     cd = CriticalDeltas(pmf, obj)
+    assert cd.tails.tobytes() == ref.tails.tobytes()
     for delta in radii_of(cd.finite):
         r = cd.value(float(delta))[1]
         got = outcome(padded_head, cd, r, float(delta))
@@ -165,19 +164,20 @@ def assert_level_masses(sp):
 
 def assert_levels_match(pmf, obj):
     """A collapsed side: the outcome arrays keep the expression form's bytes,
-    the library's run ends, level statistics and radii are those of the
-    levels that ``crosscheck`` finds on its own, and each bound passes
+    the library's run ends, level tails, level statistics and radii (the
+    suffix maximum of the raw ones) are those of the levels that
+    ``crosscheck`` finds on its own, and each bound passes
     :func:`assert_feasible`."""
     sp, _ = assert_sorted_matches(pmf, obj)
     stats = with_prefix_stats(sp)
     assert_level_masses(sp)
     got = outcome(lambda: CriticalDeltas(pmf, obj).finite)
-    want = outcome(expression_critical_radii, stats)
+    want = outcome(lambda: suffix_max(expression_critical_radii(stats)))
     assert got == want
     if isinstance(want, tuple):
         return
     cd = CriticalDeltas(pmf, obj)
-    for name in ("run_ends", "prefix_mass", "gap", "prefix_var"):
+    for name in ("run_ends", "tails", "prefix_mass", "gap", "prefix_var"):
         assert getattr(cd, name).tobytes() == getattr(stats, name).tobytes(), name
     for delta in map(float, radii_of(cd.finite)):
         value, r, _ = cd.value(delta)

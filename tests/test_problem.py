@@ -144,12 +144,12 @@ def test_sides_are_single_objects():
             assert type(side) is chi2.CriticalDeltas
             source = db.Objective(-f.values) if negated else f
             sp = core.SortedProblem(p, source)
-            for name in ("perm", "p_sorted", "f_sorted", "tails"):
+            for name in ("perm", "p_sorted", "f_sorted"):
                 assert getattr(side, name).tobytes() == getattr(sp, name).tobytes()
             assert (side.plateau, side.n) == (sp.plateau, sp.n)
-            # A tied side's prefix statistics are over its payoff levels.
+            # A tied side's tails and prefix statistics are over its payoff levels.
             levels = with_prefix_stats(sp)
-            for name in ("run_ends", "prefix_mass", "gap", "prefix_var"):
+            for name in ("run_ends", "tails", "prefix_mass", "gap", "prefix_var"):
                 assert getattr(side, name).tobytes() == getattr(levels, name).tobytes()
             cd = chi2.CriticalDeltas(p, source)
             assert cd.finite.tobytes() == side.finite.tobytes()
@@ -174,6 +174,13 @@ def counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
+def count_tails(monkeypatch, counts):
+    """Count the tail passes of both families' sides, each of which takes
+    its tails through its own module's ``suffix_masses``."""
+    for module in (tv, chi2):
+        counting(monkeypatch, module, "suffix_masses", counts)
+
+
 @pytest.mark.parametrize(
     "args, sides",
     [(["--sweep", "0:5:50"], 2), (["--delta", "0.3"], 2), (["--radius", "0.5"], 1)],
@@ -182,7 +189,7 @@ def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
     # Each side takes its tails once; ``_stable_order`` runs once, for the
     # payoff (the tied negation's order is derived from it by ``_negation()``).
     counts = {}
-    counting(monkeypatch, core, "suffix_masses", counts)
+    count_tails(monkeypatch, counts)
     counting(monkeypatch, core, "_stable_order", counts)
     obj, _ = SWEEP_CASES["chi2_ties"]
     run_cli(tmp_path, capsys, obj, *args)
@@ -191,7 +198,7 @@ def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
 
 def test_one_shot_sorts_once(monkeypatch):
     counts = {}
-    counting(monkeypatch, core, "suffix_masses", counts)
+    count_tails(monkeypatch, counts)
     counting(monkeypatch, core, "_stable_order", counts)
     p, f = db.validate([0.2, 0.5, 0.3], [1.0, 0.0, 1.0])
     db.tv_upper_expectation(p, f, 0.25)
