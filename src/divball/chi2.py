@@ -39,10 +39,7 @@ from .core import (
     require_positive,
     suffix_masses,
 )
-from .errors import (
-    DivballError,
-    LengthMismatchError,
-)
+from .errors import DivballError, LengthMismatchError
 
 # Radicand m_r*delta - t_r may dip this far below zero from roundoff at a
 # breakpoint; anything worse indicates an inconsistent (r, delta) pair.

@@ -275,6 +275,16 @@ class BoundResult:
             raise DivballError(f"unknown branch tag {self.branch!r}")
 
 
+def _as_float(value, what: str) -> float:
+    """``value`` as a float, ``±inf`` past the float range; text is refused."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise DivballError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_delta(delta) -> float:
     """Reject a negative or NaN ball radius, and return it as a float.
 
@@ -283,10 +293,7 @@ def check_delta(delta) -> float:
     rejected radius is reported as its float, so a negative integer past
     that range reads ``-inf`` rather than its digits.
     """
-    try:
-        d = float(delta)
-    except OverflowError:
-        d = math.inf if delta > 0 else -math.inf
+    d = _as_float(delta, "delta")
     if not delta >= 0.0:
         raise NegativeDeltaError(f"delta must be >= 0, got {d}")
     return d
@@ -326,28 +333,27 @@ def expectation(p: Pmf, f: Objective) -> float:
     """Expected value of ``f`` under ``p``: sum of ``p(x) * f(x)``."""
     if p.n != f.n:
         raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
-    return weighted_mean(p.weights, f.values, f._ordered[0], f._ordered[-1])
+    return weighted_mean(p.weights.copy(), f.values, f._ordered[0], f._ordered[-1])
 
 
-# Below this payoff magnitude a dot with weights summing to 1 cannot overflow.
+# Below this payoff magnitude products with weights summing to 1 sum finitely.
 _HALF_MAX = 2.0**1023
 
 
 def weighted_mean(weights: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
-    """``weights · values`` for weights summing to 1 and values in ``[lo, hi]``.
+    """``sum(weights * values)`` for weights summing to 1 and values in
+    ``[lo, hi]``, formed in ``weights``, the caller's scratch.
 
-    The exact mean lies in ``[lo, hi]``, so the dot is clamped to it: its
-    rounding, or weights whose float sum is an ulp above 1, can leave it.
-    Where the dot overflows (payoffs near the float maximum), it is redone
-    in units of the exact power of two ``2**1023``.
+    ``np.add.reduce`` sums the products in numpy's pairwise order, the same
+    on every CPU and thread count, and in units of ``2**1023`` for a payoff
+    range that reaches it.  The sum is clamped to ``[lo, hi]``, where the
+    exact mean lies: rounding, or weights summing an ulp above 1, can leave it.
     """
+    products = np.multiply(weights, values, out=weights)
     if -_HALF_MAX < lo and hi < _HALF_MAX:
-        value = float(np.dot(weights, values))
+        value = float(np.add.reduce(products))
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(np.dot(weights, values))
-        if not math.isfinite(value):
-            value = float(np.dot(weights, values / _HALF_MAX)) * _HALF_MAX
+        value = float(np.add.reduce(np.divide(products, _HALF_MAX, out=products))) * _HALF_MAX
     if value < lo:
         return float(lo)
     return float(hi) if value > hi else value

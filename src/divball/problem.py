@@ -14,7 +14,7 @@ import math
 import struct
 
 from .chi2 import CriticalDeltas
-from .core import BallFamily, BoundResult, Objective, Pmf, check_delta
+from .core import BallFamily, BoundResult, Objective, Pmf, _as_float, check_delta
 from .errors import NonFiniteError, UnreachableError
 from .tv import TVSide
 
@@ -125,10 +125,7 @@ def robustness_radius(
     radius reaches raises ``UnreachableError``.
     """
     problem = Problem(pmf, objective, family)
-    try:
-        theta = float(theta)
-    except OverflowError:  # an integer past the float range
-        theta = math.inf
+    theta = _as_float(theta, "radius threshold")
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
     lo, hi, star = -1, 0x7FF0000000000000, math.inf  # hi: +inf's bit pattern

@@ -46,7 +46,7 @@ class TVSide(SortedProblem):
         r = 1 if delta >= 1.0 else 1 + tails.size - int(tails[::-1].searchsorted(delta, "right"))
         if r == 1:
             return float(self.f_sorted[0]), r, BRANCH_DEGENERATE
-        # The value is one full-length dot in sorted order, which fixes its bits.
+        # The value is numpy's fixed-order sum over this copy, which it overwrites.
         q_sorted = self.p_sorted.copy()
         q_sorted[0] = self.p_sorted[0] + delta
         # tails[r-2] is the mass from position r onward (1-based); the

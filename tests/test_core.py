@@ -181,7 +181,7 @@ class TestExpectation:
             db.expectation(p, f)
 
     def test_constant_payoff_is_its_own_mean(self):
-        # The dot's rounding alone fell an ulp below the constant.
+        # The weighted sum's rounding alone fell an ulp below the constant.
         p, f = db.validate(
             [0.08433549140854188, 0.6256359910228938, 0.04981171773129562, 0.24021679983726876],
             [2.0] * 4,

@@ -2,7 +2,9 @@
 CLI and the grid oracle reject a bad radius through ``core.check_delta``, and
 a chi-squared center with a zero weight is rejected through
 ``core.require_positive``, so a second copy of either rule cannot drift from
-the first.  ``Problem`` checks a radius before it builds or asks a side.
+the first.  ``Problem`` checks a radius before it builds or asks a side.  A
+radius and a radius threshold are read as numbers by one helper,
+``core._as_float``, which refuses text that ``float`` would parse.
 
 Like ``test_family_branches.py``, this reads the syntax tree of every module
 in the package: ``NegativeDeltaError`` is raised only in ``check_delta``, and
@@ -13,6 +15,7 @@ independent of the package's rules on purpose.
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -183,3 +186,42 @@ def test_an_integer_radius_past_the_float_range_below_zero_is_rejected(family, f
             with pytest.raises(divball.NegativeDeltaError, match=r"^delta must be >= 0, got -inf$"):
                 solve(delta)
     assert problem._sides == {}
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("text", ["0.3", b"0.3"], ids=["str", "bytes"])
+def test_a_radius_given_as_text_is_refused_by_every_entry_point(family, text):
+    # float() would parse it; a radius is a number, so it is refused by name.
+    pmf, obj = divball.validate([0.2, 0.5, 0.3], [1.0, 0.0, 2.0], family)
+    problem = divball.Problem(pmf, obj, family)
+    lower = getattr(divball, f"{family}_lower_expectation")
+    upper = getattr(divball, f"{family}_upper_expectation")
+    solves = [
+        problem.lower, problem.upper, lambda d: problem._value(False, d),
+        lambda d: problem._value(True, d), lambda d: lower(pmf, obj, d),
+        lambda d: upper(pmf, obj, d),
+        lambda d: divball.oracle_lower_expectation(pmf, obj, family, d, 20),
+    ]
+    for solve in solves:
+        with pytest.raises(divball.DivballError, match=r"^delta must be a number, got b?'0\.3'$"):
+            solve(text)
+    assert problem._sides == {}
+
+
+@pytest.mark.parametrize("family", ["tv", "chi2"])
+@pytest.mark.parametrize("text", ["1.5", b"1.5"], ids=["str", "bytes"])
+def test_a_threshold_given_as_text_is_refused(family, text):
+    pmf, obj = divball.validate([0.2, 0.5, 0.3], [1.0, 0.0, 2.0], family)
+    with pytest.raises(divball.DivballError, match=r"^radius threshold must be a number, got b?'1\.5'$"):
+        divball.robustness_radius(pmf, obj, family, text)
+    # As a number it is answered.
+    assert divball.robustness_radius(pmf, obj, family, 1.5) >= 0.0
+
+
+def test_the_radius_is_compared_as_given():
+    # A Fraction just below 0 rounds to -0.0, a valid float radius, but is
+    # itself negative, so it is refused.
+    problem = divball.Problem(*divball.validate([0.5, 0.5], [0.0, 1.0]), "tv")
+    with pytest.raises(divball.NegativeDeltaError, match=r"^delta must be >= 0, got -0\.0$"):
+        problem.lower(Fraction(-1, 10**400))
+    assert problem.lower(Fraction(1, 5)).value == problem.lower(0.2).value

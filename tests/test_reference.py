@@ -284,23 +284,46 @@ def test_bounds_as_functions_of_the_radius(family, data):
     assert (scaled[1] / SCALE).tobytes() == upper.tobytes()
 
 
-@known_defect("the two sides round the center expectation differently")
+# The lower side forms the center's expectation in ascending payoff order and
+# the upper side in descending order, so at radius 0, or within rounding of
+# it, the lower bound can sit above the upper one, or both on one side of
+# E_p f, in the last bit.  Both TV sides sum their products with numpy's
+# pairwise loop, and at n = 2 the two orders of one two-term sum round
+# alike, so the TV side keeps the defect only from n = 3: the eight-outcome
+# case, the first draw of a seeded probe (numpy seed 5, n from 2 to 11,
+# Dirichlet(1) centers, payoffs uniform on [-1, 1]), reads
+# 0.4791498306171771 on both sides, below E_p f = 0.47914983061717714.  The
+# chi^2 sides form the mean from running sums and break at n = 2.
+ENCLOSURE_DEFECT = known_defect("the two sides round the center expectation differently")
+TWO_OUTCOMES = ([0.3012940891747407, 0.6987059108252592],
+                [0.15107968606047728, -0.15076461013073317])
+EIGHT_OUTCOMES = (
+    [0.19433707129608316, 0.3371156949675537, 0.13714832421972206, 0.007811052869315719,
+     0.11240832173559612, 0.1663526973948596, 0.029847799063690342, 0.014979038453179399],
+    [0.9983522301301428, 0.30473822317597543, -0.5309795966603521, -0.13010489554971594,
+     0.9483723865185107, 0.7953552162170976, 0.6884620752174819, -0.21519067133044367],
+)
+
+
 @pytest.mark.parametrize("delta", [0.0, 1e-40])
-@pytest.mark.parametrize("family", ["tv", "chi2"])
-def test_bounds_enclose_the_center_expectation_near_radius_zero(family, delta):
-    # The two sides round the center's expectation in opposite orders, so at
-    # radius 0, or within rounding of it, the lower bound is above the upper
-    # one in the last bit.
-    p = [0.3012940891747407, 0.6987059108252592]
-    pmf, obj = db.validate(p, [0.15107968606047728, -0.15076461013073317], family)
+@pytest.mark.parametrize(
+    "family, case",
+    [
+        pytest.param("tv", TWO_OUTCOMES, id="tv"),
+        pytest.param("tv", EIGHT_OUTCOMES, marks=ENCLOSURE_DEFECT, id="tv-eight-outcomes"),
+        pytest.param("chi2", TWO_OUTCOMES, marks=ENCLOSURE_DEFECT, id="chi2"),
+    ],
+)
+def test_bounds_enclose_the_center_expectation_near_radius_zero(family, case, delta):
+    pmf, obj = db.validate(*case, family)
     problem = db.Problem(pmf, obj, family)
     lower, upper = problem.lower(delta).value, problem.upper(delta).value
     assert lower <= db.expectation(pmf, obj) <= upper
 
 
 def test_tv_bound_is_exactly_monotone_on_a_tied_bottom():
-    # Past radius 0.082 all the mass sits on the run tied at -3; the dot of
-    # its weights with the run reads -2.9999999999999996 at 0.36 unless the
+    # Past radius 0.082 all the mass sits on the run tied at -3; the sum of
+    # its weights times the run reads -2.9999999999999996 at 0.36 unless the
     # bound is clamped to its support's payoff range.
     pmf, obj = db.validate([0.082, 0.177, 0.741], [-2.0, -3.0, -3.0], "tv")
     problem = db.Problem(pmf, obj, "tv")

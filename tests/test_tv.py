@@ -149,7 +149,7 @@ class TestTvLowerExpectation:
 
     def test_value_stays_in_the_payoff_range(self):
         # Just under radius 1 the tails round to a mass above 1, and the
-        # sorted minimizer's dot fell an ulp below the least payoff.
+        # sorted minimizer's weighted sum fell an ulp below the least payoff.
         p, f = db.validate([0.0, 0.29, 0.11, 0.6000000000000001], [-1.0, -0.4, -0.7, -0.5])
         assert db.tv_lower_expectation(p, f, 0.9999999999999999).value == -1.0
 
@@ -191,7 +191,7 @@ class TestTvUpperExpectation:
             assert db.tv_upper_expectation(p, f, delta).value == 2.5
 
     def test_value_stays_in_the_payoff_range(self):
-        # The dot's rounding alone rose an ulp above the greatest payoff.
+        # The weighted sum's rounding alone rose an ulp above the greatest payoff.
         p, f = db.validate(
             [0.3597135271775536, 0.01561916197691528, 0.2125925424189481,
              0.019022654566643704, 0.3930521138599393],
@@ -315,8 +315,9 @@ BIG = 1.7976931348623157e308  # the largest double
 
 
 class TestNearFloatMaxPayoff:
-    """A dot with weights summing to 1 overflows for payoffs near the float
-    maximum; the bound is redone in units of a power of two, with no warning."""
+    """A weighted sum with weights summing to 1 can overflow for payoffs near
+    the float maximum; a payoff range reaching ``2**1023`` is summed in units
+    of that power of two, with no warning."""
 
     @pytest.mark.parametrize("delta", [0.0, 0.3, 0.999, 1.0])
     def test_reproducer_returns_the_payoff(self, delta):
@@ -333,7 +334,7 @@ class TestNearFloatMaxPayoff:
         rng = np.random.default_rng(31 if sign > 0 else 32)
         for _ in range(60):
             n = int(rng.integers(1, 30))
-            # Most entries exactly at the maximum: the plain dot often overflows.
+            # Most entries exactly at the maximum: a plain sum would often overflow.
             near = BIG * (1.0 - rng.uniform(0.0, 1e-3, n))
             values = sign * np.where(rng.random(n) < 0.8, BIG, near)
             p, f = db.validate(rng.dirichlet(np.ones(n)), values)
@@ -342,9 +343,8 @@ class TestNearFloatMaxPayoff:
                 warnings.simplefilter("error")
                 results = (db.tv_lower_expectation(p, f, delta), db.tv_upper_expectation(p, f, delta))
             for res in results:
-                # Finite, and the mean of the returned minimizer to rounding:
-                # a dot that did not overflow keeps its bits, which may lie
-                # an ulp outside the payoff's range.
+                # Finite, and the mean of the returned minimizer to within
+                # the rounding of a sum in units of 2**1023.
                 assert np.isfinite(res.value)
                 exact = sum(Fraction(w) * Fraction(v) for w, v in zip(res.minimizer.weights, values))
                 assert abs(Fraction(res.value) - exact) <= Fraction(BIG) * Fraction(n, 2**51)
