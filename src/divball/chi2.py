@@ -19,11 +19,12 @@ minimal objective remain and the bound saturates at that minimal value.
 The tilt is affine in the objective, so tied outcomes share one ratio
 q/p, the optimal support is a union of whole payoff levels, and every
 critical radius inside a tied run is the same number.  So every side is
-solved over its distinct payoff levels: each tied run collapses to one
-level with the run's summed mass and its last sorted payoff, and an untied
-payoff's levels are its outcomes.  The tails, the prefix statistics, the
-critical radii and the search for the support run over the levels, and the
-bottom level is the support that never shrinks.
+solved over its distinct payoff levels, the runs between the sort's edges:
+each tied run collapses to one level with the run's summed mass and its
+last sorted payoff, and an untied payoff's levels are its outcomes.  The
+tails, the prefix statistics, the critical radii and the search for the
+support run over the levels, and the bottom level is the support that
+never shrinks.
 """
 
 import math
@@ -102,35 +103,16 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     return mass, gap, var
 
 
-def _levels(sp: SortedProblem):
-    """What the prefix pass of side ``sp`` reads: ``(run_ends, masses,
-    payoffs)`` of its levels, the runs between its ``edges``.
-
-    A tied payoff's levels are its runs, between its edges: ``run_ends``
-    holds each run's last sorted position (each edge after the first, less
-    one), each level's mass is its run's accurate sum (one ``reduceat`` at
-    the run starts, never a difference of prefix masses), and its payoff is
-    read at the run end.  An untied payoff's levels are its outcomes, read
-    as they are, with ``run_ends`` ``None``.  A tied side's arrays are K
-    long, one entry per level, so its tails are taken over the K masses.
-    """
-    edges = sp.edges
-    if edges is None:
-        return None, sp.p_sorted, sp.f_sorted
-    ends = edges[1:] - 1
-    ends.setflags(write=False)
-    masses = np.add.reduceat(sp.p_sorted, edges[:-1])
-    return ends, masses, sp.f_sorted[ends]
-
-
 class CriticalDeltas(SortedProblem):
     """The chi-squared side of ``(p, f)``: the sorted side plus its prefix
     statistics and the breakpoint radii at which the optimal support loses
     its top level.
 
-    A side's levels are its payoff's runs (:func:`_levels`), so an untied
-    payoff's levels are its outcomes.  ``run_ends`` holds each run's last
-    sorted position, ascending, and is ``None`` for an untied payoff.
+    A side's levels are the runs between its ``edges``: level ``i`` holds
+    sorted positions ``edges[i]`` to ``edges[i + 1] - 1``, its mass is its
+    run's accurate sum (one ``reduceat`` at the run starts, never a
+    difference of prefix masses) and its payoff is read at the run's end.
+    An untied payoff's levels are its outcomes, read as they are.
     ``tails[i]`` is the mass after level ``i``, :func:`suffix_masses` of the
     level masses, so a tied side holds no per-outcome tails.  The prefix
     arrays come from one pass of :func:`_prefix_moments`: entry ``i`` of
@@ -152,7 +134,9 @@ class CriticalDeltas(SortedProblem):
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
         super().__init__(p, f, negated)
         require_positive(self.p_sorted)
-        self.run_ends, masses, payoffs = _levels(self)
+        masses, payoffs, edges = self.p_sorted, self.f_sorted, self.edges
+        if edges is not None:
+            masses, payoffs = np.add.reduceat(masses, edges[:-1]), payoffs[edges[1:] - 1]
         self.tails = tails = suffix_masses(masses)
         mass, gap, var = _prefix_moments(masses, payoffs)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
@@ -189,7 +173,7 @@ class CriticalDeltas(SortedProblem):
         if i == 0:
             return float(self.f_sorted[0]), self.plateau, BRANCH_PLATEAU
         # e is the support's last sorted outcome.
-        e = i if self.run_ends is None else int(self.run_ends[i])
+        e = i if self.edges is None else int(self.edges[i + 1]) - 1
         rad = _radicand(self.prefix_mass[i], self.tails[i], delta)
         mean = self.f_sorted[e] - self.gap[i]
         value = mean - math.sqrt(self.prefix_var[i]) * math.sqrt(rad)
@@ -229,8 +213,8 @@ def _minimizer_head(cd: CriticalDeltas, r: int, delta: float) -> np.ndarray:
     support's range raises."""
     # i indexes the level statistics and tails, e the support's last sorted outcome.
     i = e = r - 1
-    if cd.run_ends is not None:
-        i = int(cd.run_ends.searchsorted(e))
+    if cd.edges is not None:
+        i = int(cd.edges.searchsorted(r)) - 1
     mass = cd.prefix_mass[i]
     if r == cd.plateau:
         return cd.p_sorted[:r] / mass

@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except UnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DivballError, json.JSONDecodeError, OSError) as exc:
+    except (DivballError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,11 @@ and above that one in-place sort of packed value-and-index keys, which
 leaves every tie in ascending original index.  The edges are the one
 record of the ties: the negation reads them backwards, the sorted side's
 plateau is the second edge, and a chi-squared side's levels are the runs
-between them.  An upper bound's side reads ``Objective._negation``: the
-order, sorted values and edges of ``-f``, derived from the payoff's in O(n)
-without forming ``-f``, the order reversed and each tied run put back in
-ascending original index.  No negation is sorted again.
+between them, each level's mass and payoff read straight from them.  An
+upper bound's side reads ``Objective._negation``: the order, sorted values
+and edges of ``-f``, derived from the payoff's in O(n) without forming
+``-f``, the order reversed and each tied run put back in ascending
+original index.  No negation is sorted again.
 
 Every array is read-only and every function is pure.  No attribute is set
 outside a constructor; ``Pmf``, ``Objective`` and ``BoundResult`` are frozen

@@ -111,6 +111,8 @@ class OracleReport:
 
 
 def _check_grid_size(n: int, resolution: int) -> None:
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise DivballError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise DivballError(f"resolution must be >= 1, got {resolution}")
     if n > MAX_OUTCOMES:
@@ -144,12 +146,29 @@ def _composition_blocks(parts: int, total: int):
         yield block
 
 
-def _first_minimum(values, outside) -> int:
-    """The first row not ``outside`` (some row is not) with the least value:
-    when each such value overflowed to +inf, the first such row."""
+def _evaluate(distance, expectation, columns, scale, delta):
+    """The feasible count of the rows whose term ``j`` is looked up at
+    ``columns[j]`` in tables ``distance[j]`` and ``expectation[j]``, with
+    the index and expectation of the first feasible row of least
+    expectation (None, None when no row is feasible).  A row's terms are
+    summed left to right; when every feasible expectation overflowed to
+    +inf, the first feasible row wins."""
+    acc = distance[0].take(columns[0])
+    for table, column in zip(distance[1:], columns[1:]):
+        acc += table.take(column)
+    acc *= scale
+    outside = acc > delta
+    count = outside.size - int(np.count_nonzero(outside))
+    if count == 0:
+        return 0, None, None
+    with np.errstate(over="ignore"):  # a sum past the float range is +inf
+        values = expectation[0].take(columns[0])
+        for table, column in zip(expectation[1:], columns[1:]):
+            values += table.take(column)
     values[outside] = np.inf
     idx = int(values.argmin())
-    return int(outside.argmin()) if outside[idx] else idx
+    idx = int(outside.argmin()) if outside[idx] else idx
+    return count, idx, values[idx]
 
 
 def _line_search(grid, distance, expectation, scale, delta):
@@ -158,14 +177,8 @@ def _line_search(grid, distance, expectation, scale, delta):
     resolution = grid.size - 1
     first = np.arange(resolution + 1) if len(distance) == 2 else np.array([resolution])
     columns = (first, resolution - first)[:len(distance)]
-    outside = scale * sum(t.take(c) for t, c in zip(distance, columns)) > delta
-    count = outside.size - int(np.count_nonzero(outside))
-    if count == 0:
-        return 0, None
-    with np.errstate(over="ignore"):  # a sum past the float range is +inf
-        values = sum(t.take(c) for t, c in zip(expectation, columns))
-    idx = _first_minimum(values, outside)
-    return count, grid[[c[idx] for c in columns]]
+    count, idx, _ = _evaluate(distance, expectation, columns, scale, delta)
+    return count, None if idx is None else grid[[c[idx] for c in columns]]
 
 
 def _grid_search(grid, distance, expectation, scale, delta):
@@ -185,9 +198,11 @@ def _grid_search(grid, distance, expectation, scale, delta):
     )
     heads = tails[:, 0]
     starts = np.searchsorted(heads, np.arange(resolution + 2))
-    # Indexed by the tails' first entry v: the first two terms of (a, v - a).
+    # Indexed by the tails' first entry v: the first two terms of (a, v - a),
+    # which stand in for the first two tables when a block's rows are evaluated.
     two_distance = np.empty(resolution + 1)
     two_expectation = np.empty(resolution + 1)
+    two_term = (two_distance, *distance[2:]), (two_expectation, *expectation[2:])
     feasible_count = 0
     best_value, argmin_weights = None, None
     for a in range(resolution + 1):
@@ -202,30 +217,18 @@ def _grid_search(grid, distance, expectation, scale, delta):
         stop = inside.size - int(inside[::-1].argmax())
         lo, hi = starts[a + first], starts[a + stop]
         columns = [tails[lo:hi, j] for j in range(tails.shape[1])]
-
-        acc = two_distance.take(columns[0])
-        for table, column in zip(distance[2:], columns[1:]):
-            acc += table.take(column)
-        acc *= scale
-        outside = acc > delta
-        count = outside.size - int(np.count_nonzero(outside))
-        if count == 0:
-            continue
-        feasible_count += count
         with np.errstate(over="ignore"):  # a sum past the float range is +inf
             np.add(
                 expectation[0][a], expectation[1][:resolution + 1 - a],
                 out=two_expectation[a:],
             )
-            values = two_expectation.take(columns[0])
-            for table, column in zip(expectation[2:], columns[1:]):
-                values += table.take(column)
-        idx = _first_minimum(values, outside)
+        count, idx, value = _evaluate(*two_term, columns, scale, delta)
+        feasible_count += count
         # Only a strict decrease moves the argmin, so the first minimum in
         # lexicographic order wins, as np.argmin over the whole grid would.
-        if argmin_weights is None or values[idx] < best_value:
+        if count and (argmin_weights is None or value < best_value):
             v = columns[0][idx]
-            best_value = values[idx]
+            best_value = value
             argmin_weights = grid[[a, v - a, *(column[idx] for column in columns[1:])]]
     return feasible_count, argmin_weights
 

@@ -12,9 +12,9 @@ stores them.
 ``chi2_minimizer`` is the attaining distribution in sorted order for any
 valid support size.  ``payoff_levels`` finds a sorted side's payoff
 levels from its sorted payoff alone, and both helpers read a tied side over
-those levels, as the library solves it (``CriticalDeltas.run_ends``); an
-untied side's levels are its outcomes.  ``expression_sorted``,
-``expression_critical_radii``, ``expression_value``,
+those levels, as the library solves it (the runs between
+``CriticalDeltas.edges``); an untied side's levels are its outcomes.
+``expression_sorted``, ``expression_critical_radii``, ``expression_value``,
 ``expression_minimizer_weights`` and ``expression_tv_weights`` keep the
 whole-array expression form of the prefix pass, the critical radii, the
 chi^2 value and the two minimizers that the in-place library code must
@@ -69,13 +69,13 @@ def level_ends(cd) -> np.ndarray:
     """The last sorted position of each level of a chi-squared side ``cd``:
     its run ends, or every position of an untied side, whose levels are its
     outcomes.  Support size ``level_ends(cd)[j] + 1`` ends level ``j``."""
-    return np.arange(cd.n) if cd.run_ends is None else cd.run_ends
+    return np.arange(cd.n) if cd.edges is None else cd.edges[1:] - 1
 
 
 def payoff_levels(sp: SortedProblem):
-    """``(run_ends, masses)`` of a sorted side's payoff levels, read from its
+    """``(ends, masses)`` of a sorted side's payoff levels, read from its
     sorted arrays alone: each run of equal sorted payoffs (signed zeros
-    equal) is one level, ending at ``run_ends`` and holding the run's
+    equal) is one level, ending at ``ends`` and holding the run's
     summed mass, one ``reduceat`` over run starts found here."""
     f = sp.f_sorted
     ends = np.append(np.flatnonzero(f[1:] != f[:-1]), sp.n - 1)
@@ -95,14 +95,15 @@ def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
     reads strictly positive weights, as a chi-squared side's are; a side
     with a zero weight raises ``ZeroMassForbiddenError``.  It reads the
     levels of :func:`payoff_levels`, as ``CriticalDeltas`` does: on a tied
-    side ``run_ends`` is set and the tails and prefix arrays are per level,
-    the tails the suffix masses of the level masses found here, and on an
-    untied side, whose levels are its outcomes, ``run_ends`` is ``None``."""
+    side ``edges`` are the level edges formed here from those levels' ends,
+    not the library's, and the tails and prefix arrays are per level, the
+    tails the suffix masses of the level masses found here; on an untied
+    side, whose levels are its outcomes, ``edges`` is ``None``."""
     require_positive(sp.p_sorted)
-    run_ends, p, f = None, sp.p_sorted, sp.f_sorted
+    edges, p, f = None, sp.p_sorted, sp.f_sorted
     ends, masses = payoff_levels(sp)
     if ends.size < sp.n:
-        run_ends, p, f = ends, masses, f[ends]
+        edges, p, f = np.append(0, ends + 1), masses, f[ends]
     mass, gap, var = _prefix_moments(p, f)
     mean = f - gap
     mean.setflags(write=False)
@@ -113,7 +114,7 @@ def with_prefix_stats(sp: SortedProblem) -> SimpleNamespace:
         f_sorted=sp.f_sorted,
         tails=suffix_masses(p),
         plateau=sp.plateau,
-        run_ends=run_ends,
+        edges=edges,
         prefix_mass=mass,
         prefix_mean=mean,
         prefix_var=var,
@@ -251,16 +252,16 @@ def expression_sorted(p: Pmf, f: Objective) -> SimpleNamespace:
         gap=gap,
         tails=np.concatenate((np.add.accumulate(p_sorted[:0:-1])[::-1], [0.0])),
         plateau=plateau,
-        run_ends=None,  # never collapsed: one entry per outcome
+        edges=None,  # never collapsed: one entry per outcome
     )
 
 
 def expression_critical_radii(sp) -> np.ndarray:
     """Critical radii above the plateau of an :func:`expression_sorted` side,
-    or above the bottom level of a collapsed one (``sp.run_ends`` set, its
+    or above the bottom level of a collapsed one (``sp.edges`` set, its
     tails per level as :func:`with_prefix_stats` forms them), raising the
     library's errors where its checks fail."""
-    ell = sp.plateau if sp.run_ends is None else 1
+    ell = sp.plateau if sp.edges is None else 1
     gap = sp.gap[ell:]
     var = sp.prefix_var[ell:]
     if not ((gap > 0.0) & (var > 0.0)).all():

@@ -246,10 +246,10 @@ class TestCriticalDeltas:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cd.run_ends.size <= 101
+        assert level_ends(cd).size <= 101
         assert peak < 1.25 * 8 * n
         cd = CriticalDeltas(pmf, db.Objective(rng.uniform(-1.0, 1.0, n)))
-        assert cd.run_ends is None
+        assert cd.edges is None
         assert cd.tails.tobytes() == suffix_masses(cd.p_sorted).tobytes()
 
     def test_seed_11_item_373_radii_stay_monotone(self):
@@ -348,7 +348,7 @@ class TestActiveIndex:
         f = [-47443116.04016898, -88832106.21983346, 92211498.89093463]
         pmf, obj = chi2_problem(p, f)
         cd = CriticalDeltas(pmf, obj)
-        assert cd.run_ends is None
+        assert cd.edges is None
         raw = expression_critical_radii(expression_sorted(pmf, obj))
         assert np.any(raw[1:] > raw[:-1])  # the raw radii do rise
         assert cd.finite.tobytes() == suffix_max(raw).tobytes()
@@ -500,11 +500,11 @@ class TestLevels:
         for pmf, side in self.sides(n):
             cd = CriticalDeltas(pmf, side)
             runs = np.append((cd.f_sorted[1:] != cd.f_sorted[:-1]).nonzero()[0], n - 1)
-            assert cd.run_ends.tolist() == runs.tolist()
-            assert not cd.run_ends.flags.writeable
+            assert level_ends(cd).tolist() == runs.tolist()
+            assert not cd.edges.flags.writeable
             assert cd.finite.size == runs.size - 1 == np.unique(side.values).size - 1
             assert cd.prefix_mass.size == cd.gap.size == cd.prefix_var.size == runs.size
-            assert cd.run_ends[0] == cd.plateau - 1
+            assert level_ends(cd)[0] == cd.plateau - 1
             # Each level's mass is its run's, and the radii of a run are its end's.
             starts = np.append(0, runs[:-1] + 1)
             np.testing.assert_allclose(np.diff(cd.prefix_mass, prepend=0.0),
@@ -524,11 +524,12 @@ class TestLevels:
                 q[cd.perm] = chi2_minimizer(cd, r, delta).weights
                 if delta in self.DELTAS:
                     assert r == reference_bound(pmf, side, "chi2", delta).r
-                assert r - 1 in cd.run_ends
+                ends = level_ends(cd)
+                assert r - 1 in ends
                 ratio = (q / pmf.weights)[cd.perm]
                 assert not ratio[r:].any()
                 start = 0
-                for end in cd.run_ends[cd.run_ends < r]:
+                for end in ends[ends < r]:
                     level = ratio[start : end + 1]
                     assert np.ptp(level) <= 8 * np.finfo(float).eps * level.max(), (delta, end)
                     start = end + 1

@@ -171,6 +171,16 @@ class TestValidationFailures:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # A 0xff byte cannot start a UTF-8 sequence: one diagnostic line, no traceback.
+        path = tmp_path / "problem.json"
+        path.write_bytes(json.dumps(TV_FIXTURE).encode() + b"\xff")
+        assert cli.main(["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "radii, message",
         [

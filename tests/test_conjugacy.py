@@ -91,9 +91,9 @@ def assert_upper_side_is_the_negations(family, p, values):
         assert not getattr(side, name).flags.writeable
     assert (side.n, side.plateau) == (built.n, built.plateau)
     if family == "chi2":
-        assert (side.run_ends is None) == (built.run_ends is None)
-        if side.run_ends is not None:
-            assert side.run_ends.tobytes() == built.run_ends.tobytes()
+        assert (side.edges is None) == (built.edges is None)
+        if side.edges is not None:
+            assert side.edges.tobytes() == built.edges.tobytes()
     # Both are the stable ascending order of the negated values, signs kept.
     expected = np.argsort(-obj.values, kind="stable")
     assert side.perm.tobytes() == expected.tobytes()
@@ -143,7 +143,7 @@ def test_upper_tails_are_the_lower_prefix_masses_read_backwards():
             continue  # a numeric breakdown of either side's radii
         want = np.append(lower.prefix_mass[-2::-1], 0.0)
         assert upper.tails.tobytes() == want.tobytes()
-        sides[lower.run_ends is not None] += 1
+        sides[lower.edges is not None] += 1
     assert min(sides.values()) > 1000
 
 

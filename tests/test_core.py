@@ -233,7 +233,7 @@ class TestSortAndPrefix:
         sp = with_prefix_stats(SortedProblem(p, f))
         assert sp.plateau == 3
         # One level, the whole payoff, with a variance of exactly zero.
-        assert sp.run_ends.tolist() == [2]
+        assert level_ends(sp).tolist() == [2]
         assert sp.prefix_var.tolist() == [0.0]
 
     def test_three_point_example(self):

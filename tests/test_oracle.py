@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,26 @@ class TestOracleLowerExpectation:
         p4, f4 = db.validate([0.25] * 4, [0, 1, 2, 3])
         report4 = db.oracle_lower_expectation(p4, f4, "tv", 0.1)
         assert report4.resolution == 100
+
+    @pytest.mark.parametrize(
+        "resolution", [2.5, 10.0, np.float64(10.0), "10", True, False],
+        ids=["float", "integral-float", "numpy-float", "str", "true", "false"],
+    )
+    def test_a_resolution_that_is_not_an_integer_is_refused(self, resolution):
+        p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
+        message = f"resolution must be an integer, got {resolution!r}"
+        with pytest.raises(db.DivballError, match=re.escape(message)):
+            db.oracle_lower_expectation(p, f, "tv", 0.2, resolution)
+
+    def test_a_numpy_integer_resolution_is_a_resolution(self):
+        p, f = db.validate([0.2, 0.3, 0.5], [1, 2, 3])
+        a = db.oracle_lower_expectation(p, f, "tv", 0.2, np.int64(50))
+        b = db.oracle_lower_expectation(p, f, "tv", 0.2, 50)
+        assert (a.grid_minimum, a.feasible_count, a.tolerance) == (
+            b.grid_minimum, b.feasible_count, b.tolerance)
+        assert a.grid_argmin.weights.tobytes() == b.grid_argmin.weights.tobytes()
+        with pytest.raises(db.DivballError, match="resolution must be >= 1, got 0"):
+            db.oracle_lower_expectation(p, f, "tv", 0.2, np.int64(0))
 
     def test_too_large(self):
         p, f = db.validate([0.2] * 5, [1, 2, 3, 4, 5])
@@ -293,14 +314,16 @@ class TestStreamedGrid:
     def test_overflowing_expectations_give_way_to_a_feasible_point(self):
         # The only feasible point's expectation overflows to +inf, the value
         # that fills the infeasible rows, so the argmin must not stay on
-        # block 0's first row, which lies outside the ball.
+        # block 0's first row, which lies outside the ball.  At 0.1 the rows
+        # evaluated in the point's block start with one outside the ball.
         big = np.finfo(float).max
         p, f = db.validate([0.2, 0.4, 0.4], [big, big, big], "tv")
-        with np.errstate(over="ignore"):
-            report = db.oracle_lower_expectation(p, f, "tv", 0.0, 5)
-        assert report.grid_minimum == math.inf
-        assert report.feasible_count == 1
-        assert report.grid_argmin.weights.tobytes() == (np.array([1, 2, 2]) / 5.0).tobytes()
+        for delta in (0.0, 0.1):
+            with np.errstate(over="ignore"):
+                report = db.oracle_lower_expectation(p, f, "tv", delta, 5)
+            assert report.grid_minimum == math.inf
+            assert report.feasible_count == 1
+            assert report.grid_argmin.weights.tobytes() == (np.array([1, 2, 2]) / 5.0).tobytes()
 
     @pytest.mark.parametrize(
         "center, resolution, family, delta",

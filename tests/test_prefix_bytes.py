@@ -8,7 +8,7 @@ their bytes.
 
 Every chi-squared side of a tied payoff, of any size, is solved over its
 payoff levels, so its bits are checked, not pinned.  Its sorted arrays
-keep their bytes; its run ends, level tails, level statistics and radii
+keep their bytes; its run edges, level tails, level statistics and radii
 are those of the levels that ``crosscheck.payoff_levels`` finds from the
 sorted payoff alone, each level mass within the summation error bound of
 its run's exact sum.  Every minimizer sums to 1 within n * 1e-15 and
@@ -164,7 +164,7 @@ def assert_level_masses(sp):
 
 def assert_levels_match(pmf, obj):
     """A collapsed side: the outcome arrays keep the expression form's bytes,
-    the library's run ends, level tails, level statistics and radii (the
+    the library's run edges, level tails, level statistics and radii (the
     suffix maximum of the raw ones) are those of the levels that
     ``crosscheck`` finds on its own, and each bound passes
     :func:`assert_feasible`."""
@@ -177,7 +177,7 @@ def assert_levels_match(pmf, obj):
     if isinstance(want, tuple):
         return
     cd = CriticalDeltas(pmf, obj)
-    for name in ("run_ends", "tails", "prefix_mass", "gap", "prefix_var"):
+    for name in ("edges", "tails", "prefix_mass", "gap", "prefix_var"):
         assert getattr(cd, name).tobytes() == getattr(stats, name).tobytes(), name
     for delta in map(float, radii_of(cd.finite)):
         value, r, _ = cd.value(delta)

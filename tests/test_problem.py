@@ -149,7 +149,7 @@ def test_sides_are_single_objects():
             assert (side.plateau, side.n) == (sp.plateau, sp.n)
             # A tied side's tails and prefix statistics are over its payoff levels.
             levels = with_prefix_stats(sp)
-            for name in ("run_ends", "tails", "prefix_mass", "gap", "prefix_var"):
+            for name in ("edges", "tails", "prefix_mass", "gap", "prefix_var"):
                 assert getattr(side, name).tobytes() == getattr(levels, name).tobytes()
             cd = chi2.CriticalDeltas(p, source)
             assert cd.finite.tobytes() == side.finite.tobytes()

@@ -1,9 +1,10 @@
 """The per-query path at small n: the numpy Python-level wrappers listed in
 ``WRAPPERS``, which cost more than the calls that replace them, stay off it
 (``np.count_nonzero`` is a Python-level wrapper too, and stays: on a few
-booleans it is the cheapest check), the plateau is the second of the
-payoff's kept run edges, and every check on it keeps its exception class
-and message, also under ``python -O``."""
+booleans it is the cheapest check), a query makes no more C-level calls
+than ``CALLS_AT_MOST`` counts, the plateau is the second of the payoff's
+kept run edges, and every check on it keeps its exception class and
+message, also under ``python -O``."""
 
 import os
 import subprocess
@@ -62,6 +63,36 @@ def test_no_numpy_wrapper_on_the_solve_path(family, monkeypatch):
     assert calls == []
     np.any([True])  # the counters are live
     assert calls == ["any"]
+
+
+# C-level calls (``sys.setprofile``'s ``c_call`` events) of ``validate``, one
+# one-shot lower bound and one upper bound at n = 8, the call that stops the
+# count included.  Unlike a time, a count does not depend on the host.  A
+# change may lower a count; one that raises it says why.
+CALLS_AT_MOST = {("tv", False): 50, ("tv", True): 55, ("chi2", False): 91, ("chi2", True): 100}
+
+
+@pytest.mark.parametrize("family, tied", list(CALLS_AT_MOST), ids=lambda v: str(v).lower())
+def test_c_level_calls_of_a_small_query(family, tied):
+    rng = np.random.default_rng(8)
+    p = rng.dirichlet(np.ones(8))
+    f = rng.integers(0, 3, 8).astype(float) if tied else rng.uniform(-1.0, 1.0, 8)
+    lower = getattr(db, f"{family}_lower_expectation")
+    upper = getattr(db, f"{family}_upper_expectation")
+
+    def query():
+        pmf, obj = db.validate(p, f, family)
+        lower(pmf, obj, 0.1)
+        upper(pmf, obj, 0.1)
+
+    query()  # first-call work (imports, caches) is not the per-query path
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event == "c_call"))
+    try:
+        query()
+    finally:
+        sys.setprofile(None)
+    assert sum(events) <= CALLS_AT_MOST[family, tied]
 
 
 TIE_LEVELS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2e300])
