@@ -281,7 +281,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.input == "-":
-            raw = sys.stdin.read()
+            # The bytes, decoded as a file is: strict UTF-8, whatever the locale.
+            raw = sys.stdin.buffer.read().decode("utf-8")
         else:
             raw = Path(args.input).read_text(encoding="utf-8")
         problem, delta, sweep = resolve_problem(json.loads(raw), args)

@@ -23,7 +23,6 @@ dataclasses, and the sorted side and its subclasses are plain classes.  So
 instances are safe to share across threads.
 """
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -375,7 +374,8 @@ def suffix_masses(weights: np.ndarray) -> np.ndarray:
 
 # Up to this size a payoff takes one stable argsort: a few numpy calls, where
 # the packed-key sort makes about fifteen.  The measured crossover lies higher
-# (README), at about 200 tied and 2000 untied values.
+# (README): the packed sort costs more up to 768 values and less from 1024,
+# tied or untied.
 _STABLE_SORT_MAX = 40
 
 
@@ -395,16 +395,21 @@ def _stable_order(values: np.ndarray):
     masking off the kept bits turns the sorted keys into the order itself;
     the values are gathered into the index buffer.  Only values that differ
     in nothing but the ``s`` dropped bits can come out of order.  A descent
-    in the gathered values shows it (about 1% of uniform payoffs of
-    ``10**5`` values), and :func:`_repair_collisions` sorts those again.
+    in the gathered values shows it (about 1.5% of uniform payoffs of
+    ``10**5`` values).  Such values share a kept key, a group, and the
+    groups ascend, so one search of every position's group finds the slice
+    from the first to the last falling group, which one stable argsort of
+    its values sorts again.
 
     At ``n = 10**5``, on one core of the 2-vCPU benchmark host with page
     faults taken out, an ``Objective`` takes about 1.8 ms to build, tied or
-    untied.  When every value collides the slice is the whole payoff, and
-    the sort takes 13-14 ms (page faults in), a little more than one stable
-    argsort of the values.  The sort's fixed cost, about fifteen numpy
-    calls, is 10-18 µs from 41 to 256 values, where one stable argsort of
-    untied values takes 4-6 µs.
+    untied, and about 0.6 ms more when it repairs.  When every value collides
+    the slice is the whole payoff, and the sort takes 13-14 ms (page faults
+    in), a little more than one stable argsort of the values.  The sort's
+    fixed cost, about fifteen numpy calls, is 15-19 µs from 41 to 256
+    values, where one stable argsort takes 4-12 µs; from 1024 values on it
+    is the cheaper one (19 against 29-39 µs, and 27-36 against 78-129 µs
+    at 2000).
     """
     n = values.size
     starts = np.empty(n + 1, dtype=bool)
@@ -426,7 +431,15 @@ def _stable_order(values: np.ndarray):
         ordered = values.take(perm, out=index.view(values.dtype), mode="clip")
         np.less(ordered[1:], ordered[:-1], out=changes)
         if np.count_nonzero(changes):
-            _repair_collisions(values, perm, ordered, changes, shift)
+            # The slice of the first to the last falling group; its stable
+            # argsort keeps tied values in ascending index.
+            groups = _order_key(ordered)
+            groups >>= shift
+            falls = changes.nonzero()[0]
+            a = int(groups.searchsorted(groups[falls[0]]))
+            b = int(groups.searchsorted(groups[falls[-1]], "right"))
+            perm[a:b] = perm[a:b][ordered[a:b].argsort(kind="stable")]
+            values.take(perm[a:b], out=ordered[a:b], mode="clip")
     np.not_equal(ordered[1:], ordered[:-1], out=changes)
     if np.count_nonzero(changes) == n - 1:
         return perm, ordered, None
@@ -441,28 +454,3 @@ def _order_key(values: np.ndarray) -> np.ndarray:
     key ^= sign
     key -= sign
     return key
-
-
-def _repair_collisions(values, perm, ordered, descents, shift):
-    """Put back in order the sorted positions whose values differ only in
-    the ``shift`` bits their keys dropped (``descents`` marks where the
-    gathered ``ordered`` falls), rewriting ``perm`` and ``ordered`` in place.
-
-    Such values share a kept key, a group, and the groups are in order, so
-    only the slice from the first to the last falling group is sorted again,
-    by one stable argsort of its values: tied values are in ascending index
-    there, the slice's position order, and keep it.  The slice's ends are
-    found by bisecting over the group ids of single positions, in O(log n).
-    """
-
-    def group_at(i):
-        return int(_order_key(ordered[i : i + 1])[0]) >> shift
-
-    # The first and the last position of a falling pair, and the slice's ends.
-    falls = descents.nonzero()[0]
-    first, last = int(falls[0]), int(falls[-1]) + 1
-    a = bisect.bisect_left(range(first), group_at(first), key=group_at)
-    after = range(last + 1, ordered.size)
-    b = last + 1 + bisect.bisect_right(after, group_at(last), key=group_at)
-    perm[a:b] = perm[a:b][ordered[a:b].argsort(kind="stable")]
-    values.take(perm[a:b], out=ordered[a:b], mode="clip")

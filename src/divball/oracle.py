@@ -161,10 +161,9 @@ def _evaluate(distance, expectation, columns, scale, delta):
     count = outside.size - int(np.count_nonzero(outside))
     if count == 0:
         return 0, None, None
-    with np.errstate(over="ignore"):  # a sum past the float range is +inf
-        values = expectation[0].take(columns[0])
-        for table, column in zip(expectation[1:], columns[1:]):
-            values += table.take(column)
+    values = expectation[0].take(columns[0])
+    for table, column in zip(expectation[1:], columns[1:]):
+        values += table.take(column)
     values[outside] = np.inf
     idx = int(values.argmin())
     idx = int(outside.argmin()) if outside[idx] else idx
@@ -217,11 +216,10 @@ def _grid_search(grid, distance, expectation, scale, delta):
         stop = inside.size - int(inside[::-1].argmax())
         lo, hi = starts[a + first], starts[a + stop]
         columns = [tails[lo:hi, j] for j in range(tails.shape[1])]
-        with np.errstate(over="ignore"):  # a sum past the float range is +inf
-            np.add(
-                expectation[0][a], expectation[1][:resolution + 1 - a],
-                out=two_expectation[a:],
-            )
+        np.add(
+            expectation[0][a], expectation[1][:resolution + 1 - a],
+            out=two_expectation[a:],
+        )
         count, idx, value = _evaluate(*two_term, columns, scale, delta)
         feasible_count += count
         # Only a strict decrease moves the argmin, so the first minimum in
@@ -265,14 +263,16 @@ def oracle_lower_expectation(
     # Every grid point is a row of lookups into one table per coordinate,
     # formed with the definitional loops' operations, so each term has the
     # bits the loop gives it.  TV halves the summed terms; x * 1.0 == x.
-    if family is BallFamily.TV:
-        distance, scale = [np.abs(grid - w) for w in p.weights], 0.5
-    else:
-        with np.errstate(over="ignore"):  # a +inf term already leaves the ball
+    # A distance term or sum past the float range is +inf, outside the ball,
+    # and an expectation sum past it is +inf, so overflow is not an error.
+    with np.errstate(over="ignore"):
+        if family is BallFamily.TV:
+            distance, scale = [np.abs(grid - w) for w in p.weights], 0.5
+        else:
             distance, scale = [(grid - w) ** 2 / w for w in p.weights], 1.0
-    expectation = [grid * v for v in f.values]
-    search = _line_search if n <= 2 else _grid_search
-    feasible_count, argmin_weights = search(grid, distance, expectation, scale, delta)
+        expectation = [grid * v for v in f.values]
+        search = _line_search if n <= 2 else _grid_search
+        feasible_count, argmin_weights = search(grid, distance, expectation, scale, delta)
     if feasible_count == 0:
         raise EmptyFeasibleError(
             f"no grid point at resolution {resolution} lies in the "

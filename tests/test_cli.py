@@ -28,6 +28,21 @@ CHI2_FIXTURE = {"p": [0.5, 0.5], "f": [0.0, 1.0], "ball": "chi2", "delta": 0.25}
 HUGE = 10**400  # a JSON integer too large for a float
 
 
+def run_stdin(label: bytes, encoding: str):
+    """``divball --input -`` in a child process, fed a TV problem whose
+    second label is the raw bytes ``label``, with ``encoding`` as the
+    interpreter's stream encoding (``PYTHONIOENCODING``)."""
+    raw = b'{"p": [0.3, 0.7], "f": [0, 1], "ball": "tv", "delta": 0.1, "labels": ["b", "%s"]}'
+    return subprocess.run(
+        [sys.executable, "-m", "divball", "--input", "-"],
+        input=raw % label,
+        capture_output=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(db.__file__).resolve().parents[1]),
+                 PYTHONIOENCODING=encoding),
+    )
+
+
 class TestRunBound:
     def test_single_delta_json(self, tmp_path, capsys):
         path = write_problem(
@@ -73,7 +88,7 @@ class TestRunBound:
 
     def test_stdin_input(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            "sys.stdin", io.StringIO(json.dumps(CHI2_FIXTURE))
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(CHI2_FIXTURE).encode()))
         )
         assert cli.main([]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -180,6 +195,18 @@ class TestValidationFailures:
         assert captured.out == ""
         assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
         assert captured.err.count("\n") == 1
+
+    def test_stdin_that_is_not_utf8_exits_2_as_a_file_does(self):
+        # The stream's surrogateescape handler would turn 0xff into "\udcff".
+        run = run_stdin(b"a\xff", encoding="utf-8:surrogateescape")
+        assert run.returncode == 2 and run.stdout == b""
+        assert run.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
+        assert run.stderr.count(b"\n") == 1
+
+    def test_stdin_is_utf8_whatever_the_stream_encoding(self):
+        run = run_stdin("\u00e9".encode(), encoding="latin-1")
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["labels"] == ["b", "\u00e9"]
 
     @pytest.mark.parametrize(
         "radii, message",

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,29 @@ class TestOracleLowerExpectation:
                 except db.EmptyFeasibleError:
                     continue
                 assert report.grid_minimum >= closed - 1e-12 * (1 + abs(closed))
+
+    @pytest.mark.parametrize(
+        "center",
+        [
+            [1 - 6e-309, 3e-309, 3e-309],  # overflows in the rows' distance sum
+            [3e-309, 3e-309, 1 - 6e-309],  # overflows in a block's first two terms
+            [1 - 9e-309, 3e-309, 3e-309, 3e-309],
+        ],
+        ids=["row-sum", "block-lead", "n4"],
+    )
+    def test_an_overflowing_distance_sum_does_not_warn(self, center):
+        # Two subnormal weights make some grid rows' chi-squared terms each
+        # finite but their sum past the float range: those rows lie outside
+        # the ball, and the report is the one computed with warnings ignored.
+        p, f = db.Pmf(center), db.Objective(range(len(center)))
+
+        def report(action):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                r = db.oracle_lower_expectation(p, f, "chi2", 1e308, 20)
+            return r.grid_minimum, r.feasible_count, r.grid_argmin.weights.tobytes()
+
+        assert report("error") == report("ignore")
 
 
 def lex_reference(n, resolution):
