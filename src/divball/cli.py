@@ -285,7 +285,11 @@ def main(argv=None) -> int:
             raw = sys.stdin.buffer.read().decode("utf-8")
         else:
             raw = Path(args.input).read_text(encoding="utf-8")
-        problem, delta, sweep = resolve_problem(json.loads(raw), args)
+        try:
+            data = json.loads(raw)
+        except (RecursionError, ValueError) as exc:  # too deep, a bad token, too many digits
+            raise DivballError(str(exc)) from exc
+        problem, delta, sweep = resolve_problem(data, args)
 
         if args.radius is not None and args.oracle_check is not _UNSET:
             raise DivballError("--radius and --oracle-check are separate modes")
@@ -304,7 +308,7 @@ def main(argv=None) -> int:
     except UnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DivballError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
+    except (DivballError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

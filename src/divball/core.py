@@ -80,31 +80,39 @@ def _unit_sum(weights: np.ndarray) -> float:
     return total
 
 
+def _clean_weights(values) -> np.ndarray:
+    """``_clean_vector``'s rules for ``weights``, then nonnegativity."""
+    w = _clean_vector(values, "weights")
+    # Finite weights: the least is negative exactly when one is.
+    if w[w.argmin()] < 0.0:
+        raise NegativeWeightError("weights must be nonnegative")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over a finite outcome set.
 
-    Weights must be nonnegative and sum to 1 within ``SUM_TOLERANCE``; they
-    are then renormalized exactly (divided by their float sum) so downstream
+    Weights must be finite, nonnegative and sum to 1 within
+    ``SUM_TOLERANCE`` (:func:`_clean_weights`, :func:`_unit_sum`); they are
+    then renormalized exactly (divided by their float sum) so downstream
     identities hold to machine precision.  Optional labels name the outcomes
     and must be distinct strings, given as a sequence (one string is
-    refused, not split into letters).  :meth:`_solved` wraps solver output,
-    checking only its mass.
+    refused, not split into letters).  Two internal constructors skip part
+    of this: :meth:`_exact` checks by the same rules but does not divide,
+    and :meth:`_solved` wraps solver output, checking only its mass.  All
+    three end in :meth:`_store`, which freezes the weights.
     """
 
     weights: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        w = _clean_vector(self.weights, "weights")
-        # Finite weights: the least is negative exactly when one is.
-        if w[w.argmin()] < 0.0:
-            raise NegativeWeightError("weights must be nonnegative")
+        w = _clean_weights(self.weights)
         w = w / _unit_sum(w)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if self.labels is not None:
-            labels = tuple(self.labels)
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(labels)
             if len(labels) != w.size:
                 raise LengthMismatchError(
                     f"{len(labels)} labels for {w.size} outcomes"
@@ -114,7 +122,14 @@ class Pmf:
                 raise DivballError("labels must be a sequence of strings")
             if len(set(labels)) != len(labels):
                 raise DivballError("labels must be distinct")
-            object.__setattr__(self, "labels", labels)
+        self._store(w, labels)
+
+    def _store(self, weights: np.ndarray, labels: tuple[str, ...] | None) -> "Pmf":
+        """Freeze ``weights`` and set both fields; every constructor ends here."""
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "labels", labels)
+        return self
 
     @property
     def n(self) -> int:
@@ -122,22 +137,12 @@ class Pmf:
 
     @classmethod
     def _exact(cls, weights: np.ndarray) -> "Pmf":
-        """Internal: wrap weights valid by construction, skipping the
-        renormalizing division so exact grid multiples stay bit-exact."""
-        w = np.asarray(weights, dtype=float).copy()
-        # A check that raises, not an assert, so ``python -O`` keeps it.
-        if not (
-            w.ndim == 1
-            and w.size > 0
-            and np.all(w >= 0.0)
-            and abs(float(w.sum()) - 1.0) <= SUM_TOLERANCE
-        ):
-            raise DivballError("internal weights must be a nonnegative vector summing to 1")
-        w.setflags(write=False)
-        self = object.__new__(cls)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "labels", None)
-        return self
+        """Internal: wrap a copy of weights valid by construction, checked
+        by ``Pmf``'s rules (its errors too) but not divided by their sum,
+        so exact grid multiples stay bit-exact."""
+        w = _clean_weights(np.array(weights, dtype=float))
+        _unit_sum(w)
+        return object.__new__(cls)._store(w, None)
 
     @classmethod
     def _solved(cls, weights: np.ndarray, labels: tuple[str, ...] | None) -> "Pmf":
@@ -148,11 +153,7 @@ class Pmf:
         bits.  ``labels`` come from the validated center and are not checked.
         """
         weights /= _unit_sum(weights)
-        weights.setflags(write=False)
-        self = object.__new__(cls)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", labels)
-        return self
+        return object.__new__(cls)._store(weights, labels)
 
 
 @dataclass(frozen=True, eq=False)

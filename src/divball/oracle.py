@@ -110,9 +110,11 @@ class OracleReport:
     tolerance: float
 
 
-def _check_grid_size(n: int, resolution: int) -> None:
+def _check_grid_size(n: int, resolution: int) -> int:
+    """``resolution`` as a Python int, checked, so no arithmetic on it wraps."""
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
         raise DivballError(f"resolution must be an integer, got {resolution!r}")
+    resolution = int(resolution)
     if resolution < 1:
         raise DivballError(f"resolution must be >= 1, got {resolution}")
     if n > MAX_OUTCOMES:
@@ -122,6 +124,7 @@ def _check_grid_size(n: int, resolution: int) -> None:
         raise TooLargeError(
             f"{count} grid points exceed the cap of {MAX_GRID_POINTS}"
         )
+    return resolution
 
 
 def _composition_blocks(parts: int, total: int):
@@ -257,7 +260,7 @@ def oracle_lower_expectation(
     n = p.n
     if resolution is None:
         resolution = default_resolution(n)
-    _check_grid_size(n, resolution)
+    resolution = _check_grid_size(n, resolution)
 
     grid = np.arange(resolution + 1) / float(resolution)
     # Every grid point is a row of lookups into one table per coordinate,

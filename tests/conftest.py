@@ -3,8 +3,17 @@
 from contextlib import contextmanager
 
 import numpy as np
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import Constants
 
 from divball import Objective, Pmf
+
+# hypothesis draws some of its numbers from the literals of the local
+# modules loaded when a test runs, src/divball's among them, so changing a
+# library constant would move the suite's draws.  Give it none: called with
+# no argument, ``Constants`` is empty.  tests/test_draws.py fails if a
+# hypothesis upgrade stops reading this hook.
+providers._get_local_constants = Constants
 
 
 @contextmanager

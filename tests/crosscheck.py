@@ -151,7 +151,7 @@ def enumerate_compositions(n: int, resolution: int):
     capped at desk scale (n <= 4, at most 10^7 points).  Size violations
     raise immediately, not at first iteration.
     """
-    _check_grid_size(n, resolution)
+    resolution = _check_grid_size(n, resolution)
 
     def points():
         for block in _composition_blocks(n, resolution):

@@ -28,19 +28,36 @@ CHI2_FIXTURE = {"p": [0.5, 0.5], "f": [0.0, 1.0], "ball": "chi2", "delta": 0.25}
 HUGE = 10**400  # a JSON integer too large for a float
 
 
-def run_stdin(label: bytes, encoding: str):
-    """``divball --input -`` in a child process, fed a TV problem whose
-    second label is the raw bytes ``label``, with ``encoding`` as the
-    interpreter's stream encoding (``PYTHONIOENCODING``)."""
-    raw = b'{"p": [0.3, 0.7], "f": [0, 1], "ball": "tv", "delta": 0.1, "labels": ["b", "%s"]}'
+def run_divball(args, stdin: bytes = b"", encoding: str = "utf-8"):
+    """``python -m divball`` in a child process, fed ``stdin``, with
+    ``encoding`` as the interpreter's stream encoding (``PYTHONIOENCODING``)."""
     return subprocess.run(
-        [sys.executable, "-m", "divball", "--input", "-"],
-        input=raw % label,
+        [sys.executable, "-m", "divball", *args],
+        input=stdin,
         capture_output=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=str(Path(db.__file__).resolve().parents[1]),
                  PYTHONIOENCODING=encoding),
     )
+
+
+def run_stdin(label: bytes, encoding: str):
+    """``divball --input -`` fed a TV problem whose second label is the raw
+    bytes ``label``."""
+    raw = b'{"p": [0.3, 0.7], "f": [0, 1], "ball": "tv", "delta": 0.1, "labels": ["b", "%s"]}'
+    return run_divball(["--input", "-"], raw % label, encoding)
+
+
+# Two files that ``json.loads`` refuses with an error other than a decode
+# error: nesting past the recursion limit, and an integer literal past
+# Python's 4,300-digit limit for int().
+UNPARSABLE = {
+    "too-deep": (b"[" * 100_000, "maximum recursion depth exceeded"),
+    "too-many-digits": (
+        b'{"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "delta": 1' + b"0" * 5000 + b"}",
+        "Exceeds the limit (4300 digits)",
+    ),
+}
 
 
 class TestRunBound:
@@ -201,6 +218,19 @@ class TestValidationFailures:
         run = run_stdin(b"a\xff", encoding="utf-8:surrogateescape")
         assert run.returncode == 2 and run.stdout == b""
         assert run.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
+        assert run.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize("raw, message", UNPARSABLE.values(), ids=list(UNPARSABLE))
+    def test_a_file_json_cannot_read_exits_2(self, tmp_path, source, raw, message):
+        path = tmp_path / "problem.json"
+        path.write_bytes(raw)
+        if source == "path":
+            run = run_divball(["--input", str(path)])
+        else:
+            run = run_divball(["--input", "-"], raw)
+        assert run.returncode == 2 and run.stdout == b""
+        assert run.stderr.startswith(b"error: ") and message.encode() in run.stderr
         assert run.stderr.count(b"\n") == 1
 
     def test_stdin_is_utf8_whatever_the_stream_encoding(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import divball
 
-CODE_LINES_AT_MOST = 969
+CODE_LINES_AT_MOST = 968
 
 
 def code_lines(source: str) -> int:

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 import divball as db
 from divball import core
 from divball.core import SortedProblem, suffix_masses
-from divball.oracle import naive_divergence, naive_expectation
+from divball.oracle import _composition_blocks, naive_divergence, naive_expectation
 from divball.tv import TVSide
 from crosscheck import level_ends, with_prefix_stats
 from conftest import random_objective, random_pmf
@@ -114,6 +117,74 @@ class TestPmf:
     def test_zero_weights_survive_renormalization(self):
         p = db.Pmf(np.array([0.0, 1.0]))
         assert p.weights[0] == 0.0
+
+
+# One vector per weight fault, each refused by ``Pmf`` with its own class.
+BAD_WEIGHTS = {
+    "nan": [np.nan, 1.0],
+    "negative": [-0.25, 1.25],
+    "empty": [],
+    "mass": [0.5, 0.5 + 1e-6],
+}
+
+EXACT_SCRIPT = """
+from math import nan
+import numpy as np
+import divball as db
+for weights in %r:
+    for make in (db.Pmf, lambda w: db.Pmf._exact(np.array(w, dtype=float))):
+        try:
+            make(weights)
+            print("accepted")
+        except db.DivballError as exc:
+            print(type(exc).__name__, exc)
+"""
+
+
+def refusal(make, weights):
+    with pytest.raises(db.DivballError) as info:
+        make(weights)
+    return type(info.value), str(info.value)
+
+
+class TestExactPmf:
+    @pytest.mark.parametrize("weights", BAD_WEIGHTS.values(), ids=list(BAD_WEIGHTS))
+    def test_exact_refuses_as_pmf_does(self, weights):
+        want = refusal(db.Pmf, weights)
+        assert want[0] is not db.DivballError
+        assert refusal(db.Pmf._exact, np.array(weights, dtype=float)) == want
+
+    def test_exact_refuses_as_pmf_does_under_optimized_interpreter(self):
+        script = EXACT_SCRIPT % (list(BAD_WEIGHTS.values()),)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(db.__file__).resolve().parents[1])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 * len(BAD_WEIGHTS) and "accepted" not in lines
+        assert lines[0::2] == lines[1::2]
+
+    def test_exact_keeps_grid_multiples_whose_sum_is_not_one(self):
+        # At n = 4, resolution 250, 221,604 of the 2,667,126 grid points
+        # have a float sum other than 1.0; dividing by it would move them.
+        resolution, off, moved = 250, 0, 0
+        for block in _composition_blocks(4, resolution):
+            rows = block / resolution
+            rows = rows[np.add.reduce(rows, axis=1) != 1.0]
+            off += len(rows)
+            for w in rows[::97]:
+                assert db.Pmf._exact(w).weights.tobytes() == w.tobytes()
+                moved += db.Pmf(w).weights.tobytes() != w.tobytes()
+        assert off == 221_604
+        assert moved > 0
+
+    def test_exact_owns_a_frozen_copy(self):
+        w = np.array([0.25, 0.75])
+        pmf = db.Pmf._exact(w)
+        assert pmf.weights is not w and w.flags.writeable
+        assert not pmf.weights.flags.writeable and pmf.labels is None
 
 
 class TestBallSpec:

@@ -139,6 +139,28 @@ class TestOracleLowerExpectation:
         with pytest.raises(db.DivballError, match="resolution must be >= 1, got 0"):
             db.oracle_lower_expectation(p, f, "tv", 0.2, np.int64(0))
 
+    @pytest.mark.parametrize(
+        "resolution", [np.uint8(255), np.int8(127), np.int32(2**31 - 1)],
+        ids=["uint8-max", "int8-max", "int32-max"],
+    )
+    def test_a_numpy_integer_resolution_reports_as_its_python_int(self, resolution):
+        # Read in its own width, uint8 255 + 1 wraps to 0 and int8 127 + 1
+        # overflows; each must give the report, or the error, of the int.
+        p, f = db.validate([0.5, 0.5], [0, 1])
+
+        def outcome(res):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    report = db.oracle_lower_expectation(p, f, "tv", 0.1, res)
+                except db.DivballError as exc:
+                    return type(exc).__name__, str(exc)
+            assert type(report.resolution) is int
+            return (report.grid_minimum.hex(), report.feasible_count,
+                    report.tolerance.hex(), report.grid_argmin.weights.tobytes())
+
+        assert outcome(resolution) == outcome(int(resolution))
+
     def test_too_large(self):
         p, f = db.validate([0.2] * 5, [1, 2, 3, 4, 5])
         with pytest.raises(db.TooLargeError):
