@@ -25,6 +25,14 @@ last sorted payoff, and an untied payoff's levels are its outcomes.  The
 tails, the prefix statistics, the critical radii and the search for the
 support run over the levels, and the bottom level is the support that
 never shrinks.
+
+A side of up to ``_SMALL_SIDE_MAX`` levels is formed in Python floats, in
+two loops over its levels (:func:`_small_moments` up, :func:`_small_rows`
+down), and wrapped as one read-only block: at that size each numpy pass
+costs its dispatch, not its arithmetic.  A larger side takes the numpy
+passes.  Each loop makes the float operations of the numpy passes in their
+order, so the two forms give the same bits and raise the same errors, and
+the crossover, set where the two forms cost the same, decides no bit.
 """
 
 import math
@@ -48,6 +56,13 @@ _RADICAND_SLACK = 1e-12
 # Minimizer coordinates may round to tiny negatives exactly at a critical
 # radius, where the exact value is 0.
 _COORDINATE_SLACK = 1e-9
+# Up to this many payoff levels a side is formed in Python floats (README):
+# about where the two forms take the same time, near 20 us a side.
+_SMALL_SIDE_MAX = 24
+# The breakdowns that both forms raise.
+_CONSTANT = "non-plateau prefix is constant"
+_NOT_POSITIVE = "critical radii must be positive"
+_RISING = "critical radii must be non-increasing"
 
 
 def chi2_divergence(q: Pmf, p: Pmf) -> float:
@@ -103,6 +118,63 @@ def _prefix_moments(p_sorted: np.ndarray, f_sorted: np.ndarray):
     return mass, gap, var
 
 
+def _small_moments(masses: list, payoffs: list):
+    """:func:`_prefix_moments` of a small side's level masses and payoffs, in
+    Python floats: the same float operations in the same order, so the same
+    bits, with no numpy call.  Returns lists."""
+    k = len(masses)
+    mass, gap, var = [0.0] * k, [0.0] * k, [0.0] * k
+    unit = math.ldexp(1.0, math.frexp(payoffs[-1] - payoffs[0])[1] - 1)
+    # The prefix mass, G (the gap's numerator), m*var and the gap so far.
+    m = mass[0] = masses[0]
+    g_sum = v_sum = g = 0.0
+    for i in range(1, k):
+        rise = payoffs[i] - payoffs[i - 1]
+        g_sum += m * rise
+        lead = (rise + g) / unit
+        after = m + masses[i]
+        v_sum += m / after * masses[i] * lead * lead
+        mass[i] = m = after
+        gap[i] = g = g_sum / m
+        var[i] = v_sum / m * unit * unit
+    return mass, gap, var
+
+
+def _small_rows(masses: list, payoffs: list) -> tuple:
+    """A small side's five rows in Python floats, one entry per level: the
+    tails, the prefix mass, gap and variance of :func:`_small_moments`, and
+    the critical radii followed by a 0.0 pad.  The tails and radii are
+    formed in one pass from the top level down, with the float operations
+    of :func:`suffix_masses` and of the numpy form's radii and checks, so
+    with their bits, and the checks raise in the numpy form's order with
+    its messages.  A gap whose square underflows gives the numpy form's
+    +inf, without its divide-by-zero warning."""
+    mass, gap, var = _small_moments(masses, payoffs)
+    k = len(masses)
+    tails, finite = [0.0] * k, [0.0] * k
+    constant = broken = False
+    # The mass after level i, and the raw and the largest radius after it
+    # (the top level has none).
+    t, after, top = 0.0, -math.inf, -math.inf
+    for i in range(k - 1, 0, -1):
+        g, v = gap[i], var[i]
+        constant = constant or not (g > 0.0 and v > 0.0)
+        square = g * g
+        radius = ((v / square if square else math.inf) + t) / mass[i]
+        # The allowance is formed only where a radius rises, as in the numpy form.
+        broken = broken or not (after <= radius or after <= (abs(radius) + 1.0) * 1e-12 + radius)
+        after = radius
+        finite[i - 1] = top = radius if top < radius else top
+        tails[i - 1] = t = t + masses[i]
+    if constant:
+        raise DivballError(_CONSTANT)
+    if k > 1 and not finite[k - 2] > 0.0:
+        raise DivballError(_NOT_POSITIVE)
+    if broken:
+        raise DivballError(_RISING)
+    return tails, mass, gap, var, finite
+
+
 class CriticalDeltas(SortedProblem):
     """The chi-squared side of ``(p, f)``: the sorted side plus its prefix
     statistics and the breakpoint radii at which the optimal support loses
@@ -115,7 +187,10 @@ class CriticalDeltas(SortedProblem):
     An untied payoff's levels are its outcomes, read as they are.
     ``tails[i]`` is the mass after level ``i``, :func:`suffix_masses` of the
     level masses, so a tied side holds no per-outcome tails.  The prefix
-    arrays come from one pass of :func:`_prefix_moments`: entry ``i`` of
+    arrays come from one pass of :func:`_prefix_moments`, or on a side of
+    at most ``_SMALL_SIDE_MAX`` levels of :func:`_small_moments`, whose
+    Python-float loop gives the same bits (and then all five arrays are rows
+    of one read-only block): entry ``i`` of
     ``prefix_mass``, ``gap`` and ``prefix_var`` covers the first ``i + 1``
     levels, and ``gap[i]`` is the payoff of level ``i`` less the prefix
     mean.  ``finite[j]`` is the critical radius of the support of the first
@@ -137,6 +212,13 @@ class CriticalDeltas(SortedProblem):
         masses, payoffs, edges = self.p_sorted, self.f_sorted, self.edges
         if edges is not None:
             masses, payoffs = np.add.reduceat(masses, edges[:-1]), payoffs[edges[1:] - 1]
+        if masses.size <= _SMALL_SIDE_MAX:
+            block = np.array(_small_rows(masses.tolist(), payoffs.tolist()))
+            block.setflags(write=False)
+            # Indexed: unpacking the block would iterate it, a microsecond more.
+            self.tails, self.prefix_mass, self.gap = block[0], block[1], block[2]
+            self.prefix_var, self.finite = block[3], block[4, :-1]
+            return
         self.tails = tails = suffix_masses(masses)
         mass, gap, var = _prefix_moments(masses, payoffs)
         self.prefix_mass, self.gap, self.prefix_var = mass, gap, var
@@ -144,13 +226,13 @@ class CriticalDeltas(SortedProblem):
         # The least of each, NaN if one is (so NaN fails ``> 0.0``); a ufunc
         # reduce, as argmin would copy these read-only arrays.
         if gap.size and not (np.minimum.reduce(gap) > 0.0 and np.minimum.reduce(var) > 0.0):
-            raise DivballError("non-plateau prefix is constant")
+            raise DivballError(_CONSTANT)
         finite = np.multiply(gap, gap)
         np.divide(var, finite, out=finite)
         finite += tails[1:]
         finite /= mass[1:]
         if finite.size and not finite[-1] > 0.0:
-            raise DivballError("critical radii must be positive")
+            raise DivballError(_NOT_POSITIVE)
         # Non-increasing up to roundoff (NaN fails), the allowance formed only when needed.
         falling = finite[1:] <= finite[:-1]
         if np.count_nonzero(falling) != falling.size:
@@ -159,7 +241,7 @@ class CriticalDeltas(SortedProblem):
             bound *= 1e-12
             bound += finite[:-1]
             if np.count_nonzero(finite[1:] <= bound) != falling.size:
-                raise DivballError("critical radii must be non-increasing")
+                raise DivballError(_RISING)
             # Each radius raised to the largest after it: the same supports, searchable.
             np.maximum.accumulate(finite[::-1], out=finite[::-1])
         finite.setflags(write=False)

@@ -40,6 +40,17 @@ def _floats(values: list) -> np.ndarray | None:
         return None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice, whose
+    first value ``json`` would silently drop."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DivballError(f"key {key!r} appears more than once in one object")
+        obj[key] = value
+    return obj
+
+
 def load_problem_dict(obj) -> dict:
     """Schema-check a raw problem object; returns the cleaned field dict,
     with ``p`` and ``f`` as float arrays and ``sweep`` as a tuple."""
@@ -286,8 +297,9 @@ def main(argv=None) -> int:
         else:
             raw = Path(args.input).read_text(encoding="utf-8")
         try:
-            data = json.loads(raw)
-        except (RecursionError, ValueError) as exc:  # too deep, a bad token, too many digits
+            data = json.loads(raw, object_pairs_hook=_unique_keys)
+        # Too deep, a bad token, too many digits or a repeated key.
+        except (RecursionError, ValueError) as exc:
             raise DivballError(str(exc)) from exc
         problem, delta, sweep = resolve_problem(data, args)
 

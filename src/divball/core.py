@@ -59,8 +59,17 @@ class BallFamily(str, enum.Enum):
         raise DivballError(f"unknown ball family {value!r}: expected 'tv' or 'chi2'")
 
 
-def _clean_vector(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _float_array(values, what: str, copy: bool | None = None) -> np.ndarray:
+    """``values`` as a float array, copied as ``np.array``'s ``copy`` says;
+    an integer past the float range is refused as non-finite."""
+    try:
+        return np.array(values, dtype=float, copy=copy)
+    except OverflowError:
+        raise NonFiniteError(f"{what} contains a number past the float range") from None
+
+
+def _clean_vector(values, what: str, copy: bool | None = None) -> np.ndarray:
+    arr = _float_array(values, what, copy)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     elif arr.ndim != 1:
@@ -177,7 +186,7 @@ class Objective:
 
     def __post_init__(self):
         # One copy: freezing the caller's own array would make it read-only.
-        v = _clean_vector(np.array(self.values, dtype=float), "objective values")
+        v = _clean_vector(self.values, "objective values", copy=True)
         perm, ordered, edges = _stable_order(v)
         for arr in (v, perm, ordered, edges):
             if arr is not None:  # untied, the edges are None
@@ -311,8 +320,8 @@ def validate(
     """
     family = BallFamily(family)
     # Only the sizes are read here: a 0-d input counts 1, as Pmf will make it.
-    pw = np.asarray(p, dtype=float)
-    fv = np.asarray(f, dtype=float)
+    pw = _float_array(p, "weights")
+    fv = _float_array(f, "objective values")
     if pw.size != fv.size:
         raise LengthMismatchError(f"{pw.size} weights vs {fv.size} objective values")
     pmf = Pmf(pw, labels)

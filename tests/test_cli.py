@@ -60,6 +60,21 @@ UNPARSABLE = {
 }
 
 
+# Two files that repeat a key, at the top level and inside ``sweep``, which
+# ``json.loads`` alone would answer from the key's last value.
+REPEATED_KEYS = {
+    "top-level": (
+        b'{"p": [0.5, 0.5], "p": [0.2, 0.8], "f": [0, 1], "ball": "tv", "delta": 0.1}',
+        "error: key 'p' appears more than once in one object\n",
+    ),
+    "nested": (
+        b'{"p": [0.5, 0.5], "f": [0, 1], "ball": "tv",'
+        b' "sweep": {"start": 0, "stop": 1, "stop": 0.5, "steps": 3}}',
+        "error: key 'stop' appears more than once in one object\n",
+    ),
+}
+
+
 class TestRunBound:
     def test_single_delta_json(self, tmp_path, capsys):
         path = write_problem(
@@ -232,6 +247,15 @@ class TestValidationFailures:
         assert run.returncode == 2 and run.stdout == b""
         assert run.stderr.startswith(b"error: ") and message.encode() in run.stderr
         assert run.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("raw, message", REPEATED_KEYS.values(), ids=list(REPEATED_KEYS))
+    def test_a_repeated_key_exits_2(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "problem.json"
+        path.write_bytes(raw)
+        assert cli.main(["--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", message)
+        run = run_divball(["--input", "-"], raw)
+        assert (run.returncode, run.stdout, run.stderr) == (2, b"", message.encode())
 
     def test_stdin_is_utf8_whatever_the_stream_encoding(self):
         run = run_stdin("\u00e9".encode(), encoding="latin-1")

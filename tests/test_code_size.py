@@ -8,7 +8,7 @@ from pathlib import Path
 
 import divball
 
-CODE_LINES_AT_MOST = 968
+CODE_LINES_AT_MOST = 1028
 
 
 def code_lines(source: str) -> int:

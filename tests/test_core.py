@@ -56,6 +56,24 @@ class TestValidate:
         with pytest.raises(db.NonFiniteError):
             db.validate([0.5, 0.5], [0, float("inf")])
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: db.Pmf([10**400, 1]), "weights"),
+            (lambda: db.Pmf([0.5, -(10**400)]), "weights"),
+            (lambda: db.Objective([10**400, 1.0]), "objective values"),
+            (lambda: db.validate([0.5, 0.5], [10**400, 1.0]), "objective values"),
+            (lambda: db.validate([10**400, 0.5], [0.0, 1.0], "chi2"), "weights"),
+        ],
+        ids=["pmf", "pmf-negative", "objective", "validate-payoff", "validate-weight"],
+    )
+    def test_an_integer_past_the_float_range_is_non_finite(self, build, what):
+        # float() of such an integer raises OverflowError; it is refused as
+        # the infinity it would be.
+        message = f"^{what} contains a number past the float range$"
+        with pytest.raises(db.NonFiniteError, match=message):
+            build()
+
     def test_renormalizes_within_tolerance(self):
         p, _ = db.validate([0.5, 0.5 + 4e-10], [0, 1])
         assert abs(p.weights.sum() - 1.0) < 1e-15

@@ -164,21 +164,39 @@ def test_sides_are_internals():
     assert issubclass(chi2.CriticalDeltas, core.SortedProblem)
 
 
-def counting(monkeypatch, module, name, counts):
+def counting(monkeypatch, module, name, counts, key=None):
+    """Count the calls of ``module.name`` in ``counts[key]`` (``key``
+    defaults to ``name``)."""
     original = getattr(module, name)
+    key = key or name
 
     def counted(*args):
-        counts[name] = counts.get(name, 0) + 1
+        counts[key] = counts.get(key, 0) + 1
         return original(*args)
 
     monkeypatch.setattr(module, name, counted)
 
 
 def count_tails(monkeypatch, counts):
-    """Count the tail passes of both families' sides, each of which takes
-    its tails through its own module's ``suffix_masses``."""
+    """Count the tail passes of both families' sides as ``suffix_masses``:
+    a TV side and a numpy-form chi-squared side take their tails through
+    their own module's ``suffix_masses``, and a small chi-squared side in
+    the one pass of ``_small_rows``."""
     for module in (tv, chi2):
         counting(monkeypatch, module, "suffix_masses", counts)
+    counting(monkeypatch, chi2, "_small_rows", counts, "suffix_masses")
+
+
+def count_moments(monkeypatch, counts):
+    """Count the prefix moment passes of chi-squared sides as
+    ``_prefix_moments``: the numpy form's and the small form's."""
+    counting(monkeypatch, chi2, "_prefix_moments", counts)
+    counting(monkeypatch, chi2, "_small_moments", counts, "_prefix_moments")
+
+
+# Each chi-squared side form: the small one (the crossover as it is), then
+# the numpy one (crossover 0).
+SIDE_CROSSOVERS = (chi2._SMALL_SIDE_MAX, 0)
 
 
 @pytest.mark.parametrize(
@@ -186,14 +204,18 @@ def count_tails(monkeypatch, counts):
     [(["--sweep", "0:5:50"], 2), (["--delta", "0.3"], 2), (["--radius", "0.5"], 1)],
 )
 def test_cli_sorts_once_per_side(tmp_path, capsys, monkeypatch, args, sides):
-    # Each side takes its tails once; ``_stable_order`` runs once, for the
-    # payoff (the tied negation's order is derived from it by ``_negation()``).
-    counts = {}
-    count_tails(monkeypatch, counts)
-    counting(monkeypatch, core, "_stable_order", counts)
+    # Each side takes its tails once, in either chi-squared form;
+    # ``_stable_order`` runs once, for the payoff (the tied negation's order
+    # is derived from it by ``_negation()``).
     obj, _ = SWEEP_CASES["chi2_ties"]
-    run_cli(tmp_path, capsys, obj, *args)
-    assert counts == {"suffix_masses": sides, "_stable_order": 1}
+    for crossover in SIDE_CROSSOVERS:
+        monkeypatch.setattr(chi2, "_SMALL_SIDE_MAX", crossover)
+        counts = {}
+        count_tails(monkeypatch, counts)
+        counting(monkeypatch, core, "_stable_order", counts)
+        run_cli(tmp_path, capsys, obj, *args)
+        assert counts == {"suffix_masses": sides, "_stable_order": 1}, crossover
+        monkeypatch.undo()
 
 
 def test_one_shot_sorts_once(monkeypatch):
@@ -291,6 +313,59 @@ def test_the_sort_crossover_decides_no_bit(monkeypatch, n):
     assert bounds(10**6) == want
 
 
+def test_only_chi2_binds_the_side_crossover():
+    # The crossover is a speed constant of the chi-squared side alone.
+    for info in pkgutil.iter_modules(db.__path__):
+        module = importlib.import_module(f"divball.{info.name}")
+        assert hasattr(module, "_SMALL_SIDE_MAX") == (info.name == "chi2"), info.name
+    assert not hasattr(db, "_SMALL_SIDE_MAX")
+
+
+SIDE_ROWS = ("tails", "prefix_mass", "gap", "prefix_var", "finite")
+
+
+def test_the_side_crossover_decides_no_bit(monkeypatch):
+    # Every chi-squared side built in Python floats (crossover 10**6) has the
+    # rows, or raises the error, of the same side built by numpy (crossover 0).
+    rng = np.random.default_rng(44)
+    # many_small's item-1 reproducer, whose upper side breaks down.
+    problems = [([1.0, 1e-300, 1e-300], [-1e-8, 1e-8, 5e-9])]
+    for n in range(1, 41):
+        flat = rng.dirichlet(np.ones(n))
+        skewed = np.maximum(rng.dirichlet(np.full(n, 0.05)), 1e-300)
+        skewed /= skewed.sum()
+        untied = rng.uniform(-1.0, 1.0, n)
+        signed_zero = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        signed_zero[rng.random(n) < 0.2] = 1.0
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300, 1.7e308):
+            for f in (untied, np.round(untied * 3.0) / 3.0, signed_zero, np.ones(n)):
+                problems += [(flat, f * scale), (skewed, f * scale)]
+
+    def sides(crossover):
+        monkeypatch.setattr(chi2, "_SMALL_SIDE_MAX", crossover)
+        rows = []
+        for p, f in problems:
+            pmf, obj = db.validate(p, f, "chi2")
+            for negated in (False, True):
+                try:
+                    side = chi2.CriticalDeltas(pmf, obj, negated)
+                    rows.append(tuple(getattr(side, name).tobytes() for name in SIDE_ROWS))
+                except db.DivballError as exc:
+                    rows.append((type(exc), str(exc)))
+        return rows
+
+    with np.errstate(all="ignore"):
+        want = sides(0)
+        assert sides(10**6) == want
+    raised = {row[1] for row in want if len(row) == 2}
+    assert raised == {
+        "non-plateau prefix is constant",
+        "critical radii must be positive",
+        "critical radii must be non-increasing",
+    }
+    assert want[1] == (db.DivballError, "critical radii must be non-increasing")
+
+
 @pytest.mark.parametrize(
     "ball, args, passes",
     [
@@ -303,21 +378,27 @@ def test_the_sort_crossover_decides_no_bit(monkeypatch, n):
     ],
 )
 def test_cli_moment_passes_per_side(tmp_path, capsys, monkeypatch, ball, args, passes):
-    # TV reads only tails; a chi^2 side computes its prefix moments once.
-    counts = {}
-    counting(monkeypatch, chi2, "_prefix_moments", counts)
-    run_cli(tmp_path, capsys, dict(TIED, ball=ball), *args)
-    assert counts.get("_prefix_moments", 0) == passes
+    # TV reads only tails; a chi^2 side computes its prefix moments once, in
+    # either form.
+    for crossover in SIDE_CROSSOVERS:
+        monkeypatch.setattr(chi2, "_SMALL_SIDE_MAX", crossover)
+        counts = {}
+        count_moments(monkeypatch, counts)
+        run_cli(tmp_path, capsys, dict(TIED, ball=ball), *args)
+        assert counts.get("_prefix_moments", 0) == passes, crossover
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("family, passes", [("tv", 0), ("chi2", 1)])
 def test_one_shot_moment_passes(monkeypatch, family, passes):
     counts = {}
-    counting(monkeypatch, chi2, "_prefix_moments", counts)
+    count_moments(monkeypatch, counts)
     p, f = db.validate(TIED["p"], TIED["f"], family)
-    for side in ("lower", "upper"):
-        getattr(db, f"{family}_{side}_expectation")(p, f, 0.25)
-        assert counts.pop("_prefix_moments", 0) == passes
+    for crossover in SIDE_CROSSOVERS:
+        monkeypatch.setattr(chi2, "_SMALL_SIDE_MAX", crossover)
+        for side in ("lower", "upper"):
+            getattr(db, f"{family}_{side}_expectation")(p, f, 0.25)
+            assert counts.pop("_prefix_moments", 0) == passes, crossover
 
 
 @pytest.mark.parametrize(

@@ -69,7 +69,7 @@ def test_no_numpy_wrapper_on_the_solve_path(family, monkeypatch):
 # one-shot lower bound and one upper bound at n = 8, the call that stops the
 # count included.  Unlike a time, a count does not depend on the host.  A
 # change may lower a count; one that raises it says why.
-CALLS_AT_MOST = {("tv", False): 50, ("tv", True): 55, ("chi2", False): 91, ("chi2", True): 100}
+CALLS_AT_MOST = {("tv", False): 49, ("tv", True): 54, ("chi2", False): 72, ("chi2", True): 81}
 
 
 @pytest.mark.parametrize("family, tied", list(CALLS_AT_MOST), ids=lambda v: str(v).lower())
@@ -130,7 +130,7 @@ from divball import chi2
 from divball.core import SortedProblem
 
 nan, inf = float("nan"), float("inf")
-moments = chi2._prefix_moments
+moments, small_moments = chi2._prefix_moments, chi2._small_moments
 
 
 def show(solve):
@@ -142,17 +142,19 @@ def show(solve):
 
 
 def radii(gap=None, var=None):
-    # Critical radii of a prepared three-point side whose moments are replaced.
+    # Critical radii of a prepared three-point side whose moments are
+    # replaced, in both forms: the numpy one's and the small one's pass.
     p, f = db.validate([0.25, 0.25, 0.5], [0.0, 1.0, 2.0], "chi2")
     sp = SortedProblem(p, f)
     mass, g, v = moments(sp.p_sorted, sp.f_sorted)
     g = g if gap is None else np.array(gap)
     v = v if var is None else np.array(var)
     chi2._prefix_moments = lambda p_sorted, f_sorted: (mass, g, v)
+    chi2._small_moments = lambda masses, payoffs: (mass.tolist(), g.tolist(), v.tolist())
     try:
         return chi2.CriticalDeltas(p, f)
     finally:
-        chi2._prefix_moments = moments
+        chi2._prefix_moments, chi2._small_moments = moments, small_moments
 
 
 for family in ("tv", "chi2"):
@@ -166,15 +168,21 @@ show(lambda: db.validate([0.0, 1.0], [0.0, 1.0], "chi2"))
 show(lambda: db.validate([0.5, -0.0, 0.5], [0.0, 1.0, 2.0], "chi2"))
 show(lambda: db.chi2_lower_expectation(db.Pmf([0.0, 1.0]), db.Objective([0.0, 1.0]), 0.1))
 show(lambda: db.chi2_upper_expectation(db.Pmf([0.5, 0.0, 0.5]), db.Objective([0.0, 1.0, 2.0]), 0.1))
-show(lambda: db.chi2_lower_expectation(*db.validate([1.0, 1e-300], [5e-324, 0.0], "chi2"), 0.1))
-show(lambda: radii(gap=[0.0, 0.0, 1.0]))
-show(lambda: radii(gap=[0.0, nan, 1.0]))
-show(lambda: radii(var=[0.0, 1.0, 0.0]))
-show(lambda: radii(var=[0.0, nan, 1.0]))
-show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 1e-300, 2.0]))
-show(lambda: radii(gap=[0.0, inf, 1.0], var=[0.0, inf, 1.0]))
-show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 0.5, 2.0 * (1.0 + 1e-13)]))
-show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 0.5, 2.0 * (1.0 + 1e-11)]))
+# Each side breakdown in the small form (the crossover as it is), then in
+# the numpy form (crossover 0).
+for crossover in (chi2._SMALL_SIDE_MAX, 0):
+    chi2._SMALL_SIDE_MAX = crossover
+    show(lambda: db.chi2_lower_expectation(*db.validate([1.0, 1e-300], [5e-324, 0.0], "chi2"), 0.1))
+    show(lambda: radii(gap=[0.0, 0.0, 1.0]))
+    show(lambda: radii(gap=[0.0, nan, 1.0]))
+    show(lambda: radii(var=[0.0, 1.0, 0.0]))
+    show(lambda: radii(var=[0.0, nan, 1.0]))
+    show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 1e-300, 2.0]))
+    show(lambda: radii(gap=[0.0, inf, 1.0], var=[0.0, inf, 1.0]))
+    show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 0.5, 2.0 * (1.0 + 1e-13)]))
+    show(lambda: radii(gap=[0.0, 1.0, 1.0], var=[0.0, 0.5, 2.0 * (1.0 + 1e-11)]))
+    show(lambda: radii(gap=[0.0, 1.0, 1e10], var=[0.0, 0.5, 5e-324]))
+    show(lambda: radii(gap=[0.0, 1.0, inf], var=[0.0, 0.5, inf]))
 """
 
 NONFINITE_W = "NonFiniteError: weights contains NaN or infinity"
@@ -182,12 +190,12 @@ NONFINITE_F = "NonFiniteError: objective values contains NaN or infinity"
 NEGATIVE = "NegativeWeightError: weights must be nonnegative"
 ZERO_MASS = "ZeroMassForbiddenError: chi-squared balls need a strictly positive center pmf"
 CONSTANT = "DivballError: non-plateau prefix is constant"
+NOT_POSITIVE = "DivballError: critical radii must be positive"
 RISING = "DivballError: critical radii must be non-increasing"
 EXPECTED = (
     [NONFINITE_W, NONFINITE_W, NONFINITE_F, NONFINITE_F, NONFINITE_W, NEGATIVE] * 2
     + [ZERO_MASS] * 4
-    + [CONSTANT] * 5
-    + [RISING, RISING, "returned", RISING]
+    + ([CONSTANT] * 5 + [RISING, RISING, "returned", RISING] + [NOT_POSITIVE] * 2) * 2
 )
 
 
