@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 invalid input, 3 oracle check failed,
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -325,5 +326,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """:func:`main` as a process: flush its answer, then end the process with
+    its status, skipping the interpreter's teardown and ``atexit`` hooks.
+
+    The teardown frees what the process ends with anyway, and it takes
+    longer than the answer.  A usage error or an unexpected exception leaves
+    before the flush, as from :func:`main`; a flush that fails (a broken
+    pipe) falls back to ``sys.exit``, so the interpreter reports it.
+    """
+    status = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # a stream closed when the process started
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

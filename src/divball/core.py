@@ -61,11 +61,15 @@ class BallFamily(str, enum.Enum):
 
 def _float_array(values, what: str, copy: bool | None = None) -> np.ndarray:
     """``values`` as a float array, copied as ``np.array``'s ``copy`` says;
-    an integer past the float range is refused as non-finite."""
+    an integer past the float range is refused as non-finite, and what numpy
+    cannot read as real numbers (complex, a mapping, a ragged nesting) by
+    name."""
     try:
         return np.array(values, dtype=float, copy=copy)
     except OverflowError:
         raise NonFiniteError(f"{what} contains a number past the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise DivballError(f"{what} must be real numbers: {exc}") from None
 
 
 def _clean_vector(values, what: str, copy: bool | None = None) -> np.ndarray:
@@ -286,13 +290,16 @@ class BoundResult:
 
 
 def _as_float(value, what: str) -> float:
-    """``value`` as a float, ``±inf`` past the float range; text is refused."""
+    """``value`` as a float, ``±inf`` past the float range; text and what
+    ``float`` refuses are refused by name."""
     if isinstance(value, (str, bytes, bytearray)):
         raise DivballError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DivballError(f"{what} must be a number, got {value!r}") from None
 
 
 def check_delta(delta) -> float:
@@ -304,7 +311,8 @@ def check_delta(delta) -> float:
     that range reads ``-inf`` rather than its digits.
     """
     d = _as_float(delta, "delta")
-    if not delta >= 0.0:
+    # A negative value can round to -0.0, so a zero is compared as given.
+    if not (d > 0.0 or (d == 0.0 and delta >= 0)):
         raise NegativeDeltaError(f"delta must be >= 0, got {d}")
     return d
 

@@ -1,5 +1,6 @@
 """Unit tests for the command-line front end."""
 
+import ast
 import io
 import json
 import math
@@ -724,3 +725,114 @@ class TestSweepInvariants:
                 assert b <= a + 1e-12
             for a, b in zip(uppers, uppers[1:]):
                 assert b >= a - 1e-12
+
+
+# ---------------------------------------------------------------- process exit
+
+# A ``python -m divball`` process ends through ``cli.run``: it flushes the
+# answer and ends with ``os._exit``, with no interpreter teardown.  Each case
+# below must leave what ``main`` leaves in-process: the same stdout bytes,
+# stderr and status, which is what ``sys.exit(main())`` gave.
+EXIT_CASES = {
+    "bound": (TV_FIXTURE, [], 0),
+    "sweep": (CHI2_FIXTURE, ["--sweep", "0:1:5"], 0),
+    "radius": (TV_FIXTURE, ["--radius", "0.5"], 0),
+    "unreachable-radius": (TV_FIXTURE, ["--radius=-1"], 4),
+    "oracle-pass": (CHI2_FIXTURE, ["--oracle-check", "200"], 0),
+    "oracle-fail": (CHI2_FIXTURE, ["--oracle-check", "200"], 3),
+    "invalid-file": (dict(TV_FIXTURE, p=[0.5, 0.6]), [], 2),
+    "usage-error": (TV_FIXTURE, ["--ball", "kl"], 2),
+}
+
+# The child's ``-c`` program for "oracle-fail": the verdict is forced to
+# fail, then ``divball/__main__.py`` runs as ``-m`` runs it.
+FAILING_VERDICT = (
+    "import runpy, divball.cli\n"
+    "divball.cli.oracle_check_verdict = lambda *args: False\n"
+    "runpy.run_module('divball', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def divball_process(argv, program=None, drop=(), **popen):
+    """``python -m divball argv`` (or ``python -c program argv``) run to its
+    end, with the environment's variables in ``drop`` unset."""
+    env = {key: value for key, value in os.environ.items() if key not in drop}
+    env["PYTHONPATH"] = str(Path(db.__file__).resolve().parents[1])
+    launch = ["-m", "divball"] if program is None else ["-c", program]
+    popen.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *launch, *argv], stderr=subprocess.PIPE, timeout=120, env=env, **popen
+    )
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_a_process_leaves_what_main_leaves(self, case, tmp_path, capsys, monkeypatch):
+        problem, flags, status = EXIT_CASES[case]
+        argv = ["--input", write_problem(tmp_path, problem), *flags]
+        program = FAILING_VERDICT if case == "oracle-fail" else None
+        if program is not None:
+            monkeypatch.setattr(cli, "oracle_check_verdict", lambda *args: False)
+        try:
+            in_process = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            in_process = exc.code
+        out, err = capsys.readouterr()
+        child = divball_process(argv, program)
+        assert (child.returncode, in_process) == (status, status)
+        assert child.stdout == out.encode()
+        assert child.stderr.decode() == err
+
+    def test_a_closed_stdout_exits_0_in_silence(self, tmp_path):
+        # ``>&-``: the interpreter starts with sys.stdout None, and print
+        # writes nothing.
+        path = write_problem(tmp_path, TV_FIXTURE)
+        child = divball_process(["--input", path], stdout=None, preexec_fn=lambda: os.close(1))
+        assert (child.returncode, child.stderr) == (0, b"")
+
+    def test_a_broken_pipe_is_reported_once_by_the_interpreter(self, tmp_path):
+        # Buffered output that no reader takes: the flush fails, and the
+        # interpreter's own teardown reports it as it did under sys.exit.
+        path = write_problem(tmp_path, TV_FIXTURE)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = divball_process(["--input", path], drop=("PYTHONUNBUFFERED",), stdout=write_end)
+        finally:
+            os.close(write_end)
+        ignored, error = child.stderr.decode().splitlines()
+        assert child.returncode == 120
+        assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert error == "BrokenPipeError: [Errno 32] Broken pipe"
+
+    @pytest.mark.parametrize(
+        "call, hook_runs", [("cli.run(sys.argv[1:])", False), ("sys.exit(cli.main())", True)]
+    )
+    def test_run_skips_the_atexit_hooks(self, tmp_path, call, hook_runs):
+        path = write_problem(tmp_path, TV_FIXTURE)
+        program = (
+            "import atexit, sys\n"
+            "from divball import cli\n"
+            "atexit.register(sys.stderr.write, 'hook ran')\n" + call
+        )
+        child = divball_process(["--input", path], program)
+        assert child.returncode == 0 and json.loads(child.stdout)["delta"] == 0.1
+        assert child.stderr == (b"hook ran" if hook_runs else b"")
+
+    def test_the_console_script_runs_what_main_module_runs(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            module, name = tomllib.load(fh)["project"]["scripts"]["divball"].split(":")
+        tree = ast.parse(Path(db.__file__).with_name("__main__.py").read_text(encoding="utf-8"))
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        called = [
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        assert (module, called, imported) == ("divball.cli", [name], {("cli", name)})

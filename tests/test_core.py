@@ -74,6 +74,26 @@ class TestValidate:
         with pytest.raises(db.NonFiniteError, match=message):
             build()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.5 + 1j, 0.5], {0: 0.5, 1: 0.5}, {0.25, 0.75}, [[0.5], [0.25, 0.25]], b"ab"],
+        ids=["complex", "dict", "set", "ragged", "bytes"],
+    )
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda v: db.validate(v, [0.0, 1.0]), "weights"),
+            (lambda v: db.validate([0.5, 0.5], v), "objective values"),
+            (db.Pmf, "weights"),
+            (db.Objective, "objective values"),
+        ],
+        ids=["validate-weights", "validate-payoff", "pmf", "objective"],
+    )
+    def test_what_is_no_real_vector_is_refused_by_name(self, build, what, bad):
+        # numpy's own TypeError or ValueError does not escape.
+        with pytest.raises(db.DivballError, match=f"^{what} must be real numbers: "):
+            build(bad)
+
     def test_renormalizes_within_tolerance(self):
         p, _ = db.validate([0.5, 0.5 + 4e-10], [0, 1])
         assert abs(p.weights.sum() - 1.0) < 1e-15

@@ -15,6 +15,7 @@ independent of the package's rules on purpose.
 
 import ast
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,6 +217,26 @@ def test_a_threshold_given_as_text_is_refused(family, text):
         divball.robustness_radius(pmf, obj, family, text)
     # As a number it is answered.
     assert divball.robustness_radius(pmf, obj, family, 1.5) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, [0.1], np.array([0.1]), Decimal("sNaN")],
+    ids=["None", "list", "array", "signaling-nan"],
+)
+def test_what_float_refuses_is_refused_by_name(value):
+    pmf, obj = divball.validate([0.5, 0.5], [0.0, 1.0])
+    with pytest.raises(divball.DivballError, match=r"^delta must be a number, got "):
+        divball.tv_lower_expectation(pmf, obj, value)
+    with pytest.raises(divball.DivballError, match=r"^radius threshold must be a number, got "):
+        divball.robustness_radius(pmf, obj, "tv", value)
+
+
+def test_a_nan_radius_is_compared_as_its_float():
+    # Decimal("NaN") >= 0.0 would raise decimal.InvalidOperation.
+    pmf, obj = divball.validate([0.5, 0.5], [0.0, 1.0])
+    with pytest.raises(divball.NegativeDeltaError, match=r"^delta must be >= 0, got nan$"):
+        divball.tv_lower_expectation(pmf, obj, Decimal("NaN"))
 
 
 def test_the_radius_is_compared_as_given():

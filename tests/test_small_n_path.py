@@ -6,6 +6,7 @@ than ``CALLS_AT_MOST`` counts, the plateau is the second of the payoff's
 kept run edges, and every check on it keeps its exception class and
 message, also under ``python -O``."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -87,11 +88,15 @@ def test_c_level_calls_of_a_small_query(family, tied):
 
     query()  # first-call work (imports, caches) is not the per-query path
     events = []
+    # A collection inside the count would add the finalizers of whatever
+    # earlier tests left as garbage, so the count would hang on test order.
+    gc.disable()
     sys.setprofile(lambda frame, event, arg: events.append(event == "c_call"))
     try:
         query()
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert sum(events) <= CALLS_AT_MOST[family, tied]
 
 
