@@ -45,10 +45,11 @@ from .core import (
     Objective,
     Pmf,
     SortedProblem,
+    check_pair,
     require_positive,
     suffix_masses,
 )
-from .errors import DivballError, LengthMismatchError
+from .errors import DivballError
 
 # Radicand m_r*delta - t_r may dip this far below zero from roundoff at a
 # breakpoint; anything worse indicates an inconsistent (r, delta) pair.
@@ -72,8 +73,7 @@ def chi2_divergence(q: Pmf, p: Pmf) -> float:
     checked as a chi-squared ball's center is, so a zero weight raises
     ``ZeroMassForbiddenError`` with the center rule's message.
     """
-    if q.n != p.n:
-        raise LengthMismatchError(f"{q.n} vs {p.n} outcomes")
+    check_pair(q, p, Pmf, "qp")
     require_positive(p.weights)
     diff = q.weights - p.weights
     return float(np.sum(diff * diff / p.weights))

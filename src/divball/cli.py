@@ -22,23 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_delta, validate
+from .core import check_delta, real_number, real_vector, validate
 from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
 from .problem import Problem, robustness_radius
 
 _UNSET = object()
-
-
-def _floats(values: list) -> np.ndarray | None:
-    """``values`` as a float array, or None unless each is a JSON number
-    (an int or a float, not a bool) that a float holds."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an integer past the float range
-        return None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -53,8 +42,11 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_problem_dict(obj) -> dict:
-    """Schema-check a raw problem object; returns the cleaned field dict,
-    with ``p`` and ``f`` as float arrays and ``sweep`` as a tuple."""
+    """Check a raw problem object's JSON shape; returns the field dict, with
+    ``p`` and ``f`` as float arrays, ``delta`` as a float and ``sweep`` as a
+    tuple.  What a number is the library decides (``core.real_vector`` and
+    ``core.real_number``, each told the key it reports), and what a label
+    is, ``Pmf``."""
     if not isinstance(obj, dict):
         raise DivballError("problem file must be a JSON object")
     allowed = {"labels", "p", "f", "ball", "delta", "sweep"}
@@ -62,25 +54,21 @@ def load_problem_dict(obj) -> dict:
     if unknown:
         raise DivballError(f"unknown problem keys: {sorted(unknown)}")
     fields = dict(obj)
-    for key in ("p", "f"):
+    for key in ("p", "f", "ball"):
         if key not in obj:
             raise DivballError(f"problem is missing required key '{key}'")
-        values = _floats(obj[key]) if isinstance(obj[key], list) else None
-        if values is None:
+    for key in ("p", "f"):
+        if not isinstance(obj[key], list):
             raise DivballError(f"'{key}' must be a list of numbers")
-        fields[key] = values
-    if "ball" not in obj:
-        raise DivballError("problem is missing required key 'ball'")
+        fields[key] = real_vector(obj[key], f"'{key}'")
     if obj["ball"] not in ("tv", "chi2"):
         raise DivballError("'ball' must be \"tv\" or \"chi2\"")
-    if "labels" in obj and (
-        not isinstance(obj["labels"], list) or not set(map(type, obj["labels"])) <= {str}
-    ):
-        raise DivballError("'labels' must be a list of strings")
+    if not isinstance(obj.get("labels", []), list):  # null would mean no labels
+        raise DivballError("labels must be a sequence of strings")
     if "delta" in obj and "sweep" in obj:
         raise DivballError("give exactly one of 'delta' and 'sweep', not both")
-    if "delta" in obj and _floats([obj["delta"]]) is None:
-        raise DivballError("'delta' must be a number")
+    if "delta" in obj:
+        fields["delta"] = real_number(obj["delta"], "'delta'")
     if "sweep" in obj:
         fields["sweep"] = _parse_sweep_dict(obj["sweep"])
     return fields
@@ -89,19 +77,17 @@ def load_problem_dict(obj) -> dict:
 def _parse_sweep_dict(sweep) -> tuple[float, float, int]:
     if not isinstance(sweep, dict) or set(sweep) != {"start", "stop", "steps"}:
         raise DivballError("'sweep' must be an object with start, stop and steps")
-    bounds, steps = _floats([sweep["start"], sweep["stop"]]), sweep["steps"]
-    if bounds is None:
-        raise DivballError("'sweep.start' and 'sweep.stop' must be numbers")
+    start, stop = (real_number(sweep[key], f"'sweep.{key}'") for key in ("start", "stop"))
+    steps = sweep["steps"]
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
         raise DivballError("'sweep.steps' must be an integer >= 2")
-    start, stop = bounds.tolist()
-    if not np.isfinite(bounds).all():
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise DivballError("'sweep.start' and 'sweep.stop' must be finite")
     if start < 0.0:
         raise DivballError("'sweep.start' must be >= 0")
     if stop < start:
         raise DivballError("'sweep.stop' must be >= 'sweep.start'")
-    return start, stop, int(steps)
+    return start, stop, steps
 
 
 def _parse_sweep_flag(text: str) -> tuple[float, float, int]:
@@ -131,7 +117,6 @@ def resolve_problem(obj: dict, args=None) -> tuple[Problem, float | None, tuple 
             delta, sweep = None, _parse_sweep_flag(args.sweep)
     pmf, objective = validate(fields["p"], fields["f"], family, fields.get("labels"))
     if delta is not None:
-        delta = float(delta)
         # The library accepts an infinite radius; JSON output cannot carry one.
         if not math.isfinite(delta):
             raise NonFiniteError("delta must be finite")
@@ -284,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: json for a single radius, csv for sweeps)",
     )
     parser.add_argument(
-        "--quiet", action="store_true", help="suppress informational stderr output"
+        "--quiet",
+        action="store_true",
+        help="omit the 'oracle check failed' line that --oracle-check writes to stderr on exit 3",
     )
     return parser
 

@@ -26,6 +26,7 @@ instances are safe to share across threads.
 import enum
 import math
 from dataclasses import dataclass, field
+from numbers import Complex, Number, Real
 
 import numpy as np
 
@@ -59,24 +60,61 @@ class BallFamily(str, enum.Enum):
         raise DivballError(f"unknown ball family {value!r}: expected 'tv' or 'chi2'")
 
 
-def _float_array(values, what: str, copy: bool | None = None) -> np.ndarray:
-    """``values`` as a float array, copied as ``np.array``'s ``copy`` says;
-    an integer past the float range is refused as non-finite, and what numpy
-    cannot read as real numbers (complex, a mapping, a ragged nesting) by
-    name."""
+def _is_real(kind: type) -> bool:
+    """Whether ``kind`` is a type of real number: in Python's numeric tower, a
+    ``numbers.Real`` (``int``, ``float``, a numpy integer or floating type,
+    ``Fraction``), or a ``numbers.Number`` that is no ``numbers.Complex``
+    (``Decimal``), but not ``bool`` nor numpy's ``timedelta64``, a duration
+    that numpy files under its integers."""
+    if kind in (float, int):
+        return True
+    real = issubclass(kind, Real) or not issubclass(kind, Complex)
+    return real and issubclass(kind, Number) and not issubclass(kind, (bool, np.timedelta64))
+
+
+def real_vector(values, what: str, copy: bool | None = None) -> np.ndarray:
+    """``values`` as a float array of at least one dimension, copied as
+    ``np.array``'s ``copy`` says.
+
+    An ndarray must hold ints, uints or floats, which costs one dtype read;
+    a list, tuple or range must hold numbers (:func:`_is_real`), one pass
+    over its element types; anything else must be one number.  What is not
+    read is refused by name, with the types it holds.  An integer past the
+    float range exceeds every double, so it is refused as non-finite.
+    """
+    # The exact type first: it costs no C-level call, where isinstance does.
+    if type(values) is np.ndarray or isinstance(values, np.ndarray):
+        bad = "" if values.dtype.kind in "iuf" else values.dtype.name
+    else:
+        kinds = set(map(type, values if isinstance(values, (list, tuple, range)) else [values]))
+        bad = ", ".join(sorted(kind.__name__ for kind in kinds if not _is_real(kind)))
+    if bad:
+        raise DivballError(f"{what} must be real numbers, got {bad}")
     try:
-        return np.array(values, dtype=float, copy=copy)
+        return np.array(values, dtype=float, copy=copy, ndmin=1)
     except OverflowError:
         raise NonFiniteError(f"{what} contains a number past the float range") from None
-    except (TypeError, ValueError) as exc:
-        raise DivballError(f"{what} must be real numbers: {exc}") from None
+    except ValueError:  # a signaling NaN
+        raise DivballError(f"{what} must be real numbers, got a signaling NaN") from None
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float, refused by name unless it is a number
+    (:func:`_is_real`); an integer past the float range exceeds every double,
+    so it is the infinity of its sign."""
+    if _is_real(type(value)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+        except ValueError:  # a signaling NaN
+            pass
+    raise DivballError(f"{what} must be a number, got {value!r}")
 
 
 def _clean_vector(values, what: str, copy: bool | None = None) -> np.ndarray:
-    arr = _float_array(values, what, copy)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    elif arr.ndim != 1:
+    arr = real_vector(values, what, copy)
+    if arr.ndim != 1:
         raise DivballError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptySupportError(f"{what} must have at least one entry")
@@ -125,14 +163,13 @@ class Pmf:
         w = w / _unit_sum(w)
         labels = self.labels
         if labels is not None:
+            # A list or a tuple of str: one string would be split into
+            # letters, a dict read as its keys and a set in no fixed order.
+            if not isinstance(labels, (list, tuple)) or not set(map(type, labels)) <= {str}:
+                raise DivballError("labels must be a sequence of strings")
             labels = tuple(labels)
             if len(labels) != w.size:
-                raise LengthMismatchError(
-                    f"{len(labels)} labels for {w.size} outcomes"
-                )
-            # One string is refused: tuple() would split it into letters.
-            if isinstance(self.labels, str) or not all(isinstance(lab, str) for lab in labels):
-                raise DivballError("labels must be a sequence of strings")
+                raise LengthMismatchError(f"{len(labels)} labels for {w.size} outcomes")
             if len(set(labels)) != len(labels):
                 raise DivballError("labels must be distinct")
         self._store(w, labels)
@@ -232,6 +269,18 @@ class Objective:
         return perm, ordered, edges
 
 
+def check_pair(p, f, kind: type = Objective, names: str = "pf") -> None:
+    """Refuse, by name, a first argument that is no ``Pmf`` or a second that
+    is no ``kind``, and a pair whose lengths differ."""
+    # The exact types first: they cost no C-level call, where isinstance does.
+    if type(p) is not Pmf or type(f) is not kind:
+        for value, cls, name in zip((p, f), (Pmf, kind), names):
+            if not isinstance(value, cls):
+                raise DivballError(f"{name}: expected {cls.__name__}, got {type(value).__name__}")
+    if p.n != f.n:
+        raise LengthMismatchError(f"{p.n} outcomes in {names[0]} vs {f.n} in {names[1]}")
+
+
 class SortedProblem:
     """A (pmf, objective) pair in objective-ascending order.
 
@@ -253,8 +302,7 @@ class SortedProblem:
     """
 
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
-        if p.n != f.n:
-            raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
+        check_pair(p, f)
         perm, ordered, edges = f._negation() if negated else (f._perm, f._ordered, f._edges)
         p_sorted = p.weights[perm]
         p_sorted.setflags(write=False)
@@ -289,19 +337,6 @@ class BoundResult:
             raise DivballError(f"unknown branch tag {self.branch!r}")
 
 
-def _as_float(value, what: str) -> float:
-    """``value`` as a float, ``±inf`` past the float range; text and what
-    ``float`` refuses are refused by name."""
-    if isinstance(value, (str, bytes, bytearray)):
-        raise DivballError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise DivballError(f"{what} must be a number, got {value!r}") from None
-
-
 def check_delta(delta) -> float:
     """Reject a negative or NaN ball radius, and return it as a float.
 
@@ -310,7 +345,7 @@ def check_delta(delta) -> float:
     rejected radius is reported as its float, so a negative integer past
     that range reads ``-inf`` rather than its digits.
     """
-    d = _as_float(delta, "delta")
+    d = real_number(delta, "delta")
     # A negative value can round to -0.0, so a zero is compared as given.
     if not (d > 0.0 or (d == 0.0 and delta >= 0)):
         raise NegativeDeltaError(f"delta must be >= 0, got {d}")
@@ -327,13 +362,12 @@ def validate(
     the divergence is undefined once the reference mass vanishes somewhere.
     """
     family = BallFamily(family)
-    # Only the sizes are read here: a 0-d input counts 1, as Pmf will make it.
-    pw = _float_array(p, "weights")
-    fv = _float_array(f, "objective values")
+    # The sizes are compared first; Pmf and Objective check the rest.
+    pw = real_vector(p, "weights")
+    fv = real_vector(f, "objective values")
     if pw.size != fv.size:
         raise LengthMismatchError(f"{pw.size} weights vs {fv.size} objective values")
-    pmf = Pmf(pw, labels)
-    obj = Objective(fv)
+    pmf, obj = Pmf(pw, labels), Objective(fv)
     if family is BallFamily.CHI2:
         require_positive(pmf.weights)
     return pmf, obj
@@ -349,8 +383,7 @@ def require_positive(weights: np.ndarray) -> None:
 
 def expectation(p: Pmf, f: Objective) -> float:
     """Expected value of ``f`` under ``p``: sum of ``p(x) * f(x)``."""
-    if p.n != f.n:
-        raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
+    check_pair(p, f)
     return weighted_mean(p.weights.copy(), f.values, f._ordered[0], f._ordered[-1])
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallFamily, Objective, Pmf, check_delta, require_positive
+from .core import BallFamily, Objective, Pmf, check_delta, check_pair, real_vector, require_positive
 from .errors import (
     DivballError,
     EmptyFeasibleError,
@@ -46,9 +46,7 @@ MAX_GRID_POINTS = 10**7
 
 def naive_tv_distance(q, p) -> float:
     """Definitional total-variation loop, independent of the tv module."""
-    qa, pa = _weights(q), _weights(p)
-    if len(qa) != len(pa):
-        raise LengthMismatchError(f"{len(qa)} vs {len(pa)} outcomes")
+    qa, pa = _pair(q, p)
     s = 0.0
     for a, b in zip(qa, pa):
         s += abs(a - b)
@@ -57,9 +55,7 @@ def naive_tv_distance(q, p) -> float:
 
 def naive_chi2_divergence(q, p) -> float:
     """Definitional chi-squared loop, independent of the chi2 module."""
-    qa, pa = _weights(q), _weights(p)
-    if len(qa) != len(pa):
-        raise LengthMismatchError(f"{len(qa)} vs {len(pa)} outcomes")
+    qa, pa = _pair(q, p)
     s = 0.0
     for a, b in zip(qa, pa):
         if b == 0.0:
@@ -77,9 +73,7 @@ def naive_divergence(q, p, family: BallFamily) -> float:
 
 def naive_expectation(q, f) -> float:
     """Definitional expectation loop, independent of the core module."""
-    qa, fa = _weights(q), _weights(f)
-    if len(qa) != len(fa):
-        raise LengthMismatchError(f"{len(qa)} vs {len(fa)} entries")
+    qa, fa = _pair(q, f)
     s = 0.0
     for a, b in zip(qa, fa):
         s += a * b
@@ -91,7 +85,15 @@ def _weights(x) -> np.ndarray:
         return x.weights
     if isinstance(x, Objective):
         return x.values
-    return np.asarray(x, dtype=float)
+    return real_vector(x, "values")
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` read by :func:`_weights`, checked to have one length."""
+    qa, pa = _weights(a), _weights(b)
+    if len(qa) != len(pa):
+        raise LengthMismatchError(f"{len(qa)} vs {len(pa)} outcomes")
+    return qa, pa
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +255,7 @@ def oracle_lower_expectation(
     """
     family = BallFamily(family)
     delta = check_delta(delta)
-    if p.n != f.n:
-        raise LengthMismatchError(f"{p.n} weights vs {f.n} objective values")
+    check_pair(p, f)
     if family is BallFamily.CHI2:
         require_positive(p.weights)
     n = p.n

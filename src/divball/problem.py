@@ -14,7 +14,7 @@ import math
 import struct
 
 from .chi2 import CriticalDeltas
-from .core import BallFamily, BoundResult, Objective, Pmf, _as_float, check_delta
+from .core import BallFamily, BoundResult, Objective, Pmf, check_delta, check_pair, real_number
 from .errors import NonFiniteError, UnreachableError
 from .tv import TVSide
 
@@ -28,6 +28,7 @@ class Problem:
     """
 
     def __init__(self, pmf: Pmf, objective: Objective, family: BallFamily | str):
+        check_pair(pmf, objective)
         self.pmf = pmf
         self.objective = objective
         self.family = family if isinstance(family, BallFamily) else BallFamily(family)
@@ -125,7 +126,7 @@ def robustness_radius(
     radius reaches raises ``UnreachableError``.
     """
     problem = Problem(pmf, objective, family)
-    theta = _as_float(theta, "radius threshold")
+    theta = real_number(theta, "radius threshold")
     if not math.isfinite(theta):
         raise NonFiniteError("radius threshold must be finite")
     lo, hi, star = -1, 0x7FF0000000000000, math.inf  # hi: +inf's bit pattern

@@ -16,16 +16,15 @@ from .core import (
     Objective,
     Pmf,
     SortedProblem,
+    check_pair,
     suffix_masses,
     weighted_mean,
 )
-from .errors import LengthMismatchError
 
 
 def tv_distance(q: Pmf, p: Pmf) -> float:
     """Total variation distance: half the 1-norm of the weight difference."""
-    if q.n != p.n:
-        raise LengthMismatchError(f"{q.n} vs {p.n} outcomes")
+    check_pair(q, p, Pmf, "qp")
     return 0.5 * float(np.abs(q.weights - p.weights).sum())
 
 

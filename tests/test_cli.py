@@ -266,9 +266,9 @@ class TestValidationFailures:
     @pytest.mark.parametrize(
         "radii, message",
         [
-            ({"delta": True}, "'delta' must be a number"),
+            ({"delta": True}, "'delta' must be a number, got True"),
             ({"sweep": {"start": False, "stop": True, "steps": 3}},
-             "'sweep.start' and 'sweep.stop' must be numbers"),
+             "'sweep.start' must be a number, got False"),
         ],
     )
     def test_boolean_radii_are_rejected(self, tmp_path, capsys, radii, message):
@@ -300,18 +300,19 @@ class TestValidationFailures:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"delta": HUGE}, "'delta' must be a number"),
-            ({"f": [0, HUGE], "delta": 0.1}, "'f' must be a list of numbers"),
-            ({"p": [HUGE, 0.5], "delta": 0.1}, "'p' must be a list of numbers"),
+            ({"delta": HUGE}, "delta must be finite"),
+            ({"f": [0, HUGE], "delta": 0.1}, "'f' contains a number past the float range"),
+            ({"p": [HUGE, 0.5], "delta": 0.1}, "'p' contains a number past the float range"),
             ({"sweep": {"start": 0, "stop": HUGE, "steps": 3}},
-             "'sweep.start' and 'sweep.stop' must be numbers"),
+             "'sweep.start' and 'sweep.stop' must be finite"),
             ({"sweep": {"start": -HUGE, "stop": 1, "steps": 3}},
-             "'sweep.start' and 'sweep.stop' must be numbers"),
+             "'sweep.start' and 'sweep.stop' must be finite"),
         ],
         ids=["delta", "f", "p", "sweep-stop", "sweep-start"],
     )
     def test_integers_past_the_float_range_are_rejected(self, tmp_path, capsys, fields, message):
-        # JSON integers are unbounded; one that no float holds is not a number.
+        # JSON integers are unbounded; one past the float range exceeds every
+        # double, so it is read as an infinity, which no list or radius takes.
         path = write_problem(tmp_path, {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", **fields})
         assert cli.main(["--input", path]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -334,7 +335,7 @@ class TestValidationFailures:
             ([], [], "problem file must be a JSON object"),
             ({"p": [0.5, 0.5], "f": [0, 1], "delta": 0.1}, [],
              "problem is missing required key 'ball'"),
-            ({**TV_FIXTURE, "labels": ["a", 1]}, [], "'labels' must be a list of strings"),
+            ({**TV_FIXTURE, "labels": ["a", 1]}, [], "labels must be a sequence of strings"),
             ({"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "sweep": [0, 1, 3]}, [],
              "'sweep' must be an object with start, stop and steps"),
             ({"p": [0.5, 0.5], "f": [0, 1], "ball": "tv",
@@ -386,37 +387,38 @@ class TestValidationFailures:
 
 
 class TestInputPath:
-    """Each list of numbers is checked once, by its element types and one
-    float conversion; every fault keeps its class and message."""
+    """Each list of numbers is checked once, by ``core.real_vector``: its
+    element types and one float conversion; every fault keeps its class and
+    message."""
 
     BASE = {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "delta": 0.1}
 
     @pytest.mark.parametrize(
         "fields, error, message",
         [
-            ({"p": [True, 0.5]}, db.DivballError, "'p' must be a list of numbers"),
+            ({"p": [True, 0.5]}, db.DivballError, "'p' must be real numbers, got bool"),
             ({"p": [math.nan, 0.5]}, db.NonFiniteError, "weights contains NaN or infinity"),
             ({"p": [], "f": []}, db.EmptySupportError, "weights must have at least one entry"),
             ({"p": []}, db.LengthMismatchError, "0 weights vs 2 objective values"),
-            ({"p": [HUGE, 0.5]}, db.DivballError, "'p' must be a list of numbers"),
-            ({"p": [0.5, None]}, db.DivballError, "'p' must be a list of numbers"),
-            ({"p": [[0.5], [0.5]]}, db.DivballError, "'p' must be a list of numbers"),
-            ({"f": [0, False]}, db.DivballError, "'f' must be a list of numbers"),
+            ({"p": [HUGE, 0.5]}, db.NonFiniteError, "'p' contains a number past the float range"),
+            ({"p": [0.5, None]}, db.DivballError, "'p' must be real numbers, got NoneType"),
+            ({"p": [[0.5], [0.5]]}, db.DivballError, "'p' must be real numbers, got list"),
+            ({"f": [0, False]}, db.DivballError, "'f' must be real numbers, got bool"),
             ({"f": [0, math.nan]}, db.NonFiniteError, "objective values contains NaN or infinity"),
             ({"f": []}, db.LengthMismatchError, "2 weights vs 0 objective values"),
-            ({"f": [0.5, -HUGE]}, db.DivballError, "'f' must be a list of numbers"),
-            ({"delta": []}, db.DivballError, "'delta' must be a number"),
-            ({"delta": None}, db.DivballError, "'delta' must be a number"),
+            ({"f": [0.5, -HUGE]}, db.NonFiniteError, "'f' contains a number past the float range"),
+            ({"delta": []}, db.DivballError, "'delta' must be a number, got []"),
+            ({"delta": None}, db.DivballError, "'delta' must be a number, got None"),
             ({"delta": math.nan}, db.NonFiniteError, "delta must be finite"),
-            ({"delta": -HUGE}, db.DivballError, "'delta' must be a number"),
+            ({"delta": -HUGE}, db.NonFiniteError, "delta must be finite"),
             ({"sweep": {"start": [], "stop": 1, "steps": 3}}, db.DivballError,
-             "'sweep.start' and 'sweep.stop' must be numbers"),
+             "'sweep.start' must be a number, got []"),
             ({"sweep": {"start": 0, "stop": True, "steps": 3}}, db.DivballError,
-             "'sweep.start' and 'sweep.stop' must be numbers"),
+             "'sweep.stop' must be a number, got True"),
             ({"sweep": {"start": math.nan, "stop": 1, "steps": 3}}, db.DivballError,
              "'sweep.start' and 'sweep.stop' must be finite"),
             ({"sweep": {"start": 0, "stop": -HUGE, "steps": 3}}, db.DivballError,
-             "'sweep.start' and 'sweep.stop' must be numbers"),
+             "'sweep.start' and 'sweep.stop' must be finite"),
         ],
     )
     def test_each_fault_keeps_its_class_and_message(self, tmp_path, capsys, fields, error, message):
@@ -608,8 +610,20 @@ class TestOracleCheckMode:
             "lower",
             lambda *a: (lambda r: db.BoundResult(r.value + 0.1, r.minimizer, r.active_index, r.branch))(true_lower(*a)),
         )
+        assert cli.main(["--input", path, "--oracle-check", "200"]) == 3
+        loud = capsys.readouterr()
+        assert loud.err == "oracle check failed\n"
         assert cli.main(["--input", path, "--oracle-check", "200", "--quiet"]) == 3
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr() == (loud.out, "")
+        # That line is all --quiet hides: an error line and stdout stay.
+        bad = write_problem(tmp_path, {**CHI2_FIXTURE, "delta": -1}, "bad.json")
+        for argv, status in (([path], 0), ([bad], 2)):
+            runs = []
+            for quiet in ([], ["--quiet"]):
+                assert cli.main(["--input", *argv, *quiet]) == status
+                runs.append(capsys.readouterr())
+            assert runs[0] == runs[1]
+        assert runs[0] == ("", "error: delta must be >= 0, got -1.0\n")
 
     def test_overflowing_expectation_is_rejected_not_a_crash(self, tmp_path, capsys):
         # Every feasible grid expectation overflows to +inf: no certificate

@@ -4,7 +4,7 @@ a chi-squared center with a zero weight is rejected through
 ``core.require_positive``, so a second copy of either rule cannot drift from
 the first.  ``Problem`` checks a radius before it builds or asks a side.  A
 radius and a radius threshold are read as numbers by one helper,
-``core._as_float``, which refuses text that ``float`` would parse.
+``core.real_number``, which refuses text that ``float`` would parse.
 
 Like ``test_family_branches.py``, this reads the syntax tree of every module
 in the package: ``NegativeDeltaError`` is raised only in ``check_delta``, and
