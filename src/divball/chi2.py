@@ -202,13 +202,13 @@ class CriticalDeltas(SortedProblem):
     rather than by that subtraction, so it keeps its relative accuracy when
     it is far below an ulp of the payoff.  The bottom level itself never
     shrinks; its radius is unbounded and is represented structurally rather
-    than by a float sentinel.  Each check that raises is a numeric breakdown
-    of the closed form.
+    than by a float sentinel.  Every center weight is positive, as
+    ``core.check_problem`` checked before the side was built; each check
+    that raises here is a numeric breakdown of the closed form.
     """
 
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
         super().__init__(p, f, negated)
-        require_positive(self.p_sorted)
         masses, payoffs, edges = self.p_sorted, self.f_sorted, self.edges
         if edges is not None:
             masses, payoffs = np.add.reduceat(masses, edges[:-1]), payoffs[edges[1:] - 1]

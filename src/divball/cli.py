@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import check_delta, real_number, real_vector, validate
+from .core import Objective, Pmf, check_delta, real_number, real_vector
 from .errors import DivballError, NonFiniteError, UnreachableError
 from .oracle import naive_divergence, oracle_check_verdict, oracle_lower_expectation
-from .problem import Problem, robustness_radius
+from .problem import Problem
 
 _UNSET = object()
 
@@ -102,8 +102,9 @@ def _parse_sweep_flag(text: str) -> tuple[float, float, int]:
 
 
 def resolve_problem(obj: dict, args=None) -> tuple[Problem, float | None, tuple | None]:
-    """Merge CLI overrides into a schema-checked problem dict and validate:
-    the one ``Problem`` every mode answers from, and its radius or sweep."""
+    """Merge CLI overrides into a schema-checked problem dict: the one
+    ``Problem`` every mode answers from, built from its ``Pmf`` and
+    ``Objective``, and its radius or sweep."""
     fields = load_problem_dict(obj)
     family = fields["ball"]
     delta = fields.get("delta")
@@ -115,13 +116,13 @@ def resolve_problem(obj: dict, args=None) -> tuple[Problem, float | None, tuple 
             delta, sweep = args.delta, None
         elif args.sweep is not None:
             delta, sweep = None, _parse_sweep_flag(args.sweep)
-    pmf, objective = validate(fields["p"], fields["f"], family, fields.get("labels"))
+    problem = Problem(Pmf(fields["p"], fields.get("labels")), Objective(fields["f"]), family)
     if delta is not None:
         # The library accepts an infinite radius; JSON output cannot carry one.
         if not math.isfinite(delta):
             raise NonFiniteError("delta must be finite")
         check_delta(delta)
-    return Problem(pmf, objective, family), delta, sweep
+    return problem, delta, sweep
 
 
 def _fmt(x: float) -> str:
@@ -180,9 +181,8 @@ def _render_csv(rows) -> str:
 
 
 def run_radius(problem: Problem, theta: float) -> str:
-    delta_star = robustness_radius(
-        problem.pmf, problem.objective, problem.family, theta
-    )
+    """The robustness radius of ``theta``, answered from ``problem``."""
+    delta_star = problem._radius(theta)
     return json.dumps(
         {"theta": float(theta), "delta_star": delta_star, "ball": problem.family.value}
     )

@@ -293,8 +293,10 @@ class SortedProblem:
     one per outcome, ``chi2.CriticalDeltas`` one per payoff level), and
     answers ``value(delta)`` and ``weights(r, delta)``, writing minimizers
     straight into original order through ``perm``.  The sides are internals
-    of ``problem.Problem``: it checks ``delta`` before asking, and passes
-    ``weights`` the support size ``r`` that ``value`` returned.
+    of ``problem.Problem``, and check nothing of their own: it checks the
+    pair and its family (:func:`check_problem`) before a side is built,
+    ``delta`` before asking, and passes ``weights`` the support size ``r``
+    that ``value`` returned.
 
     The order, the sorted payoff and the edges are ``f``'s own, read-only
     and shared, or with ``negated`` ``-f``'s, from ``f._negation()``, which
@@ -302,7 +304,6 @@ class SortedProblem:
     """
 
     def __init__(self, p: Pmf, f: Objective, negated: bool = False):
-        check_pair(p, f)
         perm, ordered, edges = f._negation() if negated else (f._perm, f._ordered, f._edges)
         p_sorted = p.weights[perm]
         p_sorted.setflags(write=False)
@@ -357,20 +358,28 @@ def validate(
 ) -> tuple[Pmf, Objective]:
     """Validate raw weight and payoff vectors for the given ball family.
 
-    ``labels`` name the outcomes of the one ``Pmf`` built, under its rules.
-    Chi-squared balls additionally require a strictly positive center, since
-    the divergence is undefined once the reference mass vanishes somewhere.
+    ``Pmf`` reads ``p`` and ``labels`` under its rules, ``Objective`` reads
+    ``f``, and :func:`check_problem` checks the pair for ``family``.
     """
-    family = BallFamily(family)
-    # The sizes are compared first; Pmf and Objective check the rest.
-    pw = real_vector(p, "weights")
-    fv = real_vector(f, "objective values")
-    if pw.size != fv.size:
-        raise LengthMismatchError(f"{pw.size} weights vs {fv.size} objective values")
-    pmf, obj = Pmf(pw, labels), Objective(fv)
-    if family is BallFamily.CHI2:
-        require_positive(pmf.weights)
+    pmf, obj = Pmf(p, labels), Objective(f)
+    check_problem(pmf, obj, family)
     return pmf, obj
+
+
+def check_problem(p: Pmf, f: Objective, family: BallFamily | str) -> BallFamily:
+    """The one check of a problem: ``p`` a ``Pmf`` and ``f`` an ``Objective``
+    of its length (:func:`check_pair`), ``family`` a ball family, and a
+    chi-squared center with no zero weight (:func:`require_positive`), since
+    the divergence divides by it.  Returns the family as a ``BallFamily``.
+
+    ``Problem``, :func:`validate` and the grid oracle call it, and no
+    prepared side checks these facts again.
+    """
+    check_pair(p, f)
+    family = family if type(family) is BallFamily else BallFamily(family)
+    if family is BallFamily.CHI2:
+        require_positive(p.weights)
+    return family
 
 
 def require_positive(weights: np.ndarray) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallFamily, Objective, Pmf, check_delta, check_pair, real_vector, require_positive
+from .core import BallFamily, Objective, Pmf, check_delta, check_problem, real_vector
 from .errors import (
     DivballError,
     EmptyFeasibleError,
@@ -247,17 +247,15 @@ def oracle_lower_expectation(
 ) -> OracleReport:
     """Exhaustive feasible-grid minimum of the expectation over a ball.
 
-    ``family`` and ``delta`` follow the bounds' rules: any radius >= 0 is
-    valid, and an infinite one makes every grid point feasible.  The
+    ``p``, ``f`` and ``family`` are checked as a ``Problem``'s are
+    (``core.check_problem``), then ``delta`` as a bound's: any radius >= 0
+    is valid, and an infinite one makes every grid point feasible.  The
     reported minimum is recomputed with the definitional loops, and the
     argmin's ball membership is rechecked the same way, so the report stands
     on its own even if the vectorized path were wrong.
     """
-    family = BallFamily(family)
+    family = check_problem(p, f, family)
     delta = check_delta(delta)
-    check_pair(p, f)
-    if family is BallFamily.CHI2:
-        require_positive(p.weights)
     n = p.n
     if resolution is None:
         resolution = default_resolution(n)

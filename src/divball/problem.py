@@ -6,15 +6,16 @@ it was built, the negation's through ``Objective._negation``, which forms
 no negated payoff.  The one-shot bounds each solve a ``Problem``.
 
 A ``Problem`` is the one way into a prepared side, an internal: it checks
+its pair and family once, when it is built (``core.check_problem``), and
 each radius once, before a side is built or asked, and hands ``weights``
-the support size that ``value`` returned.
+the support size that ``value`` returned.  No side checks these again.
 """
 
 import math
 import struct
 
 from .chi2 import CriticalDeltas
-from .core import BallFamily, BoundResult, Objective, Pmf, check_delta, check_pair, real_number
+from .core import BallFamily, BoundResult, Objective, Pmf, check_delta, check_problem, real_number
 from .errors import NonFiniteError, UnreachableError
 from .tv import TVSide
 
@@ -24,14 +25,16 @@ _BUILDERS = {BallFamily.TV: TVSide, BallFamily.CHI2: CriticalDeltas}
 class Problem:
     """A validated (pmf, objective) pair under one ball ``family``.
 
-    Each side is prepared on its first bound and kept for every later one.
+    The pair and the family are checked when it is built, by
+    ``core.check_problem``, so a chi-squared center with a zero weight raises
+    here.  Each side is prepared on its first bound and kept for every later
+    one.
     """
 
     def __init__(self, pmf: Pmf, objective: Objective, family: BallFamily | str):
-        check_pair(pmf, objective)
+        self.family = check_problem(pmf, objective, family)
         self.pmf = pmf
         self.objective = objective
-        self.family = family if isinstance(family, BallFamily) else BallFamily(family)
         self._sides = {}
 
     def lower(self, delta: float) -> BoundResult:
@@ -66,6 +69,31 @@ class Problem:
         delta = check_delta(delta)
         value, r, branch = self._side(upper).value(delta)
         return -value if upper else value, r, branch
+
+    def _radius(self, theta: float) -> float:
+        """:func:`robustness_radius` of this problem.
+
+        ``theta`` is read once.  Every radius the bisection probes is built
+        from a bit pattern below +inf's, so it is a finite double >= 0, and
+        the lower side is asked for its value with no radius check.
+        """
+        theta = real_number(theta, "radius threshold")
+        if not math.isfinite(theta):
+            raise NonFiniteError("radius threshold must be finite")
+        side = self._side(False)
+        lo, hi, star = -1, 0x7FF0000000000000, math.inf  # hi: +inf's bit pattern
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            delta = struct.unpack("<d", mid.to_bytes(8, "little"))[0]
+            if side.value(delta)[0] <= theta:
+                hi, star = mid, delta
+            else:
+                lo = mid
+        if star == math.inf:
+            f_min = float(self.objective.values.min())
+            where = f"below the objective minimum {f_min}" if theta < f_min else "out of reach"
+            raise UnreachableError(f"threshold {theta} lies {where}")
+        return star
 
     def _side(self, upper: bool):
         """The prepared side, of the payoff or (upper) of its negation:
@@ -125,20 +153,4 @@ def robustness_radius(
     and the next smaller double's does not.  A threshold that no finite
     radius reaches raises ``UnreachableError``.
     """
-    problem = Problem(pmf, objective, family)
-    theta = real_number(theta, "radius threshold")
-    if not math.isfinite(theta):
-        raise NonFiniteError("radius threshold must be finite")
-    lo, hi, star = -1, 0x7FF0000000000000, math.inf  # hi: +inf's bit pattern
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        delta = struct.unpack("<d", mid.to_bytes(8, "little"))[0]
-        if problem._value(False, delta)[0] <= theta:
-            hi, star = mid, delta
-        else:
-            lo = mid
-    if star == math.inf:
-        f_min = float(objective.values.min())
-        where = f"below the objective minimum {f_min}" if theta < f_min else "out of reach"
-        raise UnreachableError(f"threshold {theta} lies {where}")
-    return star
+    return Problem(pmf, objective, family)._radius(theta)

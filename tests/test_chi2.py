@@ -140,9 +140,12 @@ class TestCriticalDeltas:
         assert abs(critical_delta(cd, 2) - 0.25) <= 1e-12
 
     def test_zero_mass_forbidden(self):
+        # The side trusts its center; Problem refuses a zero weight when built.
         pmf, obj = db.validate([0.0, 1.0], [0, 1], "tv")
-        with pytest.raises(db.ZeroMassForbiddenError):
-            CriticalDeltas(pmf, obj)
+        with pytest.raises(db.ZeroMassForbiddenError) as info:
+            db.Problem(pmf, obj, "chi2")
+        assert type(info.value) is db.ZeroMassForbiddenError
+        assert str(info.value) == "chi-squared balls need a strictly positive center pmf"
 
     @pytest.mark.parametrize(
         "payoff, message",

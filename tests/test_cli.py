@@ -387,9 +387,9 @@ class TestValidationFailures:
 
 
 class TestInputPath:
-    """Each list of numbers is checked once, by ``core.real_vector``: its
-    element types and one float conversion; every fault keeps its class and
-    message."""
+    """Each list of numbers is read by ``core.real_vector``: its element
+    types and one float conversion.  The pair and its family are checked
+    once, by the one ``Problem``; every fault keeps its class and message."""
 
     BASE = {"p": [0.5, 0.5], "f": [0, 1], "ball": "tv", "delta": 0.1}
 
@@ -399,13 +399,13 @@ class TestInputPath:
             ({"p": [True, 0.5]}, db.DivballError, "'p' must be real numbers, got bool"),
             ({"p": [math.nan, 0.5]}, db.NonFiniteError, "weights contains NaN or infinity"),
             ({"p": [], "f": []}, db.EmptySupportError, "weights must have at least one entry"),
-            ({"p": []}, db.LengthMismatchError, "0 weights vs 2 objective values"),
+            ({"p": []}, db.EmptySupportError, "weights must have at least one entry"),
             ({"p": [HUGE, 0.5]}, db.NonFiniteError, "'p' contains a number past the float range"),
             ({"p": [0.5, None]}, db.DivballError, "'p' must be real numbers, got NoneType"),
             ({"p": [[0.5], [0.5]]}, db.DivballError, "'p' must be real numbers, got list"),
             ({"f": [0, False]}, db.DivballError, "'f' must be real numbers, got bool"),
             ({"f": [0, math.nan]}, db.NonFiniteError, "objective values contains NaN or infinity"),
-            ({"f": []}, db.LengthMismatchError, "2 weights vs 0 objective values"),
+            ({"f": []}, db.EmptySupportError, "objective values must have at least one entry"),
             ({"f": [0.5, -HUGE]}, db.NonFiniteError, "'f' contains a number past the float range"),
             ({"delta": []}, db.DivballError, "'delta' must be a number, got []"),
             ({"delta": None}, db.DivballError, "'delta' must be a number, got None"),
@@ -419,6 +419,10 @@ class TestInputPath:
              "'sweep.start' and 'sweep.stop' must be finite"),
             ({"sweep": {"start": 0, "stop": -HUGE, "steps": 3}}, db.DivballError,
              "'sweep.start' and 'sweep.stop' must be finite"),
+            # With a length mismatch too, the center's own fault comes first:
+            # the pair is checked once both sides are read.
+            ({"p": [math.nan, 0.25, 0.75]}, db.NonFiniteError, "weights contains NaN or infinity"),
+            ({"labels": ["a"], "f": [0, 1, 2]}, db.LengthMismatchError, "1 labels for 2 outcomes"),
         ],
     )
     def test_each_fault_keeps_its_class_and_message(self, tmp_path, capsys, fields, error, message):
@@ -478,18 +482,17 @@ class TestInputPath:
 
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--output", "csv"], ["--sweep", "0:1:5"], ["--oracle-check", "20"]],
-        ids=["json", "csv", "sweep", "oracle-check"],
+        [[], ["--output", "csv"], ["--sweep", "0:1:5"], ["--oracle-check", "20"],
+         ["--radius", "0.5"]],
+        ids=["json", "csv", "sweep", "oracle-check", "radius"],
     )
     def test_a_run_builds_one_problem(self, tmp_path, capsys, monkeypatch, flags):
+        # Counted on the class, so a Problem built anywhere in the library counts.
         built = []
-
-        class Counted(db.Problem):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(cli, "Problem", Counted)
+        init = db.Problem.__init__
+        monkeypatch.setattr(
+            db.Problem, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+        )
         path = write_problem(tmp_path, {**TV_FIXTURE, "p": [0.2, 0.3, 0.5], "f": [1, 0, 2]})
         assert cli.main(["--input", path, *flags]) == 0
         assert capsys.readouterr().out

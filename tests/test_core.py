@@ -122,8 +122,11 @@ class TestValidate:
 
 class TestConstructorFaults:
     def test_sorted_side_length_mismatch(self):
-        with pytest.raises(db.LengthMismatchError, match="^2 outcomes in p vs 3 in f$"):
-            SortedProblem(db.Pmf([0.5, 0.5]), db.Objective([0.0, 1.0, 2.0]))
+        # A side trusts its pair; the Problem that builds it refuses a mismatch.
+        with pytest.raises(db.LengthMismatchError) as info:
+            db.Problem(db.Pmf([0.5, 0.5]), db.Objective([0.0, 1.0, 2.0]), "tv")
+        assert type(info.value) is db.LengthMismatchError
+        assert str(info.value) == "2 outcomes in p vs 3 in f"
 
     def test_objective_must_be_one_dimensional(self):
         # A nested list holds lists, not numbers; a 2-d array has a shape.
@@ -271,6 +274,36 @@ class TestBallSpec:
             make()
         assert type(info.value) is db.DivballError
         assert str(info.value) == "unknown ball family 'kl': expected 'tv' or 'chi2'"
+
+    # One problem fault per row: its weights, payoff and family, whether a
+    # ``Pmf`` is built from the weights, and the class and message that every
+    # caller of ``core.check_problem`` raises.
+    GATE_FAULTS = {
+        "family": ([0.5, 0.5], [0, 1], "kl", True, db.DivballError,
+                   "unknown ball family 'kl': expected 'tv' or 'chi2'"),
+        "length": ([0.5, 0.5], [0, 1, 2], "tv", True, db.LengthMismatchError,
+                   "2 outcomes in p vs 3 in f"),
+        "zero-center": ([0.0, 1.0], [0, 1], "chi2", True, db.ZeroMassForbiddenError,
+                        "chi-squared balls need a strictly positive center pmf"),
+        "list-center": ([0.5, 0.5], [0, 1], "tv", False, db.DivballError,
+                        "p: expected Pmf, got list"),
+    }
+
+    @pytest.mark.parametrize("fault", list(GATE_FAULTS))
+    def test_each_caller_of_the_gate_refuses_a_fault_alike(self, fault):
+        weights, values, family, wrap, error, message = self.GATE_FAULTS[fault]
+        p, f = (db.Pmf(weights) if wrap else weights), db.Objective(values)
+        makes = [
+            lambda: db.Problem(p, f, family),
+            lambda: db.oracle_lower_expectation(p, f, family, 0.1, 20),
+        ]
+        # validate reads raw vectors, so a list is its input, not a fault.
+        if wrap:
+            makes.append(lambda: db.validate(weights, values, family))
+        for make in makes:
+            with pytest.raises(db.DivballError) as info:
+                make()
+            assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestExpectation:

@@ -10,10 +10,13 @@ Like ``test_family_branches.py``, this reads the syntax tree of every module
 in the package: ``NegativeDeltaError`` is raised only in ``check_delta``, and
 the zero-center message only in ``require_positive``.  ``ZeroMassForbiddenError``
 is raised only there and in the oracle's definitional divergence, which stays
-independent of the package's rules on purpose.
+independent of the package's rules on purpose.  A problem's pair, family and
+chi-squared center are checked once, by ``core.check_problem``, and no side
+class calls it, ``check_pair`` or ``require_positive``.
 """
 
 import ast
+import inspect
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -24,6 +27,7 @@ import pytest
 
 import divball
 from divball.chi2 import CriticalDeltas
+from divball.core import SortedProblem
 from divball.tv import TVSide
 
 ZERO_CENTER = "chi-squared balls need a strictly positive center pmf"
@@ -83,6 +87,37 @@ def test_only_check_delta_rejects_a_radius():
 
 def test_only_require_positive_rejects_a_zero_center():
     assert package_raisers(zero_center) == ["core.require_positive"]
+
+
+def gate_calls(source: str) -> list[str]:
+    """The calls of ``check_pair``, ``require_positive`` or
+    ``check_problem`` in ``source``, bare or through a module attribute,
+    as ``Class.name``."""
+    return sorted(
+        f"{node.name}.{raised_name(call)}"
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and raised_name(call) in ("check_pair", "require_positive", "check_problem")
+    )
+
+
+@pytest.mark.parametrize("side", [SortedProblem, TVSide, CriticalDeltas], ids=lambda c: c.__name__)
+def test_no_side_checks_its_problem_again(side):
+    # Problem checks the pair, the family and a chi-squared center once, in
+    # core.check_problem, before it builds a side.
+    assert gate_calls(inspect.getsource(side)) == []
+
+
+def test_gate_calls_flags_a_side_check():
+    source = (
+        "class TVSide(SortedProblem):\n"
+        "    def __init__(self, p, f):\n"
+        "        core.check_pair(p, f)\n"
+        "        require_positive(p.weights)\n"
+        "        self.tails = suffix_masses(p.weights)\n"
+    )
+    assert gate_calls(source) == ["TVSide.check_pair", "TVSide.require_positive"]
 
 
 def test_zero_mass_is_raised_by_the_one_rule_and_the_oracle():

@@ -24,6 +24,7 @@ import pytest
 import divball as db
 from crosscheck import reference_bound
 from divball import problem
+from divball.chi2 import CriticalDeltas
 
 VALUE_ULPS = 8  # as in test_reference.py
 
@@ -146,12 +147,16 @@ def test_radius_never_prints_infinity(obj, theta):
 def test_a_search_makes_at_most_63_bounds(monkeypatch):
     # Far answers cost no more than near ones: the answer near 5e299 took
     # 1,051 bounds when the bracket doubled from 1.
-    calls = []
-    value = db.Problem._value
-    monkeypatch.setattr(db.Problem, "_value", lambda *args: calls.append(1) or value(*args))
+    # Counted on the side, which the bisection asks directly: each radius
+    # it probes is a finite double >= 0, so none is checked.
+    calls, checks = [], []
+    value, check = CriticalDeltas.value, problem.check_delta
+    monkeypatch.setattr(CriticalDeltas, "value", lambda *args: calls.append(1) or value(*args))
+    monkeypatch.setattr(problem, "check_delta", lambda d: checks.append(d) or check(d))
     p, f = db.validate([1.0, 1e-300], [0.8610046048250064, 0.3092122273087854], "chi2")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         star = problem.robustness_radius(p, f, "chi2", 0.4747499405636517)
     assert 2.0**512 < star < math.inf
-    assert len(calls) <= 63
+    assert 0 < len(calls) <= 63
+    assert checks == []

@@ -70,7 +70,7 @@ def test_no_numpy_wrapper_on_the_solve_path(family, monkeypatch):
 # one-shot lower bound and one upper bound at n = 8, the call that stops the
 # count included.  Unlike a time, a count does not depend on the host.  A
 # change may lower a count; one that raises it says why.
-CALLS_AT_MOST = {("tv", False): 47, ("tv", True): 52, ("chi2", False): 70, ("chi2", True): 79}
+CALLS_AT_MOST = {("tv", False): 43, ("tv", True): 48, ("chi2", False): 66, ("chi2", True): 75}
 
 
 @pytest.mark.parametrize("family, tied", list(CALLS_AT_MOST), ids=lambda v: str(v).lower())
